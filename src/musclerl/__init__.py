@@ -14,11 +14,9 @@ from .env import EpisodeConfig, RewardSpec, TrackingEnv, make_env
 from .sac import ReplayBuffer, SacAgent, Trajectory
 from .augment import AugmentationSpec, augment_trajectory
 from .pid import PidController, PidGains
-from .config import RunConfig, load_config
+from .config import RunConfig, __version__, load_config
 from .trainer import Trainer, load_policy
 from .fieldtest import FieldTestSpec, run_field_test, summarize
-
-__version__ = "0.1.0"
 
 __all__ = [
     "MuscleParams", "MuscleThermalState", "SCP_NOMINAL", "TCA_NOMINAL",

@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .config import RunConfig, load_config
+from .config import CODE_STAMP, RunConfig, load_config
 from .env import EpisodeConfig, TrackingEnv
 from .fieldtest import (
     FieldTestSpec,
@@ -54,19 +54,28 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out-dir", dest="out_dir")
 
 
-def _config_from_args(args) -> RunConfig:
+def _config_overrides(args) -> dict:
     keys = [f.name for f in dataclasses.fields(RunConfig)]
-    overrides = {k: getattr(args, k, None) for k in keys}
-    return load_config(args.config, overrides)
+    return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
 
 
 def cmd_train(args) -> int:
-    cfg = _config_from_args(args)
+    overrides = _config_overrides(args)
     if args.resume:
-        trainer = Trainer.restore(args.resume)
+        # a resumed run continues under the checkpoint's own config
+        if overrides or args.config:
+            flags = sorted(overrides) + (["config"] if args.config else [])
+            print(f"train --resume takes no config flags (got {', '.join(flags)}); "
+                  "only --stop-after may go with it", file=sys.stderr)
+            return 2
+        try:
+            trainer = Trainer.restore(args.resume, resume=True)
+        except ValueError as err:
+            print(err, file=sys.stderr)
+            return 2
         print(f"resumed at episode {trainer.episode_idx} from {args.resume}")
     else:
-        trainer = Trainer(cfg)
+        trainer = Trainer(load_config(args.config, overrides))
     resolved = trainer.cfg
     print(f"training {resolved.preset}: N={resolved.episodes} M={resolved.bootstrap_episodes} "
           f"seed={resolved.seed} hash={resolved.config_hash()} -> {resolved.out_dir}")
@@ -85,6 +94,7 @@ def cmd_eval_field(args) -> int:
         preset = args.preset or "wrist"
         controller = pid_controller_for(preset, args.pid_gain_scale or 1.0)
         provenance = f"musclerl field test controller=pid preset={preset} seed=0"
+        plant = None
     else:
         if not args.checkpoint:
             print("eval-field needs --checkpoint or --pid", file=sys.stderr)
@@ -94,11 +104,12 @@ def cmd_eval_field(args) -> int:
         controller = PolicyController(agent)
         provenance = (f"musclerl field test controller=policy preset={preset} "
                       f"config_sha256={cfg.config_hash()} seed={cfg.seed}")
+        plant = cfg.plant_config()
     spec = field_spec_for(preset)
     if args.duration:
         spec = FieldTestSpec(duration=args.duration,
                              settle=min(spec.settle, args.duration))
-    rows = run_field_test(preset, controller, spec)
+    rows = run_field_test(preset, controller, spec, plant=plant)
     s = summarize(rows)
     if args.out:
         write_field_csv(args.out, rows, provenance)
@@ -113,6 +124,7 @@ def cmd_episode(args) -> int:
     if args.pid:
         preset = args.preset or "wrist"
         controller = pid_controller_for(preset, args.pid_gain_scale or 1.0)
+        plant = None
     else:
         if not args.checkpoint:
             print("episode needs --checkpoint or --pid", file=sys.stderr)
@@ -120,11 +132,12 @@ def cmd_episode(args) -> int:
         agent, cfg = load_policy(args.checkpoint)
         preset = cfg.preset
         controller = PolicyController(agent)
+        plant = cfg.plant_config()
     duration = args.duration or (15.0 if preset == "eye" else 20.0)
     steps = round(duration / 0.5)
     env = TrackingEnv(preset, SeededRng(args.seed or 0),
                       episode=EpisodeConfig(episode_length=steps, target_range=0.0),
-                      randomization=NO_RANDOMIZATION)
+                      randomization=NO_RANDOMIZATION, plant_config=plant)
     obs = env.reset()
     env.target = np.array([args.target1, args.target2])
     obs[4:6] = env.target
@@ -149,7 +162,7 @@ def cmd_episode(args) -> int:
     lines.append(",".join(final))
     e_ss = steady_state_error(np.array(angles), env.target, round(5.0 / 0.5))
     text = "\n".join([f"# musclerl episode preset={preset} seed={args.seed or 0} "
-                      f"target=({args.target1},{args.target2})"] + lines) + "\n"
+                      f"target=({args.target1},{args.target2}) {CODE_STAMP}"] + lines) + "\n"
     if args.out:
         os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
         with open(args.out, "w") as fh:

@@ -3,7 +3,9 @@
 A config file is plain lines of `key = value` with `#` comments, keys matching
 RunConfig fields. Override precedence: CLI flag > MUSCLERL_SEED environment
 variable (seed only) > config file > preset default. The resolved config has
-a stable hash that is stamped into every output artifact.
+a stable hash that is stamped into every output artifact, next to CODE_STAMP:
+the package version and the numerics version, which moves whenever the last
+bits of simulated trajectories change while the config hash does not.
 """
 
 from __future__ import annotations
@@ -13,6 +15,11 @@ import hashlib
 import os
 from dataclasses import dataclass
 
+from .plant import PlantConfig, configured_plant
+
+__version__ = "0.1.0"
+NUMERICS = 2  # 2: the per-episode RK4 step map of plant.StepMap
+CODE_STAMP = f"version={__version__} numerics={NUMERICS}"
 PRESET_EPISODES = {"eye": 2000, "wrist": 3500}
 PRESET_BOOTSTRAP = {"eye": 250, "wrist": 500}
 PRESET_STEPS = {"eye": 30, "wrist": 40}
@@ -93,6 +100,18 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
+
+    def plant_config(self) -> PlantConfig:
+        """The preset plant with this config's plant_* overrides applied."""
+        return configured_plant(
+            self.preset,
+            inertia=self.plant_inertia,
+            damping=self.plant_damping,
+            stiffness=self.plant_stiffness,
+            moment_arm=self.plant_moment_arm,
+            rest_length=self.plant_rest_length,
+            angle_limit=self.plant_angle_limit,
+        )
 
 
 _BOOL_FIELDS = {"no_bootstrap", "no_augment", "no_randomize", "shared_muscle_scaling"}

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .plant import PLANT_PRESETS, PlantConfig, PlantState, advance, initial_state
+from .plant import PLANT_PRESETS, PlantConfig, PlantState, StepMap, advance, initial_state
 from .randomize import (
     NO_RANDOMIZATION,
     RandomizationSpec,
@@ -118,9 +118,10 @@ def reward(spec: RewardSpec, y, y_star, a) -> float:
 class TrackingEnv:
     """One episode-owning environment instance for a named plant preset.
 
-    Muscle parameters resample at reset and stay fixed for the episode;
-    observation noise redraws every step. All randomness flows through
-    named child streams of the seed rng, so trajectories are reproducible.
+    Muscle parameters resample at reset and stay fixed for the episode, so
+    reset also builds the episode's plant StepMap; observation noise redraws
+    every step. All randomness flows through named child streams of the
+    seed rng, so trajectories are reproducible.
     """
 
     def __init__(
@@ -169,6 +170,7 @@ class TrackingEnv:
         self.active = self.nominal.with_muscles(
             sample_muscle_set(self.nominal.muscles, self.randomization, self._params_rng)
         )
+        self.step_map = StepMap(self.active, self.episode.physics_dt, self.episode.substeps)
         self.state = initial_state(self.active)
         tr = self.episode.target_range
         self.target = np.array(
@@ -202,8 +204,7 @@ class TrackingEnv:
         y_before = self.true_output()
         r = reward(self.reward_spec, y_before, self.target, a)
         volts = self.map_action(a)
-        self.state = advance(self.active, self.state, volts,
-                             self.episode.physics_dt, self.episode.substeps)
+        self.state = advance(self.step_map, self.state, volts)
         self.steps_taken += 1
         self._done = self.steps_taken >= self.episode.episode_length
         info = {"output": y_before, "voltages": volts, "truncated": self._done}

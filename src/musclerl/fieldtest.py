@@ -1,7 +1,8 @@
 """Steady-state evaluation: target grid, per-target episodes, e_ss metric.
 
-Evaluation always runs on the nominal plant with no parameter randomization
-and no observation noise, from rest, with the deterministic policy. The
+Evaluation always runs on the nominal plant (the preset's, or the one a
+checkpoint was trained on) with no parameter randomization and no
+observation noise, from rest, with the deterministic policy. The
 steady-state error of one episode is the Euclidean angle error averaged over
 the final settle window, sampled at the action period:
 
@@ -12,11 +13,14 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
+from .config import CODE_STAMP
 from .env import EpisodeConfig, TrackingEnv
 from .pid import PidActionPolicy
+from .plant import PlantConfig
 from .randomize import NO_RANDOMIZATION, SeededRng
 from .sac import SacAgent
 
@@ -82,19 +86,22 @@ class PolicyController:
         return a
 
 
-def make_eval_env(preset: str, spec: FieldTestSpec) -> TrackingEnv:
+def make_eval_env(preset: str, spec: FieldTestSpec,
+                  plant: PlantConfig | None = None) -> TrackingEnv:
+    """Nominal noiseless env; plant None means the preset's own plant."""
     episode = EpisodeConfig(
         action_period=spec.action_period,
         episode_length=spec.steps,
         target_range=0.0,  # targets are set explicitly per grid point
     )
     return TrackingEnv(preset, SeededRng(0), episode=episode,
-                       randomization=NO_RANDOMIZATION)
+                       randomization=NO_RANDOMIZATION, plant_config=plant)
 
 
-def default_episode_runner(preset: str, spec: FieldTestSpec, controller, target) -> np.ndarray:
+def default_episode_runner(preset: str, spec: FieldTestSpec, controller, target,
+                           plant: PlantConfig | None = None) -> np.ndarray:
     """One evaluation episode; returns post-step angles, one row per step."""
-    env = make_eval_env(preset, spec)
+    env = make_eval_env(preset, spec, plant)
     obs = env.reset()
     env.target = np.array(target, dtype=np.float64)
     obs[4:6] = env.target
@@ -108,10 +115,14 @@ def default_episode_runner(preset: str, spec: FieldTestSpec, controller, target)
 
 
 def run_field_test(preset: str, controller, spec: FieldTestSpec | None = None,
-                   episode_runner=None) -> list[tuple[float, float, float]]:
-    """Evaluate every grid target; returns (target1, target2, e_ss) rows."""
+                   episode_runner=None, plant: PlantConfig | None = None,
+                   ) -> list[tuple[float, float, float]]:
+    """Evaluate every grid target; returns (target1, target2, e_ss) rows.
+
+    plant (the default runner's) is the nominal plant, the preset's if None.
+    """
     spec = spec or field_spec_for(preset)
-    runner = episode_runner or default_episode_runner
+    runner = episode_runner or partial(default_episode_runner, plant=plant)
     rows = []
     for target in grid_targets(spec):
         angles = runner(preset, spec, controller, target)
@@ -137,7 +148,7 @@ def summarize(rows) -> dict:
 def write_field_csv(path: str, rows, provenance: str) -> None:
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w") as fh:
-        fh.write(f"# {provenance}\n")
+        fh.write(f"# {provenance} {CODE_STAMP}\n")
         fh.write("target1,target2,e_ss\n")
         for t1, t2, e in rows:
             fh.write(f"{t1!r},{t2!r},{e!r}\n")

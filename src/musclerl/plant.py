@@ -13,8 +13,15 @@ on yaw, signs chosen so that the second muscle of each pair pulls the axis
 positive. Wrist: three muscles at 120 deg azimuthal spacing.
 
 Joint dynamics per DOF: J alphaddot = tau - d alphadot - kappa alpha, with
-angles hard-clamped at the travel limits (rate zeroed on contact). External
-angle/rate units are degrees; integration runs in radians.
+angles hard-clamped at the travel limits (rate zeroed on contact). Angle and
+rate units are degrees, in the integration state too; G acts on radians.
+
+Integration is explicit RK4 with the voltages held over an action step.
+The dynamics are then linear, so StepMap, built once per muscle draw,
+holds the substep matrix and its powers: advance() gets every substep's
+angles and the end state from one product. If a substep angle passes the
+travel limit, advance() falls back to the substeps one at a time with the
+clamp after each; otherwise that clamp never fires and both agree.
 """
 
 from __future__ import annotations
@@ -162,174 +169,92 @@ def muscle_kinematics(cfg: PlantConfig, angles_deg, rates_deg):
     return lengths, rates, cfg.routing.copy()
 
 
-def _derivative(cfg, k_arr, b_arr, c_arr, Tamb_arr, Cth_arr, lam_arr, power,
-                alpha, omega, temps, ext_torque):
-    stretch = -(cfg.routing @ alpha)          # x - x0
-    xdot = -(cfg.routing @ omega)
-    forces = k_arr * stretch + b_arr * xdot + c_arr * (temps - Tamb_arr)
-    tau = cfg.routing.T @ forces - cfg.d * omega - cfg.kappa * alpha
-    if ext_torque is not None:
-        tau = tau + ext_torque
-    domega = tau / cfg.J
-    dtemps = (power - lam_arr * (temps - Tamb_arr)) / Cth_arr
-    return omega, domega, dtemps
+class StepMap:
+    """The action step of one plant with its muscles fixed, as matrices.
 
+    Between two actions the dynamics are linear and time-invariant on the
+    augmented state
 
-def plant_step(
-    cfg: PlantConfig,
-    state: PlantState,
-    voltages: np.ndarray,
-    dt: float,
-    external_torque: np.ndarray | None = None,
-) -> PlantState:
-    """One explicit RK4 step of the coupled joint + thermal dynamics.
+        z = [a1, a2, w1, w2, T_1 - T_amb,1 .. T_m - T_amb,m, q_1 .. q_m, e1, e2]
 
-    Voltages must already lie in [0, 10] (the action mapping clamps); the
-    angle clamp with rate zeroing applies after the step. external_torque
-    (N*cm per DOF) is a test hook, not used in normal operation.
+    (deg, deg/s, degC; q_i = V_i^2 / (R_i C_th,i) the held heating rate,
+    e the external torque), so one RK4 substep of h is z <- M z with
+    M = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24. `one` is M; `stack` holds
+    the angle rows of M^1 .. M^S and then all of M^S, so one product gives
+    every substep's angles and the end state. Temperatures enter as rises
+    above ambient, which makes the rest state map to itself exactly.
     """
-    if not (dt > 0.0):
-        raise ValueError(f"dt must be positive, got {dt}")
-    v = np.asarray(voltages, dtype=np.float64)
-    if v.shape != (cfg.n_muscles,):
-        raise ValueError(f"expected {cfg.n_muscles} voltages, got shape {v.shape}")
-    if np.any(v < 0.0) or np.any(v > 10.0) or not np.all(np.isfinite(v)):
-        raise ValueError(f"voltages out of range [0, 10]: {v}")
 
-    k_arr = np.array([p.k for p in cfg.muscles])
-    b_arr = np.array([p.b for p in cfg.muscles])
-    c_arr = np.array([p.c for p in cfg.muscles])
-    Tamb_arr = np.array([p.T_amb for p in cfg.muscles])
-    Cth_arr = np.array([p.C_th for p in cfg.muscles])
-    lam_arr = np.array([p.lambda_ for p in cfg.muscles])
-    R_arr = np.array([p.R for p in cfg.muscles])
-    power = v * v / R_arr
+    def __init__(self, cfg: PlantConfig, dt: float, substeps: int):
+        if not (dt > 0.0 and substeps >= 1):
+            raise ValueError("require dt > 0 and substeps >= 1")
+        self.cfg = cfg
+        self.substeps = substeps
+        m = cfg.n_muscles
+        k, b, c, lam, cth, res, tamb = (
+            np.array([getattr(p, f) for p in cfg.muscles])
+            for f in ("k", "b", "c", "lambda_", "C_th", "R", "T_amb")
+        )
+        self.tamb = tamb
+        self.rc = res * cth
+        g, n = cfg.routing, 2 * m + 6
+        a = np.zeros((n, n))  # rows: angles, rates, temperature rises; q, e held
+        a[0, 2] = a[1, 3] = 1.0
+        a[2:4, 0:2] = -(cfg.kappa * np.eye(2) + g.T @ (k[:, None] * g)) / cfg.J
+        a[2:4, 2:4] = -(cfg.d * np.eye(2) + g.T @ (b[:, None] * g)) / cfg.J
+        a[2:4, 4:4 + m] = g.T * c / (cfg.J * DEG)
+        a[2:4, n - 2:] = np.eye(2) / (cfg.J * DEG)
+        a[4:4 + m, 4:4 + m] = np.diag(-lam / cth)
+        a[4:4 + m, 4 + m:4 + 2 * m] = np.eye(m)
+        one = term = np.eye(n)
+        for j in (1, 2, 3, 4):
+            term = term @ (dt * a) / j
+            one = one + term
+        powers = [one]
+        for _ in range(substeps - 1):
+            powers.append(one @ powers[-1])
+        self.one = one
+        self.stack = np.concatenate([p[:2] for p in powers] + [powers[-1]])
 
-    alpha = state.angles * DEG
-    omega = state.rates * DEG
-    temps = state.temps
 
-    def f(a, w, T):
-        return _derivative(cfg, k_arr, b_arr, c_arr, Tamb_arr, Cth_arr,
-                           lam_arr, power, a, w, T, external_torque)
-
-    k1a, k1w, k1T = f(alpha, omega, temps)
-    k2a, k2w, k2T = f(alpha + 0.5 * dt * k1a, omega + 0.5 * dt * k1w, temps + 0.5 * dt * k1T)
-    k3a, k3w, k3T = f(alpha + 0.5 * dt * k2a, omega + 0.5 * dt * k2w, temps + 0.5 * dt * k2T)
-    k4a, k4w, k4T = f(alpha + dt * k3a, omega + dt * k3w, temps + dt * k3T)
-
-    alpha = alpha + dt * (k1a + 2.0 * k2a + 2.0 * k3a + k4a) / 6.0
-    omega = omega + dt * (k1w + 2.0 * k2w + 2.0 * k3w + k4w) / 6.0
-    temps = temps + dt * (k1T + 2.0 * k2T + 2.0 * k3T + k4T) / 6.0
-
-    angles = alpha / DEG
-    rates = omega / DEG
-    lim = cfg.angle_limit
-    for i in range(2):
-        if angles[i] > lim:
-            angles[i] = lim
-            if rates[i] > 0.0:
-                rates[i] = 0.0
-        elif angles[i] < -lim:
-            angles[i] = -lim
-            if rates[i] < 0.0:
-                rates[i] = 0.0
-    return PlantState(angles, rates, temps)
+_NO_TORQUE = np.zeros(2)
 
 
 def advance(
-    cfg: PlantConfig,
+    sm: StepMap,
     state: PlantState,
     voltages: np.ndarray,
-    dt: float,
-    substeps: int,
     external_torque: np.ndarray | None = None,
 ) -> PlantState:
-    """Integrate `substeps` RK4 steps of dt with voltages held constant.
+    """Integrate the map's `substeps` RK4 steps with voltages held constant.
 
-    Same dynamics as plant_step, unrolled to scalar arithmetic: the rollout
-    loop spends most of its time here and the state is a handful of floats,
-    where numpy dispatch costs more than the math.
+    Voltages must lie in [0, 10] (the action mapping clamps). Angles are
+    clamped at the travel limit after every substep, with the outward rate
+    zeroed; when no substep reaches the limit that clamp is idle and the
+    end state is one product. external_torque (N*cm per DOF) is a test hook.
     """
-    if not (dt > 0.0 and substeps >= 1):
-        raise ValueError("require dt > 0 and substeps >= 1")
+    cfg = sm.cfg
     v = np.asarray(voltages, dtype=np.float64)
-    m = cfg.n_muscles
-    if v.shape != (m,):
-        raise ValueError(f"expected {m} voltages, got shape {v.shape}")
-    if np.any(v < 0.0) or np.any(v > 10.0) or not np.all(np.isfinite(v)):
+    if v.shape != (cfg.n_muscles,):
+        raise ValueError(f"expected {cfg.n_muscles} voltages, got shape {v.shape}")
+    if not (v.min() >= 0.0 and v.max() <= 10.0):
         raise ValueError(f"voltages out of range [0, 10]: {v}")
-
-    g1 = tuple(float(cfg.routing[i, 0]) for i in range(m))
-    g2 = tuple(float(cfg.routing[i, 1]) for i in range(m))
-    mk = tuple(p.k for p in cfg.muscles)
-    mb = tuple(p.b for p in cfg.muscles)
-    mc = tuple(p.c for p in cfg.muscles)
-    tamb = tuple(p.T_amb for p in cfg.muscles)
-    lam_c = tuple(p.lambda_ / p.C_th for p in cfg.muscles)
-    pow_c = tuple(float(v[i]) ** 2 / cfg.muscles[i].R / cfg.muscles[i].C_th for i in range(m))
-    d, kappa, J = cfg.d, cfg.kappa, cfg.J
-    ext1 = ext2 = 0.0
-    if external_torque is not None:
-        ext1, ext2 = float(external_torque[0]), float(external_torque[1])
-    lim = cfg.angle_limit * DEG
-
-    a1, a2 = float(state.angles[0]) * DEG, float(state.angles[1]) * DEG
-    w1, w2 = float(state.rates[0]) * DEG, float(state.rates[1]) * DEG
-    temps = [float(t) for t in state.temps]
-    rng_m = range(m)
-
-    def deriv(b1, b2, u1, u2, T):
-        tau1 = ext1 - d * u1 - kappa * b1
-        tau2 = ext2 - d * u2 - kappa * b2
-        dT = [0.0] * m
-        for i in rng_m:
-            gi1, gi2 = g1[i], g2[i]
-            dTi = T[i] - tamb[i]
-            f = -mk[i] * (gi1 * b1 + gi2 * b2) - mb[i] * (gi1 * u1 + gi2 * u2) + mc[i] * dTi
-            tau1 += gi1 * f
-            tau2 += gi2 * f
-            dT[i] = pow_c[i] - lam_c[i] * dTi
-        return u1, u2, tau1 / J, tau2 / J, dT
-
-    sixth = dt / 6.0
-    half = 0.5 * dt
-    for _ in range(substeps):
-        k1 = deriv(a1, a2, w1, w2, temps)
-        k2 = deriv(a1 + half * k1[0], a2 + half * k1[1], w1 + half * k1[2], w2 + half * k1[3],
-                   [temps[i] + half * k1[4][i] for i in rng_m])
-        k3 = deriv(a1 + half * k2[0], a2 + half * k2[1], w1 + half * k2[2], w2 + half * k2[3],
-                   [temps[i] + half * k2[4][i] for i in rng_m])
-        k4 = deriv(a1 + dt * k3[0], a2 + dt * k3[1], w1 + dt * k3[2], w2 + dt * k3[3],
-                   [temps[i] + dt * k3[4][i] for i in rng_m])
-        a1 += sixth * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0])
-        a2 += sixth * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1])
-        w1 += sixth * (k1[2] + 2.0 * (k2[2] + k3[2]) + k4[2])
-        w2 += sixth * (k1[3] + 2.0 * (k2[3] + k3[3]) + k4[3])
-        temps = [temps[i] + sixth * (k1[4][i] + 2.0 * (k2[4][i] + k3[4][i]) + k4[4][i])
-                 for i in rng_m]
-        if a1 > lim:
-            a1 = lim
-            if w1 > 0.0:
-                w1 = 0.0
-        elif a1 < -lim:
-            a1 = -lim
-            if w1 < 0.0:
-                w1 = 0.0
-        if a2 > lim:
-            a2 = lim
-            if w2 > 0.0:
-                w2 = 0.0
-        elif a2 < -lim:
-            a2 = -lim
-            if w2 < 0.0:
-                w2 = 0.0
-
-    return PlantState(
-        np.array([a1 / DEG, a2 / DEG]),
-        np.array([w1 / DEG, w2 / DEG]),
-        np.array(temps),
-    )
+    ext = _NO_TORQUE if external_torque is None else external_torque
+    z = np.concatenate((state.angles, state.rates, state.temps - sm.tamb, v * v / sm.rc, ext))
+    out = sm.stack @ z
+    lim, n_ang = cfg.angle_limit, 2 * sm.substeps
+    if np.abs(out[:n_ang]).max() <= lim:
+        z = out[n_ang:]
+    else:
+        for _ in range(sm.substeps):
+            z = sm.one @ z
+            for j in (0, 1):
+                if abs(z[j]) > lim:
+                    z[j] = math.copysign(lim, z[j])
+                    if z[2 + j] * z[j] > 0.0:
+                        z[2 + j] = 0.0
+    m = cfg.n_muscles
+    return PlantState(z[0:2], z[2:4], z[4:4 + m] + sm.tamb)
 
 
 def mechanical_energy(cfg: PlantConfig, state: PlantState) -> float:

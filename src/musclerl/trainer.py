@@ -23,10 +23,9 @@ import numpy as np
 
 from .augment import AugmentationSpec, augment_trajectory
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import RunConfig
+from .config import CODE_STAMP, NUMERICS, RunConfig, __version__
 from .env import EpisodeConfig, TrackingEnv
 from .pid import PidActionPolicy, gains_for
-from .plant import configured_plant
 from .randomize import NO_RANDOMIZATION, RandomizationSpec, SeededRng
 from .sac import ReplayBuffer, SacAgent, Trajectory
 
@@ -92,17 +91,8 @@ class Trainer:
             target_range=cfg.target_range,
             discount=cfg.gamma,
         )
-        plant = configured_plant(
-            cfg.preset,
-            inertia=cfg.plant_inertia,
-            damping=cfg.plant_damping,
-            stiffness=cfg.plant_stiffness,
-            moment_arm=cfg.plant_moment_arm,
-            rest_length=cfg.plant_rest_length,
-            angle_limit=cfg.plant_angle_limit,
-        )
         self.env = TrackingEnv(cfg.preset, master.split("env"), episode=episode,
-                               randomization=randomization, plant_config=plant)
+                               randomization=randomization, plant_config=cfg.plant_config())
         if cfg.preset == "eye":
             center, half = 0.0, 10.0
         else:
@@ -219,7 +209,7 @@ class Trainer:
         cfg = self.cfg
         stop = cfg.episodes if stop_after is None else min(stop_after, cfg.episodes)
         os.makedirs(cfg.out_dir, exist_ok=True)
-        provenance = f"musclerl config_sha256={cfg.config_hash()} seed={cfg.seed}"
+        provenance = f"musclerl config_sha256={cfg.config_hash()} seed={cfg.seed} {CODE_STAMP}"
         rewards = CsvLog(os.path.join(cfg.out_dir, "rewards.csv"),
                          ["episode", "controller", "steps", "episode_return", "avg_reward"],
                          provenance, truncate_after=self.episode_idx)
@@ -284,6 +274,8 @@ class Trainer:
         }
         meta = {
             "kind": "full" if include_buffer else "policy",
+            "version": __version__,
+            "numerics": NUMERICS,
             "config": self.cfg.to_dict(),
             "config_hash": self.cfg.config_hash(),
             "episode": self.episode_idx,
@@ -317,8 +309,20 @@ class Trainer:
         save_checkpoint(path, meta, arrays)
 
     @classmethod
-    def restore(cls, path: str) -> "Trainer":
+    def restore(cls, path: str, resume: bool = False) -> "Trainer":
+        """Rebuild the trainer a checkpoint was saved from.
+
+        The checkpoint must carry this code's numerics stamp. resume=True
+        also requires a full checkpoint, since continuing a run exactly
+        needs its replay buffer.
+        """
         meta, arrays = load_checkpoint(path)
+        if meta.get("numerics") != NUMERICS:
+            raise ValueError(f"{path}: numerics {meta.get('numerics')} differ from this "
+                             f"code's {NUMERICS}; the run cannot continue exactly")
+        if resume and meta["kind"] != "full":
+            raise ValueError(f"{path}: a {meta['kind']} checkpoint has no replay buffer; "
+                             "resume needs a full checkpoint")
         cfg = RunConfig(**meta["config"])
         tr = cls(cfg)
         ag = tr.agent

@@ -7,6 +7,7 @@ launch the runs themselves; without artifacts those three tests skip with
 instructions rather than fake a result.
 """
 
+import hashlib
 import os
 import shutil
 import subprocess
@@ -184,6 +185,14 @@ def test_criterion_4_randomization_bounds():
        f"{max(drift.values()):.4f}, {elapsed:.1f}s")
 
 
+# sha256 of the smoke run's CSVs. Re-record them, and say so, whenever a
+# change moves the numbers on purpose (last: the plant step map, numerics=2).
+SMOKE_SHA256 = {
+    "rewards.csv": "0e886293e7940641e76ff50374fca182d8b5e20e9146b558790ce98c63426817",
+    "losses.csv": "2a73384e384c8ff7d6fb7b5df26e5fe96b0a33523b46008d80dcfb2652ccda40",
+}
+
+
 def test_criterion_5_training_determinism(tmp_path):
     t0 = time.perf_counter()
     blobs = []
@@ -191,11 +200,13 @@ def test_criterion_5_training_determinism(tmp_path):
         cfg = load_config(os.path.join(REPO, "configs", "smoke.cfg"),
                           overrides={"out_dir": str(tmp_path / name)})
         Trainer(cfg).train()
-        blobs.append(open(tmp_path / name / "rewards.csv", "rb").read())
+        blobs.append({f: open(tmp_path / name / f, "rb").read() for f in SMOKE_SHA256})
     elapsed = time.perf_counter() - t0
-    ok(5, blobs[0] == blobs[1] and elapsed < 300.0,
-       f"two 20-episode smoke runs produced byte-identical reward CSVs "
-       f"({len(blobs[0])} bytes), {elapsed:.0f}s")
+    digests = {f: hashlib.sha256(blob).hexdigest() for f, blob in blobs[0].items()}
+    ok(5, blobs[0] == blobs[1] and digests == SMOKE_SHA256 and elapsed < 300.0,
+       f"two 20-episode smoke runs produced byte-identical reward and loss CSVs "
+       f"({len(blobs[0]['rewards.csv'])} bytes), golden sha256 "
+       f"{'match' if digests == SMOKE_SHA256 else f'differ: {digests}'}, {elapsed:.0f}s")
 
 
 def moving_mean(values, window=100):

@@ -6,7 +6,7 @@ import pytest
 
 from musclerl.checkpoint import load_checkpoint, save_checkpoint
 from musclerl.cli import main as cli_main
-from musclerl.config import RunConfig, load_config, parse_config_file
+from musclerl.config import CODE_STAMP, NUMERICS, RunConfig, load_config, parse_config_file
 from musclerl.fieldtest import (
     FieldTestSpec,
     PolicyController,
@@ -159,6 +159,7 @@ def test_training_artifacts_and_tags(tmp_path):
     tr.train()
     lines = [l.strip() for l in open(tmp_path / "run" / "rewards.csv")]
     assert lines[0].startswith("# musclerl config_sha256=") and "seed=11" in lines[0]
+    assert lines[0].endswith(" version=0.1.0 numerics=2") and CODE_STAMP in lines[0]
     assert lines[1] == "episode,controller,steps,episode_return,avg_reward"
     data = [l.split(",") for l in lines[2:]]
     assert len(data) == 8
@@ -259,6 +260,58 @@ def test_policy_checkpoint_omits_buffer(tmp_path):
     meta_pol, arrays_pol = load_checkpoint(str(tmp_path / "run" / "policy_final.ckpt"))
     assert "buf_obs" in arrays_full and "buf_obs" not in arrays_pol
     assert meta_pol["kind"] == "policy"
+    for meta in (meta_full, meta_pol):
+        assert meta["numerics"] == NUMERICS and meta["version"] == "0.1.0"
+
+
+def _restamped(src, dst, **changes):
+    meta, arrays = load_checkpoint(str(src))
+    for key, value in changes.items():
+        if value is None:
+            del meta[key]
+        else:
+            meta[key] = value
+    save_checkpoint(str(dst), meta, arrays)
+    return str(dst)
+
+
+def test_resume_rejects_policy_checkpoint(tmp_path, capsys):
+    cfg = tiny_cfg(tmp_path / "run", episodes=4)
+    Trainer(cfg).train()
+    policy = str(tmp_path / "run" / "policy_final.ckpt")
+    with pytest.raises(ValueError, match="full checkpoint"):
+        Trainer.restore(policy, resume=True)
+    assert cli_main(["train", "--resume", policy]) == 2
+    assert "full checkpoint" in capsys.readouterr().err
+    Trainer.restore(policy)  # a policy checkpoint still rebuilds a trainer
+
+
+def test_resume_rejects_missing_or_other_numerics(tmp_path, capsys):
+    cfg = tiny_cfg(tmp_path / "run", episodes=4)
+    Trainer(cfg).train()
+    full = tmp_path / "run" / "final.ckpt"
+    for name, numerics in (("none", None), ("old", NUMERICS - 1)):
+        path = _restamped(full, tmp_path / f"{name}.ckpt", numerics=numerics)
+        with pytest.raises(ValueError, match="numerics"):
+            Trainer.restore(path)
+        assert cli_main(["train", "--resume", path]) == 2
+        assert "numerics" in capsys.readouterr().err
+
+
+def test_resume_rejects_config_flags_but_allows_stop_after(tmp_path, capsys):
+    cfg = tiny_cfg(tmp_path / "run")
+    Trainer(cfg).train(stop_after=5)
+    ckpt = str(tmp_path / "run" / "checkpoint.ckpt")
+    before = open(ckpt, "rb").read()
+    cfg_file = tmp_path / "other.cfg"
+    cfg_file.write_text("seed = 3\n")
+    for flags in (["--seed", "3"], ["--episodes", "20"], ["--no-augment"],
+                  ["--config", str(cfg_file)]):
+        assert cli_main(["train", "--resume", ckpt] + flags) == 2
+        assert "takes no config flags" in capsys.readouterr().err
+    assert open(ckpt, "rb").read() == before
+    assert cli_main(["train", "--resume", ckpt, "--stop-after", "6"]) == 0
+    assert Trainer.restore(ckpt).episode_idx == 6
 
 
 # -- CLI -----------------------------------------------------------------------
@@ -287,8 +340,41 @@ def test_cli_train_and_eval_roundtrip(tmp_path):
     rc = cli_main(["eval-field", "--checkpoint", str(out / "policy_final.ckpt"),
                    "--duration", "3.0", "--out", str(field_csv)])
     assert rc == 0
-    rows = [l for l in open(field_csv) if not l.startswith("#")]
+    lines = list(open(field_csv))
+    assert lines[0].rstrip().endswith(CODE_STAMP)
+    rows = [l for l in lines if not l.startswith("#")]
     assert len(rows) == 82  # header + 81 targets
+
+
+def test_checkpoint_evaluation_uses_the_trained_plant(tmp_path):
+    # trained at half the wrist's inertia: eval-field and episode must
+    # simulate that plant, not the preset's J = 2.4
+    cfg = tiny_cfg(tmp_path / "run", episodes=2, bootstrap_episodes=1, plant_inertia=1.2)
+    Trainer(cfg).train()
+    ckpt = tmp_path / "run" / "policy_final.ckpt"
+    preset_ckpt = _restamped(ckpt, tmp_path / "preset.ckpt",
+                             config={**cfg.to_dict(), "plant_inertia": None})
+    agent, loaded = load_policy(str(ckpt))
+    assert loaded.plant_config().J == 1.2
+    spec = FieldTestSpec(duration=3.0, settle=3.0)
+    want = run_field_test("wrist", PolicyController(agent), spec, plant=loaded.plant_config())
+    stock = run_field_test("wrist", PolicyController(agent), spec)
+    assert want != stock
+    for path, rows in ((str(ckpt), want), (preset_ckpt, stock)):
+        out = tmp_path / "field.csv"
+        assert cli_main(["eval-field", "--checkpoint", path, "--duration", "3.0",
+                         "--out", str(out)]) == 0
+        lines = [l for l in open(out) if not l.startswith("#")][1:]
+        assert [float(l.split(",")[2]) for l in lines] == [e for _, _, e in rows]
+    finals = []
+    for path in (str(ckpt), preset_ckpt):
+        out = tmp_path / "episode.csv"
+        assert cli_main(["episode", "--checkpoint", path, "--duration", "5",
+                         "--out", str(out)]) == 0
+        text = open(out).read()
+        assert text.splitlines()[0].endswith(CODE_STAMP)
+        finals.append(text.splitlines()[-1])
+    assert finals[0] != finals[1]
 
 
 def test_cli_calibrate_gate_passes():
