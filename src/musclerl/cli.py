@@ -17,20 +17,20 @@ import dataclasses
 import os
 import sys
 
-import numpy as np
-
 from .config import CODE_STAMP, RunConfig, load_config
-from .env import EpisodeConfig, TrackingEnv
+from .env import EpisodeConfig, TrackingEnv, run_episode
 from .fieldtest import (
     FieldTestSpec,
     PolicyController,
     field_spec_for,
     pid_controller_for,
+    pid_gate,
     run_field_test,
     steady_state_error,
     summarize,
     write_field_csv,
 )
+from .plant import PLANT_PRESETS
 from .randomize import NO_RANDOMIZATION, SeededRng
 from .trainer import Trainer, load_policy
 
@@ -138,29 +138,21 @@ def cmd_episode(args) -> int:
     env = TrackingEnv(preset, SeededRng(args.seed or 0),
                       episode=EpisodeConfig(episode_length=steps, target_range=0.0),
                       randomization=NO_RANDOMIZATION, plant_config=plant)
-    obs = env.reset()
-    env.target = np.array([args.target1, args.target2])
-    obs[4:6] = env.target
-    controller.reset()
+    target = (args.target1, args.target2)
+    _, outputs, actions, rewards = run_episode(env, controller, target)
     lines = ["t,angle1,rate1,angle2,rate2," +
              ",".join(f"action{i+1}" for i in range(env.action_dim)) + "," +
              ",".join(f"volt{i+1}" for i in range(env.active.n_muscles)) + ",reward"]
-    angles = []
-    for t in range(steps):
-        a = controller.act(obs, dt=0.5)
-        y = env.true_output()
-        obs, r, done, info = env.step(a)
-        cells = [repr(0.5 * t), repr(y[0]), repr(y[1]), repr(y[2]), repr(y[3])]
-        cells += [repr(float(v)) for v in np.atleast_1d(a)]
-        cells += [repr(float(v)) for v in info["voltages"]]
-        cells.append(repr(r))
+    for t, y in enumerate(outputs):
+        cells = [repr(0.5 * t)] + [repr(float(v)) for v in y]
+        if t < steps:
+            cells += [repr(float(v)) for v in actions[t]]
+            cells += [repr(float(v)) for v in env.map_action(actions[t])]
+            cells.append(repr(float(rewards[t])))
+        else:  # the final state has no action
+            cells += [""] * (env.action_dim + env.active.n_muscles + 1)
         lines.append(",".join(cells))
-        angles.append(env.state.angles.copy())
-    y = env.true_output()
-    final = [repr(0.5 * steps), repr(y[0]), repr(y[1]), repr(y[2]), repr(y[3])]
-    final += [""] * (env.action_dim + env.active.n_muscles + 1)
-    lines.append(",".join(final))
-    e_ss = steady_state_error(np.array(angles), env.target, round(5.0 / 0.5))
+    e_ss = steady_state_error(outputs[1:, ::2], target, round(5.0 / 0.5))
     text = "\n".join([f"# musclerl episode preset={preset} seed={args.seed or 0} "
                       f"target=({args.target1},{args.target2}) {CODE_STAMP}"] + lines) + "\n"
     if args.out:
@@ -175,45 +167,23 @@ def cmd_episode(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    from .plant import PLANT_PRESETS
     preset = args.preset or "wrist"
-    duration = 25.0 if preset == "wrist" else 15.0
     rise_band = (5.0, 15.0) if preset == "wrist" else (3.5, 6.5)
 
-    def gate(plant):
-        from .pid import PidActionPolicy, gains_for
-        env = TrackingEnv(preset, SeededRng(0),
-                          episode=EpisodeConfig(episode_length=round(duration / 0.5),
-                                                target_range=0.0),
-                          randomization=NO_RANDOMIZATION, plant_config=plant)
-        obs = env.reset()
-        env.target = np.array([5.0, 5.0])
-        obs[4:6] = env.target
-        pol = PidActionPolicy(preset, plant, gains_for(preset, plant))
-        pol.reset()
-        angles, rise = [], None
-        for t in range(env.episode.episode_length):
-            a = pol.act(obs, dt=0.5)
-            obs, _, _, _ = env.step(a)
-            angles.append(env.state.angles.copy())
-            err = float(np.hypot(env.state.angles[0] - 5.0, env.state.angles[1] - 5.0))
-            if rise is None and err < 0.1 * np.hypot(5.0, 5.0):
-                rise = 0.5 * (t + 1)
-        e_ss = steady_state_error(np.array(angles), (5.0, 5.0), round(5.0 / 0.5))
-        return rise, e_ss
+    def passes(rise, e_ss):
+        return rise is not None and rise_band[0] <= rise <= rise_band[1] and e_ss < 1.5
 
     base = PLANT_PRESETS[preset]()
     if args.scan:
         print("J_scale,d_scale,rise_s,e_ss_deg,pass")
         for js in (0.5, 1.0, 2.0):
             for ds in (0.5, 1.0, 2.0):
-                plant = dataclasses.replace(base, J=base.J * js, d=base.d * ds)
-                rise, e_ss = gate(plant)
-                ok = rise is not None and rise_band[0] <= rise <= rise_band[1] and e_ss < 1.5
-                print(f"{js},{ds},{rise},{e_ss:.3f},{ok}")
+                rise, e_ss = pid_gate(preset, dataclasses.replace(base, J=base.J * js,
+                                                                  d=base.d * ds))
+                print(f"{js},{ds},{rise},{e_ss:.3f},{passes(rise, e_ss)}")
         return 0
-    rise, e_ss = gate(base)
-    ok = rise is not None and rise_band[0] <= rise <= rise_band[1] and e_ss < 1.5
+    rise, e_ss = pid_gate(preset, base)
+    ok = passes(rise, e_ss)
     print(f"{preset} PID gate at (5,5): rise={rise} s (band {rise_band}), "
           f"e_ss={e_ss:.3f} deg (< 1.5) -> {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1

@@ -195,8 +195,9 @@ class TrackingEnv:
         """Apply one action for one action period.
 
         Returns (next_obs, reward, done, info); info carries the noiseless
-        output at which the action was taken and the applied voltages. done
-        is a time-limit truncation, so critic targets keep bootstrapping.
+        output at which the action was taken, the clipped action and the
+        applied voltages. done is a time-limit truncation, so critic targets
+        keep bootstrapping.
         """
         if self._done:
             raise RuntimeError("step() called on a finished episode; call reset()")
@@ -207,8 +208,36 @@ class TrackingEnv:
         self.state = advance(self.step_map, self.state, volts)
         self.steps_taken += 1
         self._done = self.steps_taken >= self.episode.episode_length
-        info = {"output": y_before, "voltages": volts, "truncated": self._done}
+        info = {"output": y_before, "action": a, "voltages": volts, "truncated": self._done}
         return self._observe(), r, self._done, info
+
+
+def run_episode(env: TrackingEnv, controller, target=None):
+    """One closed-loop episode from reset to the env's time limit.
+
+    target, if given, replaces the sampled target pose (deg). The controller
+    needs reset() and act(obs, dt). Returns (obs (T+1, 6), outputs (T+1, 4),
+    actions (T, A), rewards (T,)): the observations and noiseless outputs at
+    every step boundary, and the clipped actions applied with their rewards.
+    """
+    obs = env.reset()
+    if target is not None:
+        env.target = np.array(target, dtype=np.float64)
+        obs[TARGET_SLICE] = env.target
+    controller.reset()
+    T = env.episode.episode_length
+    obs_rows = np.empty((T + 1, OBS_DIM))
+    out_rows = np.empty((T + 1, 4))
+    act_rows = np.empty((T, env.action_dim))
+    rew_rows = np.empty(T)
+    obs_rows[0] = obs
+    out_rows[0] = env.true_output()
+    for t in range(T):
+        obs, rew_rows[t], _, info = env.step(controller.act(obs, dt=env.episode.action_period))
+        act_rows[t] = info["action"]
+        obs_rows[t + 1] = obs
+        out_rows[t + 1] = env.true_output()
+    return obs_rows, out_rows, act_rows, rew_rows
 
 
 def make_env(preset: str, seed_rng: SeededRng, randomize: bool = True, **kwargs) -> TrackingEnv:

@@ -18,9 +18,9 @@ from functools import partial
 import numpy as np
 
 from .config import CODE_STAMP
-from .env import EpisodeConfig, TrackingEnv
-from .pid import PidActionPolicy
-from .plant import PlantConfig
+from .env import EpisodeConfig, TrackingEnv, run_episode
+from .pid import PidActionPolicy, gains_for
+from .plant import PLANT_PRESETS, PlantConfig
 from .randomize import NO_RANDOMIZATION, SeededRng
 from .sac import SacAgent
 
@@ -72,17 +72,23 @@ def steady_state_error(angles: np.ndarray, target, settle_steps: int) -> float:
 
 
 class PolicyController:
-    """Deterministic-evaluation adapter for a trained agent."""
+    """Controller adapter for an agent, carrying its GRU state.
 
-    def __init__(self, agent: SacAgent):
+    rng None acts with the deterministic (evaluation) policy; otherwise
+    actions sample the stochastic policy with rng's noise.
+    """
+
+    def __init__(self, agent: SacAgent, rng: SeededRng | None = None):
         self.agent = agent
+        self.rng = rng
         self._hidden = agent.initial_hidden()
 
     def reset(self) -> None:
         self._hidden = self.agent.initial_hidden()
 
     def act(self, obs, dt: float = 0.5):
-        a, self._hidden = self.agent.act(obs, self._hidden, deterministic=True)
+        a, self._hidden = self.agent.act(obs, self._hidden, deterministic=self.rng is None,
+                                         rng=self.rng)
         return a
 
 
@@ -101,17 +107,8 @@ def make_eval_env(preset: str, spec: FieldTestSpec,
 def default_episode_runner(preset: str, spec: FieldTestSpec, controller, target,
                            plant: PlantConfig | None = None) -> np.ndarray:
     """One evaluation episode; returns post-step angles, one row per step."""
-    env = make_eval_env(preset, spec, plant)
-    obs = env.reset()
-    env.target = np.array(target, dtype=np.float64)
-    obs[4:6] = env.target
-    controller.reset()
-    rows = np.empty((spec.steps, 2))
-    for t in range(spec.steps):
-        a = controller.act(obs, dt=spec.action_period)
-        obs, _, _, _ = env.step(a)
-        rows[t] = env.state.angles
-    return rows
+    _, outputs, _, _ = run_episode(make_eval_env(preset, spec, plant), controller, target)
+    return outputs[1:, ::2]
 
 
 def run_field_test(preset: str, controller, spec: FieldTestSpec | None = None,
@@ -158,8 +155,22 @@ def write_field_csv(path: str, rows, provenance: str) -> None:
 
 
 def pid_controller_for(preset: str, gain_scale: float = 1.0) -> PidActionPolicy:
-    from .pid import gains_for
-    from .plant import PLANT_PRESETS
-
     plant = PLANT_PRESETS[preset]()
     return PidActionPolicy(preset, plant, gains_for(preset, plant, scale=gain_scale))
+
+
+def pid_gate(preset: str, plant: PlantConfig | None = None) -> tuple[float | None, float]:
+    """Stock-gain PID step to (5, 5) deg on a nominal plant: (rise_s, e_ss).
+
+    Runs one field-test episode. rise_s is the first post-step time (s)
+    within 10 % of the step's size, None if never; e_ss is the field test's
+    steady-state error (deg). plant None means the preset's own plant.
+    """
+    plant = plant or PLANT_PRESETS[preset]()
+    spec = field_spec_for(preset)
+    pid = PidActionPolicy(preset, plant, gains_for(preset, plant))
+    angles = default_episode_runner(preset, spec, pid, (5.0, 5.0), plant)
+    near = np.nonzero(np.hypot(angles[:, 0] - 5.0, angles[:, 1] - 5.0)
+                      < 0.1 * np.hypot(5.0, 5.0))[0]
+    rise = spec.action_period * (int(near[0]) + 1) if near.size else None
+    return rise, steady_state_error(angles, (5.0, 5.0), spec.settle_steps)

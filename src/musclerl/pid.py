@@ -89,24 +89,20 @@ class PidController:
         return np.clip(u, -g.output_limit, g.output_limit)
 
 
-def wrist_axis_to_action(cfg: PlantConfig, u) -> np.ndarray:
-    """Map two axis commands to three voltages via the torque-map pseudo-inverse."""
-    pinv = np.linalg.pinv(cfg.routing.T)
-    return np.clip(pinv @ np.asarray(u, dtype=np.float64), 0.0, 10.0)
-
-
 class PidActionPolicy:
     """Adapter producing environment actions from observations.
 
     Reads the angle and target slots of the observation, runs the PID on the
     per-axis error, and converts the axis commands to the preset's action.
+    The wrist's torque-map pseudo-inverse depends only on the routing, which
+    muscle randomization leaves alone, so it is computed once here.
     """
 
     def __init__(self, preset: str, plant: PlantConfig, gains: PidGains | None = None):
         self.preset = preset
-        self.plant = plant
         self.gains = gains or gains_for(preset, plant)
         self.pid = PidController(self.gains)
+        self._axis_to_volts = None if preset == "eye" else np.linalg.pinv(plant.routing.T)
 
     def reset(self) -> None:
         self.pid.reset()
@@ -116,4 +112,4 @@ class PidActionPolicy:
         u = self.pid.update(error, dt)
         if self.preset == "eye":
             return np.clip(u, -10.0, 10.0)
-        return wrist_axis_to_action(self.plant, u)
+        return np.clip(self._axis_to_volts @ u, 0.0, 10.0)

@@ -24,7 +24,8 @@ import numpy as np
 from .augment import AugmentationSpec, augment_trajectory
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import CODE_STAMP, NUMERICS, RunConfig, __version__
-from .env import EpisodeConfig, TrackingEnv
+from .env import EpisodeConfig, TrackingEnv, run_episode
+from .fieldtest import PolicyController
 from .pid import PidActionPolicy, gains_for
 from .randomize import NO_RANDOMIZATION, RandomizationSpec, SeededRng
 from .sac import ReplayBuffer, SacAgent, Trajectory
@@ -70,6 +71,19 @@ class CsvLog:
 
     def close(self) -> None:
         self.fh.close()
+
+
+class UniformController:
+    """Uniform-random actions over the action box (the no-bootstrap warm-up)."""
+
+    def __init__(self, rng: SeededRng, low: np.ndarray, high: np.ndarray):
+        self.rng, self.low, self.high = rng, low, high
+
+    def reset(self) -> None:
+        pass
+
+    def act(self, obs, dt: float = 0.5) -> np.ndarray:
+        return self.rng.uniform(self.low, self.high, size=self.low.size)
 
 
 class Trainer:
@@ -118,45 +132,22 @@ class Trainer:
             target_low=-cfg.target_range,
             target_high=cfg.target_range,
         )
-        self.pid = PidActionPolicy(
-            cfg.preset, self.env.nominal,
-            gains_for(cfg.preset, self.env.nominal, scale=cfg.pid_gain_scale),
-        )
+        nominal = self.env.nominal
+        self.controllers = {
+            "pid": PidActionPolicy(cfg.preset, nominal,
+                                   gains_for(cfg.preset, nominal, scale=cfg.pid_gain_scale)),
+            "random": UniformController(self.warmup_rng, self.env.action_low,
+                                        self.env.action_high),
+            "policy": PolicyController(self.agent, rng=self.rollout_rng),
+        }
         self.episode_idx = 0  # completed episodes
 
     # -- rollouts ----------------------------------------------------------
 
-    def rollout(self, controller: str) -> Trajectory:
+    def rollout(self, kind: str) -> Trajectory:
         """One full episode under 'pid', 'random', or 'policy' control."""
-        env = self.env
-        obs = env.reset()
-        T = env.episode.episode_length
-        obs_rows = np.empty((T + 1, 6))
-        out_rows = np.empty((T + 1, 4))
-        act_rows = np.empty((T, env.action_dim))
-        rew_rows = np.empty(T)
-        obs_rows[0] = obs
-        out_rows[0] = env.true_output()
-        if controller == "pid":
-            self.pid.plant = env.active
-            self.pid.reset()
-        hidden = self.agent.initial_hidden()
-        low, high = env.action_low, env.action_high
-        for t in range(T):
-            if controller == "pid":
-                a = self.pid.act(obs, dt=env.episode.action_period)
-            elif controller == "random":
-                a = self.warmup_rng.uniform(low, high, size=env.action_dim)
-            else:
-                a, hidden = self.agent.act(obs, hidden, rng=self.rollout_rng)
-            a = np.clip(np.asarray(a, dtype=np.float64), low, high)
-            obs, r, done, info = env.step(a)
-            act_rows[t] = a
-            rew_rows[t] = r
-            obs_rows[t + 1] = obs
-            out_rows[t + 1] = env.true_output()
-        return Trajectory(obs_rows, out_rows, act_rows, rew_rows,
-                          truncated=True, controller=controller)
+        return Trajectory(*run_episode(self.env, self.controllers[kind]),
+                          truncated=True, controller=kind)
 
     def store_with_augmentation(self, traj: Trajectory) -> int:
         """Push the rollout and its augmented copies; returns count stored."""
@@ -365,24 +356,6 @@ class Trainer:
 
 
 def load_policy(path: str) -> tuple[SacAgent, RunConfig]:
-    """Rebuild just the agent from a (policy or full) checkpoint."""
-    meta, arrays = load_checkpoint(path)
-    cfg = RunConfig(**meta["config"]).resolved()
-    master = SeededRng(cfg.seed)
-    master.split("env")
-    if cfg.preset == "eye":
-        center, half = 0.0, 10.0
-    else:
-        center, half = 5.0, 5.0
-    action_dim = 2 if cfg.preset == "eye" else 3
-    agent = SacAgent(obs_dim=6, action_dim=action_dim, rng=master.split("agent"),
-                     gru_hidden=cfg.gru_hidden, lr=cfg.lr, tau=cfg.tau,
-                     action_center=center, action_half=half)
-    agent.actor.flat[:] = arrays["actor"]
-    agent.q1.flat[:] = arrays["q1"]
-    agent.q2.flat[:] = arrays["q2"]
-    agent.q1_target.flat[:] = arrays["q1_target"]
-    agent.q2_target.flat[:] = arrays["q2_target"]
-    agent.log_alpha[:] = arrays["log_alpha"]
-    agent.refresh_stacks()
-    return agent, cfg
+    """The agent and config of a (policy or full) checkpoint, via Trainer.restore."""
+    tr = Trainer.restore(path)
+    return tr.agent, tr.cfg

@@ -24,6 +24,7 @@ from musclerl.fieldtest import (
     PolicyController,
     field_spec_for,
     pid_controller_for,
+    pid_gate,
     run_field_test,
     summarize,
 )
@@ -277,26 +278,6 @@ def test_criterion_8_eye_field_accuracy():
 
 
 def test_criterion_9_pid_calibration_gate():
-    from musclerl.env import EpisodeConfig, TrackingEnv
-    from musclerl.fieldtest import steady_state_error
-    from musclerl.randomize import NO_RANDOMIZATION
-
-    env = TrackingEnv("wrist", SeededRng(0),
-                      episode=EpisodeConfig(episode_length=50, target_range=0.0),
-                      randomization=NO_RANDOMIZATION)
-    obs = env.reset()
-    env.target = np.array([5.0, 5.0])
-    obs[4:6] = env.target
-    pid = pid_controller_for("wrist")
-    pid.reset()
-    angles, rise = [], None
-    for t in range(50):
-        a = pid.act(obs, dt=0.5)
-        obs, _, _, _ = env.step(a)
-        angles.append(env.state.angles.copy())
-        err = float(np.hypot(env.state.angles[0] - 5.0, env.state.angles[1] - 5.0))
-        if rise is None and err < 0.1 * np.hypot(5.0, 5.0):
-            rise = 0.5 * (t + 1)
-    e_ss = steady_state_error(np.array(angles), (5.0, 5.0), 10)
+    rise, e_ss = pid_gate("wrist")
     ok(9, rise is not None and 5.0 <= rise <= 15.0 and e_ss < 1.5,
        f"wrist PID at (5,5): rise = {rise} s in [5, 15], e_ss = {e_ss:.3f} deg < 1.5")

@@ -1,0 +1,60 @@
+"""Golden digests of the closed-loop paths that criterion 5 does not cover.
+
+Criterion 5 pins the smoke run (PID bootstrap, then the stochastic policy
+with updates). These pin the other drivers of the plant: the uniform-random
+warm-up, the stock PID and the deterministic policy in the field test, and
+the PID gate behind calibrate-plant. Re-record them, and say so, whenever a
+change moves the numbers on purpose (recorded at numerics=2).
+"""
+
+import hashlib
+
+from musclerl.cli import main as cli_main
+from musclerl.config import RunConfig
+from musclerl.fieldtest import FieldTestSpec, PolicyController, pid_controller_for, run_field_test
+from musclerl.trainer import Trainer
+
+GOLDEN_SHA256 = {
+    "no_bootstrap_rewards": "22719192e592651b22652abfa35c5e23a413f1f76e180b745a48f38ffa066ddc",
+    "eye_pid_field_rows": "f7e1f091a41d7402aeef1ea49295b5c82edef5704d29ce54dafb5d0193ae5845",
+    "policy_field_rows": "5eeeaadef2b26fc1761fb908fa73dae754dcc52929a084fe4f2a29cd21b0c460",
+    "calibrate_scan_wrist": "9f0593fa298e5ec402adaee4df76a1a13c1ec288a82b0a1d2858bb22b658d1da",
+    "calibrate_scan_eye": "43e056f1889ac1496400f2e9722b8369b9c29d961d4ddc8149a8f220138c5782",
+}
+
+
+def _sha(data) -> str:
+    return hashlib.sha256(data if isinstance(data, bytes) else data.encode()).hexdigest()
+
+
+def test_random_warmup_rewards_digest(tmp_path):
+    cfg = RunConfig(preset="wrist", seed=7, episodes=5, bootstrap_episodes=5,
+                    no_bootstrap=True, gru_hidden=8, augment_copies=1,
+                    out_dir=str(tmp_path / "run"))
+    Trainer(cfg).train()
+    blob = open(tmp_path / "run" / "rewards.csv", "rb").read()
+    assert blob.count(b",random,") == 5
+    assert _sha(blob) == GOLDEN_SHA256["no_bootstrap_rewards"]
+
+
+def test_eye_pid_field_rows_digest():
+    rows = run_field_test("eye", pid_controller_for("eye"))
+    assert len(rows) == 81
+    assert _sha(repr(rows)) == GOLDEN_SHA256["eye_pid_field_rows"]
+
+
+def test_policy_field_rows_digest(tmp_path):
+    cfg = RunConfig(preset="wrist", seed=13, gru_hidden=8, out_dir=str(tmp_path))
+    agent = Trainer(cfg).agent
+    spec = FieldTestSpec(extent=5.0, spacing=5.0, duration=3.0, settle=1.0)
+    rows = run_field_test("wrist", PolicyController(agent), spec)
+    assert len(rows) == 9
+    assert _sha(repr(rows)) == GOLDEN_SHA256["policy_field_rows"]
+
+
+def test_calibrate_scan_stdout_digest(capsys):
+    for preset in ("wrist", "eye"):
+        assert cli_main(["calibrate-plant", "--preset", preset, "--scan"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("\n") == 10
+        assert _sha(out) == GOLDEN_SHA256[f"calibrate_scan_{preset}"]

@@ -1,10 +1,12 @@
+import json
 import math
 import os
+import struct
 
 import numpy as np
 import pytest
 
-from musclerl.checkpoint import load_checkpoint, save_checkpoint
+from musclerl.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from musclerl.cli import main as cli_main
 from musclerl.config import CODE_STAMP, NUMERICS, RunConfig, load_config, parse_config_file
 from musclerl.fieldtest import (
@@ -241,6 +243,29 @@ def test_checkpoint_roundtrip_is_byte_stable(tmp_path):
     assert open(path, "rb").read() == open(resaved, "rb").read()
 
 
+def test_checkpoint_integrity_is_verified_on_load(tmp_path):
+    path = tmp_path / "x.ckpt"
+    save_checkpoint(str(path), {"kind": "policy"}, {"a": np.arange(6.0), "b": np.ones((2, 2))})
+    blob = path.read_bytes()
+    _, arrays = load_checkpoint(str(path))
+    assert np.array_equal(arrays["a"], np.arange(6.0)) and arrays["b"].shape == (2, 2)
+    flipped = bytearray(blob)
+    flipped[-3] ^= 0x01
+    v1_header = json.dumps({"version": 1, "meta": {}, "arrays": []}).encode()
+    cases = {
+        "truncated": (blob[:-8], "truncated"),
+        "cut_header": (blob[:30], "header"),
+        "flipped": (bytes(flipped), "sha256"),
+        "version1": (MAGIC + struct.pack(">Q", len(v1_header)) + v1_header, "version 1"),
+    }
+    for name, (data, match) in cases.items():
+        bad = tmp_path / f"{name}.ckpt"
+        bad.write_bytes(data)
+        with pytest.raises(ValueError, match=match) as info:
+            load_checkpoint(str(bad))
+        assert str(bad) in str(info.value)
+
+
 def test_field_eval_does_not_mutate_checkpoint(tmp_path):
     cfg = tiny_cfg(tmp_path / "run", episodes=4)
     Trainer(cfg).train()
@@ -298,6 +323,18 @@ def test_resume_rejects_missing_or_other_numerics(tmp_path, capsys):
         assert "numerics" in capsys.readouterr().err
 
 
+def test_load_policy_rejects_missing_or_other_numerics(tmp_path):
+    cfg = tiny_cfg(tmp_path / "run", episodes=4)
+    Trainer(cfg).train()
+    policy = tmp_path / "run" / "policy_final.ckpt"
+    for name, numerics in (("none", None), ("old", NUMERICS - 1)):
+        path = _restamped(policy, tmp_path / f"{name}.ckpt", numerics=numerics)
+        with pytest.raises(ValueError, match="numerics"):
+            load_policy(path)
+    agent, _ = load_policy(str(policy))
+    assert np.array_equal(agent.actor.flat, load_checkpoint(str(policy))[1]["actor"])
+
+
 def test_resume_rejects_config_flags_but_allows_stop_after(tmp_path, capsys):
     cfg = tiny_cfg(tmp_path / "run")
     Trainer(cfg).train(stop_after=5)
@@ -328,6 +365,8 @@ def test_cli_episode_log_row_counts(tmp_path, capsys):
     n_actions = sum(1 for l in data if l.split(",")[5] != "")
     assert n_actions == 20  # episode_length action rows
     assert data[-1].split(",")[5] == ""  # final row has no action
+    cells = [c for l in data for c in l.strip().split(",") if c != ""]
+    assert all(math.isfinite(float(c)) for c in cells)  # plain floats, no numpy reprs
 
 
 def test_cli_train_and_eval_roundtrip(tmp_path):
