@@ -59,6 +59,19 @@ def _config_overrides(args) -> dict:
     return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
 
 
+def _open_checkpoint(load, path):
+    """load(path), or None after printing why the checkpoint is unusable.
+
+    A missing, truncated, corrupt, old-version or other-numerics file ends
+    the command with one line on stderr instead of a traceback.
+    """
+    try:
+        return load(path)
+    except (ValueError, OSError) as err:
+        print(err, file=sys.stderr)
+        return None
+
+
 def cmd_train(args) -> int:
     overrides = _config_overrides(args)
     if args.resume:
@@ -68,10 +81,8 @@ def cmd_train(args) -> int:
             print(f"train --resume takes no config flags (got {', '.join(flags)}); "
                   "only --stop-after may go with it", file=sys.stderr)
             return 2
-        try:
-            trainer = Trainer.restore(args.resume, resume=True)
-        except ValueError as err:
-            print(err, file=sys.stderr)
+        trainer = _open_checkpoint(lambda p: Trainer.restore(p, resume=True), args.resume)
+        if trainer is None:
             return 2
         print(f"resumed at episode {trainer.episode_idx} from {args.resume}")
     else:
@@ -99,7 +110,10 @@ def cmd_eval_field(args) -> int:
         if not args.checkpoint:
             print("eval-field needs --checkpoint or --pid", file=sys.stderr)
             return 2
-        agent, cfg = load_policy(args.checkpoint)
+        loaded = _open_checkpoint(load_policy, args.checkpoint)
+        if loaded is None:
+            return 2
+        agent, cfg = loaded
         preset = cfg.preset
         controller = PolicyController(agent)
         provenance = (f"musclerl field test controller=policy preset={preset} "
@@ -129,7 +143,10 @@ def cmd_episode(args) -> int:
         if not args.checkpoint:
             print("episode needs --checkpoint or --pid", file=sys.stderr)
             return 2
-        agent, cfg = load_policy(args.checkpoint)
+        loaded = _open_checkpoint(load_policy, args.checkpoint)
+        if loaded is None:
+            return 2
+        agent, cfg = loaded
         preset = cfg.preset
         controller = PolicyController(agent)
         plant = cfg.plant_config()

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .plant import PlantConfig, configured_plant
 
 __version__ = "0.1.0"
-NUMERICS = 2  # 2: the per-episode RK4 step map of plant.StepMap
+NUMERICS = 3  # 2: the RK4 step map of plant.StepMap; 3: float32 SAC update passes
 CODE_STAMP = f"version={__version__} numerics={NUMERICS}"
 PRESET_EPISODES = {"eye": 2000, "wrist": 3500}
 PRESET_BOOTSTRAP = {"eye": 250, "wrist": 500}

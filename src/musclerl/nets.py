@@ -1,6 +1,6 @@
 """Self-contained recurrent function approximator with exact gradients.
 
-One network is ReLU(FC) -> GRU -> FC over a sequence, in float64 throughout:
+One network is ReLU(FC) -> GRU -> FC over a sequence:
 
     a_t = relu(x_t W_in + b_in)
     z_t = sigmoid(a_t Wg[:, :H]   + h_{t-1} Ug[:, :H]   + bg[:H])
@@ -19,6 +19,13 @@ The compute kernel carries a leading stack axis S so the twin critics run
 as one broadcasted pass: sequences are (S, T, B, dim) internally, and the
 public single-net API wraps S = 1. Stacking changes call counts, not the
 per-element operations, so results are bitwise identical either way.
+
+Master parameters, Adam moments and checkpoints are float64. A stack may
+be built in float32 (StackedNets(..., dtype=np.float32)), casting as it
+copies: its passes then compute in float32, take float32 inputs and return
+float32 gradients, which grads_to_flat writes back into a float64 flat.
+The single-net forward/backward wrappers stay float64, the exact reference
+for the gradient checks.
 """
 
 from __future__ import annotations
@@ -107,27 +114,39 @@ def init_params(shape: NetworkShape, rng: SeededRng) -> GruNet:
 class StackedNets:
     """Copies of S same-shape networks stacked for one broadcasted pass."""
 
-    def __init__(self, nets: list[GruNet]):
+    def __init__(self, nets: list[GruNet], dtype=np.float64):
         shape = nets[0].shape
         for n in nets:
             if n.shape != shape:
                 raise ValueError("stacked networks must share one shape")
         self.shape = shape
         self.S = len(nets)
+        self.dtype = np.dtype(dtype)
         H = shape.gru_hidden
-        self.W_in = np.stack([n.v["W_in"] for n in nets])
-        self.b_in = np.stack([n.v["b_in"] for n in nets])[:, None, :]
-        self.Wg = np.stack([n.v["Wg"] for n in nets])
-        self.Ug_zr = np.stack([np.ascontiguousarray(n.v["Ug"][:, : 2 * H]) for n in nets])
-        self.Ug_c = np.stack([np.ascontiguousarray(n.v["Ug"][:, 2 * H :]) for n in nets])
+
+        def stack(name, cols=slice(None)):
+            return np.stack([n.v[name][..., cols] for n in nets], dtype=self.dtype)
+
+        self.W_in = stack("W_in")
+        self.b_in = stack("b_in")[:, None, :]
+        self.Wg = stack("Wg")
+        self.Ug_zr = stack("Ug", slice(None, 2 * H))
+        self.Ug_c = stack("Ug", slice(2 * H, None))
         self.UzrT = np.ascontiguousarray(self.Ug_zr.transpose(0, 2, 1))
         self.UcT = np.ascontiguousarray(self.Ug_c.transpose(0, 2, 1))
         self.WgT = np.ascontiguousarray(self.Wg.transpose(0, 2, 1))
         self.W_inT = np.ascontiguousarray(self.W_in.transpose(0, 2, 1))
-        self.bg = np.stack([n.v["bg"] for n in nets])[:, None, :]
-        self.W_out = np.stack([n.v["W_out"] for n in nets])
+        self.bg = stack("bg")[:, None, :]
+        self.W_out = stack("W_out")
         self.W_outT = np.ascontiguousarray(self.W_out.transpose(0, 2, 1))
-        self.b_out = np.stack([n.v["b_out"] for n in nets])[:, None, :]
+        self.b_out = stack("b_out")[:, None, :]
+
+
+def _check_dtype(sp: StackedNets, **arrays) -> None:
+    """Refuse inputs whose dtype differs from the stack's: out= would cast them silently."""
+    for name, a in arrays.items():
+        if a is not None and a.dtype != sp.dtype:
+            raise ValueError(f"{name} is {a.dtype}, the stack computes in {sp.dtype}")
 
 
 class StackCache:
@@ -142,35 +161,39 @@ class StackCache:
 
     def __init__(self, sp: StackedNets, T: int, B: int):
         S, H = sp.S, sp.shape.gru_hidden
-        self.sig = (sp.shape, T, S, B)
+        self.sig = (sp.shape, T, S, B, sp.dtype)
         self.nets = sp
         self.T, self.S, self.B = T, S, B
         self.x: np.ndarray | None = None  # (S_x, T, B, I) with S_x in {1, S}
-        self.pre = np.empty((S, T, B, H))
+
+        def empty(*shape):
+            return np.empty(shape, dtype=sp.dtype)
+
+        self.pre = empty(S, T, B, H)
         self.relu_mask = np.empty((S, T, B, H), dtype=bool)
-        self.a = np.empty((S, T, B, H))
-        self.zr = np.empty((S, T, B, 2 * H))
-        self.c = np.empty((S, T, B, H))
-        self.rh = np.empty((S, T, B, H))
-        self.h_states = np.empty((S, T + 1, B, H))  # row 0 is h0
-        self.h_out = np.empty((S, T, B, H))         # contiguous copy of rows 1..T
-        self.gx = np.empty((S, T, B, 3 * H))
-        self.dgx = np.empty((S, T, B, 3 * H))
-        self.y = np.empty((S, T, B, sp.shape.output_dim))
+        self.a = empty(S, T, B, H)
+        self.zr = empty(S, T, B, 2 * H)
+        self.c = empty(S, T, B, H)
+        self.rh = empty(S, T, B, H)
+        self.h_states = empty(S, T + 1, B, H)  # row 0 is h0
+        self.h_out = empty(S, T, B, H)         # contiguous copy of rows 1..T
+        self.gx = empty(S, T, B, 3 * H)
+        self.dgx = empty(S, T, B, 3 * H)
+        self.y = empty(S, T, B, sp.shape.output_dim)
         # step-loop scratch
-        self._zr = np.empty((S, B, 2 * H))
-        self._sig = np.empty((S, B, 2 * H))
-        self._rh = np.empty((S, B, H))
-        self._c = np.empty((S, B, H))
-        self._h = np.empty((S, B, H))
-        self._h2 = np.empty((S, B, H))
-        self._t1 = np.empty((S, B, H))
-        self._t2 = np.empty((S, B, H))
-        self._t3 = np.empty((S, B, H))
+        self._zr = empty(S, B, 2 * H)
+        self._sig = empty(S, B, 2 * H)
+        self._rh = empty(S, B, H)
+        self._c = empty(S, B, H)
+        self._h = empty(S, B, H)
+        self._h2 = empty(S, B, H)
+        self._t1 = empty(S, B, H)
+        self._t2 = empty(S, B, H)
+        self._t3 = empty(S, B, H)
 
 
 def make_cache(sp: StackedNets, T: int, B: int, old: "StackCache | None" = None) -> StackCache:
-    if old is not None and old.sig == (sp.shape, T, sp.S, B):
+    if old is not None and old.sig == (sp.shape, T, sp.S, B, sp.dtype):
         old.nets = sp
         return old
     return StackCache(sp, T, B)
@@ -181,8 +204,9 @@ def forward_stacked(sp: StackedNets, x: np.ndarray, h0: np.ndarray | None = None
     """Run S stacked nets over x = (S_x, T, B, input_dim), S_x in {1, S}.
 
     A shared input (S_x = 1) broadcasts across the stack without copying.
-    Returns (y (S, T, B, out), h_T (S, B, H), cache or None); passing cache
-    reuses its buffers when the signature matches.
+    x and h0 must have the stack's dtype. Returns (y (S, T, B, out),
+    h_T (S, B, H), cache or None); passing cache reuses its buffers when
+    the signature matches.
     """
     S_x, T, B, I = x.shape
     S = sp.S
@@ -190,6 +214,7 @@ def forward_stacked(sp: StackedNets, x: np.ndarray, h0: np.ndarray | None = None
         raise ValueError(
             f"input shape {x.shape} does not match stack (S={sp.S}, in={sp.shape.input_dim})"
         )
+    _check_dtype(sp, x=x, h0=h0)
     H = sp.shape.gru_hidden
     ws = make_cache(sp, T, B, cache)
     ws.x = x
@@ -209,7 +234,7 @@ def forward_stacked(sp: StackedNets, x: np.ndarray, h0: np.ndarray | None = None
     if h0 is None:
         h[:] = 0.0
     else:
-        h[:] = np.asarray(h0, dtype=np.float64).reshape(S, B, H)
+        h[:] = h0.reshape(S, B, H)
     ws.h_states[:, 0] = h
     zr, rh, c, hn = ws._zr, ws._rh, ws._c, ws._h2
     gx = ws.gx
@@ -245,8 +270,9 @@ def backward_stacked(cache: StackCache, dy: np.ndarray, dh_final: np.ndarray | N
                      need_param_grads: bool = True):
     """Reverse-mode through forward_stacked.
 
-    dy is (S, T, B, output_dim). Returns (param_grads dict of stacked arrays
-    or None, dx (S, T, B, input_dim), dh0 (S, B, H)).
+    dy is (S, T, B, output_dim); dy and dh_final must have the stack's
+    dtype. Returns (param_grads dict of stacked arrays or None,
+    dx (S, T, B, input_dim), dh0 (S, B, H)), all in that dtype.
     """
     sp = cache.nets
     if cache.x is None:
@@ -255,6 +281,7 @@ def backward_stacked(cache: StackCache, dy: np.ndarray, dh_final: np.ndarray | N
     O = sp.shape.output_dim
     if dy.shape != (S, T, B, O):
         raise ValueError(f"dy shape {dy.shape} does not match outputs {(S, T, B, O)}")
+    _check_dtype(sp, dy=dy, dh_final=dh_final)
 
     dy_flat = dy.reshape(S, T * B, O) if dy.flags["C_CONTIGUOUS"] else \
         np.ascontiguousarray(dy).reshape(S, T * B, O)
@@ -264,7 +291,7 @@ def backward_stacked(cache: StackCache, dy: np.ndarray, dh_final: np.ndarray | N
     if dh_final is None:
         dh[:] = 0.0
     else:
-        dh[:] = np.asarray(dh_final, dtype=np.float64).reshape(S, B, H)
+        dh[:] = dh_final.reshape(S, B, H)
     dh_prev = cache._h2
     buf_zr, sig, tmp, tmp2, drh = cache._zr, cache._sig, cache._t1, cache._t2, cache._t3
     for t in range(T - 1, -1, -1):
@@ -319,7 +346,7 @@ def backward_stacked(cache: StackCache, dy: np.ndarray, dh_final: np.ndarray | N
         f_hprev = np.ascontiguousarray(cache.h_states[:, :T]).reshape(S, T * B, H)
         f_rh = cache.rh.reshape(S, T * B, H)
         f_dpre = dpre.reshape(S, T * B, H)
-        g_Ug = np.empty((S, H, 3 * H))
+        g_Ug = np.empty((S, H, 3 * H), dtype=sp.dtype)
         np.matmul(f_hprev.transpose(0, 2, 1), dgx_flat[:, :, : 2 * H], out=g_Ug[:, :, : 2 * H])
         np.matmul(f_rh.transpose(0, 2, 1), dgx_flat[:, :, 2 * H :], out=g_Ug[:, :, 2 * H :])
         grads = {
@@ -335,7 +362,7 @@ def backward_stacked(cache: StackCache, dy: np.ndarray, dh_final: np.ndarray | N
 
 
 def grads_to_flat(shape: NetworkShape, grads: dict, s: int) -> np.ndarray:
-    """Extract slot s of stacked gradients as one flat vector."""
+    """Extract slot s of stacked gradients as one flat float64 vector."""
     g = GruNet(shape)
     for name in g.v:
         g.v[name][:] = grads[name][s]

@@ -11,6 +11,13 @@ All episodes end by time limit, so the bootstrap continues through the final
 transition (a trajectory stored with truncated=False would instead cut the
 return there). The twin critics run as one stacked pass (see nets); the
 result is bitwise identical to two separate passes.
+
+The seven network passes of an update compute in float32 by default
+(mixed precision): the stacks cast the float64 master weights as they copy
+them, and the gradients return to float64 for Adam, the Polyak blend and
+the temperature, which all stay float64. Acting stays float64 and builds
+its own actor stack, so rollouts and evaluation do not move with the
+learner's dtype. dtype=np.float64 gives the exact reference update.
 """
 
 from __future__ import annotations
@@ -128,8 +135,10 @@ class SacAgent:
         action_half=10.0,
         target_entropy: float | None = None,
         fixed_alpha: float | None = None,
+        dtype=np.float32,
     ):
         self.obs_dim = obs_dim
+        self.dtype = np.dtype(dtype)
         self.action_dim = action_dim
         self.gru_hidden = gru_hidden
         self.tau = tau
@@ -154,8 +163,8 @@ class SacAgent:
         self.opt_q2 = AdamState.for_params(self.q2.flat, lr)
         self.opt_alpha = AdamState.for_params(self.log_alpha, lr)
         self._noise_rng = rng.split("update-noise")
-        self._actor_stack = StackedNets([self.actor])
         self._ws: dict = {}
+        self.refresh_stacks()
 
     @property
     def alpha(self) -> float:
@@ -164,8 +173,13 @@ class SacAgent:
         return float(np.exp(self.log_alpha[0]))
 
     def refresh_stacks(self) -> None:
-        """Rebuild cached stacked weights after any in-place parameter change."""
-        self._actor_stack = StackedNets([self.actor])
+        """Rebuild cached stacked weights after any in-place parameter change.
+
+        The update's actor stack is built here, in the update dtype; the
+        float64 stack for acting is built on the next act().
+        """
+        self._actor_stack = StackedNets([self.actor], dtype=self.dtype)
+        self._act_stack = None
 
     # -- acting -----------------------------------------------------------
 
@@ -178,8 +192,10 @@ class SacAgent:
         Stochastic mode samples the squashed Gaussian; deterministic mode
         returns the squashed mean (evaluation policy).
         """
+        if self._act_stack is None:
+            self._act_stack = StackedNets([self.actor])
         x = np.asarray(obs, dtype=np.float64).reshape(1, 1, 1, -1)
-        y, h_next, ws = forward_stacked(self._actor_stack, x, hidden,
+        y, h_next, ws = forward_stacked(self._act_stack, x, hidden,
                                         cache=self._ws.get("act"))
         self._ws["act"] = ws
         mu, log_sd, _ = split_head(y[0, 0, 0])
@@ -193,13 +209,10 @@ class SacAgent:
 
     # -- learning ---------------------------------------------------------
 
-    def _policy_sample_seq(self, mu, log_sd, noise):
-        return squash_sample(mu, log_sd, noise, self.action_center, self.action_half)
-
     def _critic_targets(self, obs_all, actions_next, logp_next, rewards, gamma, truncated):
         """Bellman targets y_t = r_t + gamma (min_i Qbar_i(s', a') - alpha log pi)."""
         q_in = np.concatenate([obs_all[1:], actions_next], axis=2)
-        sp = StackedNets([self.q1_target, self.q2_target])
+        sp = StackedNets([self.q1_target, self.q2_target], dtype=self.dtype)
         qb, _, ws = forward_stacked(sp, q_in[None], cache=self._ws.get("target"))
         self._ws["target"] = ws
         qmin = np.minimum(qb[0, :, :, 0], qb[1, :, :, 0])
@@ -214,14 +227,16 @@ class SacAgent:
         Returns the loss report; raises on non-finite losses so the caller
         can dump diagnostics and abort rather than train on garbage.
         """
+        dt = self.dtype
         T = batch[0].length
-        obs_all = np.stack([t.obs for t in batch], axis=1)        # (T+1, N, obs)
-        actions = np.stack([t.actions for t in batch], axis=1)    # (T, N, A)
-        rewards = np.stack([t.rewards for t in batch], axis=1)    # (T, N)
+        obs_all = np.stack([t.obs for t in batch], axis=1, dtype=dt)      # (T+1, N, obs)
+        actions = np.stack([t.actions for t in batch], axis=1, dtype=dt)  # (T, N, A)
+        rewards = np.stack([t.rewards for t in batch], axis=1, dtype=dt)  # (T, N)
         truncated = all(t.truncated for t in batch)
         N = len(batch)
         count = T * N
         critic_shape = self.q1.shape
+        center, half = self.action_center.astype(dt), self.action_half.astype(dt)
 
         # fresh policy samples along the whole stored state sequence
         y_pi, _, actor_cache = forward_stacked(self._actor_stack, obs_all[None],
@@ -230,16 +245,16 @@ class SacAgent:
         y_pi = y_pi[0]
         mu, log_sd, clip_mask = split_head(y_pi)
         sd = np.exp(log_sd)
-        noise_pi = self._noise_rng.standard_normal((T, N, self.action_dim))
-        noise_next = self._noise_rng.standard_normal((T, N, self.action_dim))
-        a_pi, logp_pi, u_pi = self._policy_sample_seq(mu[:T], log_sd[:T], noise_pi)
-        a_next, logp_next, _ = self._policy_sample_seq(mu[1:], log_sd[1:], noise_next)
+        noise_pi = self._noise_rng.standard_normal((T, N, self.action_dim)).astype(dt)
+        noise_next = self._noise_rng.standard_normal((T, N, self.action_dim)).astype(dt)
+        a_pi, logp_pi, u_pi = squash_sample(mu[:T], log_sd[:T], noise_pi, center, half)
+        a_next, logp_next, _ = squash_sample(mu[1:], log_sd[1:], noise_next, center, half)
 
         targets = self._critic_targets(obs_all, a_next, logp_next, rewards, gamma, truncated)
 
         # critics on stored actions, twin-stacked over a shared input
         q_in_stored = np.concatenate([obs_all[:T], actions], axis=2)
-        sp_q = StackedNets([self.q1, self.q2])
+        sp_q = StackedNets([self.q1, self.q2], dtype=dt)
         q, _, cache_q = forward_stacked(sp_q, q_in_stored[None], cache=self._ws.get("critic"))
         self._ws["critic"] = cache_q
         td = q[:, :, :, 0] - targets[None]
@@ -252,7 +267,7 @@ class SacAgent:
 
         # actor: alpha log pi - min_i Q_i(s, a_pi), against the updated critics
         q_in_pi = np.concatenate([obs_all[:T], a_pi], axis=2)
-        sp_q2 = StackedNets([self.q1, self.q2])
+        sp_q2 = StackedNets([self.q1, self.q2], dtype=dt)
         q_pi, _, cache_pi = forward_stacked(sp_q2, q_in_pi[None], cache=self._ws.get("critic_pi"))
         self._ws["critic_pi"] = cache_pi
         q1v, q2v = q_pi[0, :, :, 0], q_pi[1, :, :, 0]
@@ -261,19 +276,19 @@ class SacAgent:
         actor_loss = float(np.mean(alpha * logp_pi - qmin))
 
         pick1 = q1v <= q2v
-        dq_pi = np.empty((2, T, N, 1))
+        dq_pi = np.empty((2, T, N, 1), dtype=dt)
         dq_pi[0, :, :, 0] = np.where(pick1, -1.0 / count, 0.0)
         dq_pi[1, :, :, 0] = np.where(pick1, 0.0, -1.0 / count)
         _, dx_pi, _ = backward_stacked(cache_pi, dq_pi, need_param_grads=False)
         d_action = dx_pi[0, :, :, self.obs_dim:] + dx_pi[1, :, :, self.obs_dim:]
 
         dlp_dmu, dlp_dls = log_prob_grads(noise_pi, u_pi, sd[:T])
-        da_dmu, da_dls = action_grads(noise_pi, u_pi, sd[:T], self.action_half)
+        da_dmu, da_dls = action_grads(noise_pi, u_pi, sd[:T], half)
         scale = alpha / count
         dmu = scale * dlp_dmu + d_action * da_dmu
         dls = scale * dlp_dls + d_action * da_dls
 
-        dy_actor = np.zeros((1, T + 1, N, 2 * self.action_dim))
+        dy_actor = np.zeros((1, T + 1, N, 2 * self.action_dim), dtype=dt)
         dy_actor[0, :T, :, : self.action_dim] = dmu
         dy_actor[0, :T, :, self.action_dim:] = dls * clip_mask[:T]
         actor_grads_stacked, _, _ = backward_stacked(actor_cache, dy_actor)
@@ -281,7 +296,7 @@ class SacAgent:
         adam_update(self.actor.flat, actor_grads, self.opt_actor)
 
         # temperature: push mean log pi toward -target_entropy
-        entropy_gap = float(np.mean(logp_pi) + self.target_entropy)
+        entropy_gap = float(np.mean(logp_pi)) + self.target_entropy
         alpha_loss = float(-self.log_alpha[0] * entropy_gap)
         if self.fixed_alpha is None:
             adam_update(self.log_alpha, np.array([-entropy_gap]), self.opt_alpha)

@@ -245,7 +245,8 @@ class Trainer:
                        "alpha": self.agent.alpha,
                        "adam_skipped": [self.agent.opt_actor.skipped,
                                         self.agent.opt_q1.skipped,
-                                        self.agent.opt_q2.skipped]}, fh, indent=2)
+                                        self.agent.opt_q2.skipped,
+                                        self.agent.opt_alpha.skipped]}, fh, indent=2)
 
     # -- persistence ---------------------------------------------------------
 

@@ -1,8 +1,8 @@
 """Acceptance suite: one test per release criterion, one printed line each.
 
 Criteria 1-5 and 9 are self-contained and fast. Criteria 6-8 evaluate real
-training artifacts: run scripts/acceptance_runs.sh (about 6 h on one desktop
-core) to produce runs/, or set MUSCLERL_RUN_TRAINING=1 to let the tests
+training artifacts: run scripts/acceptance_runs.sh (about 3 h on one core)
+to produce runs/, or set MUSCLERL_RUN_TRAINING=1 to let the tests
 launch the runs themselves; without artifacts those three tests skip with
 instructions rather than fake a result.
 """
@@ -187,10 +187,10 @@ def test_criterion_4_randomization_bounds():
 
 
 # sha256 of the smoke run's CSVs. Re-record them, and say so, whenever a
-# change moves the numbers on purpose (last: the plant step map, numerics=2).
+# change moves the numbers on purpose (last: float32 update passes, numerics=3).
 SMOKE_SHA256 = {
-    "rewards.csv": "0e886293e7940641e76ff50374fca182d8b5e20e9146b558790ce98c63426817",
-    "losses.csv": "2a73384e384c8ff7d6fb7b5df26e5fe96b0a33523b46008d80dcfb2652ccda40",
+    "rewards.csv": "09dfdafe74715a67d39fd5816dda85f879edde7f53e4e86abb739c6dbc3e43d5",
+    "losses.csv": "0782006772a80d1cfef44f4384ca5d3e7effb955956f3a645c9c365acc039875",
 }
 
 

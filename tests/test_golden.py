@@ -4,7 +4,9 @@ Criterion 5 pins the smoke run (PID bootstrap, then the stochastic policy
 with updates). These pin the other drivers of the plant: the uniform-random
 warm-up, the stock PID and the deterministic policy in the field test, and
 the PID gate behind calibrate-plant. Re-record them, and say so, whenever a
-change moves the numbers on purpose (recorded at numerics=2).
+change moves the numbers on purpose (recorded at numerics=2). The rewards
+CSV's first line carries the numerics stamp, so that digest also moves with
+every stamp bump (re-recorded at numerics=3 with its data rows unchanged).
 """
 
 import hashlib
@@ -15,7 +17,7 @@ from musclerl.fieldtest import FieldTestSpec, PolicyController, pid_controller_f
 from musclerl.trainer import Trainer
 
 GOLDEN_SHA256 = {
-    "no_bootstrap_rewards": "22719192e592651b22652abfa35c5e23a413f1f76e180b745a48f38ffa066ddc",
+    "no_bootstrap_rewards": "b1689ba8bd2bc794d3f87ff0f8aa52b5268bd85d8c8b14f6cc72a74d6d78b1bc",
     "eye_pid_field_rows": "f7e1f091a41d7402aeef1ea49295b5c82edef5704d29ce54dafb5d0193ae5845",
     "policy_field_rows": "5eeeaadef2b26fc1761fb908fa73dae754dcc52929a084fe4f2a29cd21b0c460",
     "calibrate_scan_wrist": "9f0593fa298e5ec402adaee4df76a1a13c1ec288a82b0a1d2858bb22b658d1da",

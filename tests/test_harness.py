@@ -161,7 +161,7 @@ def test_training_artifacts_and_tags(tmp_path):
     tr.train()
     lines = [l.strip() for l in open(tmp_path / "run" / "rewards.csv")]
     assert lines[0].startswith("# musclerl config_sha256=") and "seed=11" in lines[0]
-    assert lines[0].endswith(" version=0.1.0 numerics=2") and CODE_STAMP in lines[0]
+    assert lines[0].endswith(" version=0.1.0 numerics=3") and CODE_STAMP in lines[0]
     assert lines[1] == "episode,controller,steps,episode_return,avg_reward"
     data = [l.split(",") for l in lines[2:]]
     assert len(data) == 8
@@ -224,12 +224,14 @@ def test_nonfinite_losses_abort_with_diagnostics(tmp_path):
     def explode(batch, gamma):
         raise FloatingPointError("non-finite losses in update: test")
 
+    tr.agent.opt_alpha.skipped = 3
     tr.agent.update = explode
     with pytest.raises(FloatingPointError):
         tr.train()
-    dump = tmp_path / "run" / "abort.json"
-    assert dump.exists()
-    assert "episode" in dump.read_text()
+    dump = json.loads((tmp_path / "run" / "abort.json").read_text())
+    assert dump["episode"] == cfg.bootstrap_episodes + 1
+    # one skip count per optimizer: actor, q1, q2, temperature
+    assert dump["adam_skipped"] == [0, 0, 0, 3]
 
 
 def test_checkpoint_roundtrip_is_byte_stable(tmp_path):
@@ -333,6 +335,24 @@ def test_load_policy_rejects_missing_or_other_numerics(tmp_path):
             load_policy(path)
     agent, _ = load_policy(str(policy))
     assert np.array_equal(agent.actor.flat, load_checkpoint(str(policy))[1]["actor"])
+
+
+def test_cli_reports_unusable_checkpoints_in_one_line(tmp_path, capsys):
+    cfg = tiny_cfg(tmp_path / "run", episodes=4)
+    Trainer(cfg).train()
+    blob = (tmp_path / "run" / "final.ckpt").read_bytes()
+    stub = tmp_path / "stub.ckpt"
+    stub.write_bytes(MAGIC + b"xx")  # 18 bytes: the magic line, then no header
+    cut = tmp_path / "cut.ckpt"
+    cut.write_bytes(blob[: len(blob) // 2])
+    missing = tmp_path / "missing.ckpt"
+    for path, why in ((stub, "header"), (cut, "truncated"), (missing, "No such file")):
+        for argv in (["eval-field", "--checkpoint", str(path)],
+                     ["episode", "--checkpoint", str(path)],
+                     ["train", "--resume", str(path)]):
+            assert cli_main(argv) == 2
+            err = capsys.readouterr().err
+            assert why in err and err.count("\n") == 1, (argv, err)
 
 
 def test_resume_rejects_config_flags_but_allows_stop_after(tmp_path, capsys):

@@ -7,10 +7,14 @@ from musclerl.nets import (
     AdamState,
     GruNet,
     NetworkShape,
+    StackedNets,
     action_grads,
     adam_update,
     backward,
+    backward_stacked,
     forward,
+    forward_stacked,
+    grads_to_flat,
     init_params,
     log_prob_grads,
     param_count,
@@ -336,3 +340,48 @@ def test_shape_validation():
         forward(net, np.zeros((3, 2)))
     with pytest.raises(ValueError):
         forward(net, np.zeros((3, 2, 5)))
+
+
+@pytest.mark.parametrize("H", [16, 64])
+@pytest.mark.parametrize("S", [1, 2])
+def test_float32_passes_track_float64(S, H):
+    # the update's pass shapes: S=1 is the wrist actor (6 -> 6), S=2 the twin
+    # critics (obs + action = 9 -> 1), over T=41 steps of a 20-episode batch;
+    # every output and gradient within a relative norm error of 1e-5
+    T, B = 41, 20
+    shape = NetworkShape(6, H, 6) if S == 1 else NetworkShape(9, H, 1)
+    nets = [init_params(shape, SeededRng(10 + s)) for s in range(S)]
+    rng = np.random.default_rng(S * 100 + H)
+    x = rng.normal(size=(S, T, B, shape.input_dim))
+    h0 = rng.normal(scale=0.5, size=(S, B, H))
+    dy = rng.normal(size=(S, T, B, shape.output_dim))
+    dh_final = rng.normal(size=(S, B, H))
+    out = {}
+    for dt in (np.float64, np.float32):
+        sp = StackedNets(nets, dtype=dt)
+        y, h_T, cache = forward_stacked(sp, x.astype(dt), h0.astype(dt))
+        grads, dx, dh0 = backward_stacked(cache, dy.astype(dt), dh_final.astype(dt))
+        out[dt] = {"y": y, "h_T": h_T, "dx": dx, "dh0": dh0, **grads}
+        assert all(a.dtype == dt for a in out[dt].values())
+    for name, ref in out[np.float64].items():
+        err = np.linalg.norm(out[np.float32][name] - ref) / np.linalg.norm(ref)
+        assert err <= 1e-5, (name, err)
+
+
+def test_stacked_passes_refuse_another_dtype():
+    shape = NetworkShape(input_dim=3, gru_hidden=4, output_dim=2)
+    sp = StackedNets([init_params(shape, SeededRng(0))], dtype=np.float32)
+    x = np.zeros((1, 5, 2, 3), dtype=np.float32)
+    dy = np.zeros((1, 5, 2, 2), dtype=np.float32)
+    with pytest.raises(ValueError, match="x is float64"):
+        forward_stacked(sp, x.astype(np.float64))
+    with pytest.raises(ValueError, match="h0 is float64"):
+        forward_stacked(sp, x, np.zeros((1, 2, 4)))
+    _, _, cache = forward_stacked(sp, x)
+    with pytest.raises(ValueError, match="dy is float64"):
+        backward_stacked(cache, dy.astype(np.float64))
+    with pytest.raises(ValueError, match="dh_final is float64"):
+        backward_stacked(cache, dy, np.zeros((1, 2, 4)))
+    grads, _, _ = backward_stacked(cache, dy)
+    assert grads["Wg"].dtype == np.float32
+    assert grads_to_flat(shape, grads, 0).dtype == np.float64

@@ -55,7 +55,7 @@ def test_soft_update_target_lag_property():
 
 def test_critic_target_uses_twin_minimum():
     for lo, hi, swap in ((1.0, 2.0, False), (1.0, 2.0, True)):
-        agent = make_agent(hidden=4, seed=1)
+        agent = make_agent(hidden=4, seed=1, dtype=np.float64)
         for net in (agent.q1_target, agent.q2_target):
             net.flat[:] = 0.0
         (agent.q2_target if swap else agent.q1_target).v["b_out"][:] = lo
@@ -71,7 +71,7 @@ def test_critic_target_uses_twin_minimum():
 
 
 def test_entropy_term_subtracts_in_target():
-    agent = make_agent(hidden=4, seed=2)
+    agent = make_agent(hidden=4, seed=2, dtype=np.float64)
     for net in (agent.q1_target, agent.q2_target):
         net.flat[:] = 0.0
     agent.log_alpha[:] = 0.0  # alpha = 1
@@ -247,7 +247,7 @@ def test_actor_gradient_matches_finite_differences(monkeypatch):
     import musclerl.sac as sac_mod
     from musclerl.nets import forward, split_head, squash_sample
 
-    agent = make_agent(action_dim=2, hidden=6, seed=12, fixed_alpha=0.3)
+    agent = make_agent(action_dim=2, hidden=6, seed=12, fixed_alpha=0.3, dtype=np.float64)
     batch = [make_traj(T=4, seed=500 + i) for i in range(6)]
     T, N = 4, 6
     gamma = 0.9
@@ -301,3 +301,28 @@ def test_nonfinite_losses_raise():
     bad.rewards[0] = np.inf
     with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError):
         agent.update([bad] * 20, gamma=0.9)
+
+
+def test_float32_update_tracks_float64(monkeypatch):
+    # one update at the desk width on the same batch and noise state: the
+    # losses and the gradients handed to Adam agree within 1e-4 relative
+    import musclerl.sac as sac_mod
+
+    batch = [make_traj(T=40, action_dim=3, seed=600 + i) for i in range(20)]
+    runs = {}
+    for dt in (np.float64, np.float32):
+        agent = make_agent(action_dim=3, hidden=64, seed=14, dtype=dt)
+        fed = {}
+        names = {id(agent.opt_q1): "q1", id(agent.opt_q2): "q2", id(agent.opt_actor): "actor",
+                 id(agent.opt_alpha): "alpha"}
+        monkeypatch.setattr(sac_mod, "adam_update",
+                            lambda p, g, st: fed.__setitem__(names[id(st)], g.copy()))
+        report = agent.update(batch, gamma=0.99)
+        runs[dt] = (report, fed)
+    (ref_report, ref_grads), (report, grads) = runs[np.float64], runs[np.float32]
+    for key, ref in ref_report.items():
+        assert abs(report[key] - ref) <= 1e-4 * abs(ref), key
+    for name in ("q1", "q2", "actor"):
+        assert grads[name].dtype == np.float64
+        err = np.linalg.norm(grads[name] - ref_grads[name]) / np.linalg.norm(ref_grads[name])
+        assert err <= 1e-4, (name, err)
