@@ -1,13 +1,16 @@
 """Trajectory multiplication by target relabelling.
 
 Motion states and actions are physical and stay untouched; only the target
-slots of every stored observation change, and the rewards are recomputed for
-the new target from the stored noiseless outputs. Each copy draws one global
-sign and one componentwise-uniform vector Z, shared by the whole trajectory
-(targets are episode constants, so both states of every transition shift
-together):
+of an episode changes, and the rewards are recomputed for the new target
+from the stored noiseless outputs. Each relabel draws one global sign and
+one componentwise-uniform vector Z, shared by the whole trajectory (targets
+are episode constants, so both states of every transition shift together):
 
     target_new = clip(target +- delta * Z, target_range)
+
+A relabel is therefore just its target and its rewards: the replay buffer
+stores it as those two rows beside its base episode (hindsight relabelling,
+as in HER) and builds the relabelled observations only when it is sampled.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import RewardSpec, TARGET_SLICE, reward
+from .env import RewardSpec, reward
 from .randomize import SeededRng
 from .sac import Trajectory
 
@@ -35,27 +38,18 @@ class AugmentationSpec:
             raise ValueError("n_copies and delta must be nonnegative")
 
 
-def relabel_trajectory(traj: Trajectory, new_target: np.ndarray,
-                       reward_spec: RewardSpec) -> Trajectory:
-    """Copy of traj with the target replaced and rewards recomputed."""
-    obs = traj.obs.copy()
-    obs[:, TARGET_SLICE] = new_target
-    rewards = np.empty_like(traj.rewards)
-    for t in range(traj.length):
-        rewards[t] = reward(reward_spec, traj.outputs[t], new_target, traj.actions[t])
-    return Trajectory(obs, traj.outputs.copy(), traj.actions.copy(), rewards,
-                      traj.truncated, traj.controller)
+def augment_trajectory(traj: Trajectory, spec: AugmentationSpec, reward_spec: RewardSpec,
+                       rng: SeededRng) -> tuple[np.ndarray, np.ndarray]:
+    """n_copies relabels of traj: targets (K, 2) and their rewards (K, T).
 
-
-def augment_trajectory(traj: Trajectory, spec: AugmentationSpec,
-                       reward_spec: RewardSpec, rng: SeededRng) -> list[Trajectory]:
-    """n_copies relabelled trajectories; delta = 0 reproduces the original."""
-    out = []
-    base_target = traj.target.copy()
-    for _ in range(spec.n_copies):
-        sign = rng.sign()
-        z = rng.uniform(0.0, 1.0, size=base_target.shape[0])
-        new_target = np.clip(base_target + sign * spec.delta * z,
-                             spec.target_low, spec.target_high)
-        out.append(relabel_trajectory(traj, new_target, reward_spec))
-    return out
+    Every relabel draws its sign, then its Z, in turn; all rewards then
+    come from one reward() call. delta = 0 reproduces the original.
+    """
+    dim = traj.target.shape[0]
+    signs, z = np.empty((spec.n_copies, 1)), np.empty((spec.n_copies, dim))
+    for k in range(spec.n_copies):
+        signs[k] = rng.sign()
+        z[k] = rng.uniform(0.0, 1.0, size=dim)
+    targets = np.clip(traj.target + signs * spec.delta * z, spec.target_low, spec.target_high)
+    rewards = reward(reward_spec, traj.outputs[:-1], targets[:, None, :], traj.actions)
+    return targets, rewards

@@ -12,7 +12,11 @@ bonus per axis inside a small error threshold,
 
 computed on the noiseless output at the state where the action was taken,
 so the same reward can be recomputed exactly from logged trajectories.
-Episodes end by time limit (truncation), never by failure.
+reward() is elementwise over leading axes, so one call scores a whole
+episode, or a whole episode under many relabelled targets. step() advances
+the plant and returns no reward; run_episode() scores the episode in one
+reward() call after its loop. Episodes end by time limit (truncation),
+never by failure.
 """
 
 from __future__ import annotations
@@ -92,26 +96,26 @@ def map_action_wrist(a) -> np.ndarray:
     return np.clip(out, 0.0, 10.0)
 
 
-def reward(spec: RewardSpec, y, y_star, a) -> float:
+def reward(spec: RewardSpec, y, y_star, a):
     """Tracking reward for true output y, target pose y_star, action a.
 
-    y is [angle1, rate1, angle2, rate2]; rate targets are zero (static poses).
-    Scalar arithmetic in a fixed order, so recomputation is bit-exact.
+    Arrays y (..., 4) = [angle1, rate1, angle2, rate2], y_star (..., 2) and
+    a (..., A); leading axes broadcast and the result has their shape.
+    Rate targets are zero (static poses). The operations run in a fixed
+    order (abs, the cost terms left to right, then the action terms, then
+    -cost + bonus), so every element is bit-identical to scalar arithmetic
+    in that order, and recomputation is bit-exact.
     """
-    e0 = abs(float(y_star[0]) - float(y[0]))
-    e1 = abs(0.0 - float(y[1]))
-    e2 = abs(float(y_star[1]) - float(y[2]))
-    e3 = abs(0.0 - float(y[3]))
+    e0 = np.abs(y_star[..., 0] - y[..., 0])
+    e1 = np.abs(0.0 - y[..., 1])
+    e2 = np.abs(y_star[..., 1] - y[..., 2])
+    e3 = np.abs(0.0 - y[..., 3])
     q = spec.q_e
     cost = q[0] * e0 * e0 + q[1] * e1 * e1 + q[2] * e2 * e2 + q[3] * e3 * e3
     for i, ra in enumerate(spec.r_a):
-        ai = float(a[i])
-        cost += ra * ai * ai
-    bonus = 0.0
-    if e0 < spec.bonus_threshold:
-        bonus += spec.bonus_value
-    if e2 < spec.bonus_threshold:
-        bonus += spec.bonus_value
+        cost = cost + ra * a[..., i] * a[..., i]
+    bonus = (np.where(e0 < spec.bonus_threshold, spec.bonus_value, 0.0)
+             + np.where(e2 < spec.bonus_threshold, spec.bonus_value, 0.0))
     return -cost + bonus
 
 
@@ -119,7 +123,8 @@ class TrackingEnv:
     """One episode-owning environment instance for a named plant preset.
 
     Muscle parameters resample at reset and stay fixed for the episode, so
-    reset also builds the episode's plant StepMap; observation noise redraws
+    reset also builds the episode's plant StepMap, unless the muscles equal
+    the last episode's (as without randomization); observation noise redraws
     every step. All randomness flows through named child streams of the
     seed rng, so trajectories are reproducible.
     """
@@ -145,6 +150,7 @@ class TrackingEnv:
         self._target_rng = rng.split("target")
         self._noise_rngs = [rng.split(f"obs-noise/{i}") for i in range(4)]
         self.active = self.nominal
+        self.step_map: StepMap | None = None
         self.state: PlantState | None = None
         self.target = np.zeros(2)
         self.steps_taken = 0
@@ -167,10 +173,10 @@ class TrackingEnv:
 
     def reset(self) -> np.ndarray:
         """Start a fresh episode; returns the initial (noisy) observation."""
-        self.active = self.nominal.with_muscles(
-            sample_muscle_set(self.nominal.muscles, self.randomization, self._params_rng)
-        )
-        self.step_map = StepMap(self.active, self.episode.physics_dt, self.episode.substeps)
+        muscles = sample_muscle_set(self.nominal.muscles, self.randomization, self._params_rng)
+        if self.step_map is None or muscles != self.active.muscles:
+            self.active = self.nominal.with_muscles(muscles)
+            self.step_map = StepMap(self.active, self.episode.physics_dt, self.episode.substeps)
         self.state = initial_state(self.active)
         tr = self.episode.target_range
         self.target = np.array(
@@ -191,25 +197,24 @@ class TrackingEnv:
         obs[TARGET_SLICE] = self.target
         return apply_observation_noise(obs, self.randomization, self._noise_rngs)
 
-    def step(self, action) -> tuple[np.ndarray, float, bool, dict]:
+    def step(self, action) -> tuple[np.ndarray, bool, dict]:
         """Apply one action for one action period.
 
-        Returns (next_obs, reward, done, info); info carries the noiseless
-        output at which the action was taken, the clipped action and the
-        applied voltages. done is a time-limit truncation, so critic targets
-        keep bootstrapping.
+        Returns (next_obs, done, info); info carries the noiseless output at
+        which the action was taken, the clipped action and the applied
+        voltages, which are what reward() scores. done is a time-limit
+        truncation, so critic targets keep bootstrapping.
         """
         if self._done:
             raise RuntimeError("step() called on a finished episode; call reset()")
         a = np.clip(np.asarray(action, dtype=np.float64), self.action_low, self.action_high)
         y_before = self.true_output()
-        r = reward(self.reward_spec, y_before, self.target, a)
         volts = self.map_action(a)
         self.state = advance(self.step_map, self.state, volts)
         self.steps_taken += 1
         self._done = self.steps_taken >= self.episode.episode_length
         info = {"output": y_before, "action": a, "voltages": volts, "truncated": self._done}
-        return self._observe(), r, self._done, info
+        return self._observe(), self._done, info
 
 
 def run_episode(env: TrackingEnv, controller, target=None):
@@ -218,7 +223,9 @@ def run_episode(env: TrackingEnv, controller, target=None):
     target, if given, replaces the sampled target pose (deg). The controller
     needs reset() and act(obs, dt). Returns (obs (T+1, 6), outputs (T+1, 4),
     actions (T, A), rewards (T,)): the observations and noiseless outputs at
-    every step boundary, and the clipped actions applied with their rewards.
+    every step boundary, and the clipped actions applied with their rewards,
+    which one reward() call computes from outputs[:T], the target and the
+    actions once the loop is done.
     """
     obs = env.reset()
     if target is not None:
@@ -229,15 +236,15 @@ def run_episode(env: TrackingEnv, controller, target=None):
     obs_rows = np.empty((T + 1, OBS_DIM))
     out_rows = np.empty((T + 1, 4))
     act_rows = np.empty((T, env.action_dim))
-    rew_rows = np.empty(T)
     obs_rows[0] = obs
     out_rows[0] = env.true_output()
     for t in range(T):
-        obs, rew_rows[t], _, info = env.step(controller.act(obs, dt=env.episode.action_period))
+        obs, _, info = env.step(controller.act(obs, dt=env.episode.action_period))
         act_rows[t] = info["action"]
         obs_rows[t + 1] = obs
         out_rows[t + 1] = env.true_output()
-    return obs_rows, out_rows, act_rows, rew_rows
+    rewards = reward(env.reward_spec, out_rows[:T], env.target, act_rows)
+    return obs_rows, out_rows, act_rows, rewards
 
 
 def make_env(preset: str, seed_rng: SeededRng, randomize: bool = True, **kwargs) -> TrackingEnv:

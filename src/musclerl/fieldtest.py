@@ -105,9 +105,13 @@ def make_eval_env(preset: str, spec: FieldTestSpec,
 
 
 def default_episode_runner(preset: str, spec: FieldTestSpec, controller, target,
-                           plant: PlantConfig | None = None) -> np.ndarray:
-    """One evaluation episode; returns post-step angles, one row per step."""
-    _, outputs, _, _ = run_episode(make_eval_env(preset, spec, plant), controller, target)
+                           env: TrackingEnv) -> np.ndarray:
+    """One evaluation episode; returns post-step angles, one row per step.
+
+    env is make_eval_env(preset, spec, plant); reusing it across episodes
+    reuses its plant StepMap.
+    """
+    _, outputs, _, _ = run_episode(env, controller, target)
     return outputs[1:, ::2]
 
 
@@ -117,9 +121,12 @@ def run_field_test(preset: str, controller, spec: FieldTestSpec | None = None,
     """Evaluate every grid target; returns (target1, target2, e_ss) rows.
 
     plant (the default runner's) is the nominal plant, the preset's if None.
+    The default runner reuses one evaluation env, so the plant's StepMap is
+    built once for all targets.
     """
     spec = spec or field_spec_for(preset)
-    runner = episode_runner or partial(default_episode_runner, plant=plant)
+    runner = episode_runner or partial(default_episode_runner,
+                                       env=make_eval_env(preset, spec, plant))
     rows = []
     for target in grid_targets(spec):
         angles = runner(preset, spec, controller, target)
@@ -169,7 +176,8 @@ def pid_gate(preset: str, plant: PlantConfig | None = None) -> tuple[float | Non
     plant = plant or PLANT_PRESETS[preset]()
     spec = field_spec_for(preset)
     pid = PidActionPolicy(preset, plant, gains_for(preset, plant))
-    angles = default_episode_runner(preset, spec, pid, (5.0, 5.0), plant)
+    angles = default_episode_runner(preset, spec, pid, (5.0, 5.0),
+                                    make_eval_env(preset, spec, plant))
     near = np.nonzero(np.hypot(angles[:, 0] - 5.0, angles[:, 1] - 5.0)
                       < 0.1 * np.hypot(5.0, 5.0))[0]
     rise = spec.action_period * (int(near[0]) + 1) if near.size else None

@@ -78,46 +78,135 @@ class Trajectory:
     def target(self) -> np.ndarray:
         return self.obs[0, 4:6]
 
-    def copy(self) -> "Trajectory":
-        return Trajectory(self.obs.copy(), self.outputs.copy(), self.actions.copy(),
-                          self.rewards.copy(), self.truncated, self.controller)
 
 
 class ReplayBuffer:
-    """FIFO ring of trajectories with uniform without-replacement sampling."""
+    """FIFO ring of episode slots with uniform without-replacement sampling.
+
+    push(traj, targets, rewards) fills 1 + K consecutive slots: one for the
+    episode and one per relabel, which is a target row and a rewards row
+    (see augment). Every slot refers to its base Trajectory, so an episode's
+    physics is stored once however many slots use it, and a base stays
+    alive while any slot refers to it, even after its own slot is evicted.
+    Slots share the arrays, so push makes them read-only. sample() and
+    snapshot() give the base object for a base slot; for a relabel slot,
+    a Trajectory whose obs is a copy of the base's with the relabel's
+    target, and whose outputs and actions are the base's.
+    """
 
     def __init__(self, capacity: int = REPLAY_CAPACITY):
         self.capacity = capacity
-        self._items: list[Trajectory] = []
+        self._slots: list[tuple[Trajectory, np.ndarray | None, np.ndarray | None]] = []
         self._next = 0
         self._length: int | None = None
 
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self._slots)
 
-    def push(self, traj: Trajectory) -> None:
+    def push(self, traj: Trajectory, targets: np.ndarray | None = None,
+             rewards: np.ndarray | None = None) -> None:
+        """Store traj, then its relabels: targets (K, 2) with rewards (K, T)."""
         if self._length is None:
             self._length = traj.length
         elif traj.length != self._length:
             raise ValueError(
                 f"trajectory length {traj.length} != buffer episode length {self._length}"
             )
-        if len(self._items) < self.capacity:
-            self._items.append(traj)
+        shared = [traj.obs, traj.outputs, traj.actions, traj.rewards]
+        relabels = ()
+        if targets is not None:
+            if np.shape(rewards) != (len(targets), traj.length):
+                raise ValueError("need one rewards row of the episode's length per target")
+            shared += [targets, rewards]
+            relabels = zip(targets, rewards)
+        for a in shared:
+            a.flags.writeable = False
+        self._put((traj, None, None))
+        for target, row in relabels:
+            self._put((traj, target, row))
+
+    def _put(self, slot) -> None:
+        if len(self._slots) < self.capacity:
+            self._slots.append(slot)
         else:
-            self._items[self._next] = traj
+            self._slots[self._next] = slot
             self._next = (self._next + 1) % self.capacity
 
-    def sample(self, batch_size: int, rng: SeededRng) -> list[Trajectory]:
-        if len(self._items) < batch_size:
-            raise ValueError(
-                f"buffer holds {len(self._items)} trajectories, need {batch_size}"
-            )
-        idx = rng.choice_without_replacement(len(self._items), batch_size)
-        return [self._items[i] for i in idx]
+    @staticmethod
+    def _trajectory(slot) -> Trajectory:
+        base, target, rewards = slot
+        if target is None:
+            return base
+        obs = base.obs.copy()
+        obs[:, 4:6] = target
+        return Trajectory(obs, base.outputs, base.actions, rewards, base.truncated,
+                          base.controller)
 
-    def snapshot(self) -> list[Trajectory]:
-        return list(self._items)
+    def sample(self, batch_size: int, rng: SeededRng) -> list[Trajectory]:
+        if len(self._slots) < batch_size:
+            raise ValueError(
+                f"buffer holds {len(self._slots)} trajectories, need {batch_size}"
+            )
+        idx = rng.choice_without_replacement(len(self._slots), batch_size)
+        return [self._trajectory(self._slots[i]) for i in idx]
+
+    def snapshot(self):
+        """Every slot's trajectory in slot order, built as sample() builds it."""
+        return (self._trajectory(slot) for slot in self._slots)
+
+    def state(self) -> tuple[dict, dict[str, np.ndarray]]:
+        """Checkpoint form: (JSON-safe meta, float64 arrays).
+
+        Each base is saved once, in order of first reference, as
+        buf_obs/buf_outputs/buf_actions/buf_rewards; the meta carries their
+        controller and truncated tags. The relabels, in slot order, are
+        buf_relabel_targets (R, 2) and buf_relabel_rewards (R, T), and
+        buf_slots (S, 2) holds each slot's base index and relabel row
+        (-1 for a base slot).
+        """
+        base_index: dict[int, int] = {}
+        bases, slots, targets, rewards = [], [], [], []
+        for base, target, row in self._slots:
+            b = base_index.setdefault(id(base), len(bases))
+            if b == len(bases):
+                bases.append(base)
+            slots.append((b, -1 if target is None else len(targets)))
+            if target is not None:
+                targets.append(target)
+                rewards.append(row)
+        meta = {"slots": len(slots), "next": self._next,
+                "controllers": [t.controller for t in bases],
+                "truncated": [bool(t.truncated) for t in bases]}
+        if not bases:
+            return meta, {}
+        T = self._length
+        return meta, {
+            "buf_obs": np.stack([t.obs for t in bases]),
+            "buf_outputs": np.stack([t.outputs for t in bases]),
+            "buf_actions": np.stack([t.actions for t in bases]),
+            "buf_rewards": np.stack([t.rewards for t in bases]),
+            "buf_relabel_targets": np.array(targets, dtype=np.float64).reshape(-1, 2),
+            "buf_relabel_rewards": np.array(rewards, dtype=np.float64).reshape(-1, T),
+            "buf_slots": np.array(slots, dtype=np.float64),
+        }
+
+    def load_state(self, meta: dict, arrays: dict[str, np.ndarray]) -> None:
+        """Refill this empty buffer from state()'s output."""
+        if meta["slots"] > self.capacity:
+            raise ValueError(f"{meta['slots']} stored slots exceed capacity {self.capacity}")
+        if meta["slots"] == 0:
+            return
+        for name in ("buf_obs", "buf_outputs", "buf_actions", "buf_rewards",
+                     "buf_relabel_targets", "buf_relabel_rewards"):
+            arrays[name].flags.writeable = False
+        bases = [Trajectory(*parts, truncated=tr, controller=ctl) for *parts, tr, ctl in zip(
+            arrays["buf_obs"], arrays["buf_outputs"], arrays["buf_actions"],
+            arrays["buf_rewards"], meta["truncated"], meta["controllers"])]
+        targets, rewards = arrays["buf_relabel_targets"], arrays["buf_relabel_rewards"]
+        self._slots = [(bases[b], None, None) if r < 0 else (bases[b], targets[r], rewards[r])
+                       for b, r in arrays["buf_slots"].astype(np.int64).tolist()]
+        self._next = int(meta["next"])
+        self._length = bases[0].length
 
 
 class SacAgent:

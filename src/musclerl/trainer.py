@@ -2,7 +2,7 @@
 
 Phase one rolls out the PID controller (or uniform-random actions when the
 bootstrap is disabled) for the first M episodes, storing each trajectory
-plus its augmented copies; no gradient steps happen here. Phase two rolls
+with its target relabels; no gradient steps happen here. Phase two rolls
 out the current policy, augments, stores, and runs k gradient updates per
 episode. Muscle dynamics resample every reset.
 
@@ -150,13 +150,11 @@ class Trainer:
                           truncated=True, controller=kind)
 
     def store_with_augmentation(self, traj: Trajectory) -> int:
-        """Push the rollout and its augmented copies; returns count stored."""
-        self.buffer.push(traj)
-        copies = augment_trajectory(traj, self.aug_spec, self.env.reward_spec,
-                                    self.augment_rng)
-        for c in copies:
-            self.buffer.push(c)
-        return 1 + len(copies)
+        """Push the rollout with its relabels; returns the number of slots filled."""
+        targets, rewards = augment_trajectory(traj, self.aug_spec, self.env.reward_spec,
+                                              self.augment_rng)
+        self.buffer.push(traj, targets, rewards)
+        return 1 + len(targets)
 
     def bootstrap_phase(self, log: "CsvLog | None" = None, stop: int | None = None) -> None:
         """Demonstration episodes 1..M; fills the buffer, no gradient steps."""
@@ -251,6 +249,12 @@ class Trainer:
     # -- persistence ---------------------------------------------------------
 
     def save(self, path: str, include_buffer: bool = True) -> None:
+        """Write a full checkpoint, or with include_buffer=False a policy one.
+
+        A full checkpoint adds the replay buffer in its own layout (see
+        ReplayBuffer.state): each episode's physics once, plus one target
+        and rewards row per relabel.
+        """
         ag = self.agent
         arrays = {
             "actor": ag.actor.flat,
@@ -286,18 +290,8 @@ class Trainer:
             },
         }
         if include_buffer:
-            items = self.buffer.snapshot()
-            meta["buffer"] = {
-                "count": len(items),
-                "next": self.buffer._next,
-                "controllers": [t.controller for t in items],
-                "truncated": [bool(t.truncated) for t in items],
-            }
-            if items:
-                arrays["buf_obs"] = np.stack([t.obs for t in items])
-                arrays["buf_outputs"] = np.stack([t.outputs for t in items])
-                arrays["buf_actions"] = np.stack([t.actions for t in items])
-                arrays["buf_rewards"] = np.stack([t.rewards for t in items])
+            meta["buffer"], buffer_arrays = self.buffer.state()
+            arrays.update(buffer_arrays)
         save_checkpoint(path, meta, arrays)
 
     @classmethod
@@ -315,6 +309,9 @@ class Trainer:
         if resume and meta["kind"] != "full":
             raise ValueError(f"{path}: a {meta['kind']} checkpoint has no replay buffer; "
                              "resume needs a full checkpoint")
+        if "count" in meta.get("buffer", {}):
+            raise ValueError(f"{path}: replay buffer saved one copy per augmented episode, "
+                             "a layout this code no longer reads; start the run afresh")
         cfg = RunConfig(**meta["config"])
         tr = cls(cfg)
         ag = tr.agent
@@ -345,14 +342,8 @@ class Trainer:
         tr.warmup_rng.set_state(rng["warmup"])
         tr.rollout_rng.set_state(rng["rollout"])
         tr.episode_idx = int(meta["episode"])
-        if "buffer" in meta and meta["buffer"]["count"] > 0:
-            b = meta["buffer"]
-            for i in range(b["count"]):
-                tr.buffer.push(Trajectory(
-                    arrays["buf_obs"][i], arrays["buf_outputs"][i],
-                    arrays["buf_actions"][i], arrays["buf_rewards"][i],
-                    truncated=b["truncated"][i], controller=b["controllers"][i]))
-            tr.buffer._next = int(b["next"])
+        if "buffer" in meta:
+            tr.buffer.load_state(meta["buffer"], arrays)
         return tr
 
 

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from musclerl.augment import AugmentationSpec, augment_trajectory
-from musclerl.config import RunConfig, load_config
+from musclerl.config import CODE_STAMP, RunConfig, load_config
 from musclerl.env import WRIST_REWARD, reward
 from musclerl.fieldtest import (
     PolicyController,
@@ -43,7 +43,7 @@ from musclerl.randomize import (
     SeededRng,
     sample_muscle_params,
 )
-from musclerl.sac import Trajectory
+from musclerl.sac import ReplayBuffer, Trajectory
 from musclerl.trainer import Trainer, load_policy
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -145,7 +145,9 @@ def test_criterion_3_augmentation_oracle():
         rewards = np.array([reward(WRIST_REWARD, outputs[t], tgt, actions[t])
                             for t in range(T)])
         traj = Trajectory(obs, outputs, actions, rewards)
-        (copy,) = augment_trajectory(traj, spec, WRIST_REWARD, aug_rng)
+        buf = ReplayBuffer(capacity=2)
+        buf.push(traj, *augment_trajectory(traj, spec, WRIST_REWARD, aug_rng))
+        _, copy = buf.snapshot()
         assert np.array_equal(copy.obs[:, :4], traj.obs[:, :4])
         assert np.array_equal(copy.outputs, traj.outputs)
         assert np.array_equal(copy.actions, traj.actions)
@@ -186,11 +188,12 @@ def test_criterion_4_randomization_bounds():
        f"{max(drift.values()):.4f}, {elapsed:.1f}s")
 
 
-# sha256 of the smoke run's CSVs. Re-record them, and say so, whenever a
-# change moves the numbers on purpose (last: float32 update passes, numerics=3).
+# sha256 of the smoke run's CSVs without their provenance line, which is
+# checked on its own. Re-record them, and say so, whenever a change moves
+# the numbers on purpose (last: float32 update passes, numerics=3).
 SMOKE_SHA256 = {
-    "rewards.csv": "09dfdafe74715a67d39fd5816dda85f879edde7f53e4e86abb739c6dbc3e43d5",
-    "losses.csv": "0782006772a80d1cfef44f4384ca5d3e7effb955956f3a645c9c365acc039875",
+    "rewards.csv": "a3c8ccfccdc751929923b3e7077aeeecb282e4dc2eb521f8d08f666c8f5c6027",
+    "losses.csv": "d9097492b20708cff6938260021db90e2dee0dde99d2641e14a002e139c0d406",
 }
 
 
@@ -203,11 +206,16 @@ def test_criterion_5_training_determinism(tmp_path):
         Trainer(cfg).train()
         blobs.append({f: open(tmp_path / name / f, "rb").read() for f in SMOKE_SHA256})
     elapsed = time.perf_counter() - t0
-    digests = {f: hashlib.sha256(blob).hexdigest() for f, blob in blobs[0].items()}
-    ok(5, blobs[0] == blobs[1] and digests == SMOKE_SHA256 and elapsed < 300.0,
+    heads, rows = {}, {}
+    for f, blob in blobs[0].items():
+        heads[f], _, rows[f] = blob.partition(b"\n")
+    digests = {f: hashlib.sha256(r).hexdigest() for f, r in rows.items()}
+    stamped = all(h.endswith(f" {CODE_STAMP}".encode()) for h in heads.values())
+    ok(5, blobs[0] == blobs[1] and digests == SMOKE_SHA256 and stamped and elapsed < 300.0,
        f"two 20-episode smoke runs produced byte-identical reward and loss CSVs "
-       f"({len(blobs[0]['rewards.csv'])} bytes), golden sha256 "
-       f"{'match' if digests == SMOKE_SHA256 else f'differ: {digests}'}, {elapsed:.0f}s")
+       f"({len(blobs[0]['rewards.csv'])} bytes), golden sha256 of the data rows "
+       f"{'match' if digests == SMOKE_SHA256 else f'differ: {digests}'}, provenance "
+       f"{'carries' if stamped else 'lacks'} {CODE_STAMP!r}, {elapsed:.0f}s")
 
 
 def moving_mean(values, window=100):

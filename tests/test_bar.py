@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from musclerl.augment import AugmentationSpec, augment_trajectory, relabel_trajectory
+from musclerl.augment import AugmentationSpec, augment_trajectory
 from musclerl.config import RunConfig
 from musclerl.env import EYE_REWARD, WRIST_REWARD, reward
 from musclerl.pid import PidActionPolicy, PidController, PidGains, WRIST_GAINS, gains_for
 from musclerl.plant import eye_config, wrist_config
 from musclerl.randomize import SeededRng
-from musclerl.sac import Trajectory
+from musclerl.sac import ReplayBuffer, Trajectory
 from musclerl.trainer import Trainer
 
 
@@ -35,6 +35,18 @@ def random_traj(T=8, action_dim=3, seed=0, target=None):
     spec = WRIST_REWARD if action_dim == 3 else EYE_REWARD
     rewards = np.array([reward(spec, outputs[t], tgt, actions[t]) for t in range(T)])
     return Trajectory(obs, outputs, actions, rewards)
+
+
+def augmented_copies(traj, spec, reward_spec, rng):
+    """The relabels of traj, as the replay buffer hands them out."""
+    targets, rewards = augment_trajectory(traj, spec, reward_spec, rng)
+    assert targets.shape == (spec.n_copies, 2)
+    assert rewards.shape == (spec.n_copies, traj.length)
+    buf = ReplayBuffer(capacity=1 + spec.n_copies)
+    buf.push(traj, targets, rewards)
+    base, *copies = buf.snapshot()
+    assert base is traj
+    return copies
 
 
 # -- PID ----------------------------------------------------------------------
@@ -89,7 +101,7 @@ def test_pid_gain_scaling():
 def test_zero_delta_reproduces_original_exactly():
     traj = random_traj(seed=1)
     spec = AugmentationSpec(n_copies=4, delta=0.0)
-    copies = augment_trajectory(traj, spec, WRIST_REWARD, SeededRng(0))
+    copies = augmented_copies(traj, spec, WRIST_REWARD, SeededRng(0))
     assert len(copies) == 4
     for c in copies:
         assert np.array_equal(c.obs, traj.obs)
@@ -100,7 +112,7 @@ def test_zero_delta_reproduces_original_exactly():
 def test_target_shift_worked_example():
     traj = random_traj(seed=2, target=(5.0, 5.0))
     spec = AugmentationSpec(n_copies=1, delta=2.0)
-    (copy,) = augment_trajectory(traj, spec, WRIST_REWARD, StubRng(+1.0, (1.0, 0.5)))
+    (copy,) = augmented_copies(traj, spec, WRIST_REWARD, StubRng(+1.0, (1.0, 0.5)))
     assert np.array_equal(copy.obs[0, 4:6], [7.0, 6.0])
     assert np.all(copy.obs[:, 4:6] == [7.0, 6.0])
     # motion components bit-identical
@@ -112,13 +124,17 @@ def test_target_shift_worked_example():
 def test_target_shift_clamps_to_range():
     traj = random_traj(seed=3, target=(9.5, -9.5))
     spec = AugmentationSpec(n_copies=1, delta=2.0)
-    (up,) = augment_trajectory(traj, spec, WRIST_REWARD, StubRng(+1.0, (1.0, 1.0)))
+    (up,) = augmented_copies(traj, spec, WRIST_REWARD, StubRng(+1.0, (1.0, 1.0)))
     assert np.array_equal(up.obs[0, 4:6], [10.0, -7.5])
-    (down,) = augment_trajectory(traj, spec, WRIST_REWARD, StubRng(-1.0, (1.0, 1.0)))
+    (down,) = augmented_copies(traj, spec, WRIST_REWARD, StubRng(-1.0, (1.0, 1.0)))
     assert np.array_equal(down.obs[0, 4:6], [7.5, -10.0])
 
 
-def test_augmented_rewards_match_brute_force_oracle():
+@pytest.mark.parametrize("action_dim, reward_spec, q, ra, th", [
+    (3, WRIST_REWARD, (0.05, 0.2, 0.05, 0.2), (0.01, 0.01, 0.01), 0.5),
+    (2, EYE_REWARD, (0.05, 0.25, 0.05, 0.25), (0.01, 0.01), 0.3),
+])
+def test_augmented_rewards_match_brute_force_oracle(action_dim, reward_spec, q, ra, th):
     # independent recomputation, written out long-hand
     def oracle(outputs_row, target, action, q, ra, th, bonus):
         e0 = abs(target[0] - outputs_row[0])
@@ -138,19 +154,18 @@ def test_augmented_rewards_match_brute_force_oracle():
     rng = SeededRng(42)
     spec = AugmentationSpec(n_copies=3, delta=2.0)
     for case in range(100):
-        traj = random_traj(T=6, seed=case)
-        for copy in augment_trajectory(traj, spec, WRIST_REWARD, rng):
+        traj = random_traj(T=6, action_dim=action_dim, seed=case)
+        for copy in augmented_copies(traj, spec, reward_spec, rng):
             tgt = copy.obs[0, 4:6]
             for t in range(copy.length):
-                expected = oracle(copy.outputs[t], tgt, copy.actions[t],
-                                  (0.05, 0.2, 0.05, 0.2), (0.01, 0.01, 0.01), 0.5, 2.0)
+                expected = oracle(copy.outputs[t], tgt, copy.actions[t], q, ra, th, 2.0)
                 assert copy.rewards[t] == expected  # bit-exact
 
 
 def test_single_target_per_trajectory():
     traj = random_traj(T=10, seed=5)
     rng = SeededRng(7)
-    for copy in augment_trajectory(traj, AugmentationSpec(n_copies=8), WRIST_REWARD, rng):
+    for copy in augmented_copies(traj, AugmentationSpec(n_copies=8), WRIST_REWARD, rng):
         targets = copy.obs[:, 4:6]
         assert np.all(targets == targets[0])
 
@@ -158,7 +173,7 @@ def test_single_target_per_trajectory():
 def test_relabel_keeps_truncation_and_controller():
     traj = random_traj(seed=6)
     traj.controller = "pid"
-    out = relabel_trajectory(traj, np.array([1.0, 2.0]), WRIST_REWARD)
+    (out,) = augmented_copies(traj, AugmentationSpec(n_copies=1), WRIST_REWARD, SeededRng(6))
     assert out.controller == "pid" and out.truncated is True
 
 

@@ -9,8 +9,23 @@ from musclerl.env import (
     make_env,
     map_action_eye,
     reward,
+    run_episode,
 )
 from musclerl.randomize import SeededRng
+
+
+class ActionSequence:
+    """Controller that plays a fixed sequence of actions."""
+
+    def __init__(self, actions):
+        self.actions = actions
+
+    def reset(self):
+        self.t = 0
+
+    def act(self, obs, dt=0.5):
+        self.t += 1
+        return self.actions[self.t - 1]
 
 
 def test_action_map_zero():
@@ -54,11 +69,11 @@ def test_reward_wrist_with_action_cost():
 
 def test_reward_never_exceeds_two_bonuses():
     rng = np.random.default_rng(1)
-    for _ in range(20_000):
-        y = rng.uniform(-15, 15, size=4)
-        t = rng.uniform(-10, 10, size=2)
-        a = rng.uniform(-10, 10, size=3)
-        assert reward(WRIST_REWARD, y, t, a) <= 4.0
+    y = rng.uniform(-15, 15, size=(20_000, 4))
+    t = rng.uniform(-10, 10, size=(20_000, 2))
+    a = rng.uniform(-10, 10, size=(20_000, 3))
+    r = reward(WRIST_REWARD, y, t, a)
+    assert r.shape == (20_000,) and np.all(r <= 4.0)
 
 
 def test_reset_with_zero_target_range():
@@ -99,7 +114,7 @@ def test_episode_lengths_and_done_signalling():
         done = False
         count = 0
         while not done:
-            _, _, done, info = env.step(np.zeros(env.action_dim))
+            _, done, info = env.step(np.zeros(env.action_dim))
             count += 1
         assert count == n_steps
         assert info["truncated"] is True
@@ -110,9 +125,9 @@ def test_episode_lengths_and_done_signalling():
 
 def test_zero_action_zero_target_scores_full_bonus():
     env = make_env("eye", SeededRng(2), episode=EpisodeConfig(episode_length=30, target_range=0.0))
-    env.reset()
-    for _ in range(30):
-        _, r, _, _ = env.step(np.zeros(2))
+    _, _, _, rewards = run_episode(env, ActionSequence(np.zeros((30, 2))))
+    assert rewards.shape == (30,)
+    for r in rewards:
         assert r == 4.0
 
 
@@ -125,7 +140,7 @@ def test_observation_layout_and_noise_slots():
     assert not np.array_equal(obs[0:4], true)  # noise applied to motion slots
     # perturbation is plant output plus noise at the configured scale
     assert np.all(np.abs(obs[0:4] - true) < 6.0 * np.array([0.1, 0.05, 0.1, 0.05]))
-    obs2, _, _, _ = env.step(np.zeros(3))
+    obs2, _, _ = env.step(np.zeros(3))
     assert np.array_equal(obs2[4:6], env.target)
 
 
@@ -143,16 +158,9 @@ def test_muscle_parameters_constant_within_episode():
 def test_episode_determinism_under_fixed_actions():
     def run(seed):
         env = make_env("eye", SeededRng(seed))
-        obs = env.reset()
-        rows = [obs]
-        rewards = []
-        rng = np.random.default_rng(0)
-        for _ in range(30):
-            a = rng.uniform(-10, 10, size=2)
-            obs, r, done, _ = env.step(a)
-            rows.append(obs)
-            rewards.append(r)
-        return np.array(rows), np.array(rewards)
+        actions = np.random.default_rng(0).uniform(-10, 10, size=(30, 2))
+        rows, _, _, rewards = run_episode(env, ActionSequence(actions))
+        return rows, rewards
 
     o1, r1 = run(55)
     o2, r2 = run(55)

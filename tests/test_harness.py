@@ -6,18 +6,22 @@ import struct
 import numpy as np
 import pytest
 
+import musclerl.env
 from musclerl.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from musclerl.cli import main as cli_main
 from musclerl.config import CODE_STAMP, NUMERICS, RunConfig, load_config, parse_config_file
+from musclerl.env import make_env
 from musclerl.fieldtest import (
     FieldTestSpec,
     PolicyController,
     field_spec_for,
     grid_targets,
+    pid_controller_for,
     run_field_test,
     steady_state_error,
     summarize,
 )
+from musclerl.randomize import SeededRng
 from musclerl.trainer import Trainer, load_policy
 
 
@@ -152,6 +156,19 @@ def test_summary_statistics():
     assert s["count"] == 9 and s["median"] == 5.0 and s["mean"] == 5.0
 
 
+def test_field_test_builds_the_plant_step_map_once(monkeypatch):
+    built = []
+    real = musclerl.env.StepMap
+    monkeypatch.setattr(musclerl.env, "StepMap", lambda *args: built.append(1) or real(*args))
+    spec = FieldTestSpec(extent=5.0, spacing=5.0, duration=3.0, settle=1.0)
+    assert len(run_field_test("wrist", pid_controller_for("wrist"), spec)) == 9
+    assert len(built) == 1
+    env = make_env("wrist", SeededRng(0))  # randomized muscles: a new map every reset
+    env.reset()
+    env.reset()
+    assert len(built) == 3
+
+
 # -- trainer artifacts ---------------------------------------------------------
 
 
@@ -245,6 +262,24 @@ def test_checkpoint_roundtrip_is_byte_stable(tmp_path):
     assert open(path, "rb").read() == open(resaved, "rb").read()
 
 
+def test_wrapped_buffer_checkpoint_roundtrip_is_byte_stable(tmp_path):
+    # 6 episodes of 1 + 2 slots in a ring of 7: some relabels outlive their
+    # episode's own slot
+    cfg = tiny_cfg(tmp_path / "run", bootstrap_episodes=6, augment_copies=2,
+                   buffer_capacity=7)
+    tr = Trainer(cfg)
+    tr.bootstrap_phase()
+    first, again = str(tmp_path / "a.ckpt"), str(tmp_path / "b.ckpt")
+    tr.save(first)
+    restored = Trainer.restore(first, resume=True)
+    restored.save(again)
+    assert open(first, "rb").read() == open(again, "rb").read()
+    meta, arrays = load_checkpoint(first)
+    assert meta["buffer"]["slots"] == 7 and arrays["buf_obs"].shape[0] == 3
+    assert ([t.rewards.tobytes() for t in restored.buffer.snapshot()]
+            == [t.rewards.tobytes() for t in tr.buffer.snapshot()])
+
+
 def test_checkpoint_integrity_is_verified_on_load(tmp_path):
     path = tmp_path / "x.ckpt"
     save_checkpoint(str(path), {"kind": "policy"}, {"a": np.arange(6.0), "b": np.ones((2, 2))})
@@ -323,6 +358,28 @@ def test_resume_rejects_missing_or_other_numerics(tmp_path, capsys):
             Trainer.restore(path)
         assert cli_main(["train", "--resume", path]) == 2
         assert "numerics" in capsys.readouterr().err
+
+
+def test_resume_rejects_old_copy_per_slot_buffer(tmp_path, capsys):
+    cfg = tiny_cfg(tmp_path / "run", episodes=4)
+    tr = Trainer(cfg)
+    tr.train()
+    meta, arrays = load_checkpoint(str(tmp_path / "run" / "final.ckpt"))
+    # the earlier layout: every slot's trajectory stored in full
+    items = list(tr.buffer.snapshot())
+    meta["buffer"] = {"count": len(items), "next": tr.buffer._next,
+                      "controllers": [t.controller for t in items],
+                      "truncated": [bool(t.truncated) for t in items]}
+    arrays = {k: v for k, v in arrays.items() if not k.startswith("buf_")}
+    for name in ("obs", "outputs", "actions", "rewards"):
+        arrays[f"buf_{name}"] = np.stack([getattr(t, name) for t in items])
+    old = str(tmp_path / "old.ckpt")
+    save_checkpoint(old, meta, arrays)
+    with pytest.raises(ValueError, match="layout"):
+        Trainer.restore(old)
+    assert cli_main(["train", "--resume", old]) == 2
+    err = capsys.readouterr().err
+    assert "layout" in err and err.count("\n") == 1
 
 
 def test_load_policy_rejects_missing_or_other_numerics(tmp_path):

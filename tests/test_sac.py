@@ -185,6 +185,56 @@ def test_buffer_fifo_eviction_and_capacity():
     assert firsts == expected
 
 
+def test_buffer_relabel_slots_match_list_of_copies_reference():
+    # 1 + K = 3 slots per episode in a ring of 7, so the wrap evicts episode
+    # 3's own slot while one of its relabels lives on
+    T, K, capacity = 4, 2, 7
+    buf = ReplayBuffer(capacity)
+    ref, ref_next, pushed = [], 0, []
+    rng = np.random.default_rng(5)
+    for i in range(6):
+        traj = make_traj(T=T, seed=i)
+        targets = rng.uniform(-10, 10, size=(K, 2))
+        rewards = rng.normal(size=(K, T))
+        copies = [traj]
+        for target, row in zip(targets, rewards):
+            obs = traj.obs.copy()
+            obs[:, 4:6] = target
+            copies.append(Trajectory(obs, traj.outputs.copy(), traj.actions.copy(),
+                                     row.copy(), traj.truncated, traj.controller))
+        for c in copies:  # the list-of-copies FIFO the buffer replaces
+            if len(ref) < capacity:
+                ref.append(c)
+            else:
+                ref[ref_next] = c
+                ref_next = (ref_next + 1) % capacity
+        buf.push(traj, targets, rewards)
+        pushed.append(traj)
+
+    def blobs(trajs):
+        return [(t.obs.tobytes(), t.outputs.tobytes(), t.actions.tobytes(),
+                 t.rewards.tobytes(), t.truncated, t.controller) for t in trajs]
+
+    snap = list(buf.snapshot())
+    assert len(buf) == capacity and blobs(snap) == blobs(ref)
+    own = {id(t.outputs) for t in snap if any(t is p for p in pushed)}
+    assert id(pushed[3].outputs) in {id(t.outputs) for t in snap} - own
+    for seed in range(5):
+        assert blobs(buf.sample(5, SeededRng(seed))) == blobs(
+            [ref[i] for i in SeededRng(seed).choice_without_replacement(capacity, 5)])
+    with pytest.raises(ValueError):
+        pushed[0].obs[0, 0] = 1.0  # slots share the stored arrays
+
+    meta, arrays = buf.state()
+    restored = ReplayBuffer(capacity)
+    restored.load_state(meta, {k: v.copy() for k, v in arrays.items()})
+    assert blobs(restored.snapshot()) == blobs(ref)
+    meta2, arrays2 = restored.state()
+    assert meta2 == meta and arrays2.keys() == arrays.keys()
+    assert all(arrays2[k].tobytes() == arrays[k].tobytes() for k in arrays)
+    assert arrays["buf_obs"].shape == (3, T + 1, 6)  # episodes 3, 4, 5, once each
+
+
 def test_buffer_full_capacity_eviction():
     buf = ReplayBuffer()
     T = 1
