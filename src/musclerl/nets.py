@@ -26,12 +26,21 @@ copies: its passes then compute in float32, take float32 inputs and return
 float32 gradients, which grads_to_flat writes back into a float64 flat.
 The single-net forward/backward wrappers stay float64, the exact reference
 for the gradient checks.
+
+The path from backward to the Adam step allocates no parameter-sized
+array. A backward pass writes its parameter gradients into an (S, P) flat,
+laid out like GruNet's, that its StackCache keeps (built on the first
+backward that asks for them), and grads_to_flat can cast a slot into a
+caller's float64 flat. adam_update walks the vectors in blocks of BLOCK
+elements through the state's block-sized scratch, with the whole-vector
+operations in their order, so its result is bitwise that of the
+whole-vector step.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -79,6 +88,14 @@ def param_count(shape: NetworkShape) -> int:
     return _layout(shape)[1]
 
 
+def _views(offsets: dict, flat: np.ndarray) -> dict[str, np.ndarray]:
+    """Named views into flat (..., P): each parameter's slice of the last axis."""
+    return {
+        name: flat[..., off : off + int(np.prod(shp))].reshape(flat.shape[:-1] + shp)
+        for name, (off, shp) in offsets.items()
+    }
+
+
 class GruNet:
     """Parameter container: flat vector plus named views into it."""
 
@@ -91,10 +108,7 @@ class GruNet:
         if flat.shape != (self.size,):
             raise ValueError(f"expected flat parameter vector of length {self.size}")
         self.flat = flat
-        self.v = {
-            name: self.flat[off : off + int(np.prod(shp))].reshape(shp)
-            for name, (off, shp) in self.offsets.items()
-        }
+        self.v = _views(self.offsets, flat)
 
     def copy(self) -> "GruNet":
         return GruNet(self.shape, self.flat.copy())
@@ -165,6 +179,9 @@ class StackCache:
         self.nets = sp
         self.T, self.S, self.B = T, S, B
         self.x: np.ndarray | None = None  # (S_x, T, B, I) with S_x in {1, S}
+        # named views into an (S, P) parameter-gradient flat laid out like
+        # GruNet; built by the first backward that needs parameter gradients
+        self.grads: dict[str, np.ndarray] | None = None
 
         def empty(*shape):
             return np.empty(shape, dtype=sp.dtype)
@@ -272,7 +289,9 @@ def backward_stacked(cache: StackCache, dy: np.ndarray, dh_final: np.ndarray | N
 
     dy is (S, T, B, output_dim); dy and dh_final must have the stack's
     dtype. Returns (param_grads dict of stacked arrays or None,
-    dx (S, T, B, input_dim), dh0 (S, B, H)), all in that dtype.
+    dx (S, T, B, input_dim), dh0 (S, B, H)), all in that dtype. The
+    parameter gradients are views into the cache's own (S, P) flat, which
+    the next backward through this cache overwrites.
     """
     sp = cache.nets
     if cache.x is None:
@@ -346,24 +365,30 @@ def backward_stacked(cache: StackCache, dy: np.ndarray, dh_final: np.ndarray | N
         f_hprev = np.ascontiguousarray(cache.h_states[:, :T]).reshape(S, T * B, H)
         f_rh = cache.rh.reshape(S, T * B, H)
         f_dpre = dpre.reshape(S, T * B, H)
-        g_Ug = np.empty((S, H, 3 * H), dtype=sp.dtype)
+        if cache.grads is None:
+            offsets, size = _layout(sp.shape)
+            cache.grads = _views(offsets, np.empty((S, size), dtype=sp.dtype))
+        grads = cache.grads
+        np.matmul(f_x.transpose(0, 2, 1), f_dpre, out=grads["W_in"])
+        np.sum(f_dpre, axis=1, out=grads["b_in"])
+        np.matmul(f_a.transpose(0, 2, 1), dgx_flat, out=grads["Wg"])
+        np.sum(dgx_flat, axis=1, out=grads["bg"])
+        g_Ug = grads["Ug"]
         np.matmul(f_hprev.transpose(0, 2, 1), dgx_flat[:, :, : 2 * H], out=g_Ug[:, :, : 2 * H])
         np.matmul(f_rh.transpose(0, 2, 1), dgx_flat[:, :, 2 * H :], out=g_Ug[:, :, 2 * H :])
-        grads = {
-            "W_in": f_x.transpose(0, 2, 1) @ f_dpre,
-            "b_in": f_dpre.sum(axis=1),
-            "Wg": f_a.transpose(0, 2, 1) @ dgx_flat,
-            "bg": dgx_flat.sum(axis=1),
-            "Ug": g_Ug,
-            "W_out": f_h.transpose(0, 2, 1) @ dy_flat,
-            "b_out": dy_flat.sum(axis=1),
-        }
+        np.matmul(f_h.transpose(0, 2, 1), dy_flat, out=grads["W_out"])
+        np.sum(dy_flat, axis=1, out=grads["b_out"])
     return grads, dx, dh0
 
 
-def grads_to_flat(shape: NetworkShape, grads: dict, s: int) -> np.ndarray:
-    """Extract slot s of stacked gradients as one flat float64 vector."""
-    g = GruNet(shape)
+def grads_to_flat(shape: NetworkShape, grads: dict, s: int,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """Slot s of stacked gradients as one flat float64 vector.
+
+    The vector is out (float64, of the shape's parameter count) when given,
+    else a new one.
+    """
+    g = GruNet(shape, out)
     for name in g.v:
         g.v[name][:] = grads[name][s]
     return g.flat
@@ -405,6 +430,18 @@ def backward(cache: StackCache, dy: np.ndarray, dh_final: np.ndarray | None = No
 # -- optimizer ---------------------------------------------------------------
 
 
+# Length of the slices the optimizer walks a flat vector in: each step of
+# a slice works on arrays of at most BLOCK float64 (256 kB), so Adam and the
+# Polyak blend write into block-sized scratch instead of allocating
+# parameter-sized temporaries, and their working set stays in cache.
+BLOCK = 32_768
+
+
+def blocks(n: int):
+    """Consecutive slices of at most BLOCK elements covering range(n)."""
+    return (slice(lo, min(lo + BLOCK, n)) for lo in range(0, n, BLOCK))
+
+
 @dataclass
 class AdamState:
     """Bias-corrected Adam moments for one flat parameter vector."""
@@ -417,32 +454,63 @@ class AdamState:
     beta2: float = 0.999
     eps: float = 1e-8
     skipped: int = 0
+    # working memory of adam_update, (2, >= one block), never checkpointed;
+    # states stepped one after another may share one
+    scratch: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        need = min(self.m.size, BLOCK)
+        if self.scratch is None:
+            self.scratch = np.empty((2, need))
+        elif (self.scratch.dtype != np.float64 or self.scratch.shape[0] != 2
+              or self.scratch.shape[1] < need):
+            raise ValueError(f"Adam scratch must be float64 (2, >= {need}), got "
+                             f"{self.scratch.dtype} {self.scratch.shape}")
 
     @classmethod
-    def for_params(cls, params: np.ndarray, lr: float = 3e-4) -> "AdamState":
-        return cls(m=np.zeros_like(params), v=np.zeros_like(params), lr=lr)
+    def for_params(cls, params: np.ndarray, lr: float = 3e-4,
+                   scratch: np.ndarray | None = None) -> "AdamState":
+        return cls(m=np.zeros_like(params), v=np.zeros_like(params), lr=lr, scratch=scratch)
 
 
 def adam_update(params: np.ndarray, grads: np.ndarray, state: AdamState):
-    """One Adam step, in place; non-finite gradients are counted and skipped."""
+    """One Adam step, in place; non-finite gradients are counted and skipped.
+
+    The step runs block by block through the state's scratch, with the
+    same operations in the same order as the whole-vector form
+
+        m = b1 m + (1-b1) g;  v = b2 v + (1-b2) g^2
+        p -= lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps)
+
+    so the result is bitwise identical to it.
+    """
     if grads.shape != params.shape or state.m.shape != params.shape:
         raise ValueError("parameter/gradient/moment shapes do not match")
-    if not np.all(np.isfinite(grads)):
+    spans = list(blocks(params.size))
+    if not all(np.isfinite(grads[sl]).all() for sl in spans):
         state.skipped += 1
         state.t += 1
         return params, state
     state.t += 1
-    state.m *= state.beta1
-    state.m += (1.0 - state.beta1) * grads
-    state.v *= state.beta2
-    state.v += (1.0 - state.beta2) * (grads * grads)
-    mhat = state.m / (1.0 - state.beta1 ** state.t)
-    vhat = state.v / (1.0 - state.beta2 ** state.t)
-    np.sqrt(vhat, out=vhat)
-    vhat += state.eps
-    mhat /= vhat
-    mhat *= state.lr
-    params -= mhat
+    b1, b2 = state.beta1, state.beta2
+    c1, c2 = 1.0 - b1 ** state.t, 1.0 - b2 ** state.t
+    for sl in spans:
+        m, v, g, p = state.m[sl], state.v[sl], grads[sl], params[sl]
+        mhat, vhat = state.scratch[:, : p.size]
+        m *= b1
+        np.multiply(1.0 - b1, g, out=mhat)
+        m += mhat
+        v *= b2
+        np.multiply(g, g, out=vhat)
+        np.multiply(1.0 - b2, vhat, out=vhat)
+        v += vhat
+        np.divide(m, c1, out=mhat)
+        np.divide(v, c2, out=vhat)
+        np.sqrt(vhat, out=vhat)
+        vhat += state.eps
+        mhat /= vhat
+        mhat *= state.lr
+        p -= mhat
     return params, state
 
 

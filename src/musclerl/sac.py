@@ -18,6 +18,10 @@ them, and the gradients return to float64 for Adam, the Polyak blend and
 the temperature, which all stay float64. Acting stays float64 and builds
 its own actor stack, so rollouts and evaluation do not move with the
 learner's dtype. dtype=np.float64 gives the exact reference update.
+
+The optimizer side of an update allocates no parameter-sized array: the
+float64 gradients go into one flat the agent keeps, and Adam and the Polyak
+blend run in place, block by block, bitwise as their whole-vector forms.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from .nets import (
+    BLOCK,
     AdamState,
     NetworkShape,
     StackedNets,
@@ -32,6 +37,7 @@ from .nets import (
     adam_update,
     backward,
     backward_stacked,
+    blocks,
     forward,
     forward_stacked,
     grads_to_flat,
@@ -247,10 +253,15 @@ class SacAgent:
         self.q2_target = self.q2.copy()
         self.log_alpha = np.zeros(1)
 
-        self.opt_actor = AdamState.for_params(self.actor.flat, lr)
-        self.opt_q1 = AdamState.for_params(self.q1.flat, lr)
-        self.opt_q2 = AdamState.for_params(self.q2.flat, lr)
-        self.opt_alpha = AdamState.for_params(self.log_alpha, lr)
+        # the networks take turns in one float64 gradient flat handed to
+        # Adam, and the Adam steps and the Polyak blend in one scratch
+        size = max(self.q1.size, self.actor.size)
+        self._grad = np.empty(size)
+        self._scratch = np.empty((2, min(size, BLOCK)))
+        self.opt_actor = AdamState.for_params(self.actor.flat, lr, self._scratch)
+        self.opt_q1 = AdamState.for_params(self.q1.flat, lr, self._scratch)
+        self.opt_q2 = AdamState.for_params(self.q2.flat, lr, self._scratch)
+        self.opt_alpha = AdamState.for_params(self.log_alpha, lr, self._scratch)
         self._noise_rng = rng.split("update-noise")
         self._ws: dict = {}
         self.refresh_stacks()
@@ -351,8 +362,9 @@ class SacAgent:
         critic2_loss = float(np.mean(td[1] * td[1]))
         dq = (2.0 / count) * td[..., None]
         q_grads, _, _ = backward_stacked(cache_q, dq)
-        adam_update(self.q1.flat, grads_to_flat(critic_shape, q_grads, 0), self.opt_q1)
-        adam_update(self.q2.flat, grads_to_flat(critic_shape, q_grads, 1), self.opt_q2)
+        critic_grad = self._grad[: self.q1.size]
+        for s, net, opt in ((0, self.q1, self.opt_q1), (1, self.q2, self.opt_q2)):
+            adam_update(net.flat, grads_to_flat(critic_shape, q_grads, s, critic_grad), opt)
 
         # actor: alpha log pi - min_i Q_i(s, a_pi), against the updated critics
         q_in_pi = np.concatenate([obs_all[:T], a_pi], axis=2)
@@ -381,7 +393,8 @@ class SacAgent:
         dy_actor[0, :T, :, : self.action_dim] = dmu
         dy_actor[0, :T, :, self.action_dim:] = dls * clip_mask[:T]
         actor_grads_stacked, _, _ = backward_stacked(actor_cache, dy_actor)
-        actor_grads = grads_to_flat(self.actor.shape, actor_grads_stacked, 0)
+        actor_grads = grads_to_flat(self.actor.shape, actor_grads_stacked, 0,
+                                    self._grad[: self.actor.size])
         adam_update(self.actor.flat, actor_grads, self.opt_actor)
 
         # temperature: push mean log pi toward -target_entropy
@@ -406,9 +419,17 @@ class SacAgent:
         return report
 
     def soft_update(self, tau: float) -> None:
-        """Polyak blend of online critics into the targets."""
+        """Polyak blend of online critics into the targets, in place.
+
+        Block by block, target *= 1 - tau; target += tau * online, so the
+        result is bitwise that of the whole-vector form.
+        """
         if not (0.0 <= tau <= 1.0):
             raise ValueError("tau must lie in [0, 1]")
         for online, target in ((self.q1, self.q1_target), (self.q2, self.q2_target)):
-            target.flat *= 1.0 - tau
-            target.flat += tau * online.flat
+            for sl in blocks(target.size):
+                t = target.flat[sl]
+                blend = self._scratch[0, : t.size]
+                t *= 1.0 - tau
+                np.multiply(tau, online.flat[sl], out=blend)
+                t += blend

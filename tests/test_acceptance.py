@@ -8,6 +8,7 @@ instructions rather than fake a result.
 """
 
 import hashlib
+import math
 import os
 import shutil
 import subprocess
@@ -28,14 +29,9 @@ from musclerl.fieldtest import (
     run_field_test,
     summarize,
 )
-from musclerl.muscle import (
-    MuscleThermalState,
-    SCP_NOMINAL,
-    steady_state_rise,
-    thermal_step,
-    thermal_time_constant,
-)
+from musclerl.muscle import SCP_NOMINAL, steady_state_rise, thermal_time_constant
 from musclerl.nets import NetworkShape, backward, forward, init_params
+from musclerl.plant import StepMap, advance, eye_config, initial_state
 from musclerl.randomize import (
     DEFAULT_INTERVALS,
     RANDOMIZED_NAMES,
@@ -70,16 +66,17 @@ def _ensure_runs(paths):
 
 
 def test_criterion_1_thermal_steady_state():
+    # the production integrator: 10 V held on the first of the eye's four
+    # SCP muscles for ten thermal time constants, in 0.5 s action steps
     t0 = time.perf_counter()
-    p = SCP_NOMINAL
-    s = MuscleThermalState(T=p.T_amb)
-    dt = 0.01
-    horizon = 10.0 * thermal_time_constant(p)
-    t = 0.0
-    while t < horizon:
-        s = thermal_step(p, s, 10.0, dt)
-        t += dt
-    rise = s.T - p.T_amb
+    cfg = eye_config()
+    p = cfg.muscles[0]
+    sm = StepMap(cfg, dt=0.01, substeps=50)
+    s = initial_state(cfg)
+    volts = np.array([10.0, 0.0, 0.0, 0.0])
+    for _ in range(math.ceil(10.0 * thermal_time_constant(p) / 0.5)):
+        s = advance(sm, s, volts)
+    rise = s.temps[0] - p.T_amb
     target = steady_state_rise(p, 10.0)
     rel = abs(rise - target) / target
     elapsed = time.perf_counter() - t0
@@ -239,10 +236,51 @@ def read_avg_rewards(run_name):
     return np.array(avg)[order]
 
 
+def numerics_stamp(csv_path):
+    """The numerics= value on a CSV's provenance line, or None if it carries none."""
+    with open(csv_path) as fh:
+        head = fh.readline()
+    if head.startswith("#"):
+        for field in head.split():
+            if field.startswith("numerics="):
+                return field.partition("=")[2]
+    return None
+
+
+def numerics_mismatch(csv_paths):
+    """One line naming each run's stamp when the runs do not share one, else None."""
+    stamps = {os.path.basename(os.path.dirname(p)): numerics_stamp(p) for p in csv_paths}
+    if None not in stamps.values() and len(set(stamps.values())) == 1:
+        return None
+    return "runs come from different numerics: " + ", ".join(
+        f"{run}={stamp or 'unstamped'}" for run, stamp in stamps.items())
+
+
+def test_numerics_mismatch_names_each_run(tmp_path):
+    paths = []
+    for run, head in (("a", "# musclerl seed=1 version=0.1.0 numerics=3"),
+                      ("b", "# musclerl seed=1 version=0.1.0 numerics=1"),
+                      ("c", "# musclerl config_sha256=db0e seed=101"),
+                      ("d", "# musclerl seed=2 version=0.1.0 numerics=3")):
+        (tmp_path / run).mkdir()
+        paths.append(str(tmp_path / run / "rewards.csv"))
+        with open(paths[-1], "w") as fh:
+            fh.write(head + "\nepisode,controller,steps,episode_return,avg_reward\n")
+    assert numerics_mismatch([paths[0], paths[3]]) is None
+    assert numerics_mismatch(paths[:2]) == "runs come from different numerics: a=3, b=1"
+    reason = numerics_mismatch([paths[0], paths[2]])
+    assert reason == "runs come from different numerics: a=3, c=unstamped"
+    assert "\n" not in reason
+
+
 @pytest.mark.training
 def test_criterion_6_data_efficiency():
-    _ensure_runs(["wrist_sacbar_s101/rewards.csv", "wrist_sacbar_s102/rewards.csv",
-                  "wrist_baseline_s101/rewards.csv", "wrist_baseline_s102/rewards.csv"])
+    runs = ["wrist_sacbar_s101", "wrist_sacbar_s102", "wrist_baseline_s101",
+            "wrist_baseline_s102"]
+    _ensure_runs([f"{run}/rewards.csv" for run in runs])
+    reason = numerics_mismatch([os.path.join(RUNS, run, "rewards.csv") for run in runs])
+    if reason is not None:
+        ok(6, False, reason)
     base = [read_avg_rewards(f"wrist_baseline_s{s}") for s in (101, 102)]
     bar = [read_avg_rewards(f"wrist_sacbar_s{s}") for s in (101, 102)]
     for b in base:

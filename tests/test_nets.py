@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from musclerl.nets import (
+    BLOCK,
     AdamState,
     GruNet,
     NetworkShape,
@@ -230,6 +232,83 @@ def test_adam_skips_nonfinite_gradients():
     assert st.skipped == 1
 
 
+def reference_adam(params, grads, m, v, t, lr=3e-4, b1=0.9, b2=0.999, eps=1e-8):
+    """The whole-vector Adam step, long hand: one parameter-sized temporary per line."""
+    m *= b1
+    m += (1.0 - b1) * grads
+    v *= b2
+    v += (1.0 - b2) * (grads * grads)
+    mhat = m / (1.0 - b1 ** t)
+    vhat = v / (1.0 - b2 ** t)
+    np.sqrt(vhat, out=vhat)
+    vhat += eps
+    mhat /= vhat
+    mhat *= lr
+    params -= mhat
+
+
+def test_blockwise_adam_matches_whole_vector_oracle():
+    # 2.5 blocks plus a tail, so full blocks, a half block and a ragged end
+    n = 5 * BLOCK // 2 + 37
+    rng = np.random.default_rng(21)
+    p = rng.normal(size=n)
+    ref_p, ref_m, ref_v = p.copy(), np.zeros(n), np.zeros(n)
+    st = AdamState.for_params(p, lr=1e-3)
+    for t in range(1, 6):
+        g = rng.normal(scale=10.0 ** rng.uniform(-6, 2, size=n))
+        adam_update(p, g, st)
+        reference_adam(ref_p, g, ref_m, ref_v, t, lr=1e-3)
+        assert st.t == t
+        assert np.array_equal(p, ref_p) and np.array_equal(st.m, ref_m)
+        assert np.array_equal(st.v, ref_v)
+
+
+def test_adam_nonfinite_gradient_leaves_params_and_moments_untouched():
+    n = 2 * BLOCK + 5
+    rng = np.random.default_rng(22)
+    p = rng.normal(size=n)
+    st = AdamState.for_params(p)
+    adam_update(p, rng.normal(size=n), st)
+    before = (p.copy(), st.m.copy(), st.v.copy())
+    for bad in (np.inf, -np.inf, np.nan):
+        g = rng.normal(size=n)
+        g[-1] = bad  # in the last block, after the first blocks would have been stepped
+        adam_update(p, g, st)
+        assert all(np.array_equal(a, b) for a, b in zip((p, st.m, st.v), before))
+    assert st.skipped == 3 and st.t == 4
+
+
+def test_adam_update_allocates_under_one_block():
+    p = np.random.default_rng(23).normal(size=100_000)
+    g = np.ones_like(p)
+    st = AdamState.for_params(p)
+    tracemalloc.start()
+    try:
+        adam_update(p, g, st)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < BLOCK * 8, peak
+
+
+def test_adam_states_share_scratch_of_at_least_one_block():
+    rng = np.random.default_rng(24)
+    shared = np.empty((2, BLOCK))
+    params = [rng.normal(size=n) for n in (BLOCK + 3, 10)]
+    own = [p.copy() for p in params]
+    states = [AdamState.for_params(p, scratch=shared) for p in params]
+    own_states = [AdamState.for_params(p) for p in own]
+    for _ in range(3):
+        for p, q, st, st_own in zip(params, own, states, own_states):
+            g = rng.normal(size=p.size)
+            adam_update(p, g, st)
+            adam_update(q, g, st_own)
+    assert all(np.array_equal(p, q) for p, q in zip(params, own))
+    for bad in (np.empty((2, BLOCK - 1)), np.empty((2, BLOCK), dtype=np.float32)):
+        with pytest.raises(ValueError, match="Adam scratch must be float64"):
+            AdamState.for_params(np.zeros(BLOCK + 1), scratch=bad)
+
+
 def test_param_count_matches_views():
     shape = NetworkShape(input_dim=6, gru_hidden=16, output_dim=4)
     net = init_params(shape, SeededRng(0))
@@ -385,3 +464,53 @@ def test_stacked_passes_refuse_another_dtype():
     grads, _, _ = backward_stacked(cache, dy)
     assert grads["Wg"].dtype == np.float32
     assert grads_to_flat(shape, grads, 0).dtype == np.float64
+
+
+@pytest.mark.parametrize("S, out_dim, T", [(2, 1, 7), (1, 6, 8)])
+def test_stacked_param_grads_match_allocating_oracle(S, out_dim, T):
+    # the gradients written into the cache's flat equal, bit for bit, the
+    # freshly allocated products and sums they replace, in float32 as in
+    # the update; passes without parameter gradients leave the flat unbuilt
+    H, B = 16, 5
+    shape = NetworkShape(9 if S == 2 else 6, H, out_dim)
+    sp = StackedNets([init_params(shape, SeededRng(30 + s)) for s in range(S)],
+                     dtype=np.float32)
+    rng = np.random.default_rng(31)
+    x = rng.normal(size=(1, T, B, shape.input_dim)).astype(np.float32)
+    dy = rng.normal(size=(S, T, B, out_dim)).astype(np.float32)
+    _, _, cache = forward_stacked(sp, x)
+    backward_stacked(cache, dy, need_param_grads=False)
+    assert cache.grads is None
+    grads, _, _ = backward_stacked(cache, dy)
+    flat = grads["W_in"].base
+    assert flat is not None and flat.shape == (S, param_count(shape))
+    assert all(g.base is flat for g in grads.values())
+
+    f_x = x.reshape(1, T * B, -1)
+    # dpre is not returned: rebuild it from the cache as backward does
+    dgx = cache.dgx.reshape(S, T * B, 3 * H)
+    da = (dgx @ sp.WgT).reshape(S, T, B, H)
+    da *= cache.relu_mask
+    f_dpre = da.reshape(S, T * B, H)
+    f_dy = dy.reshape(S, T * B, out_dim)
+    f_hprev = np.ascontiguousarray(cache.h_states[:, :T]).reshape(S, T * B, H)
+    ref_Ug = np.empty((S, H, 3 * H), dtype=np.float32)
+    np.matmul(f_hprev.transpose(0, 2, 1), dgx[:, :, : 2 * H], out=ref_Ug[:, :, : 2 * H])
+    np.matmul(cache.rh.reshape(S, T * B, H).transpose(0, 2, 1), dgx[:, :, 2 * H :],
+              out=ref_Ug[:, :, 2 * H :])
+    ref = {
+        "W_in": f_x.transpose(0, 2, 1) @ f_dpre,
+        "b_in": f_dpre.sum(axis=1),
+        "Wg": cache.a.reshape(S, T * B, H).transpose(0, 2, 1) @ dgx,
+        "bg": dgx.sum(axis=1),
+        "Ug": ref_Ug,
+        "W_out": cache.h_out.reshape(S, T * B, H).transpose(0, 2, 1) @ f_dy,
+        "b_out": f_dy.sum(axis=1),
+    }
+    for name, want in ref.items():
+        assert grads[name].dtype == np.float32
+        assert np.array_equal(grads[name], want), name
+    out = np.full(param_count(shape), np.nan)
+    for s in range(S):
+        assert grads_to_flat(shape, grads, s, out) is out
+        assert np.array_equal(out, grads_to_flat(shape, grads, s))

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from musclerl.nets import forward, squash_sample
+from musclerl.nets import BLOCK, forward, squash_sample
 from musclerl.randomize import SeededRng
 from musclerl.sac import ReplayBuffer, SacAgent, Trajectory
 
@@ -41,6 +43,34 @@ def test_soft_update_scalar_blend():
     agent.q1_target.flat[:] = 0.0
     agent.soft_update(0.005)
     assert np.allclose(agent.q1_target.flat, 0.005, rtol=0, atol=1e-15)
+
+
+def test_blockwise_soft_update_matches_whole_vector_blend():
+    # width 128: each critic holds about 1e5 parameters, three blocks and a tail
+    agent = make_agent(hidden=128, seed=4)
+    assert agent.q1.flat.size > 3 * BLOCK
+    rng = np.random.default_rng(4)
+    for net in (agent.q1, agent.q2, agent.q1_target, agent.q2_target):
+        net.flat[:] = rng.normal(size=net.flat.size)
+    tau = 0.005
+    want = [t.flat * (1 - tau) + tau * o.flat
+            for o, t in ((agent.q1, agent.q1_target), (agent.q2, agent.q2_target))]
+    tracemalloc.start()
+    try:
+        agent.soft_update(tau)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(agent.q1_target.flat, want[0])
+    assert np.array_equal(agent.q2_target.flat, want[1])
+    assert peak < BLOCK * 8, peak
+
+
+def test_update_builds_gradient_flats_only_where_used():
+    agent = make_agent(hidden=6, seed=5)
+    agent.update([make_traj(T=4, seed=i) for i in range(20)], gamma=0.9)
+    built = {name: ws.grads is not None for name, ws in agent._ws.items()}
+    assert built == {"actor": True, "target": False, "critic": True, "critic_pi": False}
 
 
 def test_soft_update_target_lag_property():
