@@ -32,7 +32,7 @@ array. A backward pass writes its parameter gradients into an (S, P) flat,
 laid out like GruNet's, that its StackCache keeps (built on the first
 backward that asks for them), and grads_to_flat can cast a slot into a
 caller's float64 flat. adam_update walks the vectors in blocks of BLOCK
-elements through the state's block-sized scratch, with the whole-vector
+elements through the module's one block-sized SCRATCH, with the whole-vector
 operations in their order, so its result is bitwise that of the
 whole-vector step.
 """
@@ -40,7 +40,7 @@ whole-vector step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -432,9 +432,11 @@ def backward(cache: StackCache, dy: np.ndarray, dh_final: np.ndarray | None = No
 
 # Length of the slices the optimizer walks a flat vector in: each step of
 # a slice works on arrays of at most BLOCK float64 (256 kB), so Adam and the
-# Polyak blend write into block-sized scratch instead of allocating
-# parameter-sized temporaries, and their working set stays in cache.
+# Polyak blend write into SCRATCH instead of allocating parameter-sized
+# temporaries, and their working set stays in cache. The package runs no
+# threads and neither user calls the other, so one scratch serves both.
 BLOCK = 32_768
+SCRATCH = np.empty((2, BLOCK))
 
 
 def blocks(n: int):
@@ -454,29 +456,16 @@ class AdamState:
     beta2: float = 0.999
     eps: float = 1e-8
     skipped: int = 0
-    # working memory of adam_update, (2, >= one block), never checkpointed;
-    # states stepped one after another may share one
-    scratch: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        need = min(self.m.size, BLOCK)
-        if self.scratch is None:
-            self.scratch = np.empty((2, need))
-        elif (self.scratch.dtype != np.float64 or self.scratch.shape[0] != 2
-              or self.scratch.shape[1] < need):
-            raise ValueError(f"Adam scratch must be float64 (2, >= {need}), got "
-                             f"{self.scratch.dtype} {self.scratch.shape}")
 
     @classmethod
-    def for_params(cls, params: np.ndarray, lr: float = 3e-4,
-                   scratch: np.ndarray | None = None) -> "AdamState":
-        return cls(m=np.zeros_like(params), v=np.zeros_like(params), lr=lr, scratch=scratch)
+    def for_params(cls, params: np.ndarray, lr: float = 3e-4) -> "AdamState":
+        return cls(m=np.zeros_like(params), v=np.zeros_like(params), lr=lr)
 
 
 def adam_update(params: np.ndarray, grads: np.ndarray, state: AdamState):
     """One Adam step, in place; non-finite gradients are counted and skipped.
 
-    The step runs block by block through the state's scratch, with the
+    The step runs block by block through SCRATCH, with the
     same operations in the same order as the whole-vector form
 
         m = b1 m + (1-b1) g;  v = b2 v + (1-b2) g^2
@@ -496,7 +485,7 @@ def adam_update(params: np.ndarray, grads: np.ndarray, state: AdamState):
     c1, c2 = 1.0 - b1 ** state.t, 1.0 - b2 ** state.t
     for sl in spans:
         m, v, g, p = state.m[sl], state.v[sl], grads[sl], params[sl]
-        mhat, vhat = state.scratch[:, : p.size]
+        mhat, vhat = SCRATCH[:, : p.size]
         m *= b1
         np.multiply(1.0 - b1, g, out=mhat)
         m += mhat

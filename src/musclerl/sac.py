@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from .nets import (
-    BLOCK,
+    SCRATCH,
     AdamState,
     NetworkShape,
     StackedNets,
@@ -253,15 +253,12 @@ class SacAgent:
         self.q2_target = self.q2.copy()
         self.log_alpha = np.zeros(1)
 
-        # the networks take turns in one float64 gradient flat handed to
-        # Adam, and the Adam steps and the Polyak blend in one scratch
-        size = max(self.q1.size, self.actor.size)
-        self._grad = np.empty(size)
-        self._scratch = np.empty((2, min(size, BLOCK)))
-        self.opt_actor = AdamState.for_params(self.actor.flat, lr, self._scratch)
-        self.opt_q1 = AdamState.for_params(self.q1.flat, lr, self._scratch)
-        self.opt_q2 = AdamState.for_params(self.q2.flat, lr, self._scratch)
-        self.opt_alpha = AdamState.for_params(self.log_alpha, lr, self._scratch)
+        # the networks take turns in one float64 gradient flat handed to Adam
+        self._grad = np.empty(max(self.q1.size, self.actor.size))
+        self.opt_actor = AdamState.for_params(self.actor.flat, lr)
+        self.opt_q1 = AdamState.for_params(self.q1.flat, lr)
+        self.opt_q2 = AdamState.for_params(self.q2.flat, lr)
+        self.opt_alpha = AdamState.for_params(self.log_alpha, lr)
         self._noise_rng = rng.split("update-noise")
         self._ws: dict = {}
         self.refresh_stacks()
@@ -429,7 +426,7 @@ class SacAgent:
         for online, target in ((self.q1, self.q1_target), (self.q2, self.q2_target)):
             for sl in blocks(target.size):
                 t = target.flat[sl]
-                blend = self._scratch[0, : t.size]
+                blend = SCRATCH[0, : t.size]
                 t *= 1.0 - tau
                 np.multiply(tau, online.flat[sl], out=blend)
                 t += blend

@@ -291,24 +291,6 @@ def test_adam_update_allocates_under_one_block():
     assert peak < BLOCK * 8, peak
 
 
-def test_adam_states_share_scratch_of_at_least_one_block():
-    rng = np.random.default_rng(24)
-    shared = np.empty((2, BLOCK))
-    params = [rng.normal(size=n) for n in (BLOCK + 3, 10)]
-    own = [p.copy() for p in params]
-    states = [AdamState.for_params(p, scratch=shared) for p in params]
-    own_states = [AdamState.for_params(p) for p in own]
-    for _ in range(3):
-        for p, q, st, st_own in zip(params, own, states, own_states):
-            g = rng.normal(size=p.size)
-            adam_update(p, g, st)
-            adam_update(q, g, st_own)
-    assert all(np.array_equal(p, q) for p, q in zip(params, own))
-    for bad in (np.empty((2, BLOCK - 1)), np.empty((2, BLOCK), dtype=np.float32)):
-        with pytest.raises(ValueError, match="Adam scratch must be float64"):
-            AdamState.for_params(np.zeros(BLOCK + 1), scratch=bad)
-
-
 def test_param_count_matches_views():
     shape = NetworkShape(input_dim=6, gru_hidden=16, output_dim=4)
     net = init_params(shape, SeededRng(0))
