@@ -72,6 +72,21 @@ def _open_checkpoint(load, path):
         return None
 
 
+def _controller(args):
+    """(preset, controller, checkpoint cfg or None) from the flags, or None after printing why."""
+    if args.pid:
+        preset = args.preset or "wrist"
+        return preset, pid_controller_for(preset, args.pid_gain_scale or 1.0), None
+    if not args.checkpoint:
+        print(f"{args.command} needs --checkpoint or --pid", file=sys.stderr)
+        return None
+    loaded = _open_checkpoint(load_policy, args.checkpoint)
+    if loaded is None:
+        return None
+    agent, cfg = loaded
+    return cfg.preset, PolicyController(agent), cfg
+
+
 def cmd_train(args) -> int:
     overrides = _config_overrides(args)
     if args.resume:
@@ -101,24 +116,15 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval_field(args) -> int:
-    if args.pid:
-        preset = args.preset or "wrist"
-        controller = pid_controller_for(preset, args.pid_gain_scale or 1.0)
-        provenance = f"musclerl field test controller=pid preset={preset} seed=0"
-        plant = None
-    else:
-        if not args.checkpoint:
-            print("eval-field needs --checkpoint or --pid", file=sys.stderr)
-            return 2
-        loaded = _open_checkpoint(load_policy, args.checkpoint)
-        if loaded is None:
-            return 2
-        agent, cfg = loaded
-        preset = cfg.preset
-        controller = PolicyController(agent)
+    resolved = _controller(args)
+    if resolved is None:
+        return 2
+    preset, controller, cfg = resolved
+    plant = None if cfg is None else cfg.plant_config()
+    provenance = f"musclerl field test controller=pid preset={preset} seed=0"
+    if cfg is not None:
         provenance = (f"musclerl field test controller=policy preset={preset} "
                       f"config_sha256={cfg.config_hash()} seed={cfg.seed}")
-        plant = cfg.plant_config()
     spec = field_spec_for(preset)
     if args.duration:
         spec = FieldTestSpec(duration=args.duration,
@@ -135,21 +141,11 @@ def cmd_eval_field(args) -> int:
 
 
 def cmd_episode(args) -> int:
-    if args.pid:
-        preset = args.preset or "wrist"
-        controller = pid_controller_for(preset, args.pid_gain_scale or 1.0)
-        plant = None
-    else:
-        if not args.checkpoint:
-            print("episode needs --checkpoint or --pid", file=sys.stderr)
-            return 2
-        loaded = _open_checkpoint(load_policy, args.checkpoint)
-        if loaded is None:
-            return 2
-        agent, cfg = loaded
-        preset = cfg.preset
-        controller = PolicyController(agent)
-        plant = cfg.plant_config()
+    resolved = _controller(args)
+    if resolved is None:
+        return 2
+    preset, controller, cfg = resolved
+    plant = None if cfg is None else cfg.plant_config()
     duration = args.duration or (15.0 if preset == "eye" else 20.0)
     steps = round(duration / 0.5)
     env = TrackingEnv(preset, SeededRng(args.seed or 0),

@@ -27,7 +27,6 @@ import numpy as np
 
 from .plant import PLANT_PRESETS, PlantConfig, PlantState, StepMap, advance, initial_state
 from .randomize import (
-    NO_RANDOMIZATION,
     RandomizationSpec,
     SeededRng,
     apply_observation_noise,
@@ -245,11 +244,3 @@ def run_episode(env: TrackingEnv, controller, target=None):
         out_rows[t + 1] = env.true_output()
     rewards = reward(env.reward_spec, out_rows[:T], env.target, act_rows)
     return obs_rows, out_rows, act_rows, rewards
-
-
-def make_env(preset: str, seed_rng: SeededRng, randomize: bool = True, **kwargs) -> TrackingEnv:
-    """Convenience constructor; randomize=False gives the nominal noiseless plant."""
-    rnd = kwargs.pop("randomization", None)
-    if rnd is None:
-        rnd = RandomizationSpec() if randomize else NO_RANDOMIZATION
-    return TrackingEnv(preset, seed_rng, randomization=rnd, **kwargs)

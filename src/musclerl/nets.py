@@ -217,13 +217,13 @@ def make_cache(sp: StackedNets, T: int, B: int, old: "StackCache | None" = None)
 
 
 def forward_stacked(sp: StackedNets, x: np.ndarray, h0: np.ndarray | None = None,
-                    need_cache: bool = True, cache: StackCache | None = None):
+                    cache: StackCache | None = None):
     """Run S stacked nets over x = (S_x, T, B, input_dim), S_x in {1, S}.
 
     A shared input (S_x = 1) broadcasts across the stack without copying.
     x and h0 must have the stack's dtype. Returns (y (S, T, B, out),
-    h_T (S, B, H), cache or None); passing cache reuses its buffers when
-    the signature matches.
+    h_T (S, B, H), cache); passing cache reuses its buffers when the
+    signature matches.
     """
     S_x, T, B, I = x.shape
     S = sp.S
@@ -280,7 +280,7 @@ def forward_stacked(sp: StackedNets, x: np.ndarray, h0: np.ndarray | None = None
     np.matmul(ws.h_out.reshape(S, T * B, H), sp.W_out,
               out=ws.y.reshape(S, T * B, sp.shape.output_dim))
     ws.y += sp.b_out[:, None]
-    return ws.y, h.copy(), (ws if need_cache else None)
+    return ws.y, h.copy(), ws
 
 
 def backward_stacked(cache: StackCache, dy: np.ndarray, dh_final: np.ndarray | None = None,
@@ -397,10 +397,10 @@ def grads_to_flat(shape: NetworkShape, grads: dict, s: int,
 # -- single-net wrappers -------------------------------------------------------
 
 
-def forward(net: GruNet, x: np.ndarray, h0: np.ndarray | None = None, need_cache: bool = True):
+def forward(net: GruNet, x: np.ndarray, h0: np.ndarray | None = None):
     """Run one net over a (T, B, input_dim) sequence.
 
-    Returns (outputs (T, B, output_dim), h_T (B, H), cache or None).
+    Returns (outputs (T, B, output_dim), h_T (B, H), cache).
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3 or x.shape[0] < 1:
@@ -409,7 +409,7 @@ def forward(net: GruNet, x: np.ndarray, h0: np.ndarray | None = None, need_cache
         raise ValueError(f"input dim {x.shape[2]} != {net.shape.input_dim}")
     sp = StackedNets([net])
     h0s = None if h0 is None else np.asarray(h0, dtype=np.float64)[None]
-    y, hT, cache = forward_stacked(sp, x[None], h0s, need_cache)
+    y, hT, cache = forward_stacked(sp, x[None], h0s)
     return y[0], hT[0], cache
 
 

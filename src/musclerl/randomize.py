@@ -114,13 +114,15 @@ NO_RANDOMIZATION = RandomizationSpec(
 )
 
 
+def _draw_factors(spec: RandomizationSpec, rng: SeededRng) -> dict[str, float]:
+    """One uniform factor per randomized constant, drawn in RANDOMIZED_NAMES order."""
+    return {name: float(rng.uniform(*spec.effective_interval(name)))
+            for name in RANDOMIZED_NAMES}
+
+
 def sample_muscle_params(nominal: MuscleParams, spec: RandomizationSpec, rng: SeededRng) -> MuscleParams:
     """Draw one scaled parameter set; x0 and T_amb are copied unchanged."""
-    factors = {}
-    for name in RANDOMIZED_NAMES:
-        lo, hi = spec.effective_interval(name)
-        factors[name] = float(rng.uniform(lo, hi))
-    return nominal.scaled(factors)
+    return nominal.scaled(_draw_factors(spec, rng))
 
 
 def sample_muscle_set(
@@ -132,10 +134,7 @@ def sample_muscle_set(
     a single factor set scales every muscle.
     """
     if spec.shared_across_muscles:
-        factors = {}
-        for name in RANDOMIZED_NAMES:
-            lo, hi = spec.effective_interval(name)
-            factors[name] = float(rng.uniform(lo, hi))
+        factors = _draw_factors(spec, rng)
         return tuple(p.scaled(factors) for p in nominals)
     return tuple(sample_muscle_params(p, spec, rng) for p in nominals)
 

@@ -7,21 +7,23 @@ Critic targets bootstrap through the elementwise minimum of the two target
 critics minus the entropy term; the temperature is auto-tuned toward a fixed
 entropy target. Target networks track the online critics by Polyak blending.
 
-All episodes end by time limit, so the bootstrap continues through the final
-transition (a trajectory stored with truncated=False would instead cut the
-return there). The twin critics run as one stacked pass (see nets); the
-result is bitwise identical to two separate passes.
+All episodes end by time limit, so the bootstrap always continues through
+the final transition. The twin critics run as one stacked pass (see nets);
+the result is bitwise identical to two separate passes.
 
 The seven network passes of an update compute in float32 by default
 (mixed precision): the stacks cast the float64 master weights as they copy
 them, and the gradients return to float64 for Adam, the Polyak blend and
 the temperature, which all stay float64. Acting stays float64 and builds
 its own actor stack, so rollouts and evaluation do not move with the
-learner's dtype. dtype=np.float64 gives the exact reference update.
+learner's dtype. dtype=np.float64 gives the exact reference update. Each
+update builds its stacks from the current weights; acting keeps its stack
+until update() or load_state() changes the actor.
 
 The optimizer side of an update allocates no parameter-sized array: the
 float64 gradients go into one flat the agent keeps, and Adam and the Polyak
 blend run in place, block by block, bitwise as their whole-vector forms.
+The agent writes and reads its own checkpoint state, as the buffer does.
 """
 
 from __future__ import annotations
@@ -63,9 +65,9 @@ class Trajectory:
     of the same array, so consecutive transitions share states by layout.
     """
 
-    __slots__ = ("obs", "outputs", "actions", "rewards", "truncated", "controller")
+    __slots__ = ("obs", "outputs", "actions", "rewards", "controller")
 
-    def __init__(self, obs, outputs, actions, rewards, truncated=True, controller="policy"):
+    def __init__(self, obs, outputs, actions, rewards, controller="policy"):
         T = actions.shape[0]
         if obs.shape[0] != T + 1 or outputs.shape[0] != T + 1 or rewards.shape[0] != T:
             raise ValueError("trajectory arrays disagree on episode length")
@@ -73,7 +75,6 @@ class Trajectory:
         self.outputs = outputs
         self.actions = actions
         self.rewards = rewards
-        self.truncated = truncated
         self.controller = controller
 
     @property
@@ -145,8 +146,7 @@ class ReplayBuffer:
             return base
         obs = base.obs.copy()
         obs[:, 4:6] = target
-        return Trajectory(obs, base.outputs, base.actions, rewards, base.truncated,
-                          base.controller)
+        return Trajectory(obs, base.outputs, base.actions, rewards, base.controller)
 
     def sample(self, batch_size: int, rng: SeededRng) -> list[Trajectory]:
         if len(self._slots) < batch_size:
@@ -165,7 +165,7 @@ class ReplayBuffer:
 
         Each base is saved once, in order of first reference, as
         buf_obs/buf_outputs/buf_actions/buf_rewards; the meta carries their
-        controller and truncated tags. The relabels, in slot order, are
+        controller tags. The relabels, in slot order, are
         buf_relabel_targets (R, 2) and buf_relabel_rewards (R, T), and
         buf_slots (S, 2) holds each slot's base index and relabel row
         (-1 for a base slot).
@@ -181,8 +181,7 @@ class ReplayBuffer:
                 targets.append(target)
                 rewards.append(row)
         meta = {"slots": len(slots), "next": self._next,
-                "controllers": [t.controller for t in bases],
-                "truncated": [bool(t.truncated) for t in bases]}
+                "controllers": [t.controller for t in bases]}
         if not bases:
             return meta, {}
         T = self._length
@@ -205,9 +204,9 @@ class ReplayBuffer:
         for name in ("buf_obs", "buf_outputs", "buf_actions", "buf_rewards",
                      "buf_relabel_targets", "buf_relabel_rewards"):
             arrays[name].flags.writeable = False
-        bases = [Trajectory(*parts, truncated=tr, controller=ctl) for *parts, tr, ctl in zip(
+        bases = [Trajectory(*parts, controller=ctl) for *parts, ctl in zip(
             arrays["buf_obs"], arrays["buf_outputs"], arrays["buf_actions"],
-            arrays["buf_rewards"], meta["truncated"], meta["controllers"])]
+            arrays["buf_rewards"], meta["controllers"])]
         targets, rewards = arrays["buf_relabel_targets"], arrays["buf_relabel_rewards"]
         self._slots = [(bases[b], None, None) if r < 0 else (bases[b], targets[r], rewards[r])
                        for b, r in arrays["buf_slots"].astype(np.int64).tolist()]
@@ -217,6 +216,8 @@ class ReplayBuffer:
 
 class SacAgent:
     """Actor, twin critics with targets, temperature, and their optimizers."""
+
+    OPTIMIZERS = ("actor", "q1", "q2", "alpha")  # the order of opt_t and opt_skipped
 
     def __init__(
         self,
@@ -261,7 +262,7 @@ class SacAgent:
         self.opt_alpha = AdamState.for_params(self.log_alpha, lr)
         self._noise_rng = rng.split("update-noise")
         self._ws: dict = {}
-        self.refresh_stacks()
+        self._act_stack = None
 
     @property
     def alpha(self) -> float:
@@ -269,13 +270,29 @@ class SacAgent:
             return float(self.fixed_alpha)
         return float(np.exp(self.log_alpha[0]))
 
-    def refresh_stacks(self) -> None:
-        """Rebuild cached stacked weights after any in-place parameter change.
+    # -- checkpoint state ---------------------------------------------------
 
-        The update's actor stack is built here, in the update dtype; the
-        float64 stack for acting is built on the next act().
+    def state(self) -> tuple[dict, dict[str, np.ndarray]]:
+        """Checkpoint form: (JSON-safe meta, the live float64 arrays).
+
+        arrays: the five networks' flats by attribute name, log_alpha and
+        opt_<name>_m/_v; meta: the optimizers' opt_t and opt_skipped lists.
         """
-        self._actor_stack = StackedNets([self.actor], dtype=self.dtype)
+        opts = [getattr(self, "opt_" + name) for name in self.OPTIMIZERS]
+        arrays = {name: getattr(self, name).flat
+                  for name in ("actor", "q1", "q2", "q1_target", "q2_target")}
+        arrays["log_alpha"] = self.log_alpha
+        for name, opt in zip(self.OPTIMIZERS, opts):
+            arrays[f"opt_{name}_m"], arrays[f"opt_{name}_v"] = opt.m, opt.v
+        return {"opt_t": [o.t for o in opts], "opt_skipped": [o.skipped for o in opts]}, arrays
+
+    def load_state(self, meta: dict, arrays: dict[str, np.ndarray]) -> None:
+        """Overwrite parameters and optimizer states with state()'s output."""
+        for name, live in self.state()[1].items():
+            live[:] = arrays[name]
+        for name, t, skipped in zip(self.OPTIMIZERS, meta["opt_t"], meta["opt_skipped"]):
+            opt = getattr(self, "opt_" + name)
+            opt.t, opt.skipped = int(t), int(skipped)
         self._act_stack = None
 
     # -- acting -----------------------------------------------------------
@@ -306,17 +323,14 @@ class SacAgent:
 
     # -- learning ---------------------------------------------------------
 
-    def _critic_targets(self, obs_all, actions_next, logp_next, rewards, gamma, truncated):
+    def _critic_targets(self, obs_all, actions_next, logp_next, rewards, gamma):
         """Bellman targets y_t = r_t + gamma (min_i Qbar_i(s', a') - alpha log pi)."""
         q_in = np.concatenate([obs_all[1:], actions_next], axis=2)
         sp = StackedNets([self.q1_target, self.q2_target], dtype=self.dtype)
         qb, _, ws = forward_stacked(sp, q_in[None], cache=self._ws.get("target"))
         self._ws["target"] = ws
         qmin = np.minimum(qb[0, :, :, 0], qb[1, :, :, 0])
-        value_next = qmin - self.alpha * logp_next
-        if not truncated:
-            value_next[-1] = 0.0  # absorbing end: no bootstrap through the last step
-        return rewards + gamma * value_next
+        return rewards + gamma * (qmin - self.alpha * logp_next)
 
     def update(self, batch: list[Trajectory], gamma: float) -> dict:
         """One gradient step of critics, actor, and temperature on a batch.
@@ -329,14 +343,14 @@ class SacAgent:
         obs_all = np.stack([t.obs for t in batch], axis=1, dtype=dt)      # (T+1, N, obs)
         actions = np.stack([t.actions for t in batch], axis=1, dtype=dt)  # (T, N, A)
         rewards = np.stack([t.rewards for t in batch], axis=1, dtype=dt)  # (T, N)
-        truncated = all(t.truncated for t in batch)
         N = len(batch)
         count = T * N
         critic_shape = self.q1.shape
         center, half = self.action_center.astype(dt), self.action_half.astype(dt)
 
         # fresh policy samples along the whole stored state sequence
-        y_pi, _, actor_cache = forward_stacked(self._actor_stack, obs_all[None],
+        sp_actor = StackedNets([self.actor], dtype=dt)
+        y_pi, _, actor_cache = forward_stacked(sp_actor, obs_all[None],
                                                cache=self._ws.get("actor"))
         self._ws["actor"] = actor_cache
         y_pi = y_pi[0]
@@ -347,7 +361,7 @@ class SacAgent:
         a_pi, logp_pi, u_pi = squash_sample(mu[:T], log_sd[:T], noise_pi, center, half)
         a_next, logp_next, _ = squash_sample(mu[1:], log_sd[1:], noise_next, center, half)
 
-        targets = self._critic_targets(obs_all, a_next, logp_next, rewards, gamma, truncated)
+        targets = self._critic_targets(obs_all, a_next, logp_next, rewards, gamma)
 
         # critics on stored actions, twin-stacked over a shared input
         q_in_stored = np.concatenate([obs_all[:T], actions], axis=2)
@@ -401,7 +415,7 @@ class SacAgent:
             adam_update(self.log_alpha, np.array([-entropy_gap]), self.opt_alpha)
 
         self.soft_update(self.tau)
-        self.refresh_stacks()
+        self._act_stack = None
 
         report = {
             "critic1_loss": critic1_loss,

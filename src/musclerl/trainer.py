@@ -146,8 +146,7 @@ class Trainer:
 
     def rollout(self, kind: str) -> Trajectory:
         """One full episode under 'pid', 'random', or 'policy' control."""
-        return Trajectory(*run_episode(self.env, self.controllers[kind]),
-                          truncated=True, controller=kind)
+        return Trajectory(*run_episode(self.env, self.controllers[kind]), controller=kind)
 
     def store_with_augmentation(self, traj: Trajectory) -> int:
         """Push the rollout with its relabels; returns the number of slots filled."""
@@ -241,10 +240,7 @@ class Trainer:
         with open(path, "w") as fh:
             json.dump({"episode": self.episode_idx, "error": message,
                        "alpha": self.agent.alpha,
-                       "adam_skipped": [self.agent.opt_actor.skipped,
-                                        self.agent.opt_q1.skipped,
-                                        self.agent.opt_q2.skipped,
-                                        self.agent.opt_alpha.skipped]}, fh, indent=2)
+                       "adam_skipped": self.agent.state()[0]["opt_skipped"]}, fh, indent=2)
 
     # -- persistence ---------------------------------------------------------
 
@@ -255,19 +251,7 @@ class Trainer:
         ReplayBuffer.state): each episode's physics once, plus one target
         and rewards row per relabel.
         """
-        ag = self.agent
-        arrays = {
-            "actor": ag.actor.flat,
-            "q1": ag.q1.flat,
-            "q2": ag.q2.flat,
-            "q1_target": ag.q1_target.flat,
-            "q2_target": ag.q2_target.flat,
-            "log_alpha": ag.log_alpha,
-            "opt_actor_m": ag.opt_actor.m, "opt_actor_v": ag.opt_actor.v,
-            "opt_q1_m": ag.opt_q1.m, "opt_q1_v": ag.opt_q1.v,
-            "opt_q2_m": ag.opt_q2.m, "opt_q2_v": ag.opt_q2.v,
-            "opt_alpha_m": ag.opt_alpha.m, "opt_alpha_v": ag.opt_alpha.v,
-        }
+        agent_meta, arrays = self.agent.state()
         meta = {
             "kind": "full" if include_buffer else "policy",
             "version": __version__,
@@ -275,14 +259,12 @@ class Trainer:
             "config": self.cfg.to_dict(),
             "config_hash": self.cfg.config_hash(),
             "episode": self.episode_idx,
-            "opt_t": [ag.opt_actor.t, ag.opt_q1.t, ag.opt_q2.t, ag.opt_alpha.t],
-            "opt_skipped": [ag.opt_actor.skipped, ag.opt_q1.skipped,
-                            ag.opt_q2.skipped, ag.opt_alpha.skipped],
+            **agent_meta,
             "rng": {
                 "env_params": self.env._params_rng.get_state(),
                 "env_target": self.env._target_rng.get_state(),
                 "env_noise": [r.get_state() for r in self.env._noise_rngs],
-                "agent_noise": ag._noise_rng.get_state(),
+                "agent_noise": self.agent._noise_rng.get_state(),
                 "sample": self.sample_rng.get_state(),
                 "augment": self.augment_rng.get_state(),
                 "warmup": self.warmup_rng.get_state(),
@@ -314,29 +296,13 @@ class Trainer:
                              "a layout this code no longer reads; start the run afresh")
         cfg = RunConfig(**meta["config"])
         tr = cls(cfg)
-        ag = tr.agent
-        ag.actor.flat[:] = arrays["actor"]
-        ag.q1.flat[:] = arrays["q1"]
-        ag.q2.flat[:] = arrays["q2"]
-        ag.q1_target.flat[:] = arrays["q1_target"]
-        ag.q2_target.flat[:] = arrays["q2_target"]
-        ag.log_alpha[:] = arrays["log_alpha"]
-        for opt, name, t, skipped in zip(
-            (ag.opt_actor, ag.opt_q1, ag.opt_q2, ag.opt_alpha),
-            ("opt_actor", "opt_q1", "opt_q2", "opt_alpha"),
-            meta["opt_t"], meta["opt_skipped"],
-        ):
-            opt.m[:] = arrays[name + "_m"]
-            opt.v[:] = arrays[name + "_v"]
-            opt.t = int(t)
-            opt.skipped = int(skipped)
-        ag.refresh_stacks()
+        tr.agent.load_state(meta, arrays)
         rng = meta["rng"]
         tr.env._params_rng.set_state(rng["env_params"])
         tr.env._target_rng.set_state(rng["env_target"])
         for r, st in zip(tr.env._noise_rngs, rng["env_noise"]):
             r.set_state(st)
-        ag._noise_rng.set_state(rng["agent_noise"])
+        tr.agent._noise_rng.set_state(rng["agent_noise"])
         tr.sample_rng.set_state(rng["sample"])
         tr.augment_rng.set_state(rng["augment"])
         tr.warmup_rng.set_state(rng["warmup"])

@@ -102,7 +102,7 @@ def test_criterion_2_gradient_suite():
         grads, _, _ = backward(cache, dy)
 
         def loss():
-            yy, _, _ = forward(net, x, h0, need_cache=False)
+            yy, _, _ = forward(net, x, h0)
             return float(np.sum(yy * dy))
 
         # spot-check a random subset of coordinates per case

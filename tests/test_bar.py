@@ -176,11 +176,11 @@ def test_single_target_per_trajectory():
         assert np.all(targets == targets[0])
 
 
-def test_relabel_keeps_truncation_and_controller():
+def test_relabel_keeps_controller():
     traj = random_traj(seed=6)
     traj.controller = "pid"
     (out,) = augmented_copies(traj, AugmentationSpec(n_copies=1), WRIST_REWARD, SeededRng(6))
-    assert out.controller == "pid" and out.truncated is True
+    assert out.controller == "pid"
 
 
 def test_invalid_augmentation_spec():

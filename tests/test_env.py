@@ -6,7 +6,6 @@ from musclerl.env import (
     WRIST_REWARD,
     EpisodeConfig,
     TrackingEnv,
-    make_env,
     map_action_eye,
     reward,
     run_episode,
@@ -77,13 +76,14 @@ def test_reward_never_exceeds_two_bonuses():
 
 
 def test_reset_with_zero_target_range():
-    env = make_env("eye", SeededRng(0), episode=EpisodeConfig(episode_length=30, target_range=0.0))
+    env = TrackingEnv("eye", SeededRng(0),
+                      episode=EpisodeConfig(episode_length=30, target_range=0.0))
     env.reset()
     assert np.array_equal(env.target, np.zeros(2))
 
 
 def test_reset_target_marginals_are_uniform():
-    env = make_env("wrist", SeededRng(123))
+    env = TrackingEnv("wrist", SeededRng(123))
     targets = np.array([env.reset()[4:6] for _ in range(10_000)])
     for axis in range(2):
         x = np.sort(targets[:, axis])
@@ -96,7 +96,7 @@ def test_reset_target_marginals_are_uniform():
 
 def test_reset_is_deterministic():
     def fingerprint(seed):
-        env = make_env("wrist", SeededRng(seed))
+        env = TrackingEnv("wrist", SeededRng(seed))
         obs = env.reset()
         return obs, env.target.copy(), tuple(env.active.muscles)
 
@@ -109,7 +109,7 @@ def test_reset_is_deterministic():
 
 def test_episode_lengths_and_done_signalling():
     for preset, n_steps in (("eye", 30), ("wrist", 40)):
-        env = make_env(preset, SeededRng(1))
+        env = TrackingEnv(preset, SeededRng(1))
         env.reset()
         done = False
         count = 0
@@ -124,7 +124,8 @@ def test_episode_lengths_and_done_signalling():
 
 
 def test_zero_action_zero_target_scores_full_bonus():
-    env = make_env("eye", SeededRng(2), episode=EpisodeConfig(episode_length=30, target_range=0.0))
+    env = TrackingEnv("eye", SeededRng(2),
+                      episode=EpisodeConfig(episode_length=30, target_range=0.0))
     _, _, _, rewards = run_episode(env, ActionSequence(np.zeros((30, 2))))
     assert rewards.shape == (30,)
     for r in rewards:
@@ -132,7 +133,7 @@ def test_zero_action_zero_target_scores_full_bonus():
 
 
 def test_observation_layout_and_noise_slots():
-    env = make_env("wrist", SeededRng(3))
+    env = TrackingEnv("wrist", SeededRng(3))
     obs = env.reset()
     assert obs.shape == (6,)
     assert np.array_equal(obs[4:6], env.target)
@@ -145,7 +146,7 @@ def test_observation_layout_and_noise_slots():
 
 
 def test_muscle_parameters_constant_within_episode():
-    env = make_env("wrist", SeededRng(4))
+    env = TrackingEnv("wrist", SeededRng(4))
     env.reset()
     before = tuple(env.active.muscles)
     for _ in range(10):
@@ -157,7 +158,7 @@ def test_muscle_parameters_constant_within_episode():
 
 def test_episode_determinism_under_fixed_actions():
     def run(seed):
-        env = make_env("eye", SeededRng(seed))
+        env = TrackingEnv("eye", SeededRng(seed))
         actions = np.random.default_rng(0).uniform(-10, 10, size=(30, 2))
         rows, _, _, rewards = run_episode(env, ActionSequence(actions))
         return rows, rewards

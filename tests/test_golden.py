@@ -7,10 +7,14 @@ the PID gate behind calibrate-plant. Re-record them, and say so, whenever a
 change moves the numbers on purpose (recorded at numerics=2). The rewards
 CSV is hashed without its provenance line, whose code stamp is asserted on
 its own, so a stamp bump that moves no number leaves the digest alone.
+The policy-checkpoint digest (recorded at numerics=3) also pins the
+checkpoint's layout: its array names and its meta keys.
 """
 
 import hashlib
+import json
 
+from musclerl.checkpoint import load_checkpoint
 from musclerl.cli import main as cli_main
 from musclerl.config import CODE_STAMP, RunConfig
 from musclerl.fieldtest import FieldTestSpec, PolicyController, pid_controller_for, run_field_test
@@ -22,6 +26,7 @@ GOLDEN_SHA256 = {
     "policy_field_rows": "5eeeaadef2b26fc1761fb908fa73dae754dcc52929a084fe4f2a29cd21b0c460",
     "calibrate_scan_wrist": "9f0593fa298e5ec402adaee4df76a1a13c1ec288a82b0a1d2858bb22b658d1da",
     "calibrate_scan_eye": "43e056f1889ac1496400f2e9722b8369b9c29d961d4ddc8149a8f220138c5782",
+    "policy_checkpoint": "ffdc34cd25f5e5a0ec9d3d6c08173f8a8dcfb09111569923cab189acf5f0692f",
 }
 
 
@@ -61,3 +66,20 @@ def test_calibrate_scan_stdout_digest(capsys):
         out = capsys.readouterr().out
         assert out.count("\n") == 10
         assert _sha(out) == GOLDEN_SHA256[f"calibrate_scan_{preset}"]
+
+
+def test_policy_checkpoint_content_digest(tmp_path):
+    # every array's bytes in name order, then the meta as canonical JSON
+    # without the artifact location: pins the checkpoint layout itself
+    cfg = RunConfig(preset="wrist", seed=5, episodes=5, bootstrap_episodes=3,
+                    gru_hidden=8, augment_copies=1, batch_size=4, updates_per_episode=2,
+                    out_dir=str(tmp_path / "run"))
+    Trainer(cfg).train()
+    meta, arrays = load_checkpoint(str(tmp_path / "run" / "policy_final.ckpt"))
+    assert meta["kind"] == "policy" and meta["opt_t"] == [4, 4, 4, 4]
+    del meta["config"]["out_dir"]
+    digest = hashlib.sha256()
+    for name in sorted(arrays):
+        digest.update(name.encode() + arrays[name].tobytes())
+    digest.update(json.dumps(meta, sort_keys=True, separators=(",", ":")).encode())
+    assert digest.hexdigest() == GOLDEN_SHA256["policy_checkpoint"]

@@ -10,7 +10,7 @@ import musclerl.env
 from musclerl.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from musclerl.cli import main as cli_main
 from musclerl.config import CODE_STAMP, NUMERICS, RunConfig, load_config, parse_config_file
-from musclerl.env import make_env
+from musclerl.env import TrackingEnv
 from musclerl.fieldtest import (
     FieldTestSpec,
     PolicyController,
@@ -163,7 +163,7 @@ def test_field_test_builds_the_plant_step_map_once(monkeypatch):
     spec = FieldTestSpec(extent=5.0, spacing=5.0, duration=3.0, settle=1.0)
     assert len(run_field_test("wrist", pid_controller_for("wrist"), spec)) == 9
     assert len(built) == 1
-    env = make_env("wrist", SeededRng(0))  # randomized muscles: a new map every reset
+    env = TrackingEnv("wrist", SeededRng(0))  # randomized muscles: a new map every reset
     env.reset()
     env.reset()
     assert len(built) == 3
@@ -260,6 +260,11 @@ def test_checkpoint_roundtrip_is_byte_stable(tmp_path):
     resaved = tmp_path / "resaved.ckpt"
     save_checkpoint(str(resaved), meta, arrays)
     assert open(path, "rb").read() == open(resaved, "rb").read()
+    # the policy checkpoint, through the agent's own load_state and state
+    policy = tmp_path / "run" / "policy_final.ckpt"
+    again = tmp_path / "policy_again.ckpt"
+    Trainer.restore(str(policy)).save(str(again), include_buffer=False)
+    assert policy.read_bytes() == again.read_bytes()
 
 
 def test_wrapped_buffer_checkpoint_roundtrip_is_byte_stable(tmp_path):
@@ -368,8 +373,7 @@ def test_resume_rejects_old_copy_per_slot_buffer(tmp_path, capsys):
     # the earlier layout: every slot's trajectory stored in full
     items = list(tr.buffer.snapshot())
     meta["buffer"] = {"count": len(items), "next": tr.buffer._next,
-                      "controllers": [t.controller for t in items],
-                      "truncated": [bool(t.truncated) for t in items]}
+                      "controllers": [t.controller for t in items]}
     arrays = {k: v for k, v in arrays.items() if not k.startswith("buf_")}
     for name in ("obs", "outputs", "actions", "rewards"):
         arrays[f"buf_{name}"] = np.stack([getattr(t, name) for t in items])

@@ -35,7 +35,7 @@ def test_zero_params_give_zero_outputs():
     shape = NetworkShape(input_dim=4, gru_hidden=8, output_dim=3)
     net = GruNet(shape)
     x = np.random.default_rng(0).normal(size=(5, 2, 4))
-    y, hT, _ = forward(net, x, need_cache=False)
+    y, hT, _ = forward(net, x)
     assert np.all(y == 0.0)
     assert np.all(hT == 0.0)
 
@@ -45,8 +45,8 @@ def test_forward_is_pure():
     net = init_params(shape, SeededRng(1))
     x = np.random.default_rng(1).normal(size=(7, 3, 3))
     h0 = np.random.default_rng(2).normal(size=(3, 6))
-    y1, h1, _ = forward(net, x, h0, need_cache=False)
-    y2, h2, _ = forward(net, x, h0, need_cache=False)
+    y1, h1, _ = forward(net, x, h0)
+    y2, h2, _ = forward(net, x, h0)
     assert np.array_equal(y1, y2)
     assert np.array_equal(h1, h2)
 
@@ -55,10 +55,10 @@ def test_hidden_state_continuity():
     shape = NetworkShape(input_dim=5, gru_hidden=9, output_dim=2)
     net = init_params(shape, SeededRng(3))
     x = np.random.default_rng(3).normal(size=(10, 2, 5))
-    y_full, h_full, _ = forward(net, x, need_cache=False)
+    y_full, h_full, _ = forward(net, x)
     for split in (1, 4, 9):
-        y_a, h_a, _ = forward(net, x[:split], need_cache=False)
-        y_b, h_b, _ = forward(net, x[split:], h_a, need_cache=False)
+        y_a, h_a, _ = forward(net, x[:split])
+        y_b, h_b, _ = forward(net, x[split:], h_a)
         assert np.array_equal(np.concatenate([y_a, y_b]), y_full)
         assert np.array_equal(h_b, h_full)
 
@@ -80,7 +80,7 @@ def test_single_step_matches_manual_oracle():
     rng = np.random.default_rng(11)
     x = rng.normal(size=(1, 1, 4))
     h0 = rng.normal(size=(1, 7))
-    y, hT, _ = forward(net, x, h0, need_cache=False)
+    y, hT, _ = forward(net, x, h0)
     y_ref, h_ref = manual_gru_step(net, x[0, 0], h0[0])
     assert np.allclose(y[0, 0], y_ref, rtol=0, atol=1e-12)
     assert np.allclose(hT[0], h_ref, rtol=0, atol=1e-12)
@@ -96,7 +96,7 @@ def test_saturated_update_gate_is_feedforward():
     rng = np.random.default_rng(12)
     x = rng.normal(size=(1, 2, 4))
     h0 = rng.normal(size=(2, H))
-    _, hT, _ = forward(net, x, h0, need_cache=False)
+    _, hT, _ = forward(net, x, h0)
     a = np.maximum(x[0] @ net.v["W_in"] + net.v["b_in"], 0.0)
     r = sigmoid(a @ net.v["Wg"][:, H:2 * H] + h0 @ net.v["Ug"][:, H:2 * H] + net.v["bg"][H:2 * H])
     c = np.tanh(a @ net.v["Wg"][:, 2 * H:] + (r * h0) @ net.v["Ug"][:, 2 * H:] + net.v["bg"][2 * H:])
@@ -135,7 +135,7 @@ def test_gradients_match_central_differences(T):
     loss, grads, dx, dh0 = _loss_and_grads(net, x, h0, dy)
 
     def f():
-        y, _, _ = forward(net, x, h0, need_cache=False)
+        y, _, _ = forward(net, x, h0)
         return float(np.sum(y * dy))
 
     num = _central_diff(f, net.flat)
@@ -161,7 +161,7 @@ def test_gradient_check_tight_tolerance_T5():
     _, grads, _, _ = _loss_and_grads(net, x, h0, dy)
 
     def f():
-        y, _, _ = forward(net, x, h0, need_cache=False)
+        y, _, _ = forward(net, x, h0)
         return float(np.sum(y * dy))
 
     num = _central_diff(f, net.flat)

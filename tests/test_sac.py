@@ -96,7 +96,7 @@ def test_critic_target_uses_twin_minimum():
         a_next = rng.normal(size=(T, N, 2))
         rewards = rng.normal(size=(T, N))
         logp = np.zeros((T, N))
-        y = agent._critic_targets(obs_all, a_next, logp, rewards, 0.9, truncated=True)
+        y = agent._critic_targets(obs_all, a_next, logp, rewards, 0.9)
         assert np.allclose(y, rewards + 0.9 * lo, rtol=0, atol=1e-12)
 
 
@@ -110,7 +110,7 @@ def test_entropy_term_subtracts_in_target():
     a_next = np.zeros((T, N, 2))
     rewards = np.zeros((T, N))
     logp = np.full((T, N), 0.7)
-    y = agent._critic_targets(obs_all, a_next, logp, rewards, 1.0, truncated=True)
+    y = agent._critic_targets(obs_all, a_next, logp, rewards, 1.0)
     assert np.allclose(y, -0.7)
 
 
@@ -122,7 +122,7 @@ def test_degenerate_bellman_regression_converges_to_reward():
     for _ in range(800):
         agent.update(batch, gamma=0.0)
     q_in = np.concatenate([traj.obs[:1], traj.actions], axis=1)[:, None, :]
-    q1, _, _ = forward(agent.q1, q_in, need_cache=False)
+    q1, _, _ = forward(agent.q1, q_in)
     assert abs(float(q1[0, 0, 0]) - 0.5) < 1e-3
 
 
@@ -231,7 +231,7 @@ def test_buffer_relabel_slots_match_list_of_copies_reference():
             obs = traj.obs.copy()
             obs[:, 4:6] = target
             copies.append(Trajectory(obs, traj.outputs.copy(), traj.actions.copy(),
-                                     row.copy(), traj.truncated, traj.controller))
+                                     row.copy(), traj.controller))
         for c in copies:  # the list-of-copies FIFO the buffer replaces
             if len(ref) < capacity:
                 ref.append(c)
@@ -243,7 +243,7 @@ def test_buffer_relabel_slots_match_list_of_copies_reference():
 
     def blobs(trajs):
         return [(t.obs.tobytes(), t.outputs.tobytes(), t.actions.tobytes(),
-                 t.rewards.tobytes(), t.truncated, t.controller) for t in trajs]
+                 t.rewards.tobytes(), t.controller) for t in trajs]
 
     snap = list(buf.snapshot())
     assert len(buf) == capacity and blobs(snap) == blobs(ref)
@@ -348,13 +348,13 @@ def test_actor_gradient_matches_finite_differences(monkeypatch):
     def actor_loss():
         agent._noise_rng.set_state(state0)
         noise_pi = agent._noise_rng.standard_normal((T, N, 2))
-        y, _, _ = forward(agent.actor, obs_all, need_cache=False)
+        y, _, _ = forward(agent.actor, obs_all)
         mu, log_sd, _ = split_head(y)
         a_pi, logp, _ = squash_sample(mu[:T], log_sd[:T], noise_pi,
                                       agent.action_center, agent.action_half)
         q_in = np.concatenate([obs_all[:T], a_pi], axis=2)
-        q1, _, _ = forward(agent.q1, q_in, need_cache=False)
-        q2, _, _ = forward(agent.q2, q_in, need_cache=False)
+        q1, _, _ = forward(agent.q1, q_in)
+        q2, _, _ = forward(agent.q2, q_in)
         qmin = np.minimum(q1[..., 0], q2[..., 0])
         return float(np.mean(0.3 * logp - qmin))
 
@@ -364,15 +364,30 @@ def test_actor_gradient_matches_finite_differences(monkeypatch):
     for i in idx:
         orig = agent.actor.flat[i]
         agent.actor.flat[i] = orig + h
-        agent.refresh_stacks()
         fp = actor_loss()
         agent.actor.flat[i] = orig - h
-        agent.refresh_stacks()
         fm = actor_loss()
         agent.actor.flat[i] = orig
         num = (fp - fm) / (2 * h)
         assert actor_grad[i] == pytest.approx(num, rel=1e-4, abs=1e-8)
-    agent.refresh_stacks()
+
+
+def test_load_state_replaces_everything_the_agent_acts_and_learns_from():
+    # an agent that has acted holds a float64 act stack; load_state must drop it
+    agent, other = make_agent(seed=20), make_agent(seed=21)
+    other.update([make_traj(T=3, seed=700 + i) for i in range(20)], gamma=0.9)
+    obs = np.random.default_rng(3).normal(size=6)
+    agent.act(obs, agent.initial_hidden(), deterministic=True)
+    agent.load_state(*other.state())
+    for a, b in zip(agent.state(), other.state()):
+        assert a.keys() == b.keys() and all(np.array_equal(a[k], b[k]) for k in a)
+    got = agent.act(obs, agent.initial_hidden(), deterministic=True)
+    want = other.act(obs, other.initial_hidden(), deterministic=True)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    # the next update runs on the loaded weights too
+    agent._noise_rng.set_state(other._noise_rng.get_state())
+    batch = [make_traj(T=3, seed=800 + i) for i in range(20)]
+    assert agent.update(batch, gamma=0.9) == other.update(batch, gamma=0.9)
 
 
 def test_nonfinite_losses_raise():
