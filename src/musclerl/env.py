@@ -17,6 +17,13 @@ episode, or a whole episode under many relabelled targets. step() advances
 the plant and returns no reward; run_episode() scores the episode in one
 reward() call after its loop. Episodes end by time limit (truncation),
 never by failure.
+
+step() clamps the action to the box as np.clip with array bounds does:
+np.minimum(np.maximum(a, low), high) against the env's read-only bound
+arrays, which turns -0.0 into +0.0 at a 0.0 bound and passes NaN through,
+so a NaN action ends in advance()'s ValueError. The per-step path builds
+its small arrays from Python floats rather than through numpy's function
+wrappers; every value is the one the array form gives.
 """
 
 from __future__ import annotations
@@ -34,7 +41,6 @@ from .randomize import (
 )
 
 OBS_DIM = 6
-MOTION_SLICE = slice(0, 4)
 TARGET_SLICE = slice(4, 6)
 
 
@@ -145,6 +151,10 @@ class TrackingEnv:
         self.randomization = randomization if randomization is not None else RandomizationSpec()
         self.reward_spec = reward_spec or (EYE_REWARD if preset == "eye" else WRIST_REWARD)
         self.action_dim = 2 if preset == "eye" else 3
+        self.action_low = np.array([-10.0, -10.0]) if preset == "eye" else np.zeros(3)
+        self.action_high = np.full(self.action_dim, 10.0)
+        self.action_low.flags.writeable = False
+        self.action_high.flags.writeable = False
         self._params_rng = rng.split("muscle-params")
         self._target_rng = rng.split("target")
         self._noise_rngs = [rng.split(f"obs-noise/{i}") for i in range(4)]
@@ -156,14 +166,6 @@ class TrackingEnv:
         self._done = True
 
     # -- action geometry -------------------------------------------------
-
-    @property
-    def action_low(self) -> np.ndarray:
-        return np.array([-10.0, -10.0]) if self.preset == "eye" else np.zeros(3)
-
-    @property
-    def action_high(self) -> np.ndarray:
-        return np.full(self.action_dim, 10.0)
 
     def map_action(self, a) -> np.ndarray:
         return map_action_eye(a) if self.preset == "eye" else map_action_wrist(a)
@@ -185,15 +187,16 @@ class TrackingEnv:
         self._done = False
         return self._observe()
 
+    def _output(self) -> list[float]:
+        (a1, a2), (w1, w2) = self.state.angles.tolist(), self.state.rates.tolist()
+        return [a1, w1, a2, w2]
+
     def true_output(self) -> np.ndarray:
         """Noiseless [angle1, rate1, angle2, rate2] of the current state."""
-        s = self.state
-        return np.array([s.angles[0], s.rates[0], s.angles[1], s.rates[1]])
+        return np.array(self._output())
 
     def _observe(self) -> np.ndarray:
-        obs = np.empty(OBS_DIM)
-        obs[MOTION_SLICE] = self.true_output()
-        obs[TARGET_SLICE] = self.target
+        obs = np.array(self._output() + self.target.tolist())
         return apply_observation_noise(obs, self.randomization, self._noise_rngs)
 
     def step(self, action) -> tuple[np.ndarray, bool, dict]:
@@ -202,13 +205,16 @@ class TrackingEnv:
         Returns (next_obs, done, info); info carries the noiseless output at
         which the action was taken, the clipped action and the applied
         voltages, which are what reward() scores. done is a time-limit
-        truncation, so critic targets keep bootstrapping.
+        truncation, so critic targets keep bootstrapping. The wrist's
+        voltages are the clipped action itself (the same array):
+        map_action_wrist's [0, 10] clamp would return them unchanged.
         """
         if self._done:
             raise RuntimeError("step() called on a finished episode; call reset()")
-        a = np.clip(np.asarray(action, dtype=np.float64), self.action_low, self.action_high)
+        a = np.maximum(action, self.action_low)
+        np.minimum(a, self.action_high, out=a)
         y_before = self.true_output()
-        volts = self.map_action(a)
+        volts = map_action_eye(a) if self.preset == "eye" else a
         self.state = advance(self.step_map, self.state, volts)
         self.steps_taken += 1
         self._done = self.steps_taken >= self.episode.episode_length
@@ -236,11 +242,12 @@ def run_episode(env: TrackingEnv, controller, target=None):
     out_rows = np.empty((T + 1, 4))
     act_rows = np.empty((T, env.action_dim))
     obs_rows[0] = obs
-    out_rows[0] = env.true_output()
+    dt = env.episode.action_period
     for t in range(T):
-        obs, _, info = env.step(controller.act(obs, dt=env.episode.action_period))
+        obs, _, info = env.step(controller.act(obs, dt=dt))
+        out_rows[t] = info["output"]
         act_rows[t] = info["action"]
         obs_rows[t + 1] = obs
-        out_rows[t + 1] = env.true_output()
+    out_rows[T] = env.true_output()
     rewards = reward(env.reward_spec, out_rows[:T], env.target, act_rows)
     return obs_rows, out_rows, act_rows, rewards

@@ -170,7 +170,8 @@ class StackCache:
     so parameter-gradient contractions are plain reshapes. The per-step loop
     works on contiguous (S, B, dim) scratch and copies one slice per array
     per step; reusing the cache across updates avoids re-touching tens of
-    megabytes of fresh pages every call.
+    megabytes of fresh pages every call. The backward reads relu_mask, not
+    pre, so it reuses pre for its (S, T, B, H) temporaries.
     """
 
     def __init__(self, sp: StackedNets, T: int, B: int):
@@ -193,7 +194,7 @@ class StackCache:
         self.c = empty(S, T, B, H)
         self.rh = empty(S, T, B, H)
         self.h_states = empty(S, T + 1, B, H)  # row 0 is h0
-        self.h_out = empty(S, T, B, H)         # contiguous copy of rows 1..T
+        self.h_out = self.h_states[:, 1:]      # rows 1..T, a view
         self.gx = empty(S, T, B, 3 * H)
         self.dgx = empty(S, T, B, 3 * H)
         self.y = empty(S, T, B, sp.shape.output_dim)
@@ -276,7 +277,6 @@ def forward_stacked(sp: StackedNets, x: np.ndarray, h0: np.ndarray | None = None
         ws.c[:, t] = c
         ws.h_states[:, t + 1] = hn
         h, hn = hn, h
-    np.copyto(ws.h_out, ws.h_states[:, 1:])
     np.matmul(ws.h_out.reshape(S, T * B, H), sp.W_out,
               out=ws.y.reshape(S, T * B, sp.shape.output_dim))
     ws.y += sp.b_out[:, None]
@@ -304,7 +304,8 @@ def backward_stacked(cache: StackCache, dy: np.ndarray, dh_final: np.ndarray | N
 
     dy_flat = dy.reshape(S, T * B, O) if dy.flags["C_CONTIGUOUS"] else \
         np.ascontiguousarray(dy).reshape(S, T * B, O)
-    dh_out = (dy_flat @ sp.W_outT).reshape(S, T, B, H)
+    dh_out = cache.pre
+    np.matmul(dy_flat, sp.W_outT, out=dh_out.reshape(S, T * B, H))
     dgx = cache.dgx
     dh = cache._h
     if dh_final is None:
@@ -348,9 +349,8 @@ def backward_stacked(cache: StackCache, dy: np.ndarray, dh_final: np.ndarray | N
     dh0 = dh.copy()
 
     dgx_flat = dgx.reshape(S, T * B, 3 * H)
-    da = dgx_flat @ sp.WgT
-    da = da.reshape(S, T, B, H)
-    dpre = da
+    dpre = cache.pre  # dh_out is spent
+    np.matmul(dgx_flat, sp.WgT, out=dpre.reshape(S, T * B, H))
     dpre *= cache.relu_mask
     dx = (dpre.reshape(S, T * B, H) @ sp.W_inT).reshape(S, T, B, sp.shape.input_dim)
 
@@ -362,7 +362,7 @@ def backward_stacked(cache: StackCache, dy: np.ndarray, dh_final: np.ndarray | N
             np.ascontiguousarray(cache.x).reshape(S_x, T * B, I)
         f_a = cache.a.reshape(S, T * B, H)
         f_h = cache.h_out.reshape(S, T * B, H)
-        f_hprev = np.ascontiguousarray(cache.h_states[:, :T]).reshape(S, T * B, H)
+        f_hprev = cache.h_states[:, :T].reshape(S, T * B, H)
         f_rh = cache.rh.reshape(S, T * B, H)
         f_dpre = dpre.reshape(S, T * B, H)
         if cache.grads is None:

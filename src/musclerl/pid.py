@@ -10,6 +10,12 @@ two axis commands to three nonnegative voltages through the pseudo-inverse
 of the small-angle torque map, then clamps to [0, 10] per muscle. Gains are
 deliberately mediocre: the controller only has to reach the neighbourhood
 of the target, not track it well.
+
+The controller runs on Python floats, axis by axis, in the order of the
+formulas above, so each value is the one elementwise float64 array
+arithmetic gives. Every clamp is min(max(x, lo), hi), which has np.clip's
+semantics for scalar bounds: x is kept when it equals a bound (-0.0
+against a 0.0 bound stays -0.0) and NaN passes through.
 """
 
 from __future__ import annotations
@@ -66,27 +72,34 @@ def gains_for(preset: str, plant: PlantConfig | None = None, scale: float = 1.0)
 
 
 class PidController:
-    """Two-axis PID with clamped integral state; one instance per episode."""
+    """Two-axis PID with clamped integral state; one instance per episode.
+
+    integral and prev_error are lists of floats, one per axis.
+    """
 
     def __init__(self, gains: PidGains, n_axes: int = 2):
         self.gains = gains
-        self.integral = np.zeros(n_axes)
-        self.prev_error = np.zeros(n_axes)
+        self.integral = [0.0] * n_axes
+        self.prev_error = [0.0] * n_axes
 
     def reset(self) -> None:
-        self.integral[:] = 0.0
-        self.prev_error[:] = 0.0
+        self.integral = [0.0] * len(self.integral)
+        self.prev_error = [0.0] * len(self.prev_error)
 
     def update(self, error, dt: float) -> np.ndarray:
         """Axis commands for the current per-axis error (deg)."""
         if not (dt > 0.0):
             raise ValueError("dt must be positive")
-        e = np.asarray(error, dtype=np.float64)
         g = self.gains
-        self.integral = np.clip(self.integral + e * dt, -g.i_clamp, g.i_clamp)
-        u = g.kp * e + g.ki * self.integral + g.kd * (e - self.prev_error) / dt
-        self.prev_error = e.copy()
-        return np.clip(u, -g.output_limit, g.output_limit)
+        i_lim, u_lim = g.i_clamp, g.output_limit
+        u = []
+        for k, e in enumerate(error):
+            i = min(max(self.integral[k] + e * dt, -i_lim), i_lim)
+            u_k = g.kp * e + g.ki * i + g.kd * (e - self.prev_error[k]) / dt
+            u.append(min(max(u_k, -u_lim), u_lim))
+            self.integral[k] = i
+            self.prev_error[k] = e
+        return np.array(u)
 
 
 class PidActionPolicy:
@@ -108,8 +121,10 @@ class PidActionPolicy:
         self.pid.reset()
 
     def act(self, obs, dt: float = 0.5) -> np.ndarray:
-        error = np.array([obs[4] - obs[0], obs[5] - obs[2]])
-        u = self.pid.update(error, dt)
-        if self.preset == "eye":
-            return np.clip(u, -10.0, 10.0)
-        return np.clip(self._axis_to_volts @ u, 0.0, 10.0)
+        o = np.asarray(obs, dtype=np.float64).tolist()
+        u = self.pid.update((o[4] - o[0], o[5] - o[2]), dt)
+        if self._axis_to_volts is None:
+            v, lo = u.tolist(), -10.0
+        else:  # a numpy product, not float arithmetic: BLAS may fuse multiply-adds
+            v, lo = (self._axis_to_volts @ u).tolist(), 0.0
+        return np.array([min(max(x, lo), 10.0) for x in v])

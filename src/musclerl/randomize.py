@@ -9,6 +9,7 @@ independently per step to the measured angles and angular velocities only.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -145,14 +146,14 @@ def apply_observation_noise(
     """Perturb the four measured motion components of an observation.
 
     Layout is [angle1, rate1, angle2, rate2, target1, target2]; targets are
-    never perturbed. One stream per measured channel.
+    never perturbed. One stream per measured channel. Returns a new array;
+    obs is left as it is.
     """
-    if not np.all(np.isfinite(obs)):
+    out = np.asarray(obs, dtype=np.float64).tolist()
+    if not all(map(math.isfinite, out)):
         raise ValueError("observation must be finite")
     angle_sd, vel_sd = spec.effective_noise_sds()
-    out = np.array(obs, dtype=np.float64, copy=True)
-    sds = (angle_sd, vel_sd, angle_sd, vel_sd)
-    for i in range(4):
-        if sds[i] > 0.0:
-            out[i] += float(channel_rngs[i].normal(0.0, sds[i]))
-    return out
+    for i, sd in enumerate((angle_sd, vel_sd, angle_sd, vel_sd)):
+        if sd > 0.0:
+            out[i] += channel_rngs[i].gen.normal(0.0, sd)
+    return np.array(out)

@@ -85,6 +85,81 @@ def test_pid_integral_respects_clamp():
         assert np.all(np.abs(pid.integral) <= 3.0)
 
 
+class ClipPidOracle:
+    """The PID and its action clamps long-hand, on arrays with np.clip's
+    scalar bounds: the reference the float controller must equal bit for bit."""
+
+    def __init__(self, preset, plant, gains):
+        self.preset, self.gains = preset, gains
+        self.integral = np.zeros(2)
+        self.prev_error = np.zeros(2)
+        self.axis_to_volts = None if preset == "eye" else np.linalg.pinv(plant.routing.T)
+
+    def update(self, error, dt):
+        e = np.asarray(error, dtype=np.float64)
+        g = self.gains
+        self.integral = np.clip(self.integral + e * dt, -g.i_clamp, g.i_clamp)
+        u = g.kp * e + g.ki * self.integral + g.kd * (e - self.prev_error) / dt
+        self.prev_error = e.copy()
+        return np.clip(u, -g.output_limit, g.output_limit)
+
+    def act(self, obs, dt=0.5):
+        u = self.update(np.array([obs[4] - obs[0], obs[5] - obs[2]]), dt)
+        if self.preset == "eye":
+            return np.clip(u, -10.0, 10.0)
+        return np.clip(self.axis_to_volts @ u, 0.0, 10.0)
+
+
+@pytest.mark.parametrize("preset", ["wrist", "eye"])
+def test_pid_clamps_match_clip_oracle_bit_for_bit(preset):
+    plant = eye_config() if preset == "eye" else wrist_config()
+    stock = gains_for(preset, plant)
+    gain_sets = [
+        stock,
+        PidGains(kp=1.0, ki=0.5, kd=0.2, output_limit=12.0, integral_limit=3.0),
+        PidGains(kp=2.0, ki=0.0, kd=0.0, output_limit=10.0),  # integral clamp at +-0.0
+        PidGains(kp=0.0, ki=0.0, kd=0.0, output_limit=10.0),  # signed-zero commands
+    ]
+    # errors that drive both clamps of the integral, the axis command and the
+    # action box, plus exact and signed zeros (obs[4] - obs[0] of -0.0 - 0.0)
+    values = [-0.0, 0.0, 0.5, -0.5, 4.0, -4.0, 25.0, -25.0, 80.0, -80.0]
+    low = -10.0 if preset == "eye" else 0.0
+    rng = np.random.default_rng(1)
+    hit = set()
+    for gains in gain_sets:
+        policy = PidActionPolicy(preset, plant, gains)
+        oracle = ClipPidOracle(preset, plant, gains)
+        policy.reset()
+        for _ in range(300):
+            obs = np.zeros(6)
+            obs[4], obs[5] = rng.choice(values, size=2)
+            if rng.uniform() < 0.3:
+                obs[0], obs[2] = -obs[4], -obs[5]
+            a = policy.act(obs, dt=0.5)
+            expected = oracle.act(obs, dt=0.5)
+            assert a.tobytes() == expected.tobytes()
+            assert np.asarray(policy.pid.integral).tobytes() == oracle.integral.tobytes()
+            hit.update(("low" if x == low else "high" if x == 10.0 else "in") for x in a)
+            hit.update("negzero" for x in a if x == 0.0 and np.signbit(x))
+    assert {"low", "high", "in"} <= hit
+    if preset == "eye":  # the eye's box passes a -0.0 command through
+        assert "negzero" in hit
+
+
+def test_pid_controller_update_matches_clip_oracle_at_both_clamps():
+    gains = PidGains(kp=3.0, ki=0.5, kd=0.4, output_limit=6.0, integral_limit=2.0)
+    pid = PidController(gains)
+    oracle = ClipPidOracle("eye", eye_config(), gains)
+    errors = [(40.0, -40.0), (40.0, -40.0), (-0.0, 0.0), (-3.0, 3.0), (0.0, -0.0),
+              (-40.0, 40.0), (1e-300, -1e-300), (0.25, -0.25)]
+    for e in errors:  # dt = 0.3, not a power of two, so the operation order shows
+        u = pid.update(np.array(e), 0.3)
+        expected = oracle.update(np.array(e), 0.3)
+        assert np.asarray(u).tobytes() == expected.tobytes()
+        assert np.asarray(pid.integral).tobytes() == oracle.integral.tobytes()
+    assert np.abs(oracle.integral).max() <= 2.0
+
+
 def test_pid_default_integral_clamp_saturates_output():
     g = gains_for("wrist", wrist_config())
     assert g.i_clamp == pytest.approx(g.output_limit / g.ki)

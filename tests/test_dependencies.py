@@ -1,6 +1,8 @@
 """The package depends on numpy alone: every import in src/musclerl is the
 standard library, numpy or the package itself. Other packages may be
-installed where the tests run, so an accidental import would otherwise pass."""
+installed where the tests run, so an accidental import would otherwise pass.
+It also uses only numpy's public API: no private name (np._core, ...) and no
+numpy.core, which numpy 2 renamed and pyproject's numpy>=1.24 does not pin."""
 
 import ast
 import pathlib
@@ -33,3 +35,66 @@ def test_import_scan_sees_nested_and_dotted_imports(tmp_path):
     src.write_text("import os.path\nfrom . import nets\n"
                    "def f():\n    import scipy.linalg\n    from numpy import linalg\n")
     assert imported_modules(src) == {"os", "scipy", "numpy"}
+
+
+def _private_numpy_path(parts: list[str]) -> bool:
+    """A dotted name under numpy that is private: a _name (not a dunder) or core."""
+    if len(parts) > 1 and parts[1] == "core":
+        return True
+    return any(p.startswith("_") and not (p.startswith("__") and p.endswith("__"))
+               for p in parts[1:])
+
+
+def private_numpy_uses(path: pathlib.Path) -> set[str]:
+    """Dotted private numpy names a source file imports or reads as attributes."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    aliases = {"numpy"}
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "numpy":
+                    if alias.asname and len(parts) == 1:
+                        aliases.add(alias.asname)
+                    if _private_numpy_path(parts):
+                        found.add(alias.name)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            parts = node.module.split(".")
+            if parts[0] == "numpy":
+                for alias in node.names:
+                    if _private_numpy_path(parts + [alias.name]):
+                        found.add(f"{node.module}.{alias.name}")
+    inner = {id(n.value) for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and id(node) not in inner:  # whole chains only
+            chain, base = [node.attr], node.value
+            while isinstance(base, ast.Attribute):
+                chain.append(base.attr)
+                base = base.value
+            if isinstance(base, ast.Name) and base.id in aliases:
+                parts = ["numpy"] + chain[::-1]
+                if _private_numpy_path(parts):
+                    found.add(".".join(parts))
+    return found
+
+
+def test_package_uses_only_public_numpy():
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert sources
+    private = {f"{p.name}: {n}" for p in sources for n in private_numpy_uses(p)}
+    assert not private, f"private numpy names: {sorted(private)}"
+
+
+def test_private_numpy_scan_sees_attributes_and_imports(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text(
+        "import numpy as np\nimport numpy.core.numeric\nfrom numpy._core import umath\n"
+        "from numpy import _core, linalg\n"
+        "def f(x):\n    return np._core.umath.clip(x, 0, 1) + np.random._generator.Generator\n"
+        "ok = (np.clip, np.__version__, np.lib.stride_tricks, numpy.linalg.norm)\n"
+    )
+    assert private_numpy_uses(src) == {
+        "numpy.core.numeric", "numpy._core.umath", "numpy._core",
+        "numpy._core.umath.clip", "numpy.random._generator.Generator",
+    }

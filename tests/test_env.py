@@ -172,3 +172,52 @@ def test_episode_determinism_under_fixed_actions():
 def test_unknown_preset_rejected():
     with pytest.raises(ValueError):
         TrackingEnv("elbow", SeededRng(0))
+
+
+@pytest.mark.parametrize("preset", ["wrist", "eye"])
+def test_nan_action_component_is_rejected(preset):
+    for i in range(2 if preset == "eye" else 3):
+        env = TrackingEnv(preset, SeededRng(3))
+        env.reset()
+        action = np.full(env.action_dim, 5.0)
+        action[i] = np.nan
+        with pytest.raises(ValueError):
+            env.step(action)
+
+
+def test_signed_zero_actions_keep_their_sign_bits():
+    # recorded from the np.clip implementation: the wrist's array-bound clamp
+    # at 0 turns -0.0 into +0.0; the eye's [-10, 10] box keeps -0.0, and its
+    # pair map gives zero voltages the signs below
+    cases = [
+        ("wrist", (-0.0, 0.0, -0.0), [False] * 3, [False] * 3),
+        ("wrist", (0.0, -0.0, 0.0), [False] * 3, [False] * 3),
+        ("eye", (-0.0, 0.0), [True, False], [False, True, True, False]),
+        ("eye", (0.0, -0.0), [False, True], [True, False, False, True]),
+    ]
+    for preset, action, action_signs, volt_signs in cases:
+        env = TrackingEnv(preset, SeededRng(3))
+        env.reset()
+        _, _, info = env.step(np.array(action))
+        assert np.signbit(info["action"]).tolist() == action_signs
+        assert np.signbit(info["voltages"]).tolist() == volt_signs
+
+
+@pytest.mark.parametrize("preset", ["wrist", "eye"])
+def test_step_clamp_matches_array_bound_clip(preset):
+    env = TrackingEnv(preset, SeededRng(5))
+    low = np.array([-10.0, -10.0]) if preset == "eye" else np.zeros(3)
+    high = np.full(env.action_dim, 10.0)
+    values = np.array([-0.0, 0.0, -10.0, 10.0, -12.5, 12.5, 3.25, -3.25, -np.inf, np.inf])
+    rng = np.random.default_rng(0)
+    env.reset()
+    for k in range(200):
+        action = rng.choice(values, size=env.action_dim)
+        if k % 3 == 0:
+            action = action.tolist()
+        _, done, info = env.step(action)
+        if done:
+            env.reset()
+        expected = np.clip(np.asarray(action, dtype=np.float64), low, high)
+        assert info["action"].tobytes() == expected.tobytes()
+        assert info["voltages"].tobytes() == env.map_action(expected).tobytes()

@@ -8,11 +8,16 @@ change moves the numbers on purpose (recorded at numerics=2). The rewards
 CSV is hashed without its provenance line, whose code stamp is asserted on
 its own, so a stamp bump that moves no number leaves the digest alone.
 The policy-checkpoint digest (recorded at numerics=3) also pins the
-checkpoint's layout: its array names and its meta keys.
+checkpoint's layout: its array names and its meta keys. The bootstrap
+buffer digests (recorded at numerics=3) pin the closed-loop rollout step
+itself: PID, action clamp, plant, observation noise and the stored rows,
+with randomized muscles, on both presets.
 """
 
 import hashlib
 import json
+
+import pytest
 
 from musclerl.checkpoint import load_checkpoint
 from musclerl.cli import main as cli_main
@@ -27,6 +32,8 @@ GOLDEN_SHA256 = {
     "calibrate_scan_wrist": "9f0593fa298e5ec402adaee4df76a1a13c1ec288a82b0a1d2858bb22b658d1da",
     "calibrate_scan_eye": "43e056f1889ac1496400f2e9722b8369b9c29d961d4ddc8149a8f220138c5782",
     "policy_checkpoint": "ffdc34cd25f5e5a0ec9d3d6c08173f8a8dcfb09111569923cab189acf5f0692f",
+    "bootstrap_buffer_wrist": "e8d9f04be8f9135a924cbc670e489ccd2bc5883df4a05789cc486f53ca49b909",
+    "bootstrap_buffer_eye": "32df1603c0c5d3dbaf1c2ef14d4117c9801bc92079f714c27f03d76aca2e0d01",
 }
 
 
@@ -83,3 +90,20 @@ def test_policy_checkpoint_content_digest(tmp_path):
         digest.update(name.encode() + arrays[name].tobytes())
     digest.update(json.dumps(meta, sort_keys=True, separators=(",", ":")).encode())
     assert digest.hexdigest() == GOLDEN_SHA256["policy_checkpoint"]
+
+
+@pytest.mark.parametrize("preset", ["wrist", "eye"])
+def test_bootstrap_buffer_digest(preset, tmp_path):
+    # PID episodes on randomized muscles with observation noise and two
+    # relabels each; the digest covers the stored base rows bit for bit,
+    # signed zeros included
+    cfg = RunConfig(preset=preset, seed=17, episodes=4, bootstrap_episodes=4, gru_hidden=8,
+                    augment_copies=2, out_dir=str(tmp_path))
+    tr = Trainer(cfg)
+    tr.bootstrap_phase()
+    meta, arrays = tr.buffer.state()
+    assert meta["controllers"] == ["pid"] * 4 and meta["slots"] == 12
+    digest = hashlib.sha256()
+    for name in ("buf_obs", "buf_outputs", "buf_actions", "buf_rewards"):
+        digest.update(arrays[name].tobytes())
+    assert digest.hexdigest() == GOLDEN_SHA256[f"bootstrap_buffer_{preset}"]

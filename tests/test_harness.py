@@ -207,28 +207,34 @@ def test_run_determinism_bytes(tmp_path):
 
 
 def test_resume_equivalence_bytes(tmp_path):
-    ref = tiny_cfg(tmp_path / "straight")
-    Trainer(ref).train()
-    part = tiny_cfg(tmp_path / "resumed")
+    # batch_size=4 lets updates run before and after the resume point
+    ref = tiny_cfg(tmp_path / "straight", batch_size=4)
+    straight = Trainer(ref)
+    straight.train()
+    part = tiny_cfg(tmp_path / "resumed", batch_size=4)
     Trainer(part).train(stop_after=5)
     tr = Trainer.restore(str(tmp_path / "resumed" / "checkpoint.ckpt"))
+    assert tr.agent.opt_q1.t > 0  # the checkpoint carries a gradient step
     tr.train()
+    assert tr.agent.opt_q1.t == straight.agent.opt_q1.t == 25
+    losses = open(tmp_path / "straight" / "losses.csv", "rb").read()
+    assert losses.count(b"\n") == 7  # provenance, header, one row per update episode
     assert (open(tmp_path / "straight" / "rewards.csv", "rb").read()
             == open(tmp_path / "resumed" / "rewards.csv", "rb").read())
-    assert (open(tmp_path / "straight" / "losses.csv", "rb").read()
-            == open(tmp_path / "resumed" / "losses.csv", "rb").read())
+    assert losses == open(tmp_path / "resumed" / "losses.csv", "rb").read()
 
 
 def test_resume_after_crash_trims_stale_log_rows(tmp_path):
-    ref = tiny_cfg(tmp_path / "straight")
+    ref = tiny_cfg(tmp_path / "straight", batch_size=4)
     Trainer(ref).train()
-    part = tiny_cfg(tmp_path / "crashed")
+    part = tiny_cfg(tmp_path / "crashed", batch_size=4)
     Trainer(part).train(stop_after=5)
     # simulate rows written after the last checkpoint (crash before saving)
     with open(tmp_path / "crashed" / "rewards.csv", "a") as fh:
         fh.write("6,policy,40,0.0,0.0\n7,policy,40,0.0,0.0\n")
     tr = Trainer.restore(str(tmp_path / "crashed" / "checkpoint.ckpt"))
     assert tr.episode_idx == 5
+    assert tr.agent.opt_q1.t > 0
     tr.train()
     assert (open(tmp_path / "straight" / "rewards.csv", "rb").read()
             == open(tmp_path / "crashed" / "rewards.csv", "rb").read())

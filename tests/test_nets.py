@@ -486,7 +486,8 @@ def test_stacked_param_grads_match_allocating_oracle(S, out_dim, T):
         "Wg": cache.a.reshape(S, T * B, H).transpose(0, 2, 1) @ dgx,
         "bg": dgx.sum(axis=1),
         "Ug": ref_Ug,
-        "W_out": cache.h_out.reshape(S, T * B, H).transpose(0, 2, 1) @ f_dy,
+        "W_out": np.ascontiguousarray(cache.h_states[:, 1:]).reshape(S, T * B, H)
+        .transpose(0, 2, 1) @ f_dy,
         "b_out": f_dy.sum(axis=1),
     }
     for name, want in ref.items():
