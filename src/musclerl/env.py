@@ -180,9 +180,7 @@ class TrackingEnv:
             self.step_map = StepMap(self.active, self.episode.physics_dt, self.episode.substeps)
         self.state = initial_state(self.active)
         tr = self.episode.target_range
-        self.target = np.array(
-            [float(self._target_rng.uniform(-tr, tr)), float(self._target_rng.uniform(-tr, tr))]
-        )
+        self.target = self._target_rng.uniform(-tr, tr, size=2)
         self.steps_taken = 0
         self._done = False
         return self._observe()

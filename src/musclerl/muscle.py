@@ -7,13 +7,15 @@ driven by Joule heating against first-order convective cooling:
     C_th dT/dt    = V^2 / R - lambda_ (T - T_amb)
 
 Sign convention: positive force is tension (contraction), pulling the anchor
-toward the fixed end. Units are cm, N, degC, s, V, Ohm throughout.
+toward the fixed end. Units are cm, N, degC, s, V, Ohm throughout. This
+module holds the constants and two closed forms of the thermal law; the
+plant (plant.StepMap) integrates both equations together with the joints.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -40,34 +42,10 @@ class MuscleParams:
             if not (v > 0.0) or not math.isfinite(v):
                 raise ValueError(f"MuscleParams.{name} must be strictly positive, got {v}")
 
-    def scaled(self, factors: dict[str, float]) -> "MuscleParams":
-        """Return a copy with k/b/c/C_th/lambda_/R multiplied by the given factors."""
-        return replace(self, **{name: getattr(self, name) * f for name, f in factors.items()})
-
 
 # Nominal parameter sets, from system identification of the two muscle types.
 SCP_NOMINAL = MuscleParams(k=0.25, b=0.01, c=0.0055, C_th=0.28, lambda_=0.094, R=20.0, x0=14.5)
 TCA_NOMINAL = MuscleParams(k=2.1, b=0.63, c=0.0707, C_th=3.06, lambda_=0.1189, R=10.0, x0=6.0)
-
-
-@dataclass(frozen=True)
-class MuscleThermalState:
-    """Current temperature of one muscle, degC."""
-
-    T: float
-
-
-def muscle_force(p: MuscleParams, x: float, xdot: float, T: float) -> float:
-    """Tension in N at length x (cm), rate xdot (cm/s), temperature T (degC).
-
-    Affine in all three arguments; never clamped.
-    """
-    return p.k * (x - p.x0) + p.b * xdot + p.c * (T - p.T_amb)
-
-
-def thermal_derivative(p: MuscleParams, T: float, V: float) -> float:
-    """dT/dt in degC/s under applied voltage V >= 0."""
-    return (V * V / p.R - p.lambda_ * (T - p.T_amb)) / p.C_th
 
 
 def steady_state_rise(p: MuscleParams, V: float) -> float:
@@ -78,28 +56,3 @@ def steady_state_rise(p: MuscleParams, V: float) -> float:
 def thermal_time_constant(p: MuscleParams) -> float:
     """Cooling time constant C_th / lambda_, s."""
     return p.C_th / p.lambda_
-
-
-def thermal_step(p: MuscleParams, s: MuscleThermalState, V: float, dt: float) -> MuscleThermalState:
-    """Advance the temperature by one explicit RK4 step with V held constant.
-
-    dt must be positive; non-finite inputs are rejected.
-    """
-    if not (dt > 0.0):
-        raise ValueError(f"dt must be positive, got {dt}")
-    if not (math.isfinite(s.T) and math.isfinite(V) and math.isfinite(dt)):
-        raise ValueError("thermal_step requires finite T, V, dt")
-    k1 = thermal_derivative(p, s.T, V)
-    k2 = thermal_derivative(p, s.T + 0.5 * dt * k1, V)
-    k3 = thermal_derivative(p, s.T + 0.5 * dt * k2, V)
-    k4 = thermal_derivative(p, s.T + dt * k3, V)
-    return MuscleThermalState(T=s.T + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0)
-
-
-def thermal_response_exact(p: MuscleParams, T_init: float, V: float, t: float) -> float:
-    """Closed-form temperature at time t under constant V (linear first-order ODE).
-
-    Analytic oracle for integrator tests.
-    """
-    T_inf = p.T_amb + steady_state_rise(p, V)
-    return T_inf + (T_init - T_inf) * math.exp(-p.lambda_ * t / p.C_th)

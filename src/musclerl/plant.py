@@ -22,12 +22,17 @@ holds the substep matrix and its powers: advance() gets every substep's
 angles and the end state from one product. If a substep angle passes the
 travel limit, advance() falls back to the substeps one at a time with the
 clamp after each; otherwise that clamp never fires and both agree.
+StepMap is built at every randomized reset and advance() runs at every
+action, so both build their small arrays from Python floats rather than
+through numpy's function wrappers; every value is the one the array forms
+give, and tests/test_plant.py checks the bytes against those forms.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from operator import sub
 
 import numpy as np
 
@@ -78,9 +83,6 @@ class PlantState:
     angles: np.ndarray
     rates: np.ndarray
     temps: np.ndarray
-
-    def copy(self) -> "PlantState":
-        return PlantState(self.angles.copy(), self.rates.copy(), self.temps.copy())
 
 
 def eye_routing(r: float) -> np.ndarray:
@@ -156,19 +158,6 @@ def initial_state(cfg: PlantConfig) -> PlantState:
     return PlantState(np.zeros(2), np.zeros(2), temps)
 
 
-def muscle_kinematics(cfg: PlantConfig, angles_deg, rates_deg):
-    """Per-muscle lengths (cm), length rates (cm/s), and the torque map G.
-
-    Torque on the joints from tensions F is G.T @ F (N*cm).
-    """
-    alpha = np.asarray(angles_deg, dtype=np.float64) * DEG
-    omega = np.asarray(rates_deg, dtype=np.float64) * DEG
-    x0 = np.array([p.x0 for p in cfg.muscles])
-    lengths = x0 - cfg.routing @ alpha
-    rates = -(cfg.routing @ omega)
-    return lengths, rates, cfg.routing.copy()
-
-
 class StepMap:
     """The action step of one plant with its muscles fixed, as matrices.
 
@@ -183,6 +172,11 @@ class StepMap:
     the angle rows of M^1 .. M^S and then all of M^S, so one product gives
     every substep's angles and the end state. Temperatures enter as rises
     above ambient, which makes the rest state map to itself exactly.
+
+    A new map is built at every randomized reset. The powers are written
+    by np.dot(M, M^(s-1), out=...) into one (S, n, n) buffer and the
+    stack filled from it by two slice copies; hA is formed once. `tamb`
+    (array), `t_amb` and `rc` = R C_th (Python floats) serve advance().
     """
 
     def __init__(self, cfg: PlantConfig, dt: float, substeps: int):
@@ -190,34 +184,47 @@ class StepMap:
             raise ValueError("require dt > 0 and substeps >= 1")
         self.cfg = cfg
         self.substeps = substeps
-        m = cfg.n_muscles
-        k, b, c, lam, cth, res, tamb = (
-            np.array([getattr(p, f) for p in cfg.muscles])
-            for f in ("k", "b", "c", "lambda_", "C_th", "R", "T_amb")
-        )
-        self.tamb = tamb
-        self.rc = res * cth
-        g, n = cfg.routing, 2 * m + 6
-        a = np.zeros((n, n))  # rows: angles, rates, temperature rises; q, e held
-        a[0, 2] = a[1, 3] = 1.0
-        a[2:4, 0:2] = -(cfg.kappa * np.eye(2) + g.T @ (k[:, None] * g)) / cfg.J
-        a[2:4, 2:4] = -(cfg.d * np.eye(2) + g.T @ (b[:, None] * g)) / cfg.J
-        a[2:4, 4:4 + m] = g.T * c / (cfg.J * DEG)
-        a[2:4, n - 2:] = np.eye(2) / (cfg.J * DEG)
-        a[4:4 + m, 4:4 + m] = np.diag(-lam / cth)
-        a[4:4 + m, 4 + m:4 + 2 * m] = np.eye(m)
+        m, n, J = cfg.n_muscles, 2 * cfg.n_muscles + 6, cfg.J
+        k, b, c, lam, cth, res, tamb = zip(
+            *[(p.k, p.b, p.c, p.lambda_, p.C_th, p.R, p.T_amb) for p in cfg.muscles])
+        self.tamb = np.array(tamb, dtype=np.float64)
+        self.t_amb = self.tamb.tolist()
+        self.rc = [r * ct for r, ct in zip(res, cth)]
+        # A as nested Python floats (rows: angles, rates, temperature rises;
+        # q and e are held), each entry computed as the block form
+        #   A[2:4, 0:2] = -(kappa I + G^T diag(k) G) / J   (d and b for 2:4)
+        #   A[2:4, 4:4+m] = G^T diag(c) / (J DEG),  A[2:4, n-2:] = I / (J DEG)
+        #   A[4:4+m, 4:4+m] = diag(-lambda / C_th),  A[4:4+m, 4+m:4+2m] = I
+        # computes it; only the two G^T diag(.) G products run in numpy.
+        g = cfg.routing
+        gkg, gbg = ((g.T @ (np.array(w)[:, None] * g)).tolist() for w in (k, b))
+        gt = g.T.tolist()
+        a = [[0.0] * n for _ in range(n)]
+        a[0][2] = a[1][3] = 1.0
+        for r, eye in ((0, (1.0, 0.0)), (1, (0.0, 1.0))):
+            row = a[2 + r]
+            for s in (0, 1):
+                row[s] = -(cfg.kappa * eye[s] + gkg[r][s]) / J
+                row[2 + s] = -(cfg.d * eye[s] + gbg[r][s]) / J
+            for i in range(m):
+                row[4 + i] = gt[r][i] * c[i] / (J * DEG)
+            row[n - 2 + r] = 1.0 / (J * DEG)
+        for i in range(m):
+            a[4 + i][4 + i] = -lam[i] / cth[i]
+            a[4 + i][4 + m + i] = 1.0
+        ha = dt * np.array(a)
         one = term = np.eye(n)
         for j in (1, 2, 3, 4):
-            term = term @ (dt * a) / j
+            term = term @ ha / j
             one = one + term
-        powers = [one]
-        for _ in range(substeps - 1):
-            powers.append(one @ powers[-1])
+        powers = np.empty((substeps, n, n))
+        powers[0] = one
+        for prev, cur in zip(powers, powers[1:]):
+            np.dot(one, prev, out=cur)  # matmul's cblas_dgemm call, less call overhead
         self.one = one
-        self.stack = np.concatenate([p[:2] for p in powers] + [powers[-1]])
-
-
-_NO_TORQUE = np.zeros(2)
+        self.stack = np.empty((2 * substeps + n, n))
+        self.stack[:2 * substeps].reshape(substeps, 2, n)[...] = powers[:, :2]
+        self.stack[2 * substeps:] = powers[-1]
 
 
 def advance(
@@ -228,22 +235,33 @@ def advance(
 ) -> PlantState:
     """Integrate the map's `substeps` RK4 steps with voltages held constant.
 
-    Voltages must lie in [0, 10] (the action mapping clamps). Angles are
-    clamped at the travel limit after every substep, with the outward rate
-    zeroed; when no substep reaches the limit that clamp is idle and the
-    end state is one product. external_torque (N*cm per DOF) is a test hook.
+    Voltages must lie in [0, 10] (the action mapping clamps); NaN, out of
+    range or a wrong count raises ValueError. Angles are clamped at the
+    travel limit after every substep, with the outward rate zeroed; when no
+    substep reaches the limit that clamp is idle and the end state is one
+    product. argmax finds the largest substep |angle| in one C call and,
+    like max, returns a NaN if there is one, so a NaN state takes the
+    substep loop as before. external_torque (N*cm per DOF, list or array)
+    is a test hook.
     """
     cfg = sm.cfg
+    m = cfg.n_muscles
     v = np.asarray(voltages, dtype=np.float64)
-    if v.shape != (cfg.n_muscles,):
-        raise ValueError(f"expected {cfg.n_muscles} voltages, got shape {v.shape}")
-    if not (v.min() >= 0.0 and v.max() <= 10.0):
-        raise ValueError(f"voltages out of range [0, 10]: {v}")
-    ext = _NO_TORQUE if external_torque is None else external_torque
-    z = np.concatenate((state.angles, state.rates, state.temps - sm.tamb, v * v / sm.rc, ext))
+    if v.shape != (m,):
+        raise ValueError(f"expected {m} voltages, got shape {v.shape}")
+    z = state.angles.tolist() + state.rates.tolist()
+    z += map(sub, state.temps.tolist(), sm.t_amb)
+    for x, rc in zip(v.tolist(), sm.rc):
+        if not 0.0 <= x <= 10.0:  # false for NaN too
+            raise ValueError(f"voltages out of range [0, 10]: {v}")
+        z.append(x * x / rc)
+    z += [0.0, 0.0] if external_torque is None else np.asarray(
+        external_torque, dtype=np.float64).tolist()
+    z = np.array(z)
     out = sm.stack @ z
     lim, n_ang = cfg.angle_limit, 2 * sm.substeps
-    if np.abs(out[:n_ang]).max() <= lim:
+    peak = np.abs(out[:n_ang])
+    if peak[peak.argmax()] <= lim:
         z = out[n_ang:]
     else:
         for _ in range(sm.substeps):
@@ -253,18 +271,5 @@ def advance(
                     z[j] = math.copysign(lim, z[j])
                     if z[2 + j] * z[j] > 0.0:
                         z[2 + j] = 0.0
-    m = cfg.n_muscles
     return PlantState(z[0:2], z[2:4], z[4:4 + m] + sm.tamb)
 
-
-def mechanical_energy(cfg: PlantConfig, state: PlantState) -> float:
-    """Kinetic + joint-spring + muscle-spring energy (N*cm), for passivity checks."""
-    alpha = state.angles * DEG
-    omega = state.rates * DEG
-    stretch = -(cfg.routing @ alpha)
-    k_arr = np.array([p.k for p in cfg.muscles])
-    return float(
-        0.5 * cfg.J * (omega @ omega)
-        + 0.5 * cfg.kappa * (alpha @ alpha)
-        + 0.5 * np.sum(k_arr * stretch * stretch)
-    )

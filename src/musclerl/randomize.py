@@ -115,15 +115,27 @@ NO_RANDOMIZATION = RandomizationSpec(
 )
 
 
-def _draw_factors(spec: RandomizationSpec, rng: SeededRng) -> dict[str, float]:
-    """One uniform factor per randomized constant, drawn in RANDOMIZED_NAMES order."""
-    return {name: float(rng.uniform(*spec.effective_interval(name)))
-            for name in RANDOMIZED_NAMES}
+def _draw_factors(spec: RandomizationSpec, rng: SeededRng, rows: int) -> list[list[float]]:
+    """rows factor rows, one factor per randomized constant in RANDOMIZED_NAMES order.
+
+    One uniform call draws them all: its array form gives the same values,
+    in the same row-major order, and leaves the same stream state as one
+    scalar call per factor.
+    """
+    lo, hi = zip(*map(spec.effective_interval, RANDOMIZED_NAMES))
+    return rng.gen.uniform(lo, hi, size=(rows, len(RANDOMIZED_NAMES))).tolist()
+
+
+def _scaled(p: MuscleParams, row: list[float]) -> MuscleParams:
+    """p with its six randomized constants multiplied by row (RANDOMIZED_NAMES order)."""
+    k, b, c, c_th, lam, res = row
+    return MuscleParams(p.k * k, p.b * b, p.c * c, p.C_th * c_th, p.lambda_ * lam, p.R * res,
+                        p.x0, p.T_amb)
 
 
 def sample_muscle_params(nominal: MuscleParams, spec: RandomizationSpec, rng: SeededRng) -> MuscleParams:
     """Draw one scaled parameter set; x0 and T_amb are copied unchanged."""
-    return nominal.scaled(_draw_factors(spec, rng))
+    return _scaled(nominal, _draw_factors(spec, rng, 1)[0])
 
 
 def sample_muscle_set(
@@ -135,9 +147,9 @@ def sample_muscle_set(
     a single factor set scales every muscle.
     """
     if spec.shared_across_muscles:
-        factors = _draw_factors(spec, rng)
-        return tuple(p.scaled(factors) for p in nominals)
-    return tuple(sample_muscle_params(p, spec, rng) for p in nominals)
+        row = _draw_factors(spec, rng, 1)[0]
+        return tuple(_scaled(p, row) for p in nominals)
+    return tuple(map(_scaled, nominals, _draw_factors(spec, rng, len(nominals))))
 
 
 def apply_observation_noise(

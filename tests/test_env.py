@@ -10,6 +10,8 @@ from musclerl.env import (
     reward,
     run_episode,
 )
+import musclerl.env
+from musclerl.fieldtest import pid_controller_for
 from musclerl.randomize import SeededRng
 
 
@@ -221,3 +223,33 @@ def test_step_clamp_matches_array_bound_clip(preset):
         expected = np.clip(np.asarray(action, dtype=np.float64), low, high)
         assert info["action"].tobytes() == expected.tobytes()
         assert info["voltages"].tobytes() == env.map_action(expected).tobytes()
+
+
+def test_reset_target_pair_matches_two_scalar_draws():
+    # one size-2 draw gives the values and the stream state of two scalar draws
+    env = TrackingEnv("wrist", SeededRng(9))
+    oracle = SeededRng(9).split("target")
+    tr = env.episode.target_range
+    for _ in range(20):
+        env.reset()
+        want = np.array([float(oracle.uniform(-tr, tr)), float(oracle.uniform(-tr, tr))])
+        assert env.target.dtype == want.dtype and env.target.tobytes() == want.tobytes()
+        assert repr(env._target_rng.get_state()) == repr(oracle.get_state())
+
+
+def test_episode_calls_the_traced_plant_names(monkeypatch):
+    # the benchmark's per-layer spans wrap these module attributes, so an
+    # episode must reach the plant and the muscle draw through them
+    calls = {"advance": 0, "sample_muscle_set": 0}
+    for name in calls:
+        raw = getattr(musclerl.env, name)
+
+        def counting(*args, _raw=raw, _name=name, **kwargs):
+            calls[_name] += 1
+            return _raw(*args, **kwargs)
+
+        monkeypatch.setattr(musclerl.env, name, counting)
+    env = TrackingEnv("wrist", SeededRng(4))
+    run_episode(env, pid_controller_for("wrist"))
+    assert calls == {"advance": env.episode.episode_length, "sample_muscle_set": 1}
+    assert env.episode.episode_length == 40

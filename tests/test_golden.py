@@ -11,12 +11,16 @@ The policy-checkpoint digest (recorded at numerics=3) also pins the
 checkpoint's layout: its array names and its meta keys. The bootstrap
 buffer digests (recorded at numerics=3) pin the closed-loop rollout step
 itself: PID, action clamp, plant, observation noise and the stored rows,
-with randomized muscles, on both presets.
+with randomized muscles, on both presets. The clamped-bootstrap digest
+(recorded at numerics=3) pins the plant's substep fallback through the
+same path: on a 3 deg travel limit the PID drives the wrist onto the
+limit, which the stock 25 deg limit never sees.
 """
 
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from musclerl.checkpoint import load_checkpoint
@@ -34,6 +38,7 @@ GOLDEN_SHA256 = {
     "policy_checkpoint": "ffdc34cd25f5e5a0ec9d3d6c08173f8a8dcfb09111569923cab189acf5f0692f",
     "bootstrap_buffer_wrist": "e8d9f04be8f9135a924cbc670e489ccd2bc5883df4a05789cc486f53ca49b909",
     "bootstrap_buffer_eye": "32df1603c0c5d3dbaf1c2ef14d4117c9801bc92079f714c27f03d76aca2e0d01",
+    "clamped_bootstrap_wrist": "d836b6685affe4debca3c07fca3a961d8ba9e79d2b9eaeb29138ebc1ded8e632",
 }
 
 
@@ -107,3 +112,21 @@ def test_bootstrap_buffer_digest(preset, tmp_path):
     for name in ("buf_obs", "buf_outputs", "buf_actions", "buf_rewards"):
         digest.update(arrays[name].tobytes())
     assert digest.hexdigest() == GOLDEN_SHA256[f"bootstrap_buffer_{preset}"]
+
+
+def test_clamped_bootstrap_buffer_digest(tmp_path):
+    # the bootstrap above on configured_plant("wrist", angle_limit=3.0):
+    # angles stored exactly on the limit are written only by the clamp in
+    # advance()'s substep fallback, so the digest covers that branch
+    cfg = RunConfig(preset="wrist", seed=17, episodes=4, bootstrap_episodes=4, gru_hidden=8,
+                    augment_copies=2, plant_angle_limit=3.0, out_dir=str(tmp_path))
+    tr = Trainer(cfg)
+    assert tr.env.nominal.angle_limit == 3.0
+    tr.bootstrap_phase()
+    meta, arrays = tr.buffer.state()
+    assert meta["controllers"] == ["pid"] * 4 and meta["slots"] == 12
+    assert np.any(np.abs(arrays["buf_outputs"][..., [0, 2]]) == 3.0)
+    digest = hashlib.sha256()
+    for name in ("buf_obs", "buf_outputs", "buf_actions", "buf_rewards"):
+        digest.update(arrays[name].tobytes())
+    assert digest.hexdigest() == GOLDEN_SHA256["clamped_bootstrap_wrist"]

@@ -1,20 +1,62 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from musclerl.muscle import (
     MuscleParams,
-    MuscleThermalState,
     SCP_NOMINAL,
     TCA_NOMINAL,
-    muscle_force,
     steady_state_rise,
-    thermal_derivative,
-    thermal_response_exact,
-    thermal_step,
     thermal_time_constant,
 )
+
+
+# Single-muscle oracles: the force law and the thermal ODE written out on
+# their own, with a scalar RK4 step and the closed-form response. The plant
+# integrates the same law in its step map; these pin the law itself.
+
+@dataclass(frozen=True)
+class MuscleThermalState:
+    """Current temperature of one muscle, degC."""
+
+    T: float
+
+
+def muscle_force(p: MuscleParams, x: float, xdot: float, T: float) -> float:
+    """Tension in N at length x (cm), rate xdot (cm/s), temperature T (degC).
+
+    Affine in all three arguments; never clamped.
+    """
+    return p.k * (x - p.x0) + p.b * xdot + p.c * (T - p.T_amb)
+
+
+def thermal_derivative(p: MuscleParams, T: float, V: float) -> float:
+    """dT/dt in degC/s under applied voltage V >= 0."""
+    return (V * V / p.R - p.lambda_ * (T - p.T_amb)) / p.C_th
+
+
+def thermal_step(p: MuscleParams, s: MuscleThermalState, V: float, dt: float) -> MuscleThermalState:
+    """Advance the temperature by one explicit RK4 step with V held constant.
+
+    dt must be positive; non-finite inputs are rejected.
+    """
+    if not (dt > 0.0):
+        raise ValueError(f"dt must be positive, got {dt}")
+    if not (math.isfinite(s.T) and math.isfinite(V) and math.isfinite(dt)):
+        raise ValueError("thermal_step requires finite T, V, dt")
+    k1 = thermal_derivative(p, s.T, V)
+    k2 = thermal_derivative(p, s.T + 0.5 * dt * k1, V)
+    k3 = thermal_derivative(p, s.T + 0.5 * dt * k2, V)
+    k4 = thermal_derivative(p, s.T + dt * k3, V)
+    return MuscleThermalState(T=s.T + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0)
+
+
+def thermal_response_exact(p: MuscleParams, T_init: float, V: float, t: float) -> float:
+    """Closed-form temperature at time t under constant V (linear first-order ODE)."""
+    T_inf = p.T_amb + steady_state_rise(p, V)
+    return T_inf + (T_init - T_inf) * math.exp(-p.lambda_ * t / p.C_th)
 
 
 def test_force_vanishes_at_rest():

@@ -9,15 +9,96 @@ from musclerl.plant import (
     PlantState,
     StepMap,
     advance,
+    configured_plant,
     eye_config,
     initial_state,
-    mechanical_energy,
-    muscle_kinematics,
     wrist_config,
 )
 from musclerl.randomize import RandomizationSpec, SeededRng, sample_muscle_set
 
 DEG = math.pi / 180.0
+
+
+def muscle_kinematics(cfg, angles_deg, rates_deg):
+    """Per-muscle lengths (cm), length rates (cm/s), and the torque map G.
+
+    Torque on the joints from tensions F is G.T @ F (N*cm).
+    """
+    alpha = np.asarray(angles_deg, dtype=np.float64) * DEG
+    omega = np.asarray(rates_deg, dtype=np.float64) * DEG
+    x0 = np.array([p.x0 for p in cfg.muscles])
+    lengths = x0 - cfg.routing @ alpha
+    rates = -(cfg.routing @ omega)
+    return lengths, rates, cfg.routing.copy()
+
+
+def mechanical_energy(cfg, state):
+    """Kinetic + joint-spring + muscle-spring energy (N*cm), for passivity checks."""
+    alpha = state.angles * DEG
+    omega = state.rates * DEG
+    stretch = -(cfg.routing @ alpha)
+    k_arr = np.array([p.k for p in cfg.muscles])
+    return float(
+        0.5 * cfg.J * (omega @ omega)
+        + 0.5 * cfg.kappa * (alpha @ alpha)
+        + 0.5 * np.sum(k_arr * stretch * stretch)
+    )
+
+
+def oracle_step_map(cfg, dt, substeps):
+    """(one, stack, tamb, rc) built the array way: a list of powers, then concatenate.
+
+    The production StepMap must give the same bytes.
+    """
+    m = cfg.n_muscles
+    k, b, c, lam, cth, res, tamb = (
+        np.array([getattr(p, f) for p in cfg.muscles])
+        for f in ("k", "b", "c", "lambda_", "C_th", "R", "T_amb")
+    )
+    g, n = cfg.routing, 2 * m + 6
+    a = np.zeros((n, n))
+    a[0, 2] = a[1, 3] = 1.0
+    a[2:4, 0:2] = -(cfg.kappa * np.eye(2) + g.T @ (k[:, None] * g)) / cfg.J
+    a[2:4, 2:4] = -(cfg.d * np.eye(2) + g.T @ (b[:, None] * g)) / cfg.J
+    a[2:4, 4:4 + m] = g.T * c / (cfg.J * DEG)
+    a[2:4, n - 2:] = np.eye(2) / (cfg.J * DEG)
+    a[4:4 + m, 4:4 + m] = np.diag(-lam / cth)
+    a[4:4 + m, 4 + m:4 + 2 * m] = np.eye(m)
+    one = term = np.eye(n)
+    for j in (1, 2, 3, 4):
+        term = term @ (dt * a) / j
+        one = one + term
+    powers = [one]
+    for _ in range(substeps - 1):
+        powers.append(one @ powers[-1])
+    stack = np.concatenate([p[:2] for p in powers] + [powers[-1]])
+    return one, stack, tamb, res * cth
+
+
+def oracle_advance(cfg, maps, state, voltages, substeps, external_torque=None):
+    """advance() the array way: concatenate z, then np.abs(...).max() against the limit.
+
+    Returns the end state and whether the substep fallback ran.
+    """
+    one, stack, tamb, rc = maps
+    v = np.asarray(voltages, dtype=np.float64)
+    ext = np.zeros(2) if external_torque is None else external_torque
+    z = np.concatenate((state.angles, state.rates, state.temps - tamb, v * v / rc, ext))
+    out = stack @ z
+    lim, n_ang = cfg.angle_limit, 2 * substeps
+    clamped = not np.abs(out[:n_ang]).max() <= lim
+    if not clamped:
+        z = out[n_ang:]
+    else:
+        for _ in range(substeps):
+            z = one @ z
+            for j in (0, 1):
+                if abs(z[j]) > lim:
+                    z[j] = math.copysign(lim, z[j])
+                    if z[2 + j] * z[j] > 0.0:
+                        z[2 + j] = 0.0
+    m = cfg.n_muscles
+    return PlantState(z[0:2], z[2:4], z[4:4 + m] + tamb), clamped
 
 
 def reference_advance(cfg, state, voltages, dt, substeps, external_torque=None):
@@ -207,10 +288,14 @@ def test_voltage_validation():
     cfg = eye_config()
     s = initial_state(cfg)
     sm = StepMap(cfg, 0.01, 50)
-    for bad in ([0.0, 11.0, 0.0, 0.0], [-0.1, 0.0, 0.0, 0.0], [0.0, np.nan, 0.0, 0.0],
-                [0.0, 0.0, np.inf, 0.0], [0.0, 0.0, 0.0]):
-        with pytest.raises(ValueError):
-            advance(sm, s, np.array(bad))
+    nan_anywhere = [[np.nan if j == i else 5.0 for j in range(4)] for i in range(4)]
+    for bad in ([0.0, 11.0, 0.0, 0.0], [-0.1, 0.0, 0.0, 0.0], [0.0, 0.0, np.inf, 0.0],
+                [10.0, 10.0, 10.0, 10.000000000000002], [0.0, 0.0, 0.0],
+                [[0.0, 0.0], [0.0, 0.0]], *nan_anywhere):
+        for form in (bad, np.array(bad)):
+            with pytest.raises(ValueError):
+                advance(sm, s, form)
+    advance(sm, s, [0.0, -0.0, 10.0, 10])  # both ends are inside
     for dt, substeps in ((0.0, 50), (-0.01, 50), (0.01, 0)):
         with pytest.raises(ValueError):
             StepMap(cfg, dt, substeps)
@@ -271,3 +356,56 @@ def test_step_map_matches_scalar_rk4_reference(preset, angle_limit):
             hits += int(np.any(np.abs(got.angles) == cfg.angle_limit))
     # the reduced travel limit is really reached; the stock one never is
     assert (hits > 0) == (angle_limit is not None)
+
+
+def _same_bytes(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("preset", ["eye", "wrist"])
+@pytest.mark.parametrize("multiplier", [1.0, 2.0])
+def test_step_map_and_advance_match_the_array_oracles_bit_for_bit(preset, multiplier):
+    # random voltages (fast path), then saturated voltages with an outward
+    # torque given as a list and then as an array, which drive the stock
+    # 25 deg limit and take the substep fallback
+    nominal = configured_plant(preset)
+    rng = SeededRng(23).split(f"plant-oracle/{preset}/{multiplier}")
+    spec = RandomizationSpec(variance_multiplier=multiplier)
+    m = nominal.n_muscles
+    branches = {False: 0, True: 0}
+    for _ in range(20):
+        cfg = nominal.with_muscles(sample_muscle_set(nominal.muscles, spec, rng))
+        sm = StepMap(cfg, 0.01, 50)
+        maps = oracle_step_map(cfg, 0.01, 50)
+        assert _same_bytes(sm.one, maps[0]) and _same_bytes(sm.stack, maps[1])
+        got = ref = initial_state(cfg)
+        for t in range(16):
+            ext = None
+            if t < 6:
+                v = rng.uniform(0.0, 10.0, size=m)
+            else:
+                v = np.full(m, 10.0)
+                v[rng.gen.integers(m)] = 0.0
+                push = [float(x) for x in rng.uniform(-40.0, 40.0, size=2)]
+                ext = push if t < 11 else np.array(push)
+            got = advance(sm, got, v, ext)
+            ref, clamped = oracle_advance(cfg, maps, ref, v, 50, ext)
+            branches[clamped] += 1
+            for a, b in ((got.angles, ref.angles), (got.rates, ref.rates),
+                         (got.temps, ref.temps)):
+                assert _same_bytes(a, b)
+    assert branches[False] >= 20 * 6 and branches[True] >= 20 * 5
+
+
+def test_nan_torque_takes_the_substep_fallback_like_the_oracle():
+    cfg = wrist_config()
+    sm = StepMap(cfg, 0.01, 50)
+    maps = oracle_step_map(cfg, 0.01, 50)
+    s = initial_state(cfg)
+    v = np.array([4.0, 0.0, 2.0])
+    for ext in ([np.nan, 0.0], np.array([0.0, np.nan])):
+        got = advance(sm, s, v, ext)
+        ref, clamped = oracle_advance(cfg, maps, s, v, 50, ext)
+        assert clamped
+        for a, b in ((got.angles, ref.angles), (got.rates, ref.rates), (got.temps, ref.temps)):
+            assert _same_bytes(a, b)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -136,3 +138,59 @@ def test_rng_state_roundtrip():
     rng2 = SeededRng(0)
     rng2.set_state(state)
     assert np.array_equal(rng2.uniform(size=5), a)
+
+
+def oracle_draw_factors(spec, rng):
+    """One scalar uniform call per factor, in RANDOMIZED_NAMES order."""
+    return {name: float(rng.uniform(*spec.effective_interval(name)))
+            for name in RANDOMIZED_NAMES}
+
+
+def oracle_scaled(p, factors):
+    return replace(p, **{name: getattr(p, name) * f for name, f in factors.items()})
+
+
+def oracle_sample_muscle_set(nominals, spec, rng):
+    if spec.shared_across_muscles:
+        factors = oracle_draw_factors(spec, rng)
+        return tuple(oracle_scaled(p, factors) for p in nominals)
+    return tuple(oracle_scaled(p, oracle_draw_factors(spec, rng)) for p in nominals)
+
+
+def rng_state(rng):
+    """get_state() with its arrays as lists, so two states compare with ==."""
+    def plain(x):
+        if isinstance(x, dict):
+            return {k: plain(v) for k, v in x.items()}
+        return x.tolist() if isinstance(x, np.ndarray) else x
+    return plain(rng.get_state())
+
+
+ORACLE_SPECS = [
+    RandomizationSpec(variance_multiplier=0.0),
+    RandomizationSpec(variance_multiplier=1.0),
+    RandomizationSpec(variance_multiplier=2.0),
+    RandomizationSpec(variance_multiplier=10.0),  # every lower end clamps at 0.05
+    NO_RANDOMIZATION,
+]
+
+
+@pytest.mark.parametrize("shared", [False, True])
+@pytest.mark.parametrize("spec", ORACLE_SPECS)
+def test_one_call_draw_matches_the_scalar_oracle(spec, shared):
+    # same parameter sets bit for bit, and the same stream state after
+    spec = replace(spec, shared_across_muscles=shared)
+    for nominals in ((SCP_NOMINAL,) * 4, (TCA_NOMINAL,) * 3):
+        got_rng, want_rng = SeededRng(31), SeededRng(31)
+        for _ in range(20):
+            got = sample_muscle_set(nominals, spec, got_rng)
+            want = oracle_sample_muscle_set(nominals, spec, want_rng)
+            assert got == want
+            assert rng_state(got_rng) == rng_state(want_rng)
+        assert sample_muscle_params(TCA_NOMINAL, spec, got_rng) == oracle_scaled(
+            TCA_NOMINAL, oracle_draw_factors(spec, want_rng))
+        assert rng_state(got_rng) == rng_state(want_rng)
+
+
+def test_clamped_oracle_spec_sits_at_the_lower_end():
+    assert all(ORACLE_SPECS[3].effective_interval(n)[0] == 0.05 for n in RANDOMIZED_NAMES)
