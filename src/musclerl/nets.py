@@ -35,6 +35,14 @@ caller's float64 flat. adam_update walks the vectors in blocks of BLOCK
 elements through the module's one block-sized SCRATCH, with the whole-vector
 operations in their order, so its result is bitwise that of the
 whole-vector step.
+
+Passes of one signature whose lifetimes do not overlap can hold their
+activations in one storage: forward_stacked(..., share=cache) returns a
+cache of its own (own x, nets and gradient flat) on cache's sequence arrays
+and step scratch. A cache's activations are then valid until the next
+forward through any cache that shares its storage, and backward_stacked
+refuses one whose activations were overwritten. A forward without share
+keeps private storage.
 """
 
 from __future__ import annotations
@@ -172,9 +180,21 @@ class StackCache:
     per step; reusing the cache across updates avoids re-touching tens of
     megabytes of fresh pages every call. The backward reads relu_mask, not
     pre, so it reuses pre for its (S, T, B, H) temporaries.
+
+    A cache built with share=other, a cache of the same signature, has no
+    storage of its own: it takes other's sequence arrays and step scratch
+    (every array in STORAGE), so passes whose lifetimes do not overlap hold
+    one allocation between them. Each cache keeps its own x, nets and
+    parameter-gradient flat. The rule: a cache's activations are valid
+    until the next forward through any cache that shares its storage.
+    backward_stacked refuses a cache whose activations another cache's
+    forward has since overwritten.
     """
 
-    def __init__(self, sp: StackedNets, T: int, B: int):
+    STORAGE = ("pre", "relu_mask", "a", "zr", "c", "rh", "h_states", "h_out", "gx", "dgx",
+               "y", "_zr", "_sig", "_rh", "_c", "_h", "_h2", "_t1", "_t2", "_t3", "_forwards")
+
+    def __init__(self, sp: StackedNets, T: int, B: int, share: "StackCache | None" = None):
         S, H = sp.S, sp.shape.gru_hidden
         self.sig = (sp.shape, T, S, B, sp.dtype)
         self.nets = sp
@@ -183,10 +203,19 @@ class StackCache:
         # named views into an (S, P) parameter-gradient flat laid out like
         # GruNet; built by the first backward that needs parameter gradients
         self.grads: dict[str, np.ndarray] | None = None
+        self._filled_at = 0  # the storage's forward count that this cache's forward left
+        if share is not None:
+            if share.sig != self.sig:
+                raise ValueError("a cache can share storage only with one of its signature")
+            for name in self.STORAGE:
+                setattr(self, name, getattr(share, name))
+            return
 
         def empty(*shape):
             return np.empty(shape, dtype=sp.dtype)
 
+        # forwards through any cache on this storage, one slot they all share
+        self._forwards = [0]
         self.pre = empty(S, T, B, H)
         self.relu_mask = np.empty((S, T, B, H), dtype=bool)
         self.a = empty(S, T, B, H)
@@ -210,21 +239,25 @@ class StackCache:
         self._t3 = empty(S, B, H)
 
 
-def make_cache(sp: StackedNets, T: int, B: int, old: "StackCache | None" = None) -> StackCache:
-    if old is not None and old.sig == (sp.shape, T, sp.S, B, sp.dtype):
+def make_cache(sp: StackedNets, T: int, B: int, old: "StackCache | None" = None,
+               share: "StackCache | None" = None) -> StackCache:
+    """old if it fits (sp, T, B) and uses share's storage, else a new cache on share's."""
+    if (old is not None and old.sig == (sp.shape, T, sp.S, B, sp.dtype)
+            and (share is None or old.pre is share.pre)):
         old.nets = sp
         return old
-    return StackCache(sp, T, B)
+    return StackCache(sp, T, B, share)
 
 
 def forward_stacked(sp: StackedNets, x: np.ndarray, h0: np.ndarray | None = None,
-                    cache: StackCache | None = None):
+                    cache: StackCache | None = None, share: StackCache | None = None):
     """Run S stacked nets over x = (S_x, T, B, input_dim), S_x in {1, S}.
 
     A shared input (S_x = 1) broadcasts across the stack without copying.
     x and h0 must have the stack's dtype. Returns (y (S, T, B, out),
     h_T (S, B, H), cache); passing cache reuses its buffers when the
-    signature matches.
+    signature matches. With share, the returned cache keeps its activations
+    in share's storage (see StackCache), and y is a view into it.
     """
     S_x, T, B, I = x.shape
     S = sp.S
@@ -234,8 +267,10 @@ def forward_stacked(sp: StackedNets, x: np.ndarray, h0: np.ndarray | None = None
         )
     _check_dtype(sp, x=x, h0=h0)
     H = sp.shape.gru_hidden
-    ws = make_cache(sp, T, B, cache)
+    ws = make_cache(sp, T, B, cache, share)
     ws.x = x
+    ws._forwards[0] += 1
+    ws._filled_at = ws._forwards[0]
 
     # input-side projections for the whole sequence, flattened over (T, B)
     x_flat = x.reshape(S_x, T * B, I) if x.flags["C_CONTIGUOUS"] else \
@@ -296,6 +331,9 @@ def backward_stacked(cache: StackCache, dy: np.ndarray, dh_final: np.ndarray | N
     sp = cache.nets
     if cache.x is None:
         raise ValueError("cache has not been through a forward pass")
+    if cache._filled_at != cache._forwards[0]:
+        raise ValueError("cache's activations were overwritten by a forward through "
+                         "a cache that shares its storage")
     T, S, B, H = cache.T, cache.S, cache.B, sp.shape.gru_hidden
     O = sp.shape.output_dim
     if dy.shape != (S, T, B, O):

@@ -23,6 +23,13 @@ until update() or load_state() changes the actor.
 The optimizer side of an update allocates no parameter-sized array: the
 float64 gradients go into one flat the agent keeps, and Adam and the Polyak
 blend run in place, block by block, bitwise as their whole-vector forms.
+The three S=2 critic passes of an update (target, critic on the stored
+actions, critic_pi on the policy's) have one activation signature and
+disjoint lifetimes, so each agent holds one storage for them: the target
+pass's, which the other two caches share (see nets.StackCache). The target
+pass is reduced to the Bellman targets, and the critic's gradients reach
+Adam, before the next of them runs forward. The actor and acting caches
+keep their own storage.
 The agent writes and reads its own checkpoint state, as the buffer does.
 """
 
@@ -37,10 +44,8 @@ from .nets import (
     StackedNets,
     action_grads,
     adam_update,
-    backward,
     backward_stacked,
     blocks,
-    forward,
     forward_stacked,
     grads_to_flat,
     init_params,
@@ -261,7 +266,7 @@ class SacAgent:
         self.opt_q2 = AdamState.for_params(self.q2.flat, lr)
         self.opt_alpha = AdamState.for_params(self.log_alpha, lr)
         self._noise_rng = rng.split("update-noise")
-        self._ws: dict = {}
+        self._ws: dict = {}  # one StackCache per pass, by pass name
         self._act_stack = None
 
     @property
@@ -309,9 +314,7 @@ class SacAgent:
         if self._act_stack is None:
             self._act_stack = StackedNets([self.actor])
         x = np.asarray(obs, dtype=np.float64).reshape(1, 1, 1, -1)
-        y, h_next, ws = forward_stacked(self._act_stack, x, hidden,
-                                        cache=self._ws.get("act"))
-        self._ws["act"] = ws
+        y, h_next, _ = self._forward("act", self._act_stack, x, hidden)
         mu, log_sd, _ = split_head(y[0, 0, 0])
         if deterministic:
             action = squash_mean(mu, self.action_center, self.action_half)
@@ -323,12 +326,21 @@ class SacAgent:
 
     # -- learning ---------------------------------------------------------
 
+    def _forward(self, name: str, sp: StackedNets, x: np.ndarray, h0=None, share=None):
+        """forward_stacked through the agent's cache for pass name.
+
+        share names the pass whose storage the cache uses (see StackCache).
+        """
+        out = forward_stacked(sp, x, h0, cache=self._ws.get(name),
+                              share=None if share is None else self._ws[share])
+        self._ws[name] = out[2]
+        return out
+
     def _critic_targets(self, obs_all, actions_next, logp_next, rewards, gamma):
         """Bellman targets y_t = r_t + gamma (min_i Qbar_i(s', a') - alpha log pi)."""
         q_in = np.concatenate([obs_all[1:], actions_next], axis=2)
         sp = StackedNets([self.q1_target, self.q2_target], dtype=self.dtype)
-        qb, _, ws = forward_stacked(sp, q_in[None], cache=self._ws.get("target"))
-        self._ws["target"] = ws
+        qb, _, _ = self._forward("target", sp, q_in[None])
         qmin = np.minimum(qb[0, :, :, 0], qb[1, :, :, 0])
         return rewards + gamma * (qmin - self.alpha * logp_next)
 
@@ -350,9 +362,7 @@ class SacAgent:
 
         # fresh policy samples along the whole stored state sequence
         sp_actor = StackedNets([self.actor], dtype=dt)
-        y_pi, _, actor_cache = forward_stacked(sp_actor, obs_all[None],
-                                               cache=self._ws.get("actor"))
-        self._ws["actor"] = actor_cache
+        y_pi, _, actor_cache = self._forward("actor", sp_actor, obs_all[None])
         y_pi = y_pi[0]
         mu, log_sd, clip_mask = split_head(y_pi)
         sd = np.exp(log_sd)
@@ -366,8 +376,7 @@ class SacAgent:
         # critics on stored actions, twin-stacked over a shared input
         q_in_stored = np.concatenate([obs_all[:T], actions], axis=2)
         sp_q = StackedNets([self.q1, self.q2], dtype=dt)
-        q, _, cache_q = forward_stacked(sp_q, q_in_stored[None], cache=self._ws.get("critic"))
-        self._ws["critic"] = cache_q
+        q, _, cache_q = self._forward("critic", sp_q, q_in_stored[None], share="target")
         td = q[:, :, :, 0] - targets[None]
         critic1_loss = float(np.mean(td[0] * td[0]))
         critic2_loss = float(np.mean(td[1] * td[1]))
@@ -380,8 +389,7 @@ class SacAgent:
         # actor: alpha log pi - min_i Q_i(s, a_pi), against the updated critics
         q_in_pi = np.concatenate([obs_all[:T], a_pi], axis=2)
         sp_q2 = StackedNets([self.q1, self.q2], dtype=dt)
-        q_pi, _, cache_pi = forward_stacked(sp_q2, q_in_pi[None], cache=self._ws.get("critic_pi"))
-        self._ws["critic_pi"] = cache_pi
+        q_pi, _, cache_pi = self._forward("critic_pi", sp_q2, q_in_pi[None], share="target")
         q1v, q2v = q_pi[0, :, :, 0], q_pi[1, :, :, 0]
         qmin = np.minimum(q1v, q2v)
         alpha = self.alpha

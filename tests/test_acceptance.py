@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from musclerl.augment import AugmentationSpec, augment_trajectory
+from musclerl.cli import main as cli_main
 from musclerl.config import CODE_STAMP, RunConfig, load_config
 from musclerl.env import WRIST_REWARD, reward
 from musclerl.fieldtest import (
@@ -213,6 +214,34 @@ def test_criterion_5_training_determinism(tmp_path):
        f"({len(blobs[0]['rewards.csv'])} bytes), golden sha256 of the data rows "
        f"{'match' if digests == SMOKE_SHA256 else f'differ: {digests}'}, provenance "
        f"{'carries' if stamped else 'lacks'} {CODE_STAMP!r}, {elapsed:.0f}s")
+
+
+def test_committed_run_matches_the_code(tmp_path, capsys):
+    # the first 504 episodes of runs/wrist_sacbar_s101 (500 PID episodes,
+    # then 4 with updates) re-run by the command that made it: a change that
+    # moves the learner's numbers without re-running the artifacts fails here
+    run = "wrist_sacbar_s101"
+    committed = os.path.join(REPO, "runs", run)
+    assert cli_main(["train", "--preset", "wrist", "--seed", "101", "--episodes", "1700",
+                     "--gru-hidden", "64", "--stop-after", "504",
+                     "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+
+    def config_sha256(path):
+        with open(path) as fh:
+            head = fh.readline().split()
+        return next((f for f in head if f.startswith("config_sha256=")), None)
+
+    want = config_sha256(os.path.join(committed, "rewards.csv"))
+    got = config_sha256(tmp_path / "rewards.csv")
+    assert got == want, f"{run}: the re-run's {got} differs from the committed {want}"
+    for name, n in (("rewards.csv", 504), ("losses.csv", 4)):
+        with open(tmp_path / name, "rb") as fh:
+            rows = fh.read().split(b"\n")[1:-1]
+        with open(os.path.join(committed, name), "rb") as fh:
+            kept = fh.read().split(b"\n")[1:1 + len(rows)]
+        assert len(rows) == n + 1, (name, len(rows))  # the column line, then n rows
+        assert rows == kept, f"{run}/{name}: the re-run's rows differ from the committed ones"
 
 
 def moving_mean(values, window=100):

@@ -1,7 +1,9 @@
+import hashlib
 import json
 import math
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from musclerl.fieldtest import (
     summarize,
 )
 from musclerl.randomize import SeededRng
+from musclerl.sac import SacAgent
 from musclerl.trainer import Trainer, load_policy
 
 
@@ -291,27 +294,82 @@ def test_wrapped_buffer_checkpoint_roundtrip_is_byte_stable(tmp_path):
             == [t.rewards.tobytes() for t in tr.buffer.snapshot()])
 
 
+def _edited_header(data: bytes, edit, rehash: bool = False) -> bytes:
+    """Checkpoint bytes with edit(header) applied; rehash restamps header_sha256."""
+    start = len(MAGIC) + 8
+    (hlen,) = struct.unpack(">Q", data[len(MAGIC):start])
+    header = json.loads(data[start:start + hlen])
+    edit(header)
+    if rehash:
+        body = {k: v for k, v in header.items() if k != "header_sha256"}
+        header["header_sha256"] = hashlib.sha256(
+            json.dumps(body, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+    raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    return MAGIC + struct.pack(">Q", len(raw)) + raw + data[start + hlen:]
+
+
 def test_checkpoint_integrity_is_verified_on_load(tmp_path):
     path = tmp_path / "x.ckpt"
-    save_checkpoint(str(path), {"kind": "policy"}, {"a": np.arange(6.0), "b": np.ones((2, 2))})
+    save_checkpoint(str(path), {"kind": "policy", "opt_t": [7]},
+                    {"a": np.arange(6.0), "b": np.ones((2, 2))})
     blob = path.read_bytes()
-    _, arrays = load_checkpoint(str(path))
+    meta, arrays = load_checkpoint(str(path))
     assert np.array_equal(arrays["a"], np.arange(6.0)) and arrays["b"].shape == (2, 2)
+    assert meta == {"kind": "policy", "opt_t": [7]}
     flipped = bytearray(blob)
     flipped[-3] ^= 0x01
     v1_header = json.dumps({"version": 1, "meta": {}, "arrays": []}).encode()
     cases = {
         "truncated": (blob[:-8], "truncated"),
         "cut_header": (blob[:30], "header"),
-        "flipped": (bytes(flipped), "sha256"),
+        "flipped": (bytes(flipped), "data fails its sha256"),
         "version1": (MAGIC + struct.pack(">Q", len(v1_header)) + v1_header, "version 1"),
+        "version2": (_edited_header(blob, lambda h: h.update(version=2)), "version 2"),
+        # header edits that each loaded without a word before the header had a digest
+        "reshaped": (_edited_header(blob, lambda h: h["arrays"][0].update(shape=[2, 3])),
+                     "header fails its sha256"),
+        # a gets b's first value
+        "shifted": (_edited_header(blob, lambda h: (h["arrays"][0].update(shape=[7]),
+                                                    h["arrays"][1].update(offset=56, shape=[3]))),
+                    "header fails its sha256"),
+        "meta_digit": (_edited_header(blob, lambda h: h["meta"].update(opt_t=[8])),
+                       "header fails its sha256"),
+        # a header that hashes but does not tile its blob
+        "span_mismatch": (_edited_header(blob, lambda h: h["arrays"][0].update(shape=[2, 2]),
+                                         rehash=True), "does not lay out"),
+        "offset_gap": (_edited_header(blob, lambda h: h["arrays"][1].update(offset=56),
+                                      rehash=True), "does not lay out"),
+        "short_index": (_edited_header(blob, lambda h: h["arrays"].pop(), rehash=True),
+                        "does not lay out"),
     }
     for name, (data, match) in cases.items():
         bad = tmp_path / f"{name}.ckpt"
         bad.write_bytes(data)
         with pytest.raises(ValueError, match=match) as info:
             load_checkpoint(str(bad))
-        assert str(bad) in str(info.value)
+        assert str(bad) in str(info.value), name
+
+
+def test_checkpoint_save_and_load_stream(tmp_path):
+    # a width-64 agent's checkpoint: saving holds no copy of the data, and
+    # loading holds the returned arrays and little else
+    agent = SacAgent(obs_dim=6, action_dim=2, rng=SeededRng(3), gru_hidden=64)
+    meta, arrays = agent.state()
+    path = str(tmp_path / "agent.ckpt")
+    tracemalloc.start()
+    try:
+        save_checkpoint(path, meta, arrays)
+        _, save_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        _, loaded = load_checkpoint(path)
+        _, load_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = os.path.getsize(path)
+    assert size > 2_000_000
+    assert save_peak < 0.25 * size, (save_peak, size)
+    assert load_peak < 1.3 * size, (load_peak, size)
+    assert all(loaded[k].tobytes() == np.asarray(v).tobytes() for k, v in arrays.items())
 
 
 def test_field_eval_does_not_mutate_checkpoint(tmp_path):

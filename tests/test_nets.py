@@ -497,3 +497,46 @@ def test_stacked_param_grads_match_allocating_oracle(S, out_dim, T):
     for s in range(S):
         assert grads_to_flat(shape, grads, s, out) is out
         assert np.array_equal(out, grads_to_flat(shape, grads, s))
+
+
+def test_caches_sharing_storage_compute_as_private_ones():
+    # two S=2 passes of one signature on one storage, as in the update: each
+    # pass gives the bytes of the same pass on private storage, and the
+    # earlier cache's activations expire with the later forward
+    T, B, H = 6, 4, 8
+    shape = NetworkShape(9, H, 1)
+    stacks = [StackedNets([init_params(shape, SeededRng(40 + 2 * k + s)) for s in range(2)],
+                          dtype=np.float32) for k in range(2)]
+    rng = np.random.default_rng(41)
+    xs = [rng.normal(size=(1, T, B, 9)).astype(np.float32) for _ in range(2)]
+    dy = rng.normal(size=(2, T, B, 1)).astype(np.float32)
+
+    def bytes_of(y, hT, out):
+        grads, dx, dh0 = out
+        return [y.tobytes(), hT.tobytes(), dx.tobytes(), dh0.tobytes()] + \
+               [grads[k].tobytes() for k in sorted(grads)]
+
+    private = []
+    for sp, x in zip(stacks, xs):
+        y, hT, cache = forward_stacked(sp, x)
+        private.append(bytes_of(y.copy(), hT, backward_stacked(cache, dy)))
+
+    y0, hT0, first = forward_stacked(stacks[0], xs[0])
+    y0 = y0.copy()
+    _, _, second = forward_stacked(stacks[1], xs[1], share=first)
+    assert second is not first and second.pre is first.pre and second.grads is None
+    with pytest.raises(ValueError, match="overwritten"):
+        backward_stacked(first, dy)
+    y1, hT1, second = forward_stacked(stacks[1], xs[1], cache=second, share=first)
+    assert bytes_of(y1, hT1, backward_stacked(second, dy)) == private[1]
+    # the first cache comes back on the same storage and its own gradient flat
+    _, _, again = forward_stacked(stacks[0], xs[0], cache=first)
+    assert again is first
+    assert bytes_of(y0, hT0, backward_stacked(first, dy)) == private[0]
+    assert first.grads["Wg"].base is not second.grads["Wg"].base
+
+    # caches built without share keep private storage; share must match
+    _, _, lone = forward_stacked(stacks[0], xs[0])
+    assert lone.pre is not first.pre
+    with pytest.raises(ValueError, match="signature"):
+        forward_stacked(stacks[0], xs[0][:, :3], share=first)

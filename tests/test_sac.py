@@ -73,6 +73,59 @@ def test_update_builds_gradient_flats_only_where_used():
     assert built == {"actor": True, "target": False, "critic": True, "critic_pi": False}
 
 
+def test_update_passes_share_one_activation_storage():
+    # target, critic and critic_pi: three caches on one storage, per agent
+    agents = [make_agent(hidden=6, seed=5), make_agent(hidden=6, seed=6)]
+    for agent in agents:
+        agent.update([make_traj(T=4, seed=i) for i in range(20)], gamma=0.9)
+    for agent in agents:
+        ws = agent._ws
+        assert sorted(ws) == ["actor", "critic", "critic_pi", "target"]
+        assert len({id(c) for c in ws.values()}) == 4
+        assert ws["target"].pre is ws["critic"].pre is ws["critic_pi"].pre
+        assert ws["actor"].pre is not ws["target"].pre
+    assert agents[0]._ws["target"].pre is not agents[1]._ws["target"].pre
+
+
+def test_width64_update_holds_one_critic_storage():
+    # an S=2 critic pass's activations take 5.6 MB at width 64 and T=40: the
+    # agent holds one such storage for its three critic passes (three
+    # would put it near 21 MB), and builds no cache only to drop it
+    T = 40
+    batch = [make_traj(T=T, seed=i) for i in range(20)]
+    agent = make_agent(hidden=64, seed=12)
+    tracemalloc.start()
+    try:
+        agent.update(batch, gamma=0.99)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= 11e6, held
+    assert peak < 12e6, peak
+
+
+def test_alternating_agents_match_agents_updating_back_to_back():
+    def agents():
+        return [make_agent(hidden=16, seed=20), make_agent(hidden=16, seed=21)]
+
+    batches = [[[make_traj(T=5, seed=100 * k + 10 * n + i) for i in range(20)]
+                for n in range(3)] for k in range(2)]
+
+    def finish(pair, reports):
+        return reports, [[a.tobytes() for a in agent.state()[1].values()] for agent in pair]
+
+    pair = agents()
+    reports = [[], []]
+    for n in range(3):
+        for k in range(2):
+            reports[k].append(pair[k].update(batches[k][n], gamma=0.9))
+    alternating = finish(pair, reports)
+    pair = agents()
+    back_to_back = finish(pair, [[agent.update(b, gamma=0.9) for b in bs]
+                                 for agent, bs in zip(pair, batches)])
+    assert alternating == back_to_back
+
+
 def test_soft_update_target_lag_property():
     agent = make_agent(hidden=6, seed=3)
     prev = agent.q1_target.flat.copy()
