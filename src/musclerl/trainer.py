@@ -22,7 +22,6 @@ import os
 import numpy as np
 
 from .augment import AugmentationSpec, augment_trajectory
-from .blas import one_blas_thread
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import CODE_STAMP, NUMERICS, RunConfig, __version__
 from .env import EpisodeConfig, TrackingEnv, run_episode
@@ -208,30 +207,29 @@ class Trainer:
                         provenance, truncate_after=self.episode_idx)
         ckpt_path = os.path.join(cfg.out_dir, "checkpoint.ckpt")
         try:
-            with one_blas_thread():
-                if self.episode_idx < cfg.bootstrap_episodes:
-                    self.bootstrap_phase(rewards, stop)
-                    self.save(ckpt_path)
-                while self.episode_idx < stop:
-                    try:
-                        traj, report = self.train_episode()
-                    except FloatingPointError as err:
-                        self._dump_abort(str(err))
-                        raise
-                    rewards.row([self.episode_idx, "policy", traj.length,
-                                 float(traj.rewards.sum()), float(traj.rewards.mean())])
-                    if report is not None:
-                        losses.row([self.episode_idx, report["critic1_loss"],
-                                    report["critic2_loss"], report["actor_loss"],
-                                    report["alpha_loss"], report["alpha"], report["entropy"]])
-                    if self.episode_idx % cfg.checkpoint_every == 0:
-                        self.save(ckpt_path)
-                    if progress is not None:
-                        progress(self.episode_idx)
+            if self.episode_idx < cfg.bootstrap_episodes:
+                self.bootstrap_phase(rewards, stop)
                 self.save(ckpt_path)
-                if self.episode_idx >= cfg.episodes:
-                    self.save(os.path.join(cfg.out_dir, "final.ckpt"))
-                    self.save(os.path.join(cfg.out_dir, "policy_final.ckpt"), include_buffer=False)
+            while self.episode_idx < stop:
+                try:
+                    traj, report = self.train_episode()
+                except FloatingPointError as err:
+                    self._dump_abort(str(err))
+                    raise
+                rewards.row([self.episode_idx, "policy", traj.length,
+                             float(traj.rewards.sum()), float(traj.rewards.mean())])
+                if report is not None:
+                    losses.row([self.episode_idx, report["critic1_loss"],
+                                report["critic2_loss"], report["actor_loss"],
+                                report["alpha_loss"], report["alpha"], report["entropy"]])
+                if self.episode_idx % cfg.checkpoint_every == 0:
+                    self.save(ckpt_path)
+                if progress is not None:
+                    progress(self.episode_idx)
+            self.save(ckpt_path)
+            if self.episode_idx >= cfg.episodes:
+                self.save(os.path.join(cfg.out_dir, "final.ckpt"))
+                self.save(os.path.join(cfg.out_dir, "policy_final.ckpt"), include_buffer=False)
         finally:
             rewards.close()
             losses.close()

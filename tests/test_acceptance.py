@@ -8,6 +8,7 @@ instructions rather than fake a result.
 """
 
 import hashlib
+import importlib.util
 import math
 import os
 import shutil
@@ -18,8 +19,8 @@ import time
 import numpy as np
 import pytest
 
+import musclerl
 from musclerl.augment import AugmentationSpec, augment_trajectory
-from musclerl.cli import main as cli_main
 from musclerl.config import CODE_STAMP, RunConfig, load_config
 from musclerl.env import WRIST_REWARD, reward
 from musclerl.fieldtest import (
@@ -216,16 +217,29 @@ def test_criterion_5_training_determinism(tmp_path):
        f"{'carries' if stamped else 'lacks'} {CODE_STAMP!r}, {elapsed:.0f}s")
 
 
-def test_committed_run_matches_the_code(tmp_path, capsys):
+def _benchmark_thread_vars():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_run", os.path.join(REPO, "perfbench", "run.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.THREAD_VARS
+
+
+def test_committed_run_matches_the_code(tmp_path):
     # the first 504 episodes of runs/wrist_sacbar_s101 (500 PID episodes,
     # then 4 with updates) re-run by the command that made it: a change that
-    # moves the learner's numbers without re-running the artifacts fails here
+    # moves the learner's numbers without re-running the artifacts fails here.
+    # The runs were made with one BLAS thread (scripts/acceptance_runs.sh);
+    # more threads sum the GEMMs in another order, so the re-run pins them too.
     run = "wrist_sacbar_s101"
     committed = os.path.join(REPO, "runs", run)
-    assert cli_main(["train", "--preset", "wrist", "--seed", "101", "--episodes", "1700",
-                     "--gru-hidden", "64", "--stop-after", "504",
-                     "--out-dir", str(tmp_path)]) == 0
-    capsys.readouterr()
+    src = os.path.dirname(os.path.dirname(os.path.abspath(musclerl.__file__)))
+    env = dict(os.environ, **{v: "1" for v in _benchmark_thread_vars()})
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    subprocess.run([sys.executable, "-m", "musclerl.cli", "train", "--preset", "wrist",
+                    "--seed", "101", "--episodes", "1700", "--gru-hidden", "64",
+                    "--stop-after", "504", "--out-dir", str(tmp_path)],
+                   env=env, check=True, stdout=subprocess.DEVNULL)
 
     def config_sha256(path):
         with open(path) as fh:

@@ -8,7 +8,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import musclerl.blas
 import musclerl.env
 from musclerl.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from musclerl.cli import main as cli_main
@@ -226,32 +225,6 @@ def test_resume_equivalence_bytes(tmp_path):
     assert (open(tmp_path / "straight" / "rewards.csv", "rb").read()
             == open(tmp_path / "resumed" / "rewards.csv", "rb").read())
     assert losses == open(tmp_path / "resumed" / "losses.csv", "rb").read()
-
-
-def test_training_pins_blas_to_one_thread(tmp_path, monkeypatch):
-    # a run's bytes must not depend on the core count: train() holds OpenBLAS
-    # at one thread and gives the previous count back afterwards
-    controls = musclerl.blas._thread_controls()
-    if controls is None:
-        with musclerl.blas.one_blas_thread() as pinned:
-            assert pinned is False
-        return
-    setter, getter = controls
-    before = getter()
-    seen = []
-
-    def bootstrap(self, rewards, stop):
-        seen.append(getter())
-        self.episode_idx = stop
-
-    monkeypatch.setattr(Trainer, "bootstrap_phase", bootstrap)
-    setter(2)
-    try:
-        Trainer(tiny_cfg(tmp_path / "run")).train(stop_after=1)
-        assert seen == [1]
-        assert getter() == 2
-    finally:
-        setter(before)
 
 
 def test_resume_after_crash_trims_stale_log_rows(tmp_path):
