@@ -14,7 +14,10 @@ itself: PID, action clamp, plant, observation noise and the stored rows,
 with randomized muscles, on both presets. The clamped-bootstrap digest
 (recorded at numerics=3) pins the plant's substep fallback through the
 same path: on a 3 deg travel limit the PID drives the wrist onto the
-limit, which the stock 25 deg limit never sees.
+limit, which the stock 25 deg limit never sees. The eye-training digests
+(recorded at numerics=3) pin the eye's action center and half-width in the
+policy's act and update; the episode and gate digests pin the stdout of
+`musclerl episode --pid` and of `musclerl calibrate-plant` per preset.
 """
 
 import hashlib
@@ -39,6 +42,14 @@ GOLDEN_SHA256 = {
     "bootstrap_buffer_wrist": "e8d9f04be8f9135a924cbc670e489ccd2bc5883df4a05789cc486f53ca49b909",
     "bootstrap_buffer_eye": "32df1603c0c5d3dbaf1c2ef14d4117c9801bc92079f714c27f03d76aca2e0d01",
     "clamped_bootstrap_wrist": "d836b6685affe4debca3c07fca3a961d8ba9e79d2b9eaeb29138ebc1ded8e632",
+    "eye_train_rewards": "e542d1a6299e1617b91ecc763ea670719dcadcf2ecccfecd00ce76ea6003ac30",
+    "eye_train_losses": "4d477f30316e5aa437918feb5aaa8f89d71bb44b811d5d03f2b4c6ace7348241",
+    "episode_pid_wrist": "e011ee60ebbcba381e6da1b76721b345c2e34cd8a4d24d18c82e2548dd2d7d56",
+    "episode_pid_wrist_3s": "16779629f105ab5939ec6f13181eed2af2b9fb36c4c4a64e9f2423cb16325145",
+    "episode_pid_eye": "485f3d1ba52f9bbb0043efb9e6d79fa50f4d8bcc57a1cd41a87e08e0b55c633c",
+    "episode_pid_eye_3s": "66841ee71a23ae47cb2976372ecb3998e56aca90ea7e19ac052fda50200a90fe",
+    "calibrate_gate_wrist": "da978e02295e0cc4c9fa2a0202e0286aefa8a51c1479349c255c4e29f2c515da",
+    "calibrate_gate_eye": "f27e0a798f3d05b35bc57fa3e977e6f2cdc526c7392f499506112ddab10d0a30",
 }
 
 
@@ -130,3 +141,37 @@ def test_clamped_bootstrap_buffer_digest(tmp_path):
     for name in ("buf_obs", "buf_outputs", "buf_actions", "buf_rewards"):
         digest.update(arrays[name].tobytes())
     assert digest.hexdigest() == GOLDEN_SHA256["clamped_bootstrap_wrist"]
+
+
+def test_eye_training_csv_digests(tmp_path):
+    # the eye's [-10, 10] box enters the agent as its center and half-width,
+    # which every stochastic action and every update reads
+    cfg = RunConfig(preset="eye", seed=9, episodes=6, bootstrap_episodes=3, gru_hidden=8,
+                    augment_copies=1, batch_size=4, updates_per_episode=2,
+                    out_dir=str(tmp_path / "run"))
+    Trainer(cfg).train()
+    for name, n_rows in (("rewards", 7), ("losses", 4)):
+        _, _, rows = open(tmp_path / "run" / f"{name}.csv", "rb").read().partition(b"\n")
+        assert rows.count(b"\n") == n_rows
+        assert _sha(rows) == GOLDEN_SHA256[f"eye_train_{name}"]
+
+
+@pytest.mark.parametrize("preset", ["wrist", "eye"])
+@pytest.mark.parametrize("duration", [None, "3"])
+def test_pid_episode_stdout_digest(preset, duration, capsys):
+    # the default length is the preset's training episode; 3 s is shorter
+    # than the 5 s e_ss window, which then covers the whole episode
+    extra = [] if duration is None else ["--duration", duration]
+    assert cli_main(["episode", "--pid", "--preset", preset] + extra) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == ({"wrist": 44, "eye": 34}[preset] if duration is None else 10)
+    key = f"episode_pid_{preset}" + ("" if duration is None else "_3s")
+    assert _sha(out) == GOLDEN_SHA256[key]
+
+
+@pytest.mark.parametrize("preset", ["wrist", "eye"])
+def test_calibrate_gate_stdout_digest(preset, capsys):
+    assert cli_main(["calibrate-plant", "--preset", preset]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("-> PASS\n")
+    assert _sha(out) == GOLDEN_SHA256[f"calibrate_gate_{preset}"]
