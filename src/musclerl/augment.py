@@ -30,8 +30,7 @@ class AugmentationSpec:
 
     n_copies: int = 10
     delta: float = 2.0
-    target_low: float = -10.0
-    target_high: float = 10.0
+    target_range: float = 10.0
 
     def __post_init__(self):
         if self.n_copies < 0 or self.delta < 0:
@@ -50,6 +49,7 @@ def augment_trajectory(traj: Trajectory, spec: AugmentationSpec, reward_spec: Re
     for k in range(spec.n_copies):
         signs[k] = rng.sign()
         z[k] = rng.uniform(0.0, 1.0, size=dim)
-    targets = np.clip(traj.target + signs * spec.delta * z, spec.target_low, spec.target_high)
+    tr = spec.target_range
+    targets = np.clip(traj.target + signs * spec.delta * z, -tr, tr)
     rewards = reward(reward_spec, traj.outputs[:-1], targets[:, None, :], traj.actions)
     return targets, rewards

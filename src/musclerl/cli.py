@@ -18,11 +18,11 @@ import os
 import sys
 
 from .config import CODE_STAMP, RunConfig, load_config
-from .env import EpisodeConfig, TrackingEnv, run_episode
+from .env import ACTION_PERIOD, PRESETS, run_episode
 from .fieldtest import (
-    FieldTestSpec,
     PolicyController,
     field_spec_for,
+    make_eval_env,
     pid_controller_for,
     pid_gate,
     run_field_test,
@@ -30,14 +30,12 @@ from .fieldtest import (
     summarize,
     write_field_csv,
 )
-from .plant import PLANT_PRESETS
-from .randomize import NO_RANDOMIZATION, SeededRng
 from .trainer import Trainer, load_policy
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key = value config file")
-    p.add_argument("--preset", choices=["eye", "wrist"])
+    p.add_argument("--preset", choices=sorted(PRESETS))
     p.add_argument("--seed", type=int)
     p.add_argument("--episodes", type=int)
     p.add_argument("--bootstrap-episodes", type=int, dest="bootstrap_episodes")
@@ -75,7 +73,7 @@ def _open_checkpoint(load, path):
 def _controller(args):
     """(preset, controller, checkpoint cfg or None) from the flags, or None after printing why."""
     if args.pid:
-        preset = args.preset or "wrist"
+        preset = args.preset or RunConfig.preset
         return preset, pid_controller_for(preset, args.pid_gain_scale or 1.0), None
     if not args.checkpoint:
         print(f"{args.command} needs --checkpoint or --pid", file=sys.stderr)
@@ -125,10 +123,7 @@ def cmd_eval_field(args) -> int:
     if cfg is not None:
         provenance = (f"musclerl field test controller=policy preset={preset} "
                       f"config_sha256={cfg.config_hash()} seed={cfg.seed}")
-    spec = field_spec_for(preset)
-    if args.duration:
-        spec = FieldTestSpec(duration=args.duration,
-                             settle=min(spec.settle, args.duration))
+    spec = field_spec_for(preset, args.duration or None)
     rows = run_field_test(preset, controller, spec, plant=plant)
     s = summarize(rows)
     if args.out:
@@ -146,26 +141,23 @@ def cmd_episode(args) -> int:
         return 2
     preset, controller, cfg = resolved
     plant = None if cfg is None else cfg.plant_config()
-    duration = args.duration or (15.0 if preset == "eye" else 20.0)
-    steps = round(duration / 0.5)
-    env = TrackingEnv(preset, SeededRng(args.seed or 0),
-                      episode=EpisodeConfig(episode_length=steps, target_range=0.0),
-                      randomization=NO_RANDOMIZATION, plant_config=plant)
+    spec = field_spec_for(preset, args.duration or PRESETS[preset].steps * ACTION_PERIOD)
+    env = make_eval_env(preset, spec, plant)
     target = (args.target1, args.target2)
     _, outputs, actions, rewards = run_episode(env, controller, target)
     lines = ["t,angle1,rate1,angle2,rate2," +
              ",".join(f"action{i+1}" for i in range(env.action_dim)) + "," +
              ",".join(f"volt{i+1}" for i in range(env.active.n_muscles)) + ",reward"]
     for t, y in enumerate(outputs):
-        cells = [repr(0.5 * t)] + [repr(float(v)) for v in y]
-        if t < steps:
+        cells = [repr(ACTION_PERIOD * t)] + [repr(float(v)) for v in y]
+        if t < spec.steps:
             cells += [repr(float(v)) for v in actions[t]]
             cells += [repr(float(v)) for v in env.map_action(actions[t])]
             cells.append(repr(float(rewards[t])))
         else:  # the final state has no action
             cells += [""] * (env.action_dim + env.active.n_muscles + 1)
         lines.append(",".join(cells))
-    e_ss = steady_state_error(outputs[1:, ::2], target, round(5.0 / 0.5))
+    e_ss = steady_state_error(outputs[1:, ::2], target, spec.settle_steps)
     text = "\n".join([f"# musclerl episode preset={preset} seed={args.seed or 0} "
                       f"target=({args.target1},{args.target2}) {CODE_STAMP}"] + lines) + "\n"
     if args.out:
@@ -180,13 +172,13 @@ def cmd_episode(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    preset = args.preset or "wrist"
-    rise_band = (5.0, 15.0) if preset == "wrist" else (3.5, 6.5)
+    preset = args.preset or RunConfig.preset
+    rise_band = PRESETS[preset].rise_band
 
     def passes(rise, e_ss):
         return rise is not None and rise_band[0] <= rise <= rise_band[1] and e_ss < 1.5
 
-    base = PLANT_PRESETS[preset]()
+    base = PRESETS[preset].plant()
     if args.scan:
         print("J_scale,d_scale,rise_s,e_ss_deg,pass")
         for js in (0.5, 1.0, 2.0):
@@ -217,7 +209,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("eval-field", help="steady-state grid evaluation")
     p.add_argument("--checkpoint", help="policy checkpoint to evaluate")
     p.add_argument("--pid", action="store_true", help="evaluate the stock PID instead")
-    p.add_argument("--preset", choices=["eye", "wrist"], help="plant preset (PID mode)")
+    p.add_argument("--preset", choices=sorted(PRESETS), help="plant preset (PID mode)")
     p.add_argument("--pid-gain-scale", type=float, dest="pid_gain_scale")
     p.add_argument("--duration", type=float, help="override per-target episode seconds")
     p.add_argument("--out", help="write the grid CSV here")
@@ -226,7 +218,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("episode", help="one logged episode")
     p.add_argument("--checkpoint")
     p.add_argument("--pid", action="store_true")
-    p.add_argument("--preset", choices=["eye", "wrist"])
+    p.add_argument("--preset", choices=sorted(PRESETS))
     p.add_argument("--pid-gain-scale", type=float, dest="pid_gain_scale")
     p.add_argument("--target1", type=float, default=5.0)
     p.add_argument("--target2", type=float, default=5.0)
@@ -236,7 +228,7 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_episode)
 
     p = sub.add_parser("calibrate-plant", help="PID calibration gate / scan")
-    p.add_argument("--preset", choices=["eye", "wrist"])
+    p.add_argument("--preset", choices=sorted(PRESETS))
     p.add_argument("--scan", action="store_true", help="scan J/d scale grid")
     p.set_defaults(func=cmd_calibrate)
 

@@ -2,10 +2,11 @@
 
 A config file is plain lines of `key = value` with `#` comments, keys matching
 RunConfig fields. Override precedence: CLI flag > MUSCLERL_SEED environment
-variable (seed only) > config file > preset default. The resolved config has
-a stable hash that is stamped into every output artifact, next to CODE_STAMP:
-the package version and the numerics version, which moves whenever the last
-bits of simulated trajectories change while the config hash does not.
+variable (seed only) > config file > preset default (env.PRESETS: N, M and
+the episode steps). The resolved config has a stable hash that is stamped
+into every output artifact, next to CODE_STAMP: the package version and the
+numerics version, which moves whenever the last bits of simulated
+trajectories change while the config hash does not.
 """
 
 from __future__ import annotations
@@ -15,14 +16,12 @@ import hashlib
 import os
 from dataclasses import dataclass
 
+from .env import PRESETS
 from .plant import PlantConfig, configured_plant
 
 __version__ = "0.1.0"
 NUMERICS = 3  # 2: the RK4 step map of plant.StepMap; 3: float32 SAC update passes
 CODE_STAMP = f"version={__version__} numerics={NUMERICS}"
-PRESET_EPISODES = {"eye": 2000, "wrist": 3500}
-PRESET_BOOTSTRAP = {"eye": 250, "wrist": 500}
-PRESET_STEPS = {"eye": 30, "wrist": 40}
 SEED_ENV_VAR = "MUSCLERL_SEED"
 
 
@@ -60,27 +59,23 @@ class RunConfig:
     plant_angle_limit: float | None = None
 
     def __post_init__(self):
-        if self.preset not in PRESET_EPISODES:
+        if self.preset not in PRESETS:
             raise ValueError(f"unknown preset {self.preset!r}")
 
     def resolved(self) -> "RunConfig":
-        """Fill preset-dependent defaults; validates M <= N."""
+        """Fill preset-dependent defaults; validates M <= N and gamma."""
+        p = PRESETS[self.preset]
         cfg = dataclasses.replace(
             self,
-            episodes=self.episodes if self.episodes is not None else PRESET_EPISODES[self.preset],
-            bootstrap_episodes=(
-                self.bootstrap_episodes
-                if self.bootstrap_episodes is not None
-                else PRESET_BOOTSTRAP[self.preset]
-            ),
-            episode_length=(
-                self.episode_length
-                if self.episode_length is not None
-                else PRESET_STEPS[self.preset]
-            ),
+            episodes=p.episodes if self.episodes is None else self.episodes,
+            bootstrap_episodes=(p.bootstrap if self.bootstrap_episodes is None
+                                else self.bootstrap_episodes),
+            episode_length=p.steps if self.episode_length is None else self.episode_length,
         )
         if cfg.bootstrap_episodes > cfg.episodes:
             raise ValueError("bootstrap_episodes must not exceed episodes")
+        if not 0 < cfg.gamma <= 1:
+            raise ValueError(f"gamma must lie in (0, 1], got {cfg.gamma!r}")
         if cfg.updates_per_episode is None:
             cfg = dataclasses.replace(cfg, updates_per_episode=cfg.episode_length)
         return cfg
@@ -104,7 +99,7 @@ class RunConfig:
     def plant_config(self) -> PlantConfig:
         """The preset plant with this config's plant_* overrides applied."""
         return configured_plant(
-            self.preset,
+            PRESETS[self.preset].plant(),
             inertia=self.plant_inertia,
             damping=self.plant_damping,
             stiffness=self.plant_stiffness,

@@ -16,7 +16,8 @@ reward() is elementwise over leading axes, so one call scores a whole
 episode, or a whole episode under many relabelled targets. step() advances
 the plant and returns no reward; run_episode() scores the episode in one
 reward() call after its loop. Episodes end by time limit (truncation),
-never by failure.
+never by failure. PRESETS holds each number that differs between the eye
+and the wrist, from the plant and reward to the training schedule.
 
 step() clamps the action to the box as np.clip with array bounds does:
 np.minimum(np.maximum(a, low), high) against the env's read-only bound
@@ -29,10 +30,12 @@ wrappers; every value is the one the array form gives.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .plant import PLANT_PRESETS, PlantConfig, PlantState, StepMap, advance, initial_state
+from .plant import (PlantConfig, PlantState, StepMap, advance, eye_config, initial_state,
+                    wrist_config)
 from .randomize import (
     RandomizationSpec,
     SeededRng,
@@ -58,30 +61,50 @@ class RewardSpec:
             raise ValueError("reward weights must be nonnegative")
 
 
+ACTION_PERIOD = 0.5  # s between actions
+PHYSICS_DT = 0.01    # s per plant substep
+SUBSTEPS = round(ACTION_PERIOD / PHYSICS_DT)
+
+
 @dataclass(frozen=True)
 class EpisodeConfig:
-    """Episode timing and target law."""
+    """Episode length (actions) and target law (uniform on +-target_range deg)."""
 
-    action_period: float = 0.5
-    episode_length: int = 40
+    episode_length: int
     target_range: float = 10.0
-    discount: float = 0.99
-    physics_dt: float = 0.01
-
-    def __post_init__(self):
-        if not (self.action_period > 0 and 0 < self.discount <= 1):
-            raise ValueError("require action_period > 0 and discount in (0, 1]")
-
-    @property
-    def substeps(self) -> int:
-        return max(1, round(self.action_period / self.physics_dt))
 
 
 EYE_REWARD = RewardSpec(q_e=(0.05, 0.25, 0.05, 0.25), r_a=(0.01, 0.01), bonus_threshold=0.3)
 WRIST_REWARD = RewardSpec(q_e=(0.05, 0.2, 0.05, 0.2), r_a=(0.01, 0.01, 0.01), bonus_threshold=0.5)
 
-EYE_EPISODE = EpisodeConfig(episode_length=30)
-WRIST_EPISODE = EpisodeConfig(episode_length=40)
+
+@dataclass(frozen=True)
+class Preset:
+    """Everything that tells one robot from the other, each number once.
+
+    steps is a training episode's action count; the action box is
+    [action_low, 10] per component; episodes and bootstrap are the training
+    schedule's N and M; field_duration is a field-test episode (s); rise_band
+    is the rise time (s) calibrate-plant accepts for the stock PID.
+    """
+
+    plant: Callable[[], PlantConfig]
+    reward: RewardSpec
+    steps: int
+    action_low: float
+    action_dim: int
+    episodes: int
+    bootstrap: int
+    field_duration: float
+    rise_band: tuple[float, float]
+
+
+PRESETS = {
+    "eye": Preset(eye_config, EYE_REWARD, steps=30, action_low=-10.0, action_dim=2,
+                  episodes=2000, bootstrap=250, field_duration=15.0, rise_band=(3.5, 6.5)),
+    "wrist": Preset(wrist_config, WRIST_REWARD, steps=40, action_low=0.0, action_dim=3,
+                    episodes=3500, bootstrap=500, field_duration=25.0, rise_band=(5.0, 15.0)),
+}
 
 
 def map_action_eye(a) -> np.ndarray:
@@ -93,12 +116,6 @@ def map_action_eye(a) -> np.ndarray:
     a1 = min(max(float(a[0]), -10.0), 10.0)
     a2 = min(max(float(a[1]), -10.0), 10.0)
     return np.array([-min(a1, 0.0), max(a1, 0.0), -min(a2, 0.0), max(a2, 0.0)])
-
-
-def map_action_wrist(a) -> np.ndarray:
-    """Direct per-muscle voltages, clamped to [0, 10]."""
-    out = np.asarray(a, dtype=np.float64).copy()
-    return np.clip(out, 0.0, 10.0)
 
 
 def reward(spec: RewardSpec, y, y_star, a):
@@ -140,19 +157,19 @@ class TrackingEnv:
         rng: SeededRng,
         episode: EpisodeConfig | None = None,
         randomization: RandomizationSpec | None = None,
-        reward_spec: RewardSpec | None = None,
         plant_config: PlantConfig | None = None,
     ):
-        if preset not in PLANT_PRESETS:
-            raise ValueError(f"unknown preset {preset!r}; choose from {sorted(PLANT_PRESETS)}")
+        if preset not in PRESETS:
+            raise ValueError(f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
+        p = PRESETS[preset]
         self.preset = preset
-        self.nominal = plant_config if plant_config is not None else PLANT_PRESETS[preset]()
-        self.episode = episode or (EYE_EPISODE if preset == "eye" else WRIST_EPISODE)
+        self.nominal = plant_config if plant_config is not None else p.plant()
+        self.episode = episode or EpisodeConfig(episode_length=p.steps)
         self.randomization = randomization if randomization is not None else RandomizationSpec()
-        self.reward_spec = reward_spec or (EYE_REWARD if preset == "eye" else WRIST_REWARD)
-        self.action_dim = 2 if preset == "eye" else 3
-        self.action_low = np.array([-10.0, -10.0]) if preset == "eye" else np.zeros(3)
-        self.action_high = np.full(self.action_dim, 10.0)
+        self.reward_spec = p.reward
+        self.action_dim = p.action_dim
+        self.action_low = np.full(p.action_dim, p.action_low)
+        self.action_high = np.full(p.action_dim, 10.0)
         self.action_low.flags.writeable = False
         self.action_high.flags.writeable = False
         self._params_rng = rng.split("muscle-params")
@@ -165,10 +182,9 @@ class TrackingEnv:
         self.steps_taken = 0
         self._done = True
 
-    # -- action geometry -------------------------------------------------
-
     def map_action(self, a) -> np.ndarray:
-        return map_action_eye(a) if self.preset == "eye" else map_action_wrist(a)
+        """The voltages of a clipped action: the wrist's are the action itself."""
+        return map_action_eye(a) if self.preset == "eye" else a
 
     # -- episode lifecycle ------------------------------------------------
 
@@ -177,7 +193,7 @@ class TrackingEnv:
         muscles = sample_muscle_set(self.nominal.muscles, self.randomization, self._params_rng)
         if self.step_map is None or muscles != self.active.muscles:
             self.active = self.nominal.with_muscles(muscles)
-            self.step_map = StepMap(self.active, self.episode.physics_dt, self.episode.substeps)
+            self.step_map = StepMap(self.active, PHYSICS_DT, SUBSTEPS)
         self.state = initial_state(self.active)
         tr = self.episode.target_range
         self.target = self._target_rng.uniform(-tr, tr, size=2)
@@ -203,9 +219,8 @@ class TrackingEnv:
         Returns (next_obs, done, info); info carries the noiseless output at
         which the action was taken, the clipped action and the applied
         voltages, which are what reward() scores. done is a time-limit
-        truncation, so critic targets keep bootstrapping. The wrist's
-        voltages are the clipped action itself (the same array):
-        map_action_wrist's [0, 10] clamp would return them unchanged.
+        truncation, so critic targets keep bootstrapping. The voltages are
+        map_action's, inline: the wrist's are the clipped action array itself.
         """
         if self._done:
             raise RuntimeError("step() called on a finished episode; call reset()")
@@ -240,9 +255,8 @@ def run_episode(env: TrackingEnv, controller, target=None):
     out_rows = np.empty((T + 1, 4))
     act_rows = np.empty((T, env.action_dim))
     obs_rows[0] = obs
-    dt = env.episode.action_period
     for t in range(T):
-        obs, _, info = env.step(controller.act(obs, dt=dt))
+        obs, _, info = env.step(controller.act(obs, dt=ACTION_PERIOD))
         out_rows[t] = info["output"]
         act_rows[t] = info["action"]
         obs_rows[t + 1] = obs

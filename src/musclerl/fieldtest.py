@@ -4,7 +4,8 @@ Evaluation always runs on the nominal plant (the preset's, or the one a
 checkpoint was trained on) with no parameter randomization and no
 observation noise, from rest, with the deterministic policy. The
 steady-state error of one episode is the Euclidean angle error averaged over
-the final settle window, sampled at the action period:
+the final settle window, sampled at the action period (env.ACTION_PERIOD);
+the per-target duration is the preset's (env.PRESETS):
 
     e_ss = mean over last (settle / t_a) steps of sqrt((a1 - t1)^2 + (a2 - t2)^2)
 """
@@ -18,9 +19,9 @@ from functools import partial
 import numpy as np
 
 from .config import CODE_STAMP
-from .env import EpisodeConfig, TrackingEnv, run_episode
+from .env import ACTION_PERIOD, PRESETS, EpisodeConfig, TrackingEnv, run_episode
 from .pid import PidActionPolicy, gains_for
-from .plant import PLANT_PRESETS, PlantConfig
+from .plant import PlantConfig
 from .randomize import NO_RANDOMIZATION, SeededRng
 from .sac import SacAgent
 
@@ -33,7 +34,6 @@ class FieldTestSpec:
     spacing: float = 2.5
     duration: float = 25.0
     settle: float = 5.0
-    action_period: float = 0.5
 
     def __post_init__(self):
         n = self.extent / self.spacing
@@ -44,19 +44,18 @@ class FieldTestSpec:
 
     @property
     def steps(self) -> int:
-        return round(self.duration / self.action_period)
+        return round(self.duration / ACTION_PERIOD)
 
     @property
     def settle_steps(self) -> int:
-        return round(self.settle / self.action_period)
+        return round(self.settle / ACTION_PERIOD)
 
 
-EYE_FIELD = FieldTestSpec(duration=15.0)
-WRIST_FIELD = FieldTestSpec(duration=25.0)
-
-
-def field_spec_for(preset: str) -> FieldTestSpec:
-    return EYE_FIELD if preset == "eye" else WRIST_FIELD
+def field_spec_for(preset: str, duration: float | None = None) -> FieldTestSpec:
+    """The preset's field test, or one of duration s with the settle window fitted."""
+    if duration is None:
+        return FieldTestSpec(duration=PRESETS[preset].field_duration)
+    return FieldTestSpec(duration=duration, settle=min(FieldTestSpec.settle, duration))
 
 
 def grid_targets(spec: FieldTestSpec) -> list[tuple[float, float]]:
@@ -95,11 +94,8 @@ class PolicyController:
 def make_eval_env(preset: str, spec: FieldTestSpec,
                   plant: PlantConfig | None = None) -> TrackingEnv:
     """Nominal noiseless env; plant None means the preset's own plant."""
-    episode = EpisodeConfig(
-        action_period=spec.action_period,
-        episode_length=spec.steps,
-        target_range=0.0,  # targets are set explicitly per grid point
-    )
+    # targets are set explicitly per grid point
+    episode = EpisodeConfig(episode_length=spec.steps, target_range=0.0)
     return TrackingEnv(preset, SeededRng(0), episode=episode,
                        randomization=NO_RANDOMIZATION, plant_config=plant)
 
@@ -162,7 +158,7 @@ def write_field_csv(path: str, rows, provenance: str) -> None:
 
 
 def pid_controller_for(preset: str, gain_scale: float = 1.0) -> PidActionPolicy:
-    plant = PLANT_PRESETS[preset]()
+    plant = PRESETS[preset].plant()
     return PidActionPolicy(preset, plant, gains_for(preset, plant, scale=gain_scale))
 
 
@@ -173,12 +169,12 @@ def pid_gate(preset: str, plant: PlantConfig | None = None) -> tuple[float | Non
     within 10 % of the step's size, None if never; e_ss is the field test's
     steady-state error (deg). plant None means the preset's own plant.
     """
-    plant = plant or PLANT_PRESETS[preset]()
+    plant = plant or PRESETS[preset].plant()
     spec = field_spec_for(preset)
     pid = PidActionPolicy(preset, plant, gains_for(preset, plant))
     angles = default_episode_runner(preset, spec, pid, (5.0, 5.0),
                                     make_eval_env(preset, spec, plant))
     near = np.nonzero(np.hypot(angles[:, 0] - 5.0, angles[:, 1] - 5.0)
                       < 0.1 * np.hypot(5.0, 5.0))[0]
-    rise = spec.action_period * (int(near[0]) + 1) if near.size else None
+    rise = ACTION_PERIOD * (int(near[0]) + 1) if near.size else None
     return rise, steady_state_error(angles, (5.0, 5.0), spec.settle_steps)

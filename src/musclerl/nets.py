@@ -64,13 +64,10 @@ class NetworkShape:
     input_dim: int
     gru_hidden: int
     output_dim: int
-    head: str = "linear"  # "linear" | "squashed_gaussian"
 
     def __post_init__(self):
         if min(self.input_dim, self.gru_hidden, self.output_dim) < 1:
             raise ValueError("network dimensions must be >= 1")
-        if self.head not in ("linear", "squashed_gaussian"):
-            raise ValueError(f"unknown head kind {self.head!r}")
 
 
 def _layout(shape: NetworkShape):

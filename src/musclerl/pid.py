@@ -77,14 +77,13 @@ class PidController:
     integral and prev_error are lists of floats, one per axis.
     """
 
-    def __init__(self, gains: PidGains, n_axes: int = 2):
+    def __init__(self, gains: PidGains):
         self.gains = gains
-        self.integral = [0.0] * n_axes
-        self.prev_error = [0.0] * n_axes
+        self.reset()
 
     def reset(self) -> None:
-        self.integral = [0.0] * len(self.integral)
-        self.prev_error = [0.0] * len(self.prev_error)
+        self.integral = [0.0, 0.0]
+        self.prev_error = [0.0, 0.0]
 
     def update(self, error, dt: float) -> np.ndarray:
         """Axis commands for the current per-axis error (deg)."""

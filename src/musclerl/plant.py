@@ -116,11 +116,8 @@ def wrist_config() -> PlantConfig:
     )
 
 
-PLANT_PRESETS = {"eye": eye_config, "wrist": wrist_config}
-
-
 def configured_plant(
-    preset: str,
+    cfg: PlantConfig,
     inertia: float | None = None,
     damping: float | None = None,
     stiffness: float | None = None,
@@ -128,12 +125,11 @@ def configured_plant(
     rest_length: float | None = None,
     angle_limit: float | None = None,
 ) -> PlantConfig:
-    """Preset plant with selected constants overridden (config-file knobs).
+    """A preset plant with selected constants overridden (config-file knobs).
 
     Changing the moment arm rebuilds the routing matrix; changing the rest
     length rebuilds the muscle set.
     """
-    cfg = PLANT_PRESETS[preset]()
     kw = {}
     if inertia is not None:
         kw["J"] = inertia
@@ -145,7 +141,7 @@ def configured_plant(
         kw["angle_limit"] = angle_limit
     if moment_arm is not None:
         kw["r"] = moment_arm
-        builder = eye_routing if preset == "eye" else wrist_routing
+        builder = eye_routing if cfg.name == "eye" else wrist_routing
         kw["routing"] = builder(moment_arm)
     if rest_length is not None:
         kw["muscles"] = tuple(replace(p, x0=rest_length) for p in cfg.muscles)

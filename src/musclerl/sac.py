@@ -250,7 +250,7 @@ class SacAgent:
         self.target_entropy = float(-action_dim if target_entropy is None else target_entropy)
         self.fixed_alpha = fixed_alpha
 
-        actor_shape = NetworkShape(obs_dim, gru_hidden, 2 * action_dim, head="squashed_gaussian")
+        actor_shape = NetworkShape(obs_dim, gru_hidden, 2 * action_dim)
         critic_shape = NetworkShape(obs_dim + action_dim, gru_hidden, 1)
         self.actor = init_params(actor_shape, rng.split("actor"))
         self.q1 = init_params(critic_shape, rng.split("critic-1"))
@@ -424,6 +424,8 @@ class SacAgent:
 
         self.soft_update(self.tau)
         self._act_stack = None
+        for cache in self._ws.values():  # the next forward through each sets its stack
+            cache.nets = None
 
         report = {
             "critic1_loss": critic1_loss,

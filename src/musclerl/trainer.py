@@ -100,17 +100,10 @@ class Trainer:
                 shared_across_muscles=cfg.shared_muscle_scaling,
             )
         )
-        episode = EpisodeConfig(
-            episode_length=cfg.episode_length,
-            target_range=cfg.target_range,
-            discount=cfg.gamma,
-        )
+        episode = EpisodeConfig(episode_length=cfg.episode_length, target_range=cfg.target_range)
         self.env = TrackingEnv(cfg.preset, master.split("env"), episode=episode,
                                randomization=randomization, plant_config=cfg.plant_config())
-        if cfg.preset == "eye":
-            center, half = 0.0, 10.0
-        else:
-            center, half = 5.0, 5.0
+        low, high = self.env.action_low, self.env.action_high
         self.agent = SacAgent(
             obs_dim=6,
             action_dim=self.env.action_dim,
@@ -118,8 +111,8 @@ class Trainer:
             gru_hidden=cfg.gru_hidden,
             lr=cfg.lr,
             tau=cfg.tau,
-            action_center=center,
-            action_half=half,
+            action_center=(low + high) / 2,
+            action_half=(high - low) / 2,
         )
         self.buffer = ReplayBuffer(cfg.buffer_capacity)
         self.sample_rng = master.split("replay")
@@ -129,15 +122,13 @@ class Trainer:
         self.aug_spec = AugmentationSpec(
             n_copies=0 if cfg.no_augment else cfg.augment_copies,
             delta=cfg.augment_delta,
-            target_low=-cfg.target_range,
-            target_high=cfg.target_range,
+            target_range=cfg.target_range,
         )
         nominal = self.env.nominal
         self.controllers = {
             "pid": PidActionPolicy(cfg.preset, nominal,
                                    gains_for(cfg.preset, nominal, scale=cfg.pid_gain_scale)),
-            "random": UniformController(self.warmup_rng, self.env.action_low,
-                                        self.env.action_high),
+            "random": UniformController(self.warmup_rng, low, high),
             "policy": PolicyController(self.agent, rng=self.rollout_rng),
         }
         self.episode_idx = 0  # completed episodes
@@ -244,6 +235,13 @@ class Trainer:
 
     # -- persistence ---------------------------------------------------------
 
+    def rng_streams(self) -> dict:
+        """Every random stream of the run by its checkpoint name; env_noise is a list."""
+        return {"env_params": self.env._params_rng, "env_target": self.env._target_rng,
+                "env_noise": self.env._noise_rngs, "agent_noise": self.agent._noise_rng,
+                "sample": self.sample_rng, "augment": self.augment_rng,
+                "warmup": self.warmup_rng, "rollout": self.rollout_rng}
+
     def save(self, path: str, include_buffer: bool = True) -> None:
         """Write a full checkpoint, or with include_buffer=False a policy one.
 
@@ -260,16 +258,8 @@ class Trainer:
             "config_hash": self.cfg.config_hash(),
             "episode": self.episode_idx,
             **agent_meta,
-            "rng": {
-                "env_params": self.env._params_rng.get_state(),
-                "env_target": self.env._target_rng.get_state(),
-                "env_noise": [r.get_state() for r in self.env._noise_rngs],
-                "agent_noise": self.agent._noise_rng.get_state(),
-                "sample": self.sample_rng.get_state(),
-                "augment": self.augment_rng.get_state(),
-                "warmup": self.warmup_rng.get_state(),
-                "rollout": self.rollout_rng.get_state(),
-            },
+            "rng": {name: [r.get_state() for r in s] if isinstance(s, list) else s.get_state()
+                    for name, s in self.rng_streams().items()},
         }
         if include_buffer:
             meta["buffer"], buffer_arrays = self.buffer.state()
@@ -297,16 +287,10 @@ class Trainer:
         cfg = RunConfig(**meta["config"])
         tr = cls(cfg)
         tr.agent.load_state(meta, arrays)
-        rng = meta["rng"]
-        tr.env._params_rng.set_state(rng["env_params"])
-        tr.env._target_rng.set_state(rng["env_target"])
-        for r, st in zip(tr.env._noise_rngs, rng["env_noise"]):
-            r.set_state(st)
-        tr.agent._noise_rng.set_state(rng["agent_noise"])
-        tr.sample_rng.set_state(rng["sample"])
-        tr.augment_rng.set_state(rng["augment"])
-        tr.warmup_rng.set_state(rng["warmup"])
-        tr.rollout_rng.set_state(rng["rollout"])
+        for name, stream in tr.rng_streams().items():
+            state = meta["rng"][name]
+            for r, st in zip(stream, state) if isinstance(stream, list) else [(stream, state)]:
+                r.set_state(st)
         tr.episode_idx = int(meta["episode"])
         if "buffer" in meta:
             tr.buffer.load_state(meta["buffer"], arrays)

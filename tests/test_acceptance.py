@@ -48,6 +48,18 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RUNS = os.environ.get("MUSCLERL_RUNS_DIR", os.path.join(REPO, "runs"))
 
 
+def _load(name, *path):
+    """A repo file outside the package, imported as module name."""
+    spec = importlib.util.spec_from_file_location(name, os.path.join(REPO, *path))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# criterion 6's reward-curve reader and checks, shared with the report script
+REPORT = _load("efficiency_report", "scripts", "efficiency_report.py")
+
+
 def ok(criterion, passed, detail):
     print(f"\nACCEPTANCE {criterion}: {'PASS' if passed else 'FAIL'} - {detail}")
     assert passed, f"criterion {criterion}: {detail}"
@@ -217,14 +229,6 @@ def test_criterion_5_training_determinism(tmp_path):
        f"{'carries' if stamped else 'lacks'} {CODE_STAMP!r}, {elapsed:.0f}s")
 
 
-def _benchmark_thread_vars():
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_run", os.path.join(REPO, "perfbench", "run.py"))
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.THREAD_VARS
-
-
 def test_committed_run_matches_the_code(tmp_path):
     # the first 504 episodes of runs/wrist_sacbar_s101 (500 PID episodes,
     # then 4 with updates) re-run by the command that made it: a change that
@@ -234,7 +238,8 @@ def test_committed_run_matches_the_code(tmp_path):
     run = "wrist_sacbar_s101"
     committed = os.path.join(REPO, "runs", run)
     src = os.path.dirname(os.path.dirname(os.path.abspath(musclerl.__file__)))
-    env = dict(os.environ, **{v: "1" for v in _benchmark_thread_vars()})
+    thread_vars = _load("perfbench_run", "perfbench", "run.py").THREAD_VARS
+    env = dict(os.environ, **{v: "1" for v in thread_vars})
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     subprocess.run([sys.executable, "-m", "musclerl.cli", "train", "--preset", "wrist",
                     "--seed", "101", "--episodes", "1700", "--gru-hidden", "64",
@@ -258,47 +263,6 @@ def test_committed_run_matches_the_code(tmp_path):
         assert rows == kept, f"{run}/{name}: the re-run's rows differ from the committed ones"
 
 
-def moving_mean(values, window=100):
-    out = np.full(len(values), np.nan)
-    c = np.cumsum(np.insert(values, 0, 0.0))
-    for i in range(window - 1, len(values)):
-        out[i] = (c[i + 1] - c[i + 1 - window]) / window
-    return out
-
-
-def read_avg_rewards(run_name):
-    path = os.path.join(RUNS, run_name, "rewards.csv")
-    eps, avg = [], []
-    for line in open(path):
-        if line.startswith("#") or line.startswith("episode"):
-            continue
-        parts = line.strip().split(",")
-        eps.append(int(parts[0]))
-        avg.append(float(parts[4]))
-    order = np.argsort(eps)
-    return np.array(avg)[order]
-
-
-def numerics_stamp(csv_path):
-    """The numerics= value on a CSV's provenance line, or None if it carries none."""
-    with open(csv_path) as fh:
-        head = fh.readline()
-    if head.startswith("#"):
-        for field in head.split():
-            if field.startswith("numerics="):
-                return field.partition("=")[2]
-    return None
-
-
-def numerics_mismatch(csv_paths):
-    """One line naming each run's stamp when the runs do not share one, else None."""
-    stamps = {os.path.basename(os.path.dirname(p)): numerics_stamp(p) for p in csv_paths}
-    if None not in stamps.values() and len(set(stamps.values())) == 1:
-        return None
-    return "runs come from different numerics: " + ", ".join(
-        f"{run}={stamp or 'unstamped'}" for run, stamp in stamps.items())
-
-
 def test_numerics_mismatch_names_each_run(tmp_path):
     paths = []
     for run, head in (("a", "# musclerl seed=1 version=0.1.0 numerics=3"),
@@ -309,30 +273,45 @@ def test_numerics_mismatch_names_each_run(tmp_path):
         paths.append(str(tmp_path / run / "rewards.csv"))
         with open(paths[-1], "w") as fh:
             fh.write(head + "\nepisode,controller,steps,episode_return,avg_reward\n")
-    assert numerics_mismatch([paths[0], paths[3]]) is None
-    assert numerics_mismatch(paths[:2]) == "runs come from different numerics: a=3, b=1"
-    reason = numerics_mismatch([paths[0], paths[2]])
+    assert REPORT.numerics_mismatch([paths[0], paths[3]]) is None
+    assert REPORT.numerics_mismatch(paths[:2]) == "runs come from different numerics: a=3, b=1"
+    reason = REPORT.numerics_mismatch([paths[0], paths[2]])
     assert reason == "runs come from different numerics: a=3, c=unstamped"
     assert "\n" not in reason
 
 
+def test_efficiency_report_refuses_missing_or_mixed_runs(tmp_path, capsys):
+    # one line on stderr and exit status 1, not a traceback or a number
+    runs = REPORT.ENHANCED_RUNS + REPORT.BASELINE_RUNS
+    for run in runs[:3]:
+        (tmp_path / run).mkdir()
+        (tmp_path / run / "rewards.csv").write_text(
+            "# musclerl seed=1 version=0.1.0 numerics=3\n"
+            "episode,controller,steps,episode_return,avg_reward\n")
+    assert REPORT.main([str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "['wrist_baseline_s102/rewards.csv']" in err
+    (tmp_path / runs[3]).mkdir()
+    (tmp_path / runs[3] / "rewards.csv").write_text("# musclerl seed=1 numerics=2\n")
+    assert REPORT.main([str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        "runs come from different numerics: wrist_sacbar_s101=3, wrist_sacbar_s102=3, "
+        "wrist_baseline_s101=3, wrist_baseline_s102=2\n")
+
+
 @pytest.mark.training
 def test_criterion_6_data_efficiency():
-    runs = ["wrist_sacbar_s101", "wrist_sacbar_s102", "wrist_baseline_s101",
-            "wrist_baseline_s102"]
+    runs = REPORT.ENHANCED_RUNS + REPORT.BASELINE_RUNS
     _ensure_runs([f"{run}/rewards.csv" for run in runs])
-    reason = numerics_mismatch([os.path.join(RUNS, run, "rewards.csv") for run in runs])
+    paths = [os.path.join(RUNS, run, "rewards.csv") for run in runs]
+    reason = REPORT.numerics_mismatch(paths)
     if reason is not None:
         ok(6, False, reason)
-    base = [read_avg_rewards(f"wrist_baseline_s{s}") for s in (101, 102)]
-    bar = [read_avg_rewards(f"wrist_sacbar_s{s}") for s in (101, 102)]
+    bar = [REPORT.read_avg_rewards(p) for p in paths[:2]]
+    base = [REPORT.read_avg_rewards(p) for p in paths[2:]]
     for b in base:
         assert len(b) >= 3500, "baseline runs must reach 3500 episodes"
-    baseline_level = float(np.mean([moving_mean(b[:3500])[3499] for b in base]))
-    n = min(map(len, bar))
-    bar_curve = moving_mean(np.mean([b[:n] for b in bar], axis=0))
-    crossed = np.nonzero(bar_curve >= baseline_level)[0]
-    first = int(crossed[0]) + 1 if crossed.size else None
+    baseline_level, _, first = REPORT.crossing_episode(base, bar, 3500)
     ok(6, first is not None and first <= 1600,
        f"baseline 100-episode level at 3500 eps = {baseline_level:.3f}; "
        f"enhanced run reaches it at episode {first} (<= 1600)")

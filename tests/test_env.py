@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from musclerl.env import (
+    ACTION_PERIOD,
     EYE_REWARD,
     WRIST_REWARD,
     EpisodeConfig,
@@ -120,7 +121,7 @@ def test_episode_lengths_and_done_signalling():
             count += 1
         assert count == n_steps
         assert info["truncated"] is True
-        assert count * env.episode.action_period == pytest.approx(15.0 if preset == "eye" else 20.0)
+        assert count * ACTION_PERIOD == pytest.approx(15.0 if preset == "eye" else 20.0)
         with pytest.raises(RuntimeError):
             env.step(np.zeros(env.action_dim))
 

@@ -126,7 +126,7 @@ def test_bootstrap_buffer_digest(preset, tmp_path):
 
 
 def test_clamped_bootstrap_buffer_digest(tmp_path):
-    # the bootstrap above on configured_plant("wrist", angle_limit=3.0):
+    # the bootstrap above on configured_plant(wrist_config(), angle_limit=3.0):
     # angles stored exactly on the limit are written only by the clamp in
     # advance()'s substep fallback, so the digest covers that branch
     cfg = RunConfig(preset="wrist", seed=17, episodes=4, bootstrap_episodes=4, gru_hidden=8,

@@ -83,6 +83,14 @@ def test_config_preset_defaults_and_validation():
         RunConfig(preset="ankle")
 
 
+@pytest.mark.parametrize("gamma", [1.5, 0.0, -0.5, math.nan])
+def test_gamma_outside_the_unit_interval_is_rejected(gamma, tmp_path):
+    # a config file's gamma is outside input; nothing downstream checks it
+    with pytest.raises(ValueError, match="gamma"):
+        Trainer(RunConfig(gamma=gamma, gru_hidden=8, out_dir=str(tmp_path)))
+    assert RunConfig(gamma=1.0).resolved().gamma == 1.0
+
+
 def test_config_hash_ignores_out_dir_only():
     a = RunConfig(out_dir="x")
     b = RunConfig(out_dir="y")

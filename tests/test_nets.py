@@ -393,8 +393,6 @@ def test_split_head_clips_and_masks():
 def test_shape_validation():
     with pytest.raises(ValueError):
         NetworkShape(input_dim=0, gru_hidden=4, output_dim=1)
-    with pytest.raises(ValueError):
-        NetworkShape(input_dim=1, gru_hidden=4, output_dim=1, head="softmax")
     shape = NetworkShape(input_dim=2, gru_hidden=3, output_dim=1)
     net = init_params(shape, SeededRng(0))
     with pytest.raises(ValueError):

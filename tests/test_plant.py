@@ -4,12 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from musclerl.env import PRESETS
 from musclerl.muscle import MuscleParams
 from musclerl.plant import (
     PlantState,
     StepMap,
     advance,
-    configured_plant,
     eye_config,
     initial_state,
     wrist_config,
@@ -368,7 +368,7 @@ def test_step_map_and_advance_match_the_array_oracles_bit_for_bit(preset, multip
     # random voltages (fast path), then saturated voltages with an outward
     # torque given as a list and then as an array, which drive the stock
     # 25 deg limit and take the substep fallback
-    nominal = configured_plant(preset)
+    nominal = PRESETS[preset].plant()
     rng = SeededRng(23).split(f"plant-oracle/{preset}/{multiplier}")
     spec = RandomizationSpec(variance_multiplier=multiplier)
     m = nominal.n_muscles

@@ -87,6 +87,18 @@ def test_update_passes_share_one_activation_storage():
     assert agents[0]._ws["target"].pre is not agents[1]._ws["target"].pre
 
 
+def test_update_leaves_no_stacked_nets_in_its_caches():
+    # a pass's StackedNets (weights plus transposes) would otherwise stay
+    # alive until the next update built its successor next to it
+    agent = make_agent(hidden=6, seed=7)
+    batch = [make_traj(T=4, seed=i) for i in range(20)]
+    agent.act(np.zeros(6), agent.initial_hidden())
+    for _ in range(2):
+        agent.update(batch, gamma=0.9)
+        assert sorted(agent._ws) == ["act", "actor", "critic", "critic_pi", "target"]
+        assert all(cache.nets is None for cache in agent._ws.values())
+
+
 def test_width64_update_holds_one_critic_storage():
     # an S=2 critic pass's activations take 5.6 MB at width 64 and T=40: the
     # agent holds one such storage for its three critic passes (three
