@@ -14,10 +14,10 @@
 # it is safe to re-invoke. Outputs land in runs/.
 # Disk: each run keeps a rolling checkpoint.ckpt and, once complete, a
 # final.ckpt of the same size (full checkpoints with the replay buffer),
-# plus a 2.2 MB policy_final.ckpt. Full checkpoints measured at width 64:
-# 16.0 MB for a 1700-episode wrist run, 18.3 MB for a 3500-episode
-# --no-augment wrist run and 14.1 MB for a 2000-episode eye run, so the
-# five runs below take about 177 MB in all; the two lanes write to
+# plus a 0.21 MB actor-only policy_final.ckpt. Full checkpoints measured at
+# width 64: 10.0 MB for a 1700-episode wrist run, 17.2 MB for a 3500-episode
+# --no-augment wrist run and 8.9 MB for a 2000-episode eye run, so the
+# five runs below take about 128 MB in all; the two lanes write to
 # different run directories, so running them at once needs no more.
 set -euo pipefail
 cd "$(dirname "$0")/.."

@@ -15,7 +15,7 @@ Both directions stream: saving hashes, then writes, each array's own
 buffer, and loading reads each array straight into its new float64 array,
 hashing as it goes. So neither holds a second copy of the data. Full
 checkpoints embed the replay buffer for exact resume; policy checkpoints
-omit it.
+hold the actor alone.
 """
 
 from __future__ import annotations

@@ -167,7 +167,7 @@ def cmd_episode(args) -> int:
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)
-    print(f"e_ss over final 5 s: {e_ss:.4f} deg")
+    print(f"e_ss over final {spec.settle:g} s: {e_ss:.4f} deg")
     return 0
 
 

@@ -176,7 +176,9 @@ class StackCache:
     works on contiguous (S, B, dim) scratch and copies one slice per array
     per step; reusing the cache across updates avoids re-touching tens of
     megabytes of fresh pages every call. The backward reads relu_mask, not
-    pre, so it reuses pre for its (S, T, B, H) temporaries.
+    pre, so it reuses pre for its (S, T, B, H) temporaries; nor does it read
+    gx, which the forward reads only inside its step loop, so dgx, the gate
+    gradients it writes, is the same array as gx.
 
     A cache built with share=other, a cache of the same signature, has no
     storage of its own: it takes other's sequence arrays and step scratch
@@ -222,7 +224,7 @@ class StackCache:
         self.h_states = empty(S, T + 1, B, H)  # row 0 is h0
         self.h_out = self.h_states[:, 1:]      # rows 1..T, a view
         self.gx = empty(S, T, B, 3 * H)
-        self.dgx = empty(S, T, B, 3 * H)
+        self.dgx = self.gx  # one array (see above)
         self.y = empty(S, T, B, sp.shape.output_dim)
         # step-loop scratch
         self._zr = empty(S, B, 2 * H)

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .env import RewardSpec, reward
 from .nets import (
     SCRATCH,
     AdamState,
@@ -103,7 +104,9 @@ class ReplayBuffer:
     Slots share the arrays, so push makes them read-only. sample() and
     snapshot() give the base object for a base slot; for a relabel slot,
     a Trajectory whose obs is a copy of the base's with the relabel's
-    target, and whose outputs and actions are the base's.
+    target, and whose outputs and actions are the base's. A checkpoint
+    keeps no reward row, since env.reward recomputes each one exactly (see
+    state and load_state).
     """
 
     def __init__(self, capacity: int = REPLAY_CAPACITY):
@@ -165,56 +168,74 @@ class ReplayBuffer:
         """Every slot's trajectory in slot order, built as sample() builds it."""
         return (self._trajectory(slot) for slot in self._slots)
 
+    # the checkpoint arrays of a non-empty buffer; the rewards are rebuilt
+    ARRAYS = ("buf_obs", "buf_outputs", "buf_actions", "buf_relabel_targets", "buf_slots")
+
     def state(self) -> tuple[dict, dict[str, np.ndarray]]:
         """Checkpoint form: (JSON-safe meta, float64 arrays).
 
         Each base is saved once, in order of first reference, as
-        buf_obs/buf_outputs/buf_actions/buf_rewards; the meta carries their
-        controller tags. The relabels, in slot order, are
-        buf_relabel_targets (R, 2) and buf_relabel_rewards (R, T), and
-        buf_slots (S, 2) holds each slot's base index and relabel row
-        (-1 for a base slot).
+        buf_obs/buf_outputs/buf_actions; the meta carries their controller
+        tags. The relabels' targets, in slot order, are buf_relabel_targets
+        (R, 2), and buf_slots (S, 2) holds each slot's base index and
+        relabel row (-1 for a base slot). No rewards are saved: load_state
+        recomputes them from the outputs, actions and targets.
         """
         base_index: dict[int, int] = {}
-        bases, slots, targets, rewards = [], [], [], []
-        for base, target, row in self._slots:
+        bases, slots, targets = [], [], []
+        for base, target, _ in self._slots:
             b = base_index.setdefault(id(base), len(bases))
             if b == len(bases):
                 bases.append(base)
             slots.append((b, -1 if target is None else len(targets)))
             if target is not None:
                 targets.append(target)
-                rewards.append(row)
         meta = {"slots": len(slots), "next": self._next,
                 "controllers": [t.controller for t in bases]}
         if not bases:
             return meta, {}
-        T = self._length
         return meta, {
             "buf_obs": np.stack([t.obs for t in bases]),
             "buf_outputs": np.stack([t.outputs for t in bases]),
             "buf_actions": np.stack([t.actions for t in bases]),
-            "buf_rewards": np.stack([t.rewards for t in bases]),
             "buf_relabel_targets": np.array(targets, dtype=np.float64).reshape(-1, 2),
-            "buf_relabel_rewards": np.array(rewards, dtype=np.float64).reshape(-1, T),
             "buf_slots": np.array(slots, dtype=np.float64),
         }
 
-    def load_state(self, meta: dict, arrays: dict[str, np.ndarray]) -> None:
-        """Refill this empty buffer from state()'s output."""
+    def load_state(self, meta: dict, arrays: dict[str, np.ndarray],
+                   reward_spec: RewardSpec) -> None:
+        """Refill this empty buffer from state()'s output.
+
+        The rewards come from reward_spec, the run's reward law: one
+        reward() call per base scores the base's target and those of its
+        relabels, which reproduces the pushed rows bit for bit (see
+        env.reward), and allocates only the rows it fills. Reward arrays
+        that older checkpoints carry are not read.
+        """
         if meta["slots"] > self.capacity:
             raise ValueError(f"{meta['slots']} stored slots exceed capacity {self.capacity}")
         if meta["slots"] == 0:
             return
-        for name in ("buf_obs", "buf_outputs", "buf_actions", "buf_rewards",
-                     "buf_relabel_targets", "buf_relabel_rewards"):
-            arrays[name].flags.writeable = False
+        obs, outputs, actions = arrays["buf_obs"], arrays["buf_outputs"], arrays["buf_actions"]
+        targets = arrays["buf_relabel_targets"]
+        slots = arrays["buf_slots"].astype(np.int64).tolist()
+        rows_of: list[list[int]] = [[] for _ in range(len(obs))]
+        for b, r in slots:
+            if r >= 0:
+                rows_of[b].append(r)
+        base_rewards = np.empty(actions.shape[:2])
+        rewards = np.empty((len(targets), actions.shape[1]))
+        for b, rows in enumerate(rows_of):
+            y_star = np.concatenate([obs[b, :1, 4:6], targets[rows]])[:, None, :]
+            scored = reward(reward_spec, outputs[b, :-1], y_star, actions[b])
+            base_rewards[b] = scored[0]
+            rewards[rows] = scored[1:]
+        for a in (obs, outputs, actions, targets, base_rewards, rewards):
+            a.flags.writeable = False
         bases = [Trajectory(*parts, controller=ctl) for *parts, ctl in zip(
-            arrays["buf_obs"], arrays["buf_outputs"], arrays["buf_actions"],
-            arrays["buf_rewards"], meta["controllers"])]
-        targets, rewards = arrays["buf_relabel_targets"], arrays["buf_relabel_rewards"]
+            obs, outputs, actions, base_rewards, meta["controllers"])]
         self._slots = [(bases[b], None, None) if r < 0 else (bases[b], targets[r], rewards[r])
-                       for b, r in arrays["buf_slots"].astype(np.int64).tolist()]
+                       for b, r in slots]
         self._next = int(meta["next"])
         self._length = bases[0].length
 
@@ -277,12 +298,15 @@ class SacAgent:
 
     # -- checkpoint state ---------------------------------------------------
 
-    def state(self) -> tuple[dict, dict[str, np.ndarray]]:
+    def state(self, policy: bool = False) -> tuple[dict, dict[str, np.ndarray]]:
         """Checkpoint form: (JSON-safe meta, the live float64 arrays).
 
         arrays: the five networks' flats by attribute name, log_alpha and
         opt_<name>_m/_v; meta: the optimizers' opt_t and opt_skipped lists.
+        policy=True gives only what acting reads: the actor's flat, no meta.
         """
+        if policy:
+            return {}, {"actor": self.actor.flat}
         opts = [getattr(self, "opt_" + name) for name in self.OPTIMIZERS]
         arrays = {name: getattr(self, name).flat
                   for name in ("actor", "q1", "q2", "q1_target", "q2_target")}
@@ -291,13 +315,14 @@ class SacAgent:
             arrays[f"opt_{name}_m"], arrays[f"opt_{name}_v"] = opt.m, opt.v
         return {"opt_t": [o.t for o in opts], "opt_skipped": [o.skipped for o in opts]}, arrays
 
-    def load_state(self, meta: dict, arrays: dict[str, np.ndarray]) -> None:
-        """Overwrite parameters and optimizer states with state()'s output."""
-        for name, live in self.state()[1].items():
+    def load_state(self, meta: dict, arrays: dict[str, np.ndarray], policy: bool = False) -> None:
+        """Overwrite what state(policy) holds with its output."""
+        for name, live in self.state(policy)[1].items():
             live[:] = arrays[name]
-        for name, t, skipped in zip(self.OPTIMIZERS, meta["opt_t"], meta["opt_skipped"]):
-            opt = getattr(self, "opt_" + name)
-            opt.t, opt.skipped = int(t), int(skipped)
+        if not policy:
+            for name, t, skipped in zip(self.OPTIMIZERS, meta["opt_t"], meta["opt_skipped"]):
+                opt = getattr(self, "opt_" + name)
+                opt.t, opt.skipped = int(t), int(skipped)
         self._act_stack = None
 
     # -- acting -----------------------------------------------------------

@@ -8,10 +8,10 @@ episode. Muscle dynamics resample every reset.
 
 Artifacts (under the run directory): rewards.csv with one row per episode,
 losses.csv with per-episode mean losses, a rolling full checkpoint for
-resume, and a final checkpoint plus a light policy-only checkpoint. Every
-CSV starts with a comment line carrying the config hash and seed, and all
-randomness flows from the run seed through named streams, so reruns and
-resumed runs are byte-identical.
+resume, and a final checkpoint plus a policy checkpoint that holds the
+actor alone. Every CSV starts with a comment line carrying the config hash
+and seed, and all randomness flows from the run seed through named
+streams, so reruns and resumed runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -132,6 +132,7 @@ class Trainer:
             "policy": PolicyController(self.agent, rng=self.rollout_rng),
         }
         self.episode_idx = 0  # completed episodes
+        self.actor_only = False  # restored from a policy checkpoint: no learner state
 
     # -- rollouts ----------------------------------------------------------
 
@@ -185,6 +186,9 @@ class Trainer:
         resume: restoring it and calling train() again continues the run
         byte-identically to one uninterrupted execution.
         """
+        if self.actor_only:
+            raise ValueError("a trainer restored from a policy checkpoint holds only the "
+                             "actor; training needs a full checkpoint")
         cfg = self.cfg
         stop = cfg.episodes if stop_after is None else min(stop_after, cfg.episodes)
         os.makedirs(cfg.out_dir, exist_ok=True)
@@ -245,11 +249,17 @@ class Trainer:
     def save(self, path: str, include_buffer: bool = True) -> None:
         """Write a full checkpoint, or with include_buffer=False a policy one.
 
-        A full checkpoint adds the replay buffer in its own layout (see
-        ReplayBuffer.state): each episode's physics once, plus one target
-        and rewards row per relabel.
+        A full checkpoint holds the agent's whole learner state (see
+        SacAgent.state), every random stream and the replay buffer in its
+        own layout (see ReplayBuffer.state): each episode's physics once,
+        plus one target row per relabel. A policy checkpoint holds the
+        actor's flat alone, plus the meta that rebuilds it: kind, version,
+        numerics, config, config_hash and episode.
         """
-        agent_meta, arrays = self.agent.state()
+        if include_buffer and self.actor_only:
+            raise ValueError("a trainer restored from a policy checkpoint has no learner "
+                             "state to write a full checkpoint from")
+        agent_meta, arrays = self.agent.state(policy=not include_buffer)
         meta = {
             "kind": "full" if include_buffer else "policy",
             "version": __version__,
@@ -258,10 +268,10 @@ class Trainer:
             "config_hash": self.cfg.config_hash(),
             "episode": self.episode_idx,
             **agent_meta,
-            "rng": {name: [r.get_state() for r in s] if isinstance(s, list) else s.get_state()
-                    for name, s in self.rng_streams().items()},
         }
         if include_buffer:
+            meta["rng"] = {name: [r.get_state() for r in s] if isinstance(s, list)
+                           else s.get_state() for name, s in self.rng_streams().items()}
             meta["buffer"], buffer_arrays = self.buffer.state()
             arrays.update(buffer_arrays)
         save_checkpoint(path, meta, arrays)
@@ -270,30 +280,45 @@ class Trainer:
     def restore(cls, path: str, resume: bool = False) -> "Trainer":
         """Rebuild the trainer a checkpoint was saved from.
 
-        The checkpoint must carry this code's numerics stamp. resume=True
-        also requires a full checkpoint, since continuing a run exactly
-        needs its replay buffer.
+        The checkpoint must carry this code's numerics stamp and every
+        array its kind needs. A full checkpoint restores everything, and
+        the buffer rebuilds its rewards. A policy checkpoint restores the
+        actor and the episode count; the rest keeps its fresh state, so the
+        trainer can act and save a policy checkpoint but refuses to train.
+        Older layouts that also stored rewards, or (policy) the whole
+        learner, restore the same way. resume=True requires a full
+        checkpoint, since continuing a run exactly needs its replay buffer.
         """
         meta, arrays = load_checkpoint(path)
         if meta.get("numerics") != NUMERICS:
             raise ValueError(f"{path}: numerics {meta.get('numerics')} differ from this "
                              f"code's {NUMERICS}; the run cannot continue exactly")
-        if resume and meta["kind"] != "full":
-            raise ValueError(f"{path}: a {meta['kind']} checkpoint has no replay buffer; "
+        kind = meta.get("kind")
+        if kind not in ("full", "policy"):
+            raise ValueError(f"{path}: unknown checkpoint kind {kind!r}")
+        if resume and kind != "full":
+            raise ValueError(f"{path}: a {kind} checkpoint has no replay buffer; "
                              "resume needs a full checkpoint")
         if "count" in meta.get("buffer", {}):
             raise ValueError(f"{path}: replay buffer saved one copy per augmented episode, "
                              "a layout this code no longer reads; start the run afresh")
-        cfg = RunConfig(**meta["config"])
-        tr = cls(cfg)
-        tr.agent.load_state(meta, arrays)
-        for name, stream in tr.rng_streams().items():
-            state = meta["rng"][name]
-            for r, st in zip(stream, state) if isinstance(stream, list) else [(stream, state)]:
-                r.set_state(st)
+        tr = cls(RunConfig(**meta["config"]))
+        policy = kind == "policy"
+        needed = list(tr.agent.state(policy)[1])
+        if not policy and meta["buffer"]["slots"]:
+            needed += ReplayBuffer.ARRAYS
+        for name in needed:
+            if name not in arrays:
+                raise ValueError(f"{path}: {kind} checkpoint has no array {name!r}")
+        tr.agent.load_state(meta, arrays, policy)
         tr.episode_idx = int(meta["episode"])
-        if "buffer" in meta:
-            tr.buffer.load_state(meta["buffer"], arrays)
+        tr.actor_only = policy
+        if not policy:
+            for name, stream in tr.rng_streams().items():
+                state = meta["rng"][name]
+                for r, st in zip(stream, state) if isinstance(stream, list) else [(stream, state)]:
+                    r.set_state(st)
+            tr.buffer.load_state(meta["buffer"], arrays, tr.env.reward_spec)
         return tr
 
 

@@ -7,8 +7,9 @@ the PID gate behind calibrate-plant. Re-record them, and say so, whenever a
 change moves the numbers on purpose (recorded at numerics=2). The rewards
 CSV is hashed without its provenance line, whose code stamp is asserted on
 its own, so a stamp bump that moves no number leaves the digest alone.
-The policy-checkpoint digest (recorded at numerics=3) also pins the
-checkpoint's layout: its array names and its meta keys. The bootstrap
+The policy-checkpoint digest (recorded at numerics=3, in the actor-only
+layout) also pins the checkpoint's layout: its array names and its meta
+keys. The bootstrap
 buffer digests (recorded at numerics=3) pin the closed-loop rollout step
 itself: PID, action clamp, plant, observation noise and the stored rows,
 with randomized muscles, on both presets. The clamped-bootstrap digest
@@ -38,16 +39,16 @@ GOLDEN_SHA256 = {
     "policy_field_rows": "5eeeaadef2b26fc1761fb908fa73dae754dcc52929a084fe4f2a29cd21b0c460",
     "calibrate_scan_wrist": "9f0593fa298e5ec402adaee4df76a1a13c1ec288a82b0a1d2858bb22b658d1da",
     "calibrate_scan_eye": "43e056f1889ac1496400f2e9722b8369b9c29d961d4ddc8149a8f220138c5782",
-    "policy_checkpoint": "ffdc34cd25f5e5a0ec9d3d6c08173f8a8dcfb09111569923cab189acf5f0692f",
+    "policy_checkpoint": "481126c1a757718710905df76c08de9a18c895b1d4f356ac8c07da8fbff8d46b",
     "bootstrap_buffer_wrist": "e8d9f04be8f9135a924cbc670e489ccd2bc5883df4a05789cc486f53ca49b909",
     "bootstrap_buffer_eye": "32df1603c0c5d3dbaf1c2ef14d4117c9801bc92079f714c27f03d76aca2e0d01",
     "clamped_bootstrap_wrist": "d836b6685affe4debca3c07fca3a961d8ba9e79d2b9eaeb29138ebc1ded8e632",
     "eye_train_rewards": "e542d1a6299e1617b91ecc763ea670719dcadcf2ecccfecd00ce76ea6003ac30",
     "eye_train_losses": "4d477f30316e5aa437918feb5aaa8f89d71bb44b811d5d03f2b4c6ace7348241",
     "episode_pid_wrist": "e011ee60ebbcba381e6da1b76721b345c2e34cd8a4d24d18c82e2548dd2d7d56",
-    "episode_pid_wrist_3s": "16779629f105ab5939ec6f13181eed2af2b9fb36c4c4a64e9f2423cb16325145",
+    "episode_pid_wrist_3s": "80da34a7c7cfdd88490c99a96ddfc7129c81c17dc66d62ca5d2bcafb88b67760",
     "episode_pid_eye": "485f3d1ba52f9bbb0043efb9e6d79fa50f4d8bcc57a1cd41a87e08e0b55c633c",
-    "episode_pid_eye_3s": "66841ee71a23ae47cb2976372ecb3998e56aca90ea7e19ac052fda50200a90fe",
+    "episode_pid_eye_3s": "90881a2e21bf29eda023c50080f8bd7a07aa82f219a34a9e072ea1fb5c287e5a",
     "calibrate_gate_wrist": "da978e02295e0cc4c9fa2a0202e0286aefa8a51c1479349c255c4e29f2c515da",
     "calibrate_gate_eye": "f27e0a798f3d05b35bc57fa3e977e6f2cdc526c7392f499506112ddab10d0a30",
 }
@@ -99,13 +100,18 @@ def test_policy_checkpoint_content_digest(tmp_path):
                     out_dir=str(tmp_path / "run"))
     Trainer(cfg).train()
     meta, arrays = load_checkpoint(str(tmp_path / "run" / "policy_final.ckpt"))
-    assert meta["kind"] == "policy" and meta["opt_t"] == [4, 4, 4, 4]
+    assert meta["kind"] == "policy" and meta["episode"] == 5 and list(arrays) == ["actor"]
     del meta["config"]["out_dir"]
     digest = hashlib.sha256()
     for name in sorted(arrays):
         digest.update(name.encode() + arrays[name].tobytes())
     digest.update(json.dumps(meta, sort_keys=True, separators=(",", ":")).encode())
     assert digest.hexdigest() == GOLDEN_SHA256["policy_checkpoint"]
+
+
+def _base_rewards(buffer) -> np.ndarray:
+    # the live buffer's base rows in push order; a checkpoint keeps no rewards
+    return np.stack([base.rewards for base, target, _ in buffer._slots if target is None])
 
 
 @pytest.mark.parametrize("preset", ["wrist", "eye"])
@@ -120,8 +126,9 @@ def test_bootstrap_buffer_digest(preset, tmp_path):
     meta, arrays = tr.buffer.state()
     assert meta["controllers"] == ["pid"] * 4 and meta["slots"] == 12
     digest = hashlib.sha256()
-    for name in ("buf_obs", "buf_outputs", "buf_actions", "buf_rewards"):
+    for name in ("buf_obs", "buf_outputs", "buf_actions"):
         digest.update(arrays[name].tobytes())
+    digest.update(_base_rewards(tr.buffer).tobytes())
     assert digest.hexdigest() == GOLDEN_SHA256[f"bootstrap_buffer_{preset}"]
 
 
@@ -138,8 +145,9 @@ def test_clamped_bootstrap_buffer_digest(tmp_path):
     assert meta["controllers"] == ["pid"] * 4 and meta["slots"] == 12
     assert np.any(np.abs(arrays["buf_outputs"][..., [0, 2]]) == 3.0)
     digest = hashlib.sha256()
-    for name in ("buf_obs", "buf_outputs", "buf_actions", "buf_rewards"):
+    for name in ("buf_obs", "buf_outputs", "buf_actions"):
         digest.update(arrays[name].tobytes())
+    digest.update(_base_rewards(tr.buffer).tobytes())
     assert digest.hexdigest() == GOLDEN_SHA256["clamped_bootstrap_wrist"]
 
 
@@ -160,10 +168,12 @@ def test_eye_training_csv_digests(tmp_path):
 @pytest.mark.parametrize("duration", [None, "3"])
 def test_pid_episode_stdout_digest(preset, duration, capsys):
     # the default length is the preset's training episode; 3 s is shorter
-    # than the 5 s e_ss window, which then covers the whole episode
+    # than the 5 s e_ss window, which then covers the whole episode, as the
+    # e_ss line says
     extra = [] if duration is None else ["--duration", duration]
     assert cli_main(["episode", "--pid", "--preset", preset] + extra) == 0
     out = capsys.readouterr().out
+    assert f"e_ss over final {duration or 5} s: " in out.splitlines()[-1]
     assert out.count("\n") == ({"wrist": 44, "eye": 34}[preset] if duration is None else 10)
     key = f"episode_pid_{preset}" + ("" if duration is None else "_3s")
     assert _sha(out) == GOLDEN_SHA256[key]

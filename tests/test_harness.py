@@ -11,7 +11,14 @@ import pytest
 import musclerl.env
 from musclerl.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from musclerl.cli import main as cli_main
-from musclerl.config import CODE_STAMP, NUMERICS, RunConfig, load_config, parse_config_file
+from musclerl.config import (
+    CODE_STAMP,
+    NUMERICS,
+    RunConfig,
+    __version__,
+    load_config,
+    parse_config_file,
+)
 from musclerl.env import TrackingEnv
 from musclerl.fieldtest import (
     FieldTestSpec,
@@ -298,8 +305,24 @@ def test_wrapped_buffer_checkpoint_roundtrip_is_byte_stable(tmp_path):
     assert open(first, "rb").read() == open(again, "rb").read()
     meta, arrays = load_checkpoint(first)
     assert meta["buffer"]["slots"] == 7 and arrays["buf_obs"].shape[0] == 3
+    assert not [name for name in arrays if "rewards" in name]
     assert ([t.rewards.tobytes() for t in restored.buffer.snapshot()]
             == [t.rewards.tobytes() for t in tr.buffer.snapshot()])
+
+
+def test_full_checkpoint_rebuilds_its_rewards_bit_for_bit(tmp_path):
+    # PID and policy episodes with three relabels each: the restored
+    # buffer recomputes every slot's rewards from the stored rows
+    cfg = tiny_cfg(tmp_path / "run", episodes=5, augment_copies=3, batch_size=4)
+    tr = Trainer(cfg)
+    tr.train()
+    final = str(tmp_path / "run" / "final.ckpt")
+    _, arrays = load_checkpoint(final)
+    assert sorted(name for name in arrays if name.startswith("buf_")) == sorted(
+        ("buf_obs", "buf_outputs", "buf_actions", "buf_relabel_targets", "buf_slots"))
+    restored = Trainer.restore(final, resume=True)
+    assert ([(t.controller, t.rewards.tobytes()) for t in restored.buffer.snapshot()]
+            == [(t.controller, t.rewards.tobytes()) for t in tr.buffer.snapshot()])
 
 
 def _edited_header(data: bytes, edit, rehash: bool = False) -> bytes:
@@ -401,6 +424,116 @@ def test_policy_checkpoint_omits_buffer(tmp_path):
     assert meta_pol["kind"] == "policy"
     for meta in (meta_full, meta_pol):
         assert meta["numerics"] == NUMERICS and meta["version"] == "0.1.0"
+
+
+def test_policy_checkpoint_holds_only_the_actor(tmp_path):
+    cfg = tiny_cfg(tmp_path / "run", episodes=4)
+    Trainer(cfg).train()
+    policy, full = str(tmp_path / "run" / "policy_final.ckpt"), str(tmp_path / "run" / "final.ckpt")
+    meta, arrays = load_checkpoint(policy)
+    assert list(arrays) == ["actor"]
+    assert arrays["actor"].tobytes() == load_checkpoint(full)[1]["actor"].tobytes()
+    assert sorted(meta) == ["config", "config_hash", "episode", "kind", "numerics", "version"]
+    spec = FieldTestSpec(extent=5.0, spacing=5.0, duration=3.0, settle=1.0)
+    rows = [run_field_test("wrist", PolicyController(load_policy(path)[0]), spec)
+            for path in (policy, full)]
+    assert len(rows[0]) == 9 and rows[0] == rows[1]
+
+
+def test_policy_checkpoint_is_the_actor_and_a_small_header(tmp_path):
+    # at width 64 the actor is 0.2 MB of the learner's 2.2 MB
+    tr = Trainer(tiny_cfg(tmp_path, gru_hidden=64))
+    path = tmp_path / "policy.ckpt"
+    tr.save(str(path), include_buffer=False)
+    assert path.stat().st_size <= tr.agent.actor.flat.nbytes + 8192
+
+
+def test_trainer_from_a_policy_checkpoint_refuses_to_train(tmp_path):
+    cfg = tiny_cfg(tmp_path / "run", episodes=4)
+    Trainer(cfg).train()
+    rewards_csv = (tmp_path / "run" / "rewards.csv").read_bytes()
+    tr = Trainer.restore(str(tmp_path / "run" / "policy_final.ckpt"))
+    full = tmp_path / "full.ckpt"
+    for call in (tr.train, lambda: tr.save(str(full))):
+        with pytest.raises(ValueError, match="policy checkpoint") as info:
+            call()
+        assert "\n" not in str(info.value)
+    assert not full.exists()
+    assert (tmp_path / "run" / "rewards.csv").read_bytes() == rewards_csv
+
+
+def test_restore_names_the_path_and_the_missing_array(tmp_path, capsys):
+    cfg = tiny_cfg(tmp_path / "run", episodes=4)
+    Trainer(cfg).train()
+    for src, name in (("final.ckpt", "q2_target"), ("final.ckpt", "opt_alpha_v"),
+                      ("final.ckpt", "buf_slots"), ("policy_final.ckpt", "actor")):
+        meta, arrays = load_checkpoint(str(tmp_path / "run" / src))
+        del arrays[name]
+        path = str(tmp_path / f"no_{name}.ckpt")
+        save_checkpoint(path, meta, arrays)
+        with pytest.raises(ValueError) as info:
+            Trainer.restore(path)
+        assert path in str(info.value) and repr(name) in str(info.value)
+        if src == "final.ckpt":
+            assert cli_main(["train", "--resume", path]) == 2
+            err = capsys.readouterr().err
+            assert repr(name) in err and err.count("\n") == 1
+
+
+# sha256 of the files that the previous layout's Trainer.save wrote for
+# _layout_trainer(): its full checkpoint also stored every reward row, its
+# policy checkpoint the whole learner state and the random streams
+PREVIOUS_LAYOUT_SHA256 = {
+    "full": "3da76df09ceff07502e6adede564da5a7b95d80ce78cd82ddc7a8a3b00c3cac4",
+    "policy": "c36b1acf5bbb831623cdbb43586444a6eb669901f70e8a26b2a634c11e3653b6",
+}
+
+
+def _layout_trainer() -> Trainer:
+    # 6 PID episodes, then 2 policy episodes with updates, in a ring of 7
+    # slots, so some relabels outlive their episode's own slot
+    cfg = RunConfig(preset="wrist", seed=11, episodes=8, bootstrap_episodes=6, gru_hidden=8,
+                    augment_copies=2, updates_per_episode=2, batch_size=4, buffer_capacity=7,
+                    out_dir="unused")
+    tr = Trainer(cfg)
+    tr.bootstrap_phase()
+    for _ in range(2):
+        tr.train_episode()
+    return tr
+
+
+def _save_previous_layout(tr: Trainer, path: str, kind: str) -> None:
+    agent_meta, arrays = tr.agent.state()
+    meta = {"kind": kind, "version": __version__, "numerics": NUMERICS,
+            "config": tr.cfg.to_dict(), "config_hash": tr.cfg.config_hash(),
+            "episode": tr.episode_idx, **agent_meta,
+            "rng": {name: [r.get_state() for r in s] if isinstance(s, list) else s.get_state()
+                    for name, s in tr.rng_streams().items()}}
+    if kind == "full":
+        meta["buffer"], buffer_arrays = tr.buffer.state()
+        arrays.update(buffer_arrays)
+        slots = tr.buffer._slots
+        bases = dict.fromkeys(base for base, _, _ in slots)  # in order of first reference
+        arrays["buf_rewards"] = np.stack([base.rewards for base in bases])
+        arrays["buf_relabel_rewards"] = np.stack([row for _, target, row in slots
+                                                  if target is not None])
+    save_checkpoint(path, meta, arrays)
+
+
+@pytest.mark.parametrize("kind", ["full", "policy"])
+def test_previous_layout_restores_to_the_same_state(kind, tmp_path):
+    tr = _layout_trainer()
+    old = tmp_path / "old.ckpt"
+    _save_previous_layout(tr, str(old), kind)
+    assert hashlib.sha256(old.read_bytes()).hexdigest() == PREVIOUS_LAYOUT_SHA256[kind]
+    restored = Trainer.restore(str(old))
+    saved = []
+    for t in (tr, restored):
+        saved.append(tmp_path / f"{len(saved)}.ckpt")
+        t.save(str(saved[-1]), include_buffer=kind == "full")
+    assert saved[0].read_bytes() == saved[1].read_bytes()
+    assert ([t.rewards.tobytes() for t in restored.buffer.snapshot()]
+            == ([t.rewards.tobytes() for t in tr.buffer.snapshot()] if kind == "full" else []))
 
 
 def _restamped(src, dst, **changes):
