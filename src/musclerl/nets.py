@@ -20,6 +20,14 @@ as one broadcasted pass: sequences are (S, T, B, dim) internally, and the
 public single-net API wraps S = 1. Stacking changes call counts, not the
 per-element operations, so results are bitwise identical either way.
 
+The gate equations are written once, as three step functions:
+input_projection (x W_in + b_in, the ReLU, a Wg + bg over a whole
+sequence), gru_step (one step of the recurrence) and output_projection.
+forward_stacked's loop calls them, and so does ActCell, the forward-only
+acting path: one float64 net stepped one input at a time on (1, 1, dim)
+scratch, with no cache and no sequence arrays, bitwise a T = 1
+forward_stacked pass.
+
 Master parameters, Adam moments and checkpoints are float64. A stack may
 be built in float32 (StackedNets(..., dtype=np.float32)), casting as it
 copies: its passes then compute in float32, take float32 inputs and return
@@ -248,6 +256,51 @@ def make_cache(sp: StackedNets, T: int, B: int, old: "StackCache | None" = None,
     return StackCache(sp, T, B, share)
 
 
+def input_projection(sp: StackedNets, x, pre, relu_mask, a, gx) -> None:
+    """pre = x W_in + b_in, a = relu(pre), gx = a Wg + bg, all (S, N, dim).
+
+    x is (S_x, N, I) with S_x in {1, S}; relu_mask keeps pre > 0 for the
+    backward. The ReLU is pre * relu_mask, so a negative pre gives -0.0
+    (np.maximum would give +0.0).
+    """
+    np.matmul(x, sp.W_in, out=pre)
+    pre += sp.b_in
+    np.greater(pre, 0.0, out=relu_mask)
+    np.multiply(pre, relu_mask, out=a)
+    np.matmul(a, sp.Wg, out=gx)
+    gx += sp.bg
+
+
+def gru_step(sp: StackedNets, h, gx, zr, rh, c, hn) -> None:
+    """One GRU step from h (S, B, H) with input projection gx (S, B, 3H).
+
+    Writes h_t into hn, and leaves the gates [z | r] in zr and r * h and
+    the candidate in rh and c, which the backward reads.
+    """
+    H = sp.shape.gru_hidden
+    np.matmul(h, sp.Ug_zr, out=zr)
+    zr += gx[:, :, : 2 * H]
+    # sigmoid(v) = (tanh(v/2) + 1) / 2, one fused block for both gates
+    zr *= 0.5
+    np.tanh(zr, out=zr)
+    zr += 1.0
+    zr *= 0.5
+    np.multiply(zr[:, :, H:], h, out=rh)
+    np.matmul(rh, sp.Ug_c, out=c)
+    c += gx[:, :, 2 * H :]
+    np.tanh(c, out=c)
+    # h <- h + z * (c - h)
+    np.subtract(c, h, out=hn)
+    hn *= zr[:, :, :H]
+    hn += h
+
+
+def output_projection(sp: StackedNets, h, y) -> None:
+    """y = h W_out + b_out for h (S, N, H) into y (S, N, output_dim)."""
+    np.matmul(h, sp.W_out, out=y)
+    y += sp.b_out
+
+
 def forward_stacked(sp: StackedNets, x: np.ndarray, h0: np.ndarray | None = None,
                     cache: StackCache | None = None, share: StackCache | None = None):
     """Run S stacked nets over x = (S_x, T, B, input_dim), S_x in {1, S}.
@@ -272,15 +325,11 @@ def forward_stacked(sp: StackedNets, x: np.ndarray, h0: np.ndarray | None = None
     ws._filled_at = ws._forwards[0]
 
     # input-side projections for the whole sequence, flattened over (T, B)
-    x_flat = x.reshape(S_x, T * B, I) if x.flags["C_CONTIGUOUS"] else \
-        np.ascontiguousarray(x).reshape(S_x, T * B, I)
-    pre_flat = ws.pre.reshape(S, T * B, H)
-    np.matmul(x_flat, sp.W_in, out=pre_flat)
-    ws.pre += sp.b_in[:, None]
-    np.greater(ws.pre, 0.0, out=ws.relu_mask)
-    np.multiply(ws.pre, ws.relu_mask, out=ws.a)
-    np.matmul(ws.a.reshape(S, T * B, H), sp.Wg, out=ws.gx.reshape(S, T * B, 3 * H))
-    ws.gx += sp.bg[:, None]
+    N = T * B
+    x_flat = x.reshape(S_x, N, I) if x.flags["C_CONTIGUOUS"] else \
+        np.ascontiguousarray(x).reshape(S_x, N, I)
+    input_projection(sp, x_flat, ws.pre.reshape(S, N, H), ws.relu_mask.reshape(S, N, H),
+                     ws.a.reshape(S, N, H), ws.gx.reshape(S, N, 3 * H))
 
     h = ws._h
     if h0 is None:
@@ -289,32 +338,50 @@ def forward_stacked(sp: StackedNets, x: np.ndarray, h0: np.ndarray | None = None
         h[:] = h0.reshape(S, B, H)
     ws.h_states[:, 0] = h
     zr, rh, c, hn = ws._zr, ws._rh, ws._c, ws._h2
-    gx = ws.gx
     for t in range(T):
-        np.matmul(h, sp.Ug_zr, out=zr)
-        zr += gx[:, t, :, : 2 * H]
-        # sigmoid(v) = (tanh(v/2) + 1) / 2, one fused block for both gates
-        zr *= 0.5
-        np.tanh(zr, out=zr)
-        zr += 1.0
-        zr *= 0.5
-        np.multiply(zr[:, :, H:], h, out=rh)
-        np.matmul(rh, sp.Ug_c, out=c)
-        c += gx[:, t, :, 2 * H :]
-        np.tanh(c, out=c)
-        # h <- h + z * (c - h)
-        np.subtract(c, h, out=hn)
-        hn *= zr[:, :, :H]
-        hn += h
+        gru_step(sp, h, ws.gx[:, t], zr, rh, c, hn)
         ws.zr[:, t] = zr
         ws.rh[:, t] = rh
         ws.c[:, t] = c
         ws.h_states[:, t + 1] = hn
         h, hn = hn, h
-    np.matmul(ws.h_out.reshape(S, T * B, H), sp.W_out,
-              out=ws.y.reshape(S, T * B, sp.shape.output_dim))
-    ws.y += sp.b_out[:, None]
+    output_projection(sp, ws.h_out.reshape(S, N, H), ws.y.reshape(S, N, sp.shape.output_dim))
     return ws.y, h.copy(), ws
+
+
+class ActCell:
+    """One float64 net stepped one input at a time, forward only: acting.
+
+    step(x, h) is forward_stacked over S = T = B = 1 through the same step
+    functions, so its outputs are bitwise those of that pass. Every operand
+    stays (1, 1, dim), so each matmul takes the path it takes there. The
+    cell keeps no activations for a backward and copies nothing per step:
+    its scratch holds one step, and it reads x and h where they are.
+    """
+
+    def __init__(self, net: GruNet):
+        self.nets = sp = StackedNets([net])
+        H = sp.shape.gru_hidden
+
+        def empty(n, dtype=np.float64):
+            return np.empty((1, 1, n), dtype=dtype)
+
+        self._pre, self._mask, self._a = empty(H), empty(H, bool), empty(H)
+        self._gx, self._zr, self._rh, self._c = empty(3 * H), empty(2 * H), empty(H), empty(H)
+        self._y = empty(sp.shape.output_dim)
+
+    def step(self, x: np.ndarray, h: np.ndarray):
+        """(y, h_next) from input x (1, 1, I) and state h (1, 1, H), float64.
+
+        h_next is a new array, so a caller may keep it; y is the cell's
+        scratch, which the next step overwrites.
+        """
+        sp = self.nets
+        input_projection(sp, x, self._pre, self._mask, self._a, self._gx)
+        h_next = np.empty_like(self._c)
+        gru_step(sp, h, self._gx, self._zr, self._rh, self._c, h_next)
+        output_projection(sp, h_next, self._y)
+        return self._y, h_next
 
 
 def backward_stacked(cache: StackCache, dy: np.ndarray, dh_final: np.ndarray | None = None,

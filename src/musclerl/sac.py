@@ -14,10 +14,12 @@ the result is bitwise identical to two separate passes.
 The seven network passes of an update compute in float32 by default
 (mixed precision): the stacks cast the float64 master weights as they copy
 them, and the gradients return to float64 for Adam, the Polyak blend and
-the temperature, which all stay float64. Acting stays float64 and builds
-its own actor stack, so rollouts and evaluation do not move with the
-learner's dtype. dtype=np.float64 gives the exact reference update. Each
-update builds its stacks from the current weights; acting keeps its stack
+the temperature, which all stay float64. Acting stays float64, so
+rollouts and evaluation do not move with the learner's dtype: it steps the
+actor through a nets.ActCell, one forward-only step per action with no
+activation cache, and the deterministic action reads the mean half of the
+head directly. dtype=np.float64 gives the exact reference update. Each
+update builds its stacks from the current weights; acting keeps its cell
 until update() or load_state() changes the actor.
 
 The optimizer side of an update allocates no parameter-sized array: the
@@ -28,8 +30,8 @@ actions, critic_pi on the policy's) have one activation signature and
 disjoint lifetimes, so each agent holds one storage for them: the target
 pass's, which the other two caches share (see nets.StackCache). The target
 pass is reduced to the Bellman targets, and the critic's gradients reach
-Adam, before the next of them runs forward. The actor and acting caches
-keep their own storage.
+Adam, before the next of them runs forward. The actor pass keeps its own
+storage.
 The agent writes and reads its own checkpoint state, as the buffer does.
 """
 
@@ -40,6 +42,7 @@ import numpy as np
 from .env import RewardSpec, reward
 from .nets import (
     SCRATCH,
+    ActCell,
     AdamState,
     NetworkShape,
     StackedNets,
@@ -287,8 +290,8 @@ class SacAgent:
         self.opt_q2 = AdamState.for_params(self.q2.flat, lr)
         self.opt_alpha = AdamState.for_params(self.log_alpha, lr)
         self._noise_rng = rng.split("update-noise")
-        self._ws: dict = {}  # one StackCache per pass, by pass name
-        self._act_stack = None
+        self._ws: dict = {}  # one StackCache per update pass, by pass name
+        self._act_cell = None
 
     @property
     def alpha(self) -> float:
@@ -323,7 +326,7 @@ class SacAgent:
             for name, t, skipped in zip(self.OPTIMIZERS, meta["opt_t"], meta["opt_skipped"]):
                 opt = getattr(self, "opt_" + name)
                 opt.t, opt.skipped = int(t), int(skipped)
-        self._act_stack = None
+        self._act_cell = None
 
     # -- acting -----------------------------------------------------------
 
@@ -334,16 +337,18 @@ class SacAgent:
         """One action from the current observation, carrying the GRU state.
 
         Stochastic mode samples the squashed Gaussian; deterministic mode
-        returns the squashed mean (evaluation policy).
+        returns the squashed mean (evaluation policy). hidden is the
+        (1, 1, H) state from initial_hidden() or the previous act; the
+        returned state is a new array.
         """
-        if self._act_stack is None:
-            self._act_stack = StackedNets([self.actor])
-        x = np.asarray(obs, dtype=np.float64).reshape(1, 1, 1, -1)
-        y, h_next, _ = self._forward("act", self._act_stack, x, hidden)
-        mu, log_sd, _ = split_head(y[0, 0, 0])
+        if self._act_cell is None:
+            self._act_cell = ActCell(self.actor)
+        x = np.ascontiguousarray(obs, dtype=np.float64).reshape(1, 1, -1)
+        y, h_next = self._act_cell.step(x, hidden)
         if deterministic:
-            action = squash_mean(mu, self.action_center, self.action_half)
+            action = squash_mean(y[0, 0, : self.action_dim], self.action_center, self.action_half)
         else:
+            mu, log_sd, _ = split_head(y[0, 0])
             noise_rng = rng if rng is not None else self._noise_rng
             noise = noise_rng.standard_normal(self.action_dim)
             action, _, _ = squash_sample(mu, log_sd, noise, self.action_center, self.action_half)
@@ -448,7 +453,7 @@ class SacAgent:
             adam_update(self.log_alpha, np.array([-entropy_gap]), self.opt_alpha)
 
         self.soft_update(self.tau)
-        self._act_stack = None
+        self._act_cell = None
         for cache in self._ws.values():  # the next forward through each sets its stack
             cache.nets = None
 

@@ -19,6 +19,10 @@ limit, which the stock 25 deg limit never sees. The eye-training digests
 (recorded at numerics=3) pin the eye's action center and half-width in the
 policy's act and update; the episode and gate digests pin the stdout of
 `musclerl episode --pid` and of `musclerl calibrate-plant` per preset.
+The biased-policy digests (recorded at numerics=3, when acting still ran
+the learner's T = 1 forward pass) pin every bias of the acting path,
+which the zero-bias init leaves out: a width-64 actor with a perturbed
+flat through the 9-target field test, and 60 of its stochastic acts.
 """
 
 import hashlib
@@ -31,6 +35,7 @@ from musclerl.checkpoint import load_checkpoint
 from musclerl.cli import main as cli_main
 from musclerl.config import CODE_STAMP, RunConfig
 from musclerl.fieldtest import FieldTestSpec, PolicyController, pid_controller_for, run_field_test
+from musclerl.randomize import SeededRng
 from musclerl.trainer import Trainer
 
 GOLDEN_SHA256 = {
@@ -51,6 +56,8 @@ GOLDEN_SHA256 = {
     "episode_pid_eye_3s": "90881a2e21bf29eda023c50080f8bd7a07aa82f219a34a9e072ea1fb5c287e5a",
     "calibrate_gate_wrist": "da978e02295e0cc4c9fa2a0202e0286aefa8a51c1479349c255c4e29f2c515da",
     "calibrate_gate_eye": "f27e0a798f3d05b35bc57fa3e977e6f2cdc526c7392f499506112ddab10d0a30",
+    "biased_policy_field_rows": "d6fdf105288dc2264e07816d46498151dd91dcc7a4e5dc4a899bf42100c0d8cf",
+    "biased_policy_stochastic_acts": "815f1019cbc809aee7d2831bc9060519785ff91034f7f4616114c4794dc7a0ab",
 }
 
 
@@ -82,6 +89,37 @@ def test_policy_field_rows_digest(tmp_path):
     rows = run_field_test("wrist", PolicyController(agent), spec)
     assert len(rows) == 9
     assert _sha(repr(rows)) == GOLDEN_SHA256["policy_field_rows"]
+
+
+def _biased_actor_agent(tmp_path):
+    # width 64 with a seeded perturbation of the whole flat, so the biases
+    # b_in, bg and b_out are nonzero, which the zero-bias init never gives
+    cfg = RunConfig(preset="wrist", seed=13, gru_hidden=64, out_dir=str(tmp_path))
+    agent = Trainer(cfg).agent
+    flat = agent.actor.flat
+    flat += np.random.default_rng(29).normal(scale=0.1, size=flat.size)
+    assert all(np.all(agent.actor.v[b] != 0.0) for b in ("b_in", "bg", "b_out"))
+    return agent
+
+
+def test_biased_policy_field_rows_digest(tmp_path):
+    spec = FieldTestSpec(extent=5.0, spacing=5.0, duration=3.0, settle=1.0)
+    rows = run_field_test("wrist", PolicyController(_biased_actor_agent(tmp_path)), spec)
+    assert len(rows) == 9
+    assert _sha(repr(rows)) == GOLDEN_SHA256["biased_policy_field_rows"]
+
+
+def test_biased_policy_stochastic_acts_digest(tmp_path):
+    # 60 sampled actions with the hidden state carried, and every hidden state
+    agent = _biased_actor_agent(tmp_path)
+    obs = np.random.default_rng(30).normal(scale=5.0, size=(60, 6))
+    rng = SeededRng(31)
+    h = agent.initial_hidden()
+    digest = hashlib.sha256()
+    for o in obs:
+        a, h = agent.act(o, h, rng=rng)
+        digest.update(a.tobytes() + h.tobytes())
+    assert digest.hexdigest() == GOLDEN_SHA256["biased_policy_stochastic_acts"]
 
 
 def test_calibrate_scan_stdout_digest(capsys):

@@ -4,7 +4,17 @@ import numpy as np
 import pytest
 
 from musclerl.env import EYE_REWARD, reward
-from musclerl.nets import BLOCK, forward, squash_sample
+from musclerl.nets import (
+    BLOCK,
+    LOG_SD_MAX,
+    LOG_SD_MIN,
+    StackedNets,
+    forward,
+    forward_stacked,
+    split_head,
+    squash_mean,
+    squash_sample,
+)
 from musclerl.randomize import SeededRng
 from musclerl.sac import ReplayBuffer, SacAgent, Trajectory
 
@@ -88,16 +98,30 @@ def test_update_passes_share_one_activation_storage():
     assert agents[0]._ws["target"].pre is not agents[1]._ws["target"].pre
 
 
+def _acts(agent, obs, steps=3):
+    # bytes of a few deterministic acts, the hidden state carried
+    h, out = agent.initial_hidden(), []
+    for _ in range(steps):
+        a, h = agent.act(obs, h, deterministic=True)
+        out.append(a.tobytes() + h.tobytes())
+    return out
+
+
 def test_update_leaves_no_stacked_nets_in_its_caches():
     # a pass's StackedNets (weights plus transposes) would otherwise stay
-    # alive until the next update built its successor next to it
+    # alive until the next update built its successor next to it; acting
+    # keeps no cache, and after an update it acts on the updated actor
     agent = make_agent(hidden=6, seed=7)
     batch = [make_traj(T=4, seed=i) for i in range(20)]
-    agent.act(np.zeros(6), agent.initial_hidden())
+    obs = np.random.default_rng(7).normal(size=6)
+    agent.act(obs, agent.initial_hidden())
     for _ in range(2):
         agent.update(batch, gamma=0.9)
-        assert sorted(agent._ws) == ["act", "actor", "critic", "critic_pi", "target"]
+        assert sorted(agent._ws) == ["actor", "critic", "critic_pi", "target"]
         assert all(cache.nets is None for cache in agent._ws.values())
+        fresh = make_agent(hidden=6, seed=99)
+        fresh.load_state(*agent.state())
+        assert _acts(agent, obs) == _acts(fresh, obs)
 
 
 def test_width64_update_holds_one_critic_storage():
@@ -245,6 +269,67 @@ def test_act_deterministic_mode_repeats():
     a2, h2 = agent.act(obs, h, deterministic=True)
     assert np.array_equal(a1, a2)
     assert np.array_equal(h1, h2)
+
+
+def _random_actor(agent, seed):
+    # nonzero parameters throughout; the log-sd biases put the raw log-sd
+    # head below LOG_SD_MIN, inside the clip and above LOG_SD_MAX
+    rng = np.random.default_rng(seed)
+    v, H, A = agent.actor.v, agent.gru_hidden, agent.action_dim
+    agent.actor.flat[:] = rng.normal(scale=1.0 / np.sqrt(H), size=agent.actor.flat.size)
+    for name in ("b_in", "bg", "b_out"):
+        v[name][:] = rng.normal(scale=0.5, size=v[name].shape)
+    v["b_out"][A:] = [-21.0, 0.0, 3.0]
+
+
+@pytest.mark.parametrize("width", [8, 64, 256])
+def test_act_matches_the_learner_forward_bit_for_bit(width):
+    # the reference: forward_stacked over T = 1, split_head and squash_*,
+    # the pass acting ran through before it had a cell of its own
+    agent = make_agent(action_dim=3, hidden=width, seed=width)
+    _random_actor(agent, width)
+    sp, A = StackedNets([agent.actor]), agent.action_dim
+    obs = np.random.default_rng(width + 1).normal(scale=5.0, size=(60, 6))
+    raws = []
+    for deterministic in (True, False):
+        rng, ref_rng = SeededRng(width + 2), SeededRng(width + 2)
+        h = ref_h = agent.initial_hidden()
+        held = []
+        for o in obs:
+            a, h = agent.act(o, h, deterministic=deterministic, rng=rng)
+            y, ref_h, _ = forward_stacked(sp, o.reshape(1, 1, 1, -1), ref_h)
+            mu, log_sd, _ = split_head(y[0, 0, 0])
+            raws.append(y[0, 0, 0, A:].copy())
+            if deterministic:
+                ref_a = squash_mean(mu, agent.action_center, agent.action_half)
+            else:
+                ref_a, _, _ = squash_sample(mu, log_sd, ref_rng.standard_normal(A),
+                                            agent.action_center, agent.action_half)
+            assert a.tobytes() == ref_a.tobytes() and h.tobytes() == ref_h.tobytes()
+            held.append((h, h.tobytes()))
+        # an earlier h_next is the caller's: later acts must not write into it
+        assert all(h.tobytes() == blob for h, blob in held)
+    raws = np.array(raws)
+    assert raws.min() < LOG_SD_MIN and raws.max() > LOG_SD_MAX
+    assert np.any((raws > LOG_SD_MIN) & (raws < LOG_SD_MAX))
+
+
+def test_deterministic_acts_hold_no_memory():
+    # 500 acts at width 64 after a warm-up, keeping only the latest action
+    # and hidden state: measured 880 bytes held, where one leaked array per
+    # act would hold over 50 kB
+    agent = make_agent(action_dim=3, hidden=64, seed=15)
+    _random_actor(agent, 15)
+    obs = np.random.default_rng(15).normal(size=(500, 6))
+    a, h = agent.act(obs[0], agent.initial_hidden(), deterministic=True)
+    tracemalloc.start()
+    try:
+        for o in obs:
+            a, h = agent.act(o, h, deterministic=True)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= 2_000, held
 
 
 def test_actions_stay_in_box():
@@ -450,9 +535,10 @@ def test_load_state_replaces_everything_the_agent_acts_and_learns_from():
     agent.load_state(*other.state())
     for a, b in zip(agent.state(), other.state()):
         assert a.keys() == b.keys() and all(np.array_equal(a[k], b[k]) for k in a)
-    got = agent.act(obs, agent.initial_hidden(), deterministic=True)
-    want = other.act(obs, other.initial_hidden(), deterministic=True)
-    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert _acts(agent, obs) == _acts(other, obs)
+    fresh = make_agent(seed=22)
+    fresh.load_state(*agent.state())
+    assert _acts(agent, obs) == _acts(fresh, obs)
     # the next update runs on the loaded weights too
     agent._noise_rng.set_state(other._noise_rng.get_state())
     batch = [make_traj(T=3, seed=800 + i) for i in range(20)]
