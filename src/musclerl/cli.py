@@ -144,7 +144,7 @@ def cmd_episode(args) -> int:
     spec = field_spec_for(preset, args.duration or PRESETS[preset].steps * ACTION_PERIOD)
     env = make_eval_env(preset, spec, plant)
     target = (args.target1, args.target2)
-    _, outputs, actions, rewards = run_episode(env, controller, target)
+    _, outputs, actions, rewards = (r[0] for r in run_episode([env], controller, [target]))
     lines = ["t,angle1,rate1,angle2,rate2," +
              ",".join(f"action{i+1}" for i in range(env.action_dim)) + "," +
              ",".join(f"volt{i+1}" for i in range(env.active.n_muscles)) + ",reward"]

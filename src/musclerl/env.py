@@ -14,10 +14,14 @@ computed on the noiseless output at the state where the action was taken,
 so the same reward can be recomputed exactly from logged trajectories.
 reward() is elementwise over leading axes, so one call scores a whole
 episode, or a whole episode under many relabelled targets. step() advances
-the plant and returns no reward; run_episode() scores the episode in one
-reward() call after its loop. Episodes end by time limit (truncation),
-never by failure. PRESETS holds each number that differs between the eye
-and the wrist, from the plant and reward to the training schedule.
+the plant and returns no reward. run_episode() is the one closed loop
+every driver of the plant runs: it steps a list of envs in lockstep with
+one controller call per step for all of them (training, the episode
+command and the PID gate pass one env, the field test one per target),
+and scores the episodes in one reward() call after its loop. Episodes
+end by time limit (truncation), never by failure. PRESETS holds each
+number that differs between the eye and the wrist, from the plant and
+reward to the training schedule.
 
 step() clamps the action to the box as np.clip with array bounds does:
 np.minimum(np.maximum(a, low), high) against the env's read-only bound
@@ -235,31 +239,37 @@ class TrackingEnv:
         return self._observe(), self._done, info
 
 
-def run_episode(env: TrackingEnv, controller, target=None):
-    """One closed-loop episode from reset to the env's time limit.
+def run_episode(envs: list[TrackingEnv], controller, targets=None):
+    """Closed-loop episodes, one per env, from reset to the time limit in lockstep.
 
-    target, if given, replaces the sampled target pose (deg). The controller
-    needs reset() and act(obs, dt). Returns (obs (T+1, 6), outputs (T+1, 4),
-    actions (T, A), rewards (T,)): the observations and noiseless outputs at
-    every step boundary, and the clipped actions applied with their rewards,
-    which one reward() call computes from outputs[:T], the target and the
-    actions once the loop is done.
+    The envs share one preset and episode length. At each step every env
+    takes its step, then the controller makes one call for all of them:
+    it needs reset(n) and act(obs (n, 6), dt) -> (n, A) actions. targets,
+    if given, replace the sampled target poses (deg), one per env. Returns
+    (obs (B, T+1, 6), outputs (B, T+1, 4), actions (B, T, A), rewards
+    (B, T)) for the B envs: the observations and noiseless outputs at every
+    step boundary, and the clipped actions applied with their rewards,
+    which one reward() call computes from outputs[:, :T], the targets and
+    the actions once the loop is done.
     """
-    obs = env.reset()
-    if target is not None:
-        env.target = np.array(target, dtype=np.float64)
-        obs[TARGET_SLICE] = env.target
-    controller.reset()
-    T = env.episode.episode_length
-    obs_rows = np.empty((T + 1, OBS_DIM))
-    out_rows = np.empty((T + 1, 4))
-    act_rows = np.empty((T, env.action_dim))
-    obs_rows[0] = obs
+    B, T, A = len(envs), envs[0].episode.episode_length, envs[0].action_dim
+    obs_rows = np.empty((B, T + 1, OBS_DIM))
+    out_rows = np.empty((B, T + 1, 4))
+    act_rows = np.empty((B, T, A))
+    for b, env in enumerate(envs):
+        obs_rows[b, 0] = env.reset()
+        if targets is not None:
+            env.target = np.array(targets[b], dtype=np.float64)
+            obs_rows[b, 0, TARGET_SLICE] = env.target
+    controller.reset(B)
     for t in range(T):
-        obs, _, info = env.step(controller.act(obs, dt=ACTION_PERIOD))
-        out_rows[t] = info["output"]
-        act_rows[t] = info["action"]
-        obs_rows[t + 1] = obs
-    out_rows[T] = env.true_output()
-    rewards = reward(env.reward_spec, out_rows[:T], env.target, act_rows)
+        actions = controller.act(obs_rows[:, t], dt=ACTION_PERIOD)
+        for b, env in enumerate(envs):
+            obs_rows[b, t + 1], _, info = env.step(actions[b])
+            out_rows[b, t] = info["output"]
+            act_rows[b, t] = info["action"]
+    for b, env in enumerate(envs):
+        out_rows[b, T] = env.true_output()
+    y_star = np.array([env.target for env in envs])[:, None, :]
+    rewards = reward(envs[0].reward_spec, out_rows[:, :T], y_star, act_rows)
     return obs_rows, out_rows, act_rows, rewards

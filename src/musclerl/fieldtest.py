@@ -2,7 +2,11 @@
 
 Evaluation always runs on the nominal plant (the preset's, or the one a
 checkpoint was trained on) with no parameter randomization and no
-observation noise, from rest, with the deterministic policy. The
+observation noise, from rest, with the deterministic policy. The field
+test runs its targets' episodes in lockstep through env.run_episode: each
+target has its env, all on one plant StepMap, and the controller acts once
+per step on the (81, 6) observations of the grid. Each target's episode is
+bitwise the one it runs alone (the acting rows are independent). The
 steady-state error of one episode is the Euclidean angle error averaged over
 the final settle window, sampled at the action period (env.ACTION_PERIOD);
 the per-target duration is the preset's (env.PRESETS):
@@ -12,9 +16,9 @@ the per-target duration is the preset's (env.PRESETS):
 
 from __future__ import annotations
 
+import copy
 import os
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -71,7 +75,7 @@ def steady_state_error(angles: np.ndarray, target, settle_steps: int) -> float:
 
 
 class PolicyController:
-    """Controller adapter for an agent, carrying its GRU state.
+    """Controller adapter for an agent, carrying one GRU state per row.
 
     rng None acts with the deterministic (evaluation) policy; otherwise
     actions sample the stochastic policy with rng's noise.
@@ -82,8 +86,8 @@ class PolicyController:
         self.rng = rng
         self._hidden = agent.initial_hidden()
 
-    def reset(self) -> None:
-        self._hidden = self.agent.initial_hidden()
+    def reset(self, n: int = 1) -> None:
+        self._hidden = self.agent.initial_hidden(n)
 
     def act(self, obs, dt: float = 0.5):
         a, self._hidden = self.agent.act(obs, self._hidden, deterministic=self.rng is None,
@@ -102,33 +106,34 @@ def make_eval_env(preset: str, spec: FieldTestSpec,
 
 def default_episode_runner(preset: str, spec: FieldTestSpec, controller, target,
                            env: TrackingEnv) -> np.ndarray:
-    """One evaluation episode; returns post-step angles, one row per step.
+    """One evaluation episode (the PID gate's); returns post-step angles, one row per step.
 
-    env is make_eval_env(preset, spec, plant); reusing it across episodes
-    reuses its plant StepMap.
+    env is make_eval_env(preset, spec, plant).
     """
-    _, outputs, _, _ = run_episode(env, controller, target)
-    return outputs[1:, ::2]
+    _, outputs, _, _ = run_episode([env], controller, [target])
+    return outputs[0, 1:, ::2]
 
 
 def run_field_test(preset: str, controller, spec: FieldTestSpec | None = None,
-                   episode_runner=None, plant: PlantConfig | None = None,
-                   ) -> list[tuple[float, float, float]]:
+                   plant: PlantConfig | None = None) -> list[tuple[float, float, float]]:
     """Evaluate every grid target; returns (target1, target2, e_ss) rows.
 
-    plant (the default runner's) is the nominal plant, the preset's if None.
-    The default runner reuses one evaluation env, so the plant's StepMap is
-    built once for all targets.
+    plant is the nominal plant, the preset's if None. The targets' episodes
+    run in lockstep, one env each, and the controller acts once per step
+    for all of them. The envs are shallow copies of one evaluation env
+    reset once, so they share its plant StepMap, built once for all
+    targets, and its random streams: without randomization or noise those
+    give every env the nominal muscles and draw nothing that reaches an
+    episode.
     """
     spec = spec or field_spec_for(preset)
-    runner = episode_runner or partial(default_episode_runner,
-                                       env=make_eval_env(preset, spec, plant))
-    rows = []
-    for target in grid_targets(spec):
-        angles = runner(preset, spec, controller, target)
-        rows.append((target[0], target[1],
-                     steady_state_error(angles, target, spec.settle_steps)))
-    return rows
+    targets = grid_targets(spec)
+    env = make_eval_env(preset, spec, plant)
+    env.reset()
+    envs = [env] + [copy.copy(env) for _ in targets[1:]]
+    _, outputs, _, _ = run_episode(envs, controller, targets)
+    return [(t1, t2, steady_state_error(out[1:, ::2], (t1, t2), spec.settle_steps))
+            for (t1, t2), out in zip(targets, outputs)]
 
 
 def summarize(rows) -> dict:

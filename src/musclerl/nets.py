@@ -24,9 +24,9 @@ The gate equations are written once, as three step functions:
 input_projection (x W_in + b_in, the ReLU, a Wg + bg over a whole
 sequence), gru_step (one step of the recurrence) and output_projection.
 forward_stacked's loop calls them, and so does ActCell, the forward-only
-acting path: one float64 net stepped one input at a time on (1, 1, dim)
-scratch, with no cache and no sequence arrays, bitwise a T = 1
-forward_stacked pass.
+acting path: one float64 net stepped one input at a time for B rows on
+(B, 1, dim) scratch, with no cache and no sequence arrays, each row
+bitwise a T = 1 forward_stacked pass.
 
 Master parameters, Adam moments and checkpoints are float64. A stack may
 be built in float32 (StackedNets(..., dtype=np.float32)), casting as it
@@ -352,30 +352,39 @@ def forward_stacked(sp: StackedNets, x: np.ndarray, h0: np.ndarray | None = None
 class ActCell:
     """One float64 net stepped one input at a time, forward only: acting.
 
-    step(x, h) is forward_stacked over S = T = B = 1 through the same step
-    functions, so its outputs are bitwise those of that pass. Every operand
-    stays (1, 1, dim), so each matmul takes the path it takes there. The
-    cell keeps no activations for a backward and copies nothing per step:
-    its scratch holds one step, and it reads x and h where they are.
+    step(x, h) advances B independent rows at once. The rows ride on the
+    stack axis, so each operand is (B, 1, dim) against the (1, dim, dim')
+    weights, and numpy's matmul makes for each row the call that
+    forward_stacked over S = T = B = 1 makes: each row's outputs are
+    bitwise those of that pass. The cell keeps no activations for a
+    backward and copies nothing per step: its scratch holds one step of B
+    rows, is rebuilt when B changes, and it reads x and h where they are.
     """
 
     def __init__(self, net: GruNet):
-        self.nets = sp = StackedNets([net])
+        self.nets = StackedNets([net])
+        self._rows = 0
+
+    def _build(self, B: int) -> None:
+        sp = self.nets
         H = sp.shape.gru_hidden
 
         def empty(n, dtype=np.float64):
-            return np.empty((1, 1, n), dtype=dtype)
+            return np.empty((B, 1, n), dtype=dtype)
 
         self._pre, self._mask, self._a = empty(H), empty(H, bool), empty(H)
         self._gx, self._zr, self._rh, self._c = empty(3 * H), empty(2 * H), empty(H), empty(H)
         self._y = empty(sp.shape.output_dim)
+        self._rows = B
 
     def step(self, x: np.ndarray, h: np.ndarray):
-        """(y, h_next) from input x (1, 1, I) and state h (1, 1, H), float64.
+        """(y, h_next) from inputs x (B, 1, I) and states h (B, 1, H), float64.
 
         h_next is a new array, so a caller may keep it; y is the cell's
         scratch, which the next step overwrites.
         """
+        if x.shape[0] != self._rows:
+            self._build(x.shape[0])
         sp = self.nets
         input_projection(sp, x, self._pre, self._mask, self._a, self._gx)
         h_next = np.empty_like(self._c)

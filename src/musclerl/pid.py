@@ -13,9 +13,11 @@ of the target, not track it well.
 
 The controller runs on Python floats, axis by axis, in the order of the
 formulas above, so each value is the one elementwise float64 array
-arithmetic gives. Every clamp is min(max(x, lo), hi), which has np.clip's
-semantics for scalar bounds: x is kept when it equals a bound (-0.0
-against a 0.0 bound stays -0.0) and NaN passes through.
+arithmetic gives. Every clamp is min(max(x, lo), hi) written out as the
+comparisons those builtins make (lo if lo > x else x, then hi if hi < x
+else x), which has np.clip's semantics for scalar bounds: x is kept when
+it equals a bound (-0.0 against a 0.0 bound stays -0.0) and NaN passes
+through.
 """
 
 from __future__ import annotations
@@ -87,43 +89,60 @@ class PidController:
 
     def update(self, error, dt: float) -> np.ndarray:
         """Axis commands for the current per-axis error (deg)."""
+        return np.array(self.commands(error, dt))
+
+    def commands(self, error, dt: float) -> list[float]:
+        """update()'s axis commands as a list of floats."""
         if not (dt > 0.0):
             raise ValueError("dt must be positive")
         g = self.gains
-        i_lim, u_lim = g.i_clamp, g.output_limit
+        i_hi, u_hi = g.i_clamp, g.output_limit
+        i_lo, u_lo = -i_hi, -u_hi
         u = []
         for k, e in enumerate(error):
-            i = min(max(self.integral[k] + e * dt, -i_lim), i_lim)
+            i = self.integral[k] + e * dt
+            i = i_lo if i_lo > i else i
+            i = i_hi if i_hi < i else i
             u_k = g.kp * e + g.ki * i + g.kd * (e - self.prev_error[k]) / dt
-            u.append(min(max(u_k, -u_lim), u_lim))
+            u_k = u_lo if u_lo > u_k else u_k
+            u.append(u_hi if u_hi < u_k else u_k)
             self.integral[k] = i
             self.prev_error[k] = e
-        return np.array(u)
+        return u
 
 
 class PidActionPolicy:
     """Adapter producing environment actions from observations.
 
-    Reads the angle and target slots of the observation, runs the PID on the
-    per-axis error, and converts the axis commands to the preset's action.
-    The wrist's torque-map pseudo-inverse depends only on the routing, which
-    muscle randomization leaves alone, so it is computed once here.
+    Reads the angle and target slots of each observation row, runs that
+    row's PID on the per-axis error, and converts the axis commands to the
+    preset's action. reset(n) starts n rows, one PidController each; act
+    takes the (n, 6) observations and returns (n, A) actions. The wrist's
+    torque-map pseudo-inverse depends only on the routing, which muscle
+    randomization leaves alone, so it is computed once here.
     """
 
     def __init__(self, preset: str, plant: PlantConfig, gains: PidGains | None = None):
         self.preset = preset
         self.gains = gains or gains_for(preset, plant)
-        self.pid = PidController(self.gains)
         self._axis_to_volts = None if preset == "eye" else np.linalg.pinv(plant.routing.T)
+        self.reset()
 
-    def reset(self) -> None:
-        self.pid.reset()
+    def reset(self, n: int = 1) -> None:
+        self.pids = [PidController(self.gains) for _ in range(n)]
 
     def act(self, obs, dt: float = 0.5) -> np.ndarray:
-        o = np.asarray(obs, dtype=np.float64).tolist()
-        u = self.pid.update((o[4] - o[0], o[5] - o[2]), dt)
-        if self._axis_to_volts is None:
-            v, lo = u.tolist(), -10.0
-        else:  # a numpy product, not float arithmetic: BLAS may fuse multiply-adds
-            v, lo = (self._axis_to_volts @ u).tolist(), 0.0
-        return np.array([min(max(x, lo), 10.0) for x in v])
+        rows = np.asarray(obs, dtype=np.float64).tolist()
+        if len(rows) != len(self.pids):
+            raise ValueError(f"{len(rows)} observations for {len(self.pids)} PID rows")
+        flat = []
+        for o, pid in zip(rows, self.pids):
+            u = pid.commands((o[4] - o[0], o[5] - o[2]), dt)
+            if self._axis_to_volts is None:
+                v, lo = u, -10.0
+            else:  # a numpy product, not float arithmetic: BLAS may fuse multiply-adds
+                v, lo = (self._axis_to_volts @ np.array(u)).tolist(), 0.0
+            for x in v:
+                x = lo if lo > x else x
+                flat.append(10.0 if 10.0 < x else x)
+        return np.array(flat).reshape(len(rows), -1)

@@ -17,8 +17,9 @@ them, and the gradients return to float64 for Adam, the Polyak blend and
 the temperature, which all stay float64. Acting stays float64, so
 rollouts and evaluation do not move with the learner's dtype: it steps the
 actor through a nets.ActCell, one forward-only step per action with no
-activation cache, and the deterministic action reads the mean half of the
-head directly. dtype=np.float64 gives the exact reference update. Each
+activation cache, for a batch of rows at once (the field test acts for all
+its targets in one call), and the deterministic action reads the mean half
+of the head directly. dtype=np.float64 gives the exact reference update. Each
 update builds its stacks from the current weights; acting keeps its cell
 until update() or load_state() changes the actor.
 
@@ -330,27 +331,30 @@ class SacAgent:
 
     # -- acting -----------------------------------------------------------
 
-    def initial_hidden(self) -> np.ndarray:
-        return np.zeros((1, 1, self.gru_hidden))
+    def initial_hidden(self, n: int = 1) -> np.ndarray:
+        return np.zeros((n, 1, self.gru_hidden))
 
     def act(self, obs, hidden, deterministic: bool = False, rng: SeededRng | None = None):
-        """One action from the current observation, carrying the GRU state.
+        """One action per row of obs (B, 6), carrying the rows' GRU states.
 
-        Stochastic mode samples the squashed Gaussian; deterministic mode
-        returns the squashed mean (evaluation policy). hidden is the
-        (1, 1, H) state from initial_hidden() or the previous act; the
-        returned state is a new array.
+        Stochastic mode samples the squashed Gaussian, with noise drawn as
+        (B, A) in row order; deterministic mode returns the squashed mean
+        (evaluation policy). hidden is the (B, 1, H) state from
+        initial_hidden(B) or the previous act, and obs may be (6,) when
+        B = 1. Returns (B, A) actions and the next state, a new array. Each
+        row's action and state are bitwise those of acting on it alone.
         """
         if self._act_cell is None:
             self._act_cell = ActCell(self.actor)
-        x = np.ascontiguousarray(obs, dtype=np.float64).reshape(1, 1, -1)
+        B, A = hidden.shape[0], self.action_dim
+        x = np.ascontiguousarray(obs, dtype=np.float64).reshape(B, 1, -1)
         y, h_next = self._act_cell.step(x, hidden)
         if deterministic:
-            action = squash_mean(y[0, 0, : self.action_dim], self.action_center, self.action_half)
+            action = squash_mean(y[:, 0, :A], self.action_center, self.action_half)
         else:
-            mu, log_sd, _ = split_head(y[0, 0])
+            mu, log_sd, _ = split_head(y[:, 0])
             noise_rng = rng if rng is not None else self._noise_rng
-            noise = noise_rng.standard_normal(self.action_dim)
+            noise = noise_rng.standard_normal((B, A))
             action, _, _ = squash_sample(mu, log_sd, noise, self.action_center, self.action_half)
         return action, h_next
 

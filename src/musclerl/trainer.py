@@ -79,11 +79,12 @@ class UniformController:
     def __init__(self, rng: SeededRng, low: np.ndarray, high: np.ndarray):
         self.rng, self.low, self.high = rng, low, high
 
-    def reset(self) -> None:
+    def reset(self, n: int = 1) -> None:
         pass
 
     def act(self, obs, dt: float = 0.5) -> np.ndarray:
-        return self.rng.uniform(self.low, self.high, size=self.low.size)
+        """(n, A) actions for the (n, 6) observations, drawn in row order."""
+        return self.rng.uniform(self.low, self.high, size=(len(obs), self.low.size))
 
 
 class Trainer:
@@ -138,7 +139,8 @@ class Trainer:
 
     def rollout(self, kind: str) -> Trajectory:
         """One full episode under 'pid', 'random', or 'policy' control."""
-        return Trajectory(*run_episode(self.env, self.controllers[kind]), controller=kind)
+        rows = run_episode([self.env], self.controllers[kind])
+        return Trajectory(*(r[0] for r in rows), controller=kind)
 
     def store_with_augmentation(self, traj: Trajectory) -> int:
         """Push the rollout with its relabels; returns the number of slots filled."""

@@ -71,8 +71,8 @@ def test_pid_output_always_inside_action_box():
     wrist = PidActionPolicy("wrist", wrist_config())
     for _ in range(2000):
         obs = rng.uniform(-60, 60, size=6)
-        a_eye = eye.act(obs)
-        a_wrist = wrist.act(obs)
+        a_eye = eye.act(obs[None])
+        a_wrist = wrist.act(obs[None])
         assert np.all(a_eye >= -10.0) and np.all(a_eye <= 10.0)
         assert np.all(a_wrist >= 0.0) and np.all(a_wrist <= 10.0)
 
@@ -135,10 +135,10 @@ def test_pid_clamps_match_clip_oracle_bit_for_bit(preset):
             obs[4], obs[5] = rng.choice(values, size=2)
             if rng.uniform() < 0.3:
                 obs[0], obs[2] = -obs[4], -obs[5]
-            a = policy.act(obs, dt=0.5)
+            a = policy.act(obs[None], dt=0.5)[0]
             expected = oracle.act(obs, dt=0.5)
             assert a.tobytes() == expected.tobytes()
-            assert np.asarray(policy.pid.integral).tobytes() == oracle.integral.tobytes()
+            assert np.asarray(policy.pids[0].integral).tobytes() == oracle.integral.tobytes()
             hit.update(("low" if x == low else "high" if x == 10.0 else "in") for x in a)
             hit.update("negzero" for x in a if x == 0.0 and np.signbit(x))
     assert {"low", "high", "in"} <= hit

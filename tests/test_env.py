@@ -17,17 +17,18 @@ from musclerl.randomize import SeededRng
 
 
 class ActionSequence:
-    """Controller that plays a fixed sequence of actions."""
+    """Controller that plays a fixed sequence of actions to one env."""
 
     def __init__(self, actions):
         self.actions = actions
 
-    def reset(self):
+    def reset(self, n=1):
+        assert n == 1
         self.t = 0
 
     def act(self, obs, dt=0.5):
         self.t += 1
-        return self.actions[self.t - 1]
+        return self.actions[self.t - 1][None]
 
 
 def test_action_map_zero():
@@ -129,7 +130,8 @@ def test_episode_lengths_and_done_signalling():
 def test_zero_action_zero_target_scores_full_bonus():
     env = TrackingEnv("eye", SeededRng(2),
                       episode=EpisodeConfig(episode_length=30, target_range=0.0))
-    _, _, _, rewards = run_episode(env, ActionSequence(np.zeros((30, 2))))
+    _, _, _, rewards = run_episode([env], ActionSequence(np.zeros((30, 2))))
+    rewards = rewards[0]
     assert rewards.shape == (30,)
     for r in rewards:
         assert r == 4.0
@@ -163,8 +165,8 @@ def test_episode_determinism_under_fixed_actions():
     def run(seed):
         env = TrackingEnv("eye", SeededRng(seed))
         actions = np.random.default_rng(0).uniform(-10, 10, size=(30, 2))
-        rows, _, _, rewards = run_episode(env, ActionSequence(actions))
-        return rows, rewards
+        rows, _, _, rewards = run_episode([env], ActionSequence(actions))
+        return rows[0], rewards[0]
 
     o1, r1 = run(55)
     o2, r2 = run(55)
@@ -251,6 +253,6 @@ def test_episode_calls_the_traced_plant_names(monkeypatch):
 
         monkeypatch.setattr(musclerl.env, name, counting)
     env = TrackingEnv("wrist", SeededRng(4))
-    run_episode(env, pid_controller_for("wrist"))
+    run_episode([env], pid_controller_for("wrist"))
     assert calls == {"advance": env.episode.episode_length, "sample_muscle_set": 1}
     assert env.episode.episode_length == 40

@@ -22,7 +22,11 @@ policy's act and update; the episode and gate digests pin the stdout of
 The biased-policy digests (recorded at numerics=3, when acting still ran
 the learner's T = 1 forward pass) pin every bias of the acting path,
 which the zero-bias init leaves out: a width-64 actor with a perturbed
-flat through the 9-target field test, and 60 of its stochastic acts.
+flat through the 9-target field test, and 60 of its stochastic acts. Two
+more field-test digests of such actors (recorded at numerics=3, when the
+field test still ran its targets one after another) pin the eye's
+two-component action and a plant passed as plant= that is not the
+preset's.
 """
 
 import hashlib
@@ -35,6 +39,7 @@ from musclerl.checkpoint import load_checkpoint
 from musclerl.cli import main as cli_main
 from musclerl.config import CODE_STAMP, RunConfig
 from musclerl.fieldtest import FieldTestSpec, PolicyController, pid_controller_for, run_field_test
+from musclerl.plant import configured_plant, wrist_config
 from musclerl.randomize import SeededRng
 from musclerl.trainer import Trainer
 
@@ -57,6 +62,8 @@ GOLDEN_SHA256 = {
     "calibrate_gate_wrist": "da978e02295e0cc4c9fa2a0202e0286aefa8a51c1479349c255c4e29f2c515da",
     "calibrate_gate_eye": "f27e0a798f3d05b35bc57fa3e977e6f2cdc526c7392f499506112ddab10d0a30",
     "biased_policy_field_rows": "d6fdf105288dc2264e07816d46498151dd91dcc7a4e5dc4a899bf42100c0d8cf",
+    "biased_eye_policy_field_rows": "6cd01d81e2ad7ab836a7dfe64ccf9ea2c19ce54a950ee1f095e7a97ff78be3e1",
+    "configured_plant_policy_field_rows": "b98fef37f7c2d67cf3f7ac0c9c6fd7869d4e7d2713d7d9bff46ffdc0927a5ccf",
     "biased_policy_stochastic_acts": "815f1019cbc809aee7d2831bc9060519785ff91034f7f4616114c4794dc7a0ab",
 }
 
@@ -91,10 +98,10 @@ def test_policy_field_rows_digest(tmp_path):
     assert _sha(repr(rows)) == GOLDEN_SHA256["policy_field_rows"]
 
 
-def _biased_actor_agent(tmp_path):
+def _biased_actor_agent(tmp_path, preset="wrist"):
     # width 64 with a seeded perturbation of the whole flat, so the biases
     # b_in, bg and b_out are nonzero, which the zero-bias init never gives
-    cfg = RunConfig(preset="wrist", seed=13, gru_hidden=64, out_dir=str(tmp_path))
+    cfg = RunConfig(preset=preset, seed=13, gru_hidden=64, out_dir=str(tmp_path))
     agent = Trainer(cfg).agent
     flat = agent.actor.flat
     flat += np.random.default_rng(29).normal(scale=0.1, size=flat.size)
@@ -107,6 +114,26 @@ def test_biased_policy_field_rows_digest(tmp_path):
     rows = run_field_test("wrist", PolicyController(_biased_actor_agent(tmp_path)), spec)
     assert len(rows) == 9
     assert _sha(repr(rows)) == GOLDEN_SHA256["biased_policy_field_rows"]
+
+
+def test_biased_eye_policy_field_rows_digest(tmp_path):
+    # the eye's two-component action through map_action_eye's signed split
+    spec = FieldTestSpec(extent=5.0, spacing=5.0, duration=3.0, settle=1.0)
+    rows = run_field_test("eye", PolicyController(_biased_actor_agent(tmp_path, "eye")), spec)
+    assert len(rows) == 9
+    assert _sha(repr(rows)) == GOLDEN_SHA256["biased_eye_policy_field_rows"]
+
+
+def test_biased_policy_field_rows_on_a_configured_plant_digest(tmp_path):
+    # a plant that is not the preset's, passed as plant=: lighter, stiffer,
+    # on longer moment arms
+    plant = configured_plant(wrist_config(), inertia=1.2, stiffness=0.6, moment_arm=1.5)
+    assert plant != wrist_config()
+    spec = FieldTestSpec(extent=5.0, spacing=5.0, duration=3.0, settle=1.0)
+    rows = run_field_test("wrist", PolicyController(_biased_actor_agent(tmp_path)), spec,
+                          plant=plant)
+    assert len(rows) == 9
+    assert _sha(repr(rows)) == GOLDEN_SHA256["configured_plant_policy_field_rows"]
 
 
 def test_biased_policy_stochastic_acts_digest(tmp_path):

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import musclerl.env
+import musclerl.fieldtest
 from musclerl.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from musclerl.cli import main as cli_main
 from musclerl.config import (
@@ -19,12 +21,13 @@ from musclerl.config import (
     load_config,
     parse_config_file,
 )
-from musclerl.env import TrackingEnv
+from musclerl.env import TrackingEnv, run_episode
 from musclerl.fieldtest import (
     FieldTestSpec,
     PolicyController,
     field_spec_for,
     grid_targets,
+    make_eval_env,
     pid_controller_for,
     run_field_test,
     steady_state_error,
@@ -143,22 +146,16 @@ def test_field_spec_validation():
 
 def test_teleporting_oracle_scores_zero():
     spec = FieldTestSpec()
-
-    def oracle_runner(preset, sp, controller, target):
-        return np.tile(np.asarray(target), (sp.steps, 1))
-
-    rows = run_field_test("wrist", controller=None, spec=spec, episode_runner=oracle_runner)
-    assert all(e == 0.0 for _, _, e in rows)
+    for target in grid_targets(spec):
+        angles = np.tile(np.asarray(target), (spec.steps, 1))
+        assert steady_state_error(angles, target, spec.settle_steps) == 0.0
 
 
 def test_constant_offset_scores_sqrt_two():
     spec = FieldTestSpec()
-
-    def offset_runner(preset, sp, controller, target):
-        return np.tile(np.asarray(target) + 1.0, (sp.steps, 1))
-
-    rows = run_field_test("wrist", controller=None, spec=spec, episode_runner=offset_runner)
-    for _, _, e in rows:
+    for target in grid_targets(spec):
+        angles = np.tile(np.asarray(target) + 1.0, (spec.steps, 1))
+        e = steady_state_error(angles, target, spec.settle_steps)
         assert e == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
 
@@ -185,6 +182,62 @@ def test_field_test_builds_the_plant_step_map_once(monkeypatch):
     env.reset()
     env.reset()
     assert len(built) == 3
+
+
+def _perturbed_policy(preset, tmp_path):
+    # a width-16 actor with every parameter, biases included, nonzero
+    agent = Trainer(RunConfig(preset=preset, seed=21, gru_hidden=16,
+                              out_dir=str(tmp_path))).agent
+    agent.actor.flat += np.random.default_rng(22).normal(scale=0.2, size=agent.actor.size)
+    return PolicyController(agent)
+
+
+@pytest.mark.parametrize("preset", ["wrist", "eye"])
+@pytest.mark.parametrize("kind", ["pid", "policy"])
+def test_lockstep_field_test_equals_serial_episodes(preset, kind, tmp_path):
+    # the 81 targets in lockstep against one episode at a time, each on a
+    # fresh evaluation env, rows compared by repr
+    spec = FieldTestSpec(duration=5.0, settle=2.0)
+    controller = (pid_controller_for(preset) if kind == "pid"
+                  else _perturbed_policy(preset, tmp_path))
+    serial = []
+    for target in grid_targets(spec):
+        env = make_eval_env(preset, spec)
+        _, outputs, _, _ = run_episode([env], controller, [target])
+        serial.append((target[0], target[1],
+                       steady_state_error(outputs[0, 1:, ::2], target, spec.settle_steps)))
+    rows = run_field_test(preset, controller, spec)
+    assert len(rows) == 81
+    assert repr(rows) == repr(serial)
+
+
+def _repo_module(name, *path):
+    """A repo file outside the package, imported as module name."""
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(name, os.path.join(repo, *path))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_field_test_acts_once_per_step(tmp_path):
+    # the benchmark's span wrappers around a 9-target field test of each
+    # controller: the policy acts once per step for all targets
+    spans = _repo_module("perfbench_spans", "perfbench", "spans.py")
+    spec = FieldTestSpec(extent=5.0, spacing=5.0, duration=3.0, settle=1.0)
+    controllers = (pid_controller_for("wrist"), _perturbed_policy("wrist", tmp_path))
+    tracer = spans.Tracer()
+    with spans.installed(tracer), tracer.span("bench.timed"):
+        for controller in controllers:
+            assert len(musclerl.fieldtest.run_field_test("wrist", controller, spec)) == 9
+    names = tracer.names
+    assert names.count("fieldtest.run_field_test.pid") == 1
+    assert names.count("fieldtest.run_field_test.policy") == 1
+    assert names.count("pid.PidActionPolicy.act") == spec.steps
+    assert names.count("sac.SacAgent.act.deterministic") == spec.steps
+    assert names.count("env.TrackingEnv.step") == 2 * 9 * spec.steps
+    metrics = spans.analyze(tracer)
+    assert metrics["sac.SacAgent.act.deterministic.n"][0] == spec.steps
 
 
 # -- trainer artifacts ---------------------------------------------------------

@@ -314,6 +314,33 @@ def test_act_matches_the_learner_forward_bit_for_bit(width):
     assert np.any((raws > LOG_SD_MIN) & (raws < LOG_SD_MAX))
 
 
+@pytest.mark.parametrize("width", [8, 64, 256])
+def test_batched_acts_equal_serial_acts_bit_for_bit(width):
+    # B rows in one act against each row acted alone, 20 steps with the
+    # hidden states carried; one seed serves both rngs, as the batch draws
+    # its (B, A) noise in the order the serial loop draws its rows'. The
+    # serial acts between two batched ones change B (81 -> 1 -> 81), so the
+    # cell rebuilds its scratch, which must never write into a returned state
+    agent = make_agent(action_dim=3, hidden=width, seed=width)
+    _random_actor(agent, width)
+    obs = np.random.default_rng(width + 3).normal(scale=5.0, size=(20, 81, 6))
+    held = []
+    for B in (1, 9, 81):
+        for deterministic in (True, False):
+            rng, ref_rng = SeededRng(width + 4), SeededRng(width + 4)
+            h = agent.initial_hidden(B)
+            ref_h = [agent.initial_hidden() for _ in range(B)]
+            for t in range(20):
+                a, h = agent.act(obs[t, :B], h, deterministic, rng=rng)
+                assert a.shape == (B, 3) and h.shape == (B, 1, width)
+                for b in range(B):
+                    ref_a, ref_h[b] = agent.act(obs[t, b], ref_h[b], deterministic, rng=ref_rng)
+                    assert a[b].tobytes() == ref_a.tobytes()
+                    assert h[b].tobytes() == ref_h[b].tobytes()
+                held.append((h, h.tobytes()))
+    assert all(h.tobytes() == blob for h, blob in held)
+
+
 def test_deterministic_acts_hold_no_memory():
     # 500 acts at width 64 after a warm-up, keeping only the latest action
     # and hidden state: measured 880 bytes held, where one leaked array per
