@@ -17,7 +17,7 @@ import dataclasses
 import os
 import sys
 
-from .config import CODE_STAMP, RunConfig, load_config
+from .config import CODE_STAMP, RunConfig, field_type, load_config
 from .env import ACTION_PERIOD, PRESETS, run_episode
 from .fieldtest import (
     PolicyController,
@@ -33,23 +33,23 @@ from .fieldtest import (
 from .trainer import Trainer, load_policy
 
 
+# the RunConfig fields train takes as --flag-name, in --help order
+_CONFIG_FLAGS = ("seed", "episodes", "bootstrap_episodes", "gru_hidden", "augment_copies",
+                 "augment_delta", "pid_gain_scale", "variance_multiplier", "checkpoint_every",
+                 "no_bootstrap", "no_augment", "no_randomize", "out_dir")
+_FLAG_HELP = {"variance_multiplier": "scale randomization interval widths and noise SDs"}
+
+
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key = value config file")
     p.add_argument("--preset", choices=sorted(PRESETS))
-    p.add_argument("--seed", type=int)
-    p.add_argument("--episodes", type=int)
-    p.add_argument("--bootstrap-episodes", type=int, dest="bootstrap_episodes")
-    p.add_argument("--gru-hidden", type=int, dest="gru_hidden")
-    p.add_argument("--augment-copies", type=int, dest="augment_copies")
-    p.add_argument("--augment-delta", type=float, dest="augment_delta")
-    p.add_argument("--pid-gain-scale", type=float, dest="pid_gain_scale")
-    p.add_argument("--variance-multiplier", type=float, dest="variance_multiplier",
-                   help="scale randomization interval widths and noise SDs")
-    p.add_argument("--checkpoint-every", type=int, dest="checkpoint_every")
-    p.add_argument("--no-bootstrap", action="store_const", const=True, dest="no_bootstrap")
-    p.add_argument("--no-augment", action="store_const", const=True, dest="no_augment")
-    p.add_argument("--no-randomize", action="store_const", const=True, dest="no_randomize")
-    p.add_argument("--out-dir", dest="out_dir")
+    for name in _CONFIG_FLAGS:
+        flag = "--" + name.replace("_", "-")
+        kind, _ = field_type(name)
+        if kind is bool:
+            p.add_argument(flag, action="store_const", const=True, dest=name)
+        else:
+            p.add_argument(flag, type=kind, dest=name, help=_FLAG_HELP.get(name))
 
 
 def _config_overrides(args) -> dict:
@@ -74,7 +74,7 @@ def _controller(args):
     """(preset, controller, checkpoint cfg or None) from the flags, or None after printing why."""
     if args.pid:
         preset = args.preset or RunConfig.preset
-        return preset, pid_controller_for(preset, args.pid_gain_scale or 1.0), None
+        return preset, pid_controller_for(preset), None
     if not args.checkpoint:
         print(f"{args.command} needs --checkpoint or --pid", file=sys.stderr)
         return None
@@ -158,7 +158,8 @@ def cmd_episode(args) -> int:
             cells += [""] * (env.action_dim + env.active.n_muscles + 1)
         lines.append(",".join(cells))
     e_ss = steady_state_error(outputs[1:, ::2], target, spec.settle_steps)
-    text = "\n".join([f"# musclerl episode preset={preset} seed={args.seed or 0} "
+    seed = 0 if cfg is None else cfg.seed
+    text = "\n".join([f"# musclerl episode preset={preset} seed={seed} "
                       f"target=({args.target1},{args.target2}) {CODE_STAMP}"] + lines) + "\n"
     if args.out:
         os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
@@ -210,7 +211,6 @@ def main(argv=None) -> int:
     p.add_argument("--checkpoint", help="policy checkpoint to evaluate")
     p.add_argument("--pid", action="store_true", help="evaluate the stock PID instead")
     p.add_argument("--preset", choices=sorted(PRESETS), help="plant preset (PID mode)")
-    p.add_argument("--pid-gain-scale", type=float, dest="pid_gain_scale")
     p.add_argument("--duration", type=float, help="override per-target episode seconds")
     p.add_argument("--out", help="write the grid CSV here")
     p.set_defaults(func=cmd_eval_field)
@@ -219,11 +219,9 @@ def main(argv=None) -> int:
     p.add_argument("--checkpoint")
     p.add_argument("--pid", action="store_true")
     p.add_argument("--preset", choices=sorted(PRESETS))
-    p.add_argument("--pid-gain-scale", type=float, dest="pid_gain_scale")
     p.add_argument("--target1", type=float, default=5.0)
     p.add_argument("--target2", type=float, default=5.0)
     p.add_argument("--duration", type=float)
-    p.add_argument("--seed", type=int)
     p.add_argument("--out")
     p.set_defaults(func=cmd_episode)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import os
+import typing
 from dataclasses import dataclass
 
 from .env import PRESETS
@@ -63,7 +64,7 @@ class RunConfig:
             raise ValueError(f"unknown preset {self.preset!r}")
 
     def resolved(self) -> "RunConfig":
-        """Fill preset-dependent defaults; validates M <= N and gamma."""
+        """Fill preset-dependent defaults; validates M <= N, gamma, batch and checkpoint sizes."""
         p = PRESETS[self.preset]
         cfg = dataclasses.replace(
             self,
@@ -76,6 +77,9 @@ class RunConfig:
             raise ValueError("bootstrap_episodes must not exceed episodes")
         if not 0 < cfg.gamma <= 1:
             raise ValueError(f"gamma must lie in (0, 1], got {cfg.gamma!r}")
+        for key in ("batch_size", "checkpoint_every"):
+            if getattr(cfg, key) < 1:
+                raise ValueError(f"{key} must be at least 1, got {getattr(cfg, key)!r}")
         if cfg.updates_per_episode is None:
             cfg = dataclasses.replace(cfg, updates_per_episode=cfg.episode_length)
         return cfg
@@ -109,30 +113,30 @@ class RunConfig:
         )
 
 
-_BOOL_FIELDS = {"no_bootstrap", "no_augment", "no_randomize", "shared_muscle_scaling"}
-_OPTIONAL_INT_FIELDS = {"episodes", "bootstrap_episodes", "episode_length", "updates_per_episode"}
-_OPTIONAL_FLOAT_FIELDS = {"plant_inertia", "plant_damping", "plant_stiffness",
-                          "plant_moment_arm", "plant_rest_length", "plant_angle_limit"}
+_HINTS = typing.get_type_hints(RunConfig)
+
+
+def field_type(name: str) -> tuple[type, bool]:
+    """A RunConfig field's value type from its annotation, and whether it takes None."""
+    args = typing.get_args(_HINTS[name])
+    if type(None) in args:
+        (kind,) = (a for a in args if a is not type(None))
+        return kind, True
+    return _HINTS[name], False
 
 
 def _coerce(name: str, raw: str):
     raw = raw.strip()
-    if name in _BOOL_FIELDS:
+    kind, optional = field_type(name)
+    if optional and raw.lower() == "none":
+        return None
+    if kind is bool:
         if raw.lower() in ("true", "1", "yes"):
             return True
         if raw.lower() in ("false", "0", "no"):
             return False
         raise ValueError(f"bad boolean for {name}: {raw!r}")
-    if name in ("preset", "out_dir"):
-        return raw
-    if name in _OPTIONAL_INT_FIELDS:
-        return None if raw.lower() == "none" else int(raw)
-    if name in _OPTIONAL_FLOAT_FIELDS:
-        return None if raw.lower() == "none" else float(raw)
-    if name in ("seed", "batch_size", "buffer_capacity", "checkpoint_every",
-                "gru_hidden", "augment_copies"):
-        return int(raw)
-    return float(raw)
+    return kind(raw)
 
 
 def parse_config_file(path: str) -> dict:

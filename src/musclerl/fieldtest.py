@@ -24,7 +24,7 @@ import numpy as np
 
 from .config import CODE_STAMP
 from .env import ACTION_PERIOD, PRESETS, EpisodeConfig, TrackingEnv, run_episode
-from .pid import PidActionPolicy, gains_for
+from .pid import PidActionPolicy
 from .plant import PlantConfig
 from .randomize import NO_RANDOMIZATION, SeededRng
 from .sac import SacAgent
@@ -162,9 +162,8 @@ def write_field_csv(path: str, rows, provenance: str) -> None:
                  f"q1={s['q1']!r} q3={s['q3']!r} max={s['max']!r}\n")
 
 
-def pid_controller_for(preset: str, gain_scale: float = 1.0) -> PidActionPolicy:
-    plant = PRESETS[preset].plant()
-    return PidActionPolicy(preset, plant, gains_for(preset, plant, scale=gain_scale))
+def pid_controller_for(preset: str) -> PidActionPolicy:
+    return PidActionPolicy(preset, PRESETS[preset].plant())
 
 
 def pid_gate(preset: str, plant: PlantConfig | None = None) -> tuple[float | None, float]:
@@ -176,7 +175,7 @@ def pid_gate(preset: str, plant: PlantConfig | None = None) -> tuple[float | Non
     """
     plant = plant or PRESETS[preset].plant()
     spec = field_spec_for(preset)
-    pid = PidActionPolicy(preset, plant, gains_for(preset, plant))
+    pid = PidActionPolicy(preset, plant)
     angles = default_episode_runner(preset, spec, pid, (5.0, 5.0),
                                     make_eval_env(preset, spec, plant))
     near = np.nonzero(np.hypot(angles[:, 0] - 5.0, angles[:, 1] - 5.0)

@@ -8,8 +8,8 @@ driven by Joule heating against first-order convective cooling:
 
 Sign convention: positive force is tension (contraction), pulling the anchor
 toward the fixed end. Units are cm, N, degC, s, V, Ohm throughout. This
-module holds the constants and two closed forms of the thermal law; the
-plant (plant.StepMap) integrates both equations together with the joints.
+module holds the constants; the plant (plant.StepMap) integrates both
+equations together with the joints.
 """
 
 from __future__ import annotations
@@ -46,13 +46,3 @@ class MuscleParams:
 # Nominal parameter sets, from system identification of the two muscle types.
 SCP_NOMINAL = MuscleParams(k=0.25, b=0.01, c=0.0055, C_th=0.28, lambda_=0.094, R=20.0, x0=14.5)
 TCA_NOMINAL = MuscleParams(k=2.1, b=0.63, c=0.0707, C_th=3.06, lambda_=0.1189, R=10.0, x0=6.0)
-
-
-def steady_state_rise(p: MuscleParams, V: float) -> float:
-    """Equilibrium temperature rise V^2 / (R lambda_) above ambient, degC."""
-    return V * V / (p.R * p.lambda_)
-
-
-def thermal_time_constant(p: MuscleParams) -> float:
-    """Cooling time constant C_th / lambda_, s."""
-    return p.C_th / p.lambda_

@@ -11,14 +11,14 @@ One network is ReLU(FC) -> GRU -> FC over a sequence:
 
 Parameters live in one flat float64 vector with named views, so the Adam
 step and checkpointing are single-array operations and two identical runs
-stay bitwise identical. backward() is exact reverse-mode through the whole
-sequence and also returns input gradients (the actor update needs d loss /
-d action through the critics).
+stay bitwise identical. backward_stacked is exact reverse-mode through the
+whole sequence and also returns input gradients (the actor update needs
+d loss / d action through the critics).
 
 The compute kernel carries a leading stack axis S so the twin critics run
-as one broadcasted pass: sequences are (S, T, B, dim) internally, and the
-public single-net API wraps S = 1. Stacking changes call counts, not the
-per-element operations, so results are bitwise identical either way.
+as one broadcasted pass: sequences are (S, T, B, dim), and one net is a
+stack of S = 1. Stacking changes call counts, not the per-element
+operations, so results are bitwise identical either way.
 
 The gate equations are written once, as three step functions:
 input_projection (x W_in + b_in, the ReLU, a Wg + bg over a whole
@@ -32,8 +32,7 @@ Master parameters, Adam moments and checkpoints are float64. A stack may
 be built in float32 (StackedNets(..., dtype=np.float32)), casting as it
 copies: its passes then compute in float32, take float32 inputs and return
 float32 gradients, which grads_to_flat writes back into a float64 flat.
-The single-net forward/backward wrappers stay float64, the exact reference
-for the gradient checks.
+A float64 stack is the exact reference for the gradient checks.
 
 The path from backward to the Adam step allocates no parameter-sized
 array. A backward pass writes its parameter gradients into an (S, P) flat,
@@ -95,10 +94,6 @@ def _layout(shape: NetworkShape):
         offsets[name] = (off, shp)
         off += n
     return offsets, off
-
-
-def param_count(shape: NetworkShape) -> int:
-    return _layout(shape)[1]
 
 
 def _views(offsets: dict, flat: np.ndarray) -> dict[str, np.ndarray]:
@@ -505,39 +500,6 @@ def grads_to_flat(shape: NetworkShape, grads: dict, s: int,
     for name in g.v:
         g.v[name][:] = grads[name][s]
     return g.flat
-
-
-# -- single-net wrappers -------------------------------------------------------
-
-
-def forward(net: GruNet, x: np.ndarray, h0: np.ndarray | None = None):
-    """Run one net over a (T, B, input_dim) sequence.
-
-    Returns (outputs (T, B, output_dim), h_T (B, H), cache).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 3 or x.shape[0] < 1:
-        raise ValueError(f"expected nonempty (T, B, input) sequence, got shape {x.shape}")
-    if x.shape[2] != net.shape.input_dim:
-        raise ValueError(f"input dim {x.shape[2]} != {net.shape.input_dim}")
-    sp = StackedNets([net])
-    h0s = None if h0 is None else np.asarray(h0, dtype=np.float64)[None]
-    y, hT, cache = forward_stacked(sp, x[None], h0s)
-    return y[0], hT[0], cache
-
-
-def backward(cache: StackCache, dy: np.ndarray, dh_final: np.ndarray | None = None,
-             need_param_grads: bool = True):
-    """Exact reverse-mode gradients for a single-net forward.
-
-    dy is (T, B, output_dim); optional dh_final seeds the gradient of h_T.
-    Returns (flat param gradient or None, dx (T, B, input_dim), dh0 (B, H)).
-    """
-    dy = np.asarray(dy, dtype=np.float64)
-    dhf = None if dh_final is None else np.asarray(dh_final, dtype=np.float64)[None]
-    grads, dx, dh0 = backward_stacked(cache, dy[None], dhf, need_param_grads)
-    flat = grads_to_flat(cache.nets.shape, grads, 0) if need_param_grads else None
-    return flat, dx[0], dh0[0]
 
 
 # -- optimizer ---------------------------------------------------------------

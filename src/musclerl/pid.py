@@ -87,12 +87,8 @@ class PidController:
         self.integral = [0.0, 0.0]
         self.prev_error = [0.0, 0.0]
 
-    def update(self, error, dt: float) -> np.ndarray:
-        """Axis commands for the current per-axis error (deg)."""
-        return np.array(self.commands(error, dt))
-
     def commands(self, error, dt: float) -> list[float]:
-        """update()'s axis commands as a list of floats."""
+        """Axis commands for the current per-axis error (deg), as floats."""
         if not (dt > 0.0):
             raise ValueError("dt must be positive")
         g = self.gains

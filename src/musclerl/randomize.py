@@ -133,11 +133,6 @@ def _scaled(p: MuscleParams, row: list[float]) -> MuscleParams:
                         p.x0, p.T_amb)
 
 
-def sample_muscle_params(nominal: MuscleParams, spec: RandomizationSpec, rng: SeededRng) -> MuscleParams:
-    """Draw one scaled parameter set; x0 and T_amb are copied unchanged."""
-    return _scaled(nominal, _draw_factors(spec, rng, 1)[0])
-
-
 def sample_muscle_set(
     nominals: tuple[MuscleParams, ...], spec: RandomizationSpec, rng: SeededRng
 ) -> tuple[MuscleParams, ...]:

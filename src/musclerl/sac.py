@@ -259,7 +259,6 @@ class SacAgent:
         tau: float = 0.005,
         action_center=0.0,
         action_half=10.0,
-        target_entropy: float | None = None,
         fixed_alpha: float | None = None,
         dtype=np.float32,
     ):
@@ -272,7 +271,7 @@ class SacAgent:
                                              (action_dim,)).copy()
         self.action_half = np.broadcast_to(np.asarray(action_half, dtype=np.float64),
                                            (action_dim,)).copy()
-        self.target_entropy = float(-action_dim if target_entropy is None else target_entropy)
+        self.target_entropy = float(-action_dim)
         self.fixed_alpha = fixed_alpha
 
         actor_shape = NetworkShape(obs_dim, gru_hidden, 2 * action_dim)

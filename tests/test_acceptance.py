@@ -31,18 +31,19 @@ from musclerl.fieldtest import (
     run_field_test,
     summarize,
 )
-from musclerl.muscle import SCP_NOMINAL, steady_state_rise, thermal_time_constant
-from musclerl.nets import NetworkShape, backward, forward, init_params
+from musclerl.muscle import SCP_NOMINAL
+from musclerl.nets import NetworkShape, init_params
 from musclerl.plant import StepMap, advance, eye_config, initial_state
 from musclerl.randomize import (
     DEFAULT_INTERVALS,
     RANDOMIZED_NAMES,
     RandomizationSpec,
     SeededRng,
-    sample_muscle_params,
+    sample_muscle_set,
 )
 from musclerl.sac import ReplayBuffer, Trajectory
 from musclerl.trainer import Trainer, load_policy
+from reference import backward, forward, steady_state_rise, thermal_time_constant
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RUNS = os.environ.get("MUSCLERL_RUNS_DIR", os.path.join(REPO, "runs"))
@@ -186,7 +187,7 @@ def test_criterion_4_randomization_bounds():
     lo_hi = dict(DEFAULT_INTERVALS)
     ratios = {n: np.empty(10_000) for n in RANDOMIZED_NAMES}
     for i in range(10_000):
-        p = sample_muscle_params(SCP_NOMINAL, spec, rng)
+        p = sample_muscle_set((SCP_NOMINAL,), spec, rng)[0]
         for n in RANDOMIZED_NAMES:
             r = getattr(p, n) / getattr(SCP_NOMINAL, n)
             lo, hi = lo_hi[n]

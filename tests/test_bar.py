@@ -54,13 +54,13 @@ def augmented_copies(traj, spec, reward_spec, rng):
 
 def test_pid_zero_error_zero_output():
     pid = PidController(WRIST_GAINS)
-    u = pid.update(np.zeros(2), 0.5)
+    u = pid.commands(np.zeros(2), 0.5)
     assert np.array_equal(u, np.zeros(2))
 
 
 def test_pid_first_step_worked_example():
     pid = PidController(PidGains(kp=3.3, ki=0.5, kd=0.3, output_limit=45.0))
-    u = pid.update(np.array([1.0, 0.0]), 0.5)
+    u = pid.commands(np.array([1.0, 0.0]), 0.5)
     assert u[0] == pytest.approx(3.3 + 0.25 + 0.6, abs=1e-12)
     assert u[1] == 0.0
 
@@ -81,7 +81,7 @@ def test_pid_integral_respects_clamp():
     gains = PidGains(kp=1.0, ki=0.5, kd=0.0, output_limit=10.0, integral_limit=3.0)
     pid = PidController(gains)
     for _ in range(200):
-        pid.update(np.array([50.0, -50.0]), 0.5)
+        pid.commands(np.array([50.0, -50.0]), 0.5)
         assert np.all(np.abs(pid.integral) <= 3.0)
 
 
@@ -153,7 +153,7 @@ def test_pid_controller_update_matches_clip_oracle_at_both_clamps():
     errors = [(40.0, -40.0), (40.0, -40.0), (-0.0, 0.0), (-3.0, 3.0), (0.0, -0.0),
               (-40.0, 40.0), (1e-300, -1e-300), (0.25, -0.25)]
     for e in errors:  # dt = 0.3, not a power of two, so the operation order shows
-        u = pid.update(np.array(e), 0.3)
+        u = pid.commands(np.array(e), 0.3)
         expected = oracle.update(np.array(e), 0.3)
         assert np.asarray(u).tobytes() == expected.tobytes()
         assert np.asarray(pid.integral).tobytes() == oracle.integral.tobytes()

@@ -2,13 +2,17 @@
 standard library, numpy or the package itself. Other packages may be
 installed where the tests run, so an accidental import would otherwise pass.
 It also uses only numpy's public API: no private name (np._core, ...) and no
-numpy.core, which numpy 2 renamed and pyproject's numpy>=1.24 does not pin."""
+numpy.core, which numpy 2 renamed and pyproject's numpy>=1.24 does not pin.
+And it holds only production code: every module-level function and class
+is named by the package, the benchmark or the scripts, not by tests alone."""
 
 import ast
 import pathlib
+import re
 import sys
 
-PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "musclerl"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "musclerl"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "musclerl"}
 
 
@@ -98,3 +102,56 @@ def test_private_numpy_scan_sees_attributes_and_imports(tmp_path):
         "numpy.core.numeric", "numpy._core.umath", "numpy._core",
         "numpy._core.umath.clip", "numpy.random._generator.Generator",
     }
+
+
+# The production callers: the package (its __init__ only re-exports), the
+# benchmark without its tests, and the scripts.
+PRODUCTION = sorted(
+    [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    + [p for p in (ROOT / "perfbench").glob("*.py") if not p.name.startswith("test_")]
+    + list((ROOT / "scripts").glob("*.py"))
+)
+_DOTTED_NAME = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+
+
+def defined_names(path: pathlib.Path) -> set[str]:
+    """Names of the module-level functions and classes of one source file."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return {n.name for n in tree.body
+            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+
+
+def referenced_names(path: pathlib.Path) -> set[str]:
+    """Names one source file reads: identifiers, attributes, imported names and
+    the parts of strings that are a dotted name (the benchmark looks some up)."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(node.name.split("."))
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and _DOTTED_NAME.fullmatch(node.value)):
+            names.update(node.value.split("."))
+    return names
+
+
+def test_package_holds_only_production_code():
+    used = set().union(*map(referenced_names, PRODUCTION))
+    unreached = sorted(f"{p.stem}.{n}" for p in sorted(PACKAGE.glob("*.py"))
+                       for n in defined_names(p) - used)
+    assert not unreached, f"no code in src, perfbench or scripts names: {unreached}"
+
+
+def test_reference_scan_sees_names_attributes_imports_and_dotted_strings(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text(
+        '"""Docstring naming forward and backward."""\n'
+        "from .nets import alpha as a\nimport pkg.beta\n"
+        "def gamma():\n    return delta(pkg.epsilon, 'pkg.zeta', 'two words')\n"
+        "class Eta:\n    def theta(self):\n        pass\n"
+    )
+    assert defined_names(src) == {"gamma", "Eta"}
+    assert referenced_names(src) == {"alpha", "pkg", "beta", "delta", "epsilon", "zeta"}

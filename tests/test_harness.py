@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -18,6 +19,7 @@ from musclerl.config import (
     NUMERICS,
     RunConfig,
     __version__,
+    field_type,
     load_config,
     parse_config_file,
 )
@@ -99,6 +101,31 @@ def test_gamma_outside_the_unit_interval_is_rejected(gamma, tmp_path):
     with pytest.raises(ValueError, match="gamma"):
         Trainer(RunConfig(gamma=gamma, gru_hidden=8, out_dir=str(tmp_path)))
     assert RunConfig(gamma=1.0).resolved().gamma == 1.0
+
+
+@pytest.mark.parametrize("key", ["batch_size", "checkpoint_every"])
+@pytest.mark.parametrize("value", [0, -2])
+def test_batch_size_or_checkpoint_every_below_one_is_rejected(key, value, tmp_path):
+    # refused when the trainer is built, not after the bootstrap phase
+    # (an empty batch or a modulo by zero in the first update episode)
+    with pytest.raises(ValueError, match=key):
+        Trainer(RunConfig(gru_hidden=8, out_dir=str(tmp_path), **{key: value}))
+    assert getattr(RunConfig(**{key: 1}).resolved(), key) == 1
+
+
+def test_every_config_field_round_trips_through_a_config_file(tmp_path):
+    # one non-default value per field; a field whose type has no rule here
+    # (or no parsing rule in config) fails
+    by_type = {int: 7, float: 0.25, bool: True}
+    want = {"preset": "eye", "out_dir": "runs/elsewhere"}
+    for f in dataclasses.fields(RunConfig):
+        if f.name not in want:
+            want[f.name] = by_type[field_type(f.name)[0]]
+        assert want[f.name] != getattr(RunConfig(), f.name), f.name
+    p = tmp_path / "all.cfg"
+    p.write_text("".join(f"{k} = {v}\n" for k, v in want.items()))
+    # repr, not ==: 7.0 == 7, but an int field read as a float changes the hash
+    assert repr(RunConfig(**parse_config_file(str(p)))) == repr(RunConfig(**want))
 
 
 def test_config_hash_ignores_out_dir_only():
@@ -753,6 +780,19 @@ def test_checkpoint_evaluation_uses_the_trained_plant(tmp_path):
         assert text.splitlines()[0].endswith(CODE_STAMP)
         finals.append(text.splitlines()[-1])
     assert finals[0] != finals[1]
+
+
+def test_cli_episode_is_stamped_with_the_checkpoint_seed(tmp_path):
+    # the episode runs the nominal, noiseless plant: no --seed, and the
+    # header names the seed the policy was trained with (0 for the PID)
+    Trainer(tiny_cfg(tmp_path / "run", episodes=2, bootstrap_episodes=1)).train()
+    out = tmp_path / "episode.csv"
+    for flags, seed in ((["--checkpoint", str(tmp_path / "run" / "policy_final.ckpt")], 11),
+                        (["--pid"], 0)):
+        assert cli_main(["episode", "--duration", "3", "--out", str(out)] + flags) == 0
+        assert f" seed={seed} " in open(out).readline()
+    with pytest.raises(SystemExit):
+        cli_main(["episode", "--pid", "--seed", "9"])
 
 
 def test_cli_calibrate_gate_passes():

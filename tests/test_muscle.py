@@ -4,13 +4,8 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from musclerl.muscle import (
-    MuscleParams,
-    SCP_NOMINAL,
-    TCA_NOMINAL,
-    steady_state_rise,
-    thermal_time_constant,
-)
+from musclerl.muscle import MuscleParams, SCP_NOMINAL, TCA_NOMINAL
+from reference import steady_state_rise, thermal_time_constant
 
 
 # Single-muscle oracles: the force law and the thermal ODE written out on

@@ -12,19 +12,17 @@ from musclerl.nets import (
     StackedNets,
     action_grads,
     adam_update,
-    backward,
     backward_stacked,
-    forward,
     forward_stacked,
     grads_to_flat,
     init_params,
     log_prob_grads,
-    param_count,
     split_head,
     squash_mean,
     squash_sample,
 )
 from musclerl.randomize import SeededRng
+from reference import backward, forward
 
 
 def sigmoid(x):
@@ -295,7 +293,7 @@ def test_param_count_matches_views():
     shape = NetworkShape(input_dim=6, gru_hidden=16, output_dim=4)
     net = init_params(shape, SeededRng(0))
     total = sum(v.size for v in net.v.values())
-    assert total == param_count(shape) == net.flat.size
+    assert total == GruNet(shape).size == net.flat.size
 
 
 def test_squashed_head_degenerate_sd_is_deterministic():
@@ -463,7 +461,7 @@ def test_stacked_param_grads_match_allocating_oracle(S, out_dim, T):
     assert cache.grads is None
     grads, _, _ = backward_stacked(cache, dy)
     flat = grads["W_in"].base
-    assert flat is not None and flat.shape == (S, param_count(shape))
+    assert flat is not None and flat.shape == (S, GruNet(shape).size)
     assert all(g.base is flat for g in grads.values())
 
     f_x = x.reshape(1, T * B, -1)
@@ -491,7 +489,7 @@ def test_stacked_param_grads_match_allocating_oracle(S, out_dim, T):
     for name, want in ref.items():
         assert grads[name].dtype == np.float32
         assert np.array_equal(grads[name], want), name
-    out = np.full(param_count(shape), np.nan)
+    out = np.full(GruNet(shape).size, np.nan)
     for s in range(S):
         assert grads_to_flat(shape, grads, s, out) is out
         assert np.array_equal(out, grads_to_flat(shape, grads, s))

