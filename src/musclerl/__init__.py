@@ -8,7 +8,7 @@ reproducible training/evaluation harness.
 """
 
 from .muscle import MuscleParams, SCP_NOMINAL, TCA_NOMINAL
-from .plant import PlantConfig, PlantState, eye_config, wrist_config
+from .plant import PlantConfig, PlantRows, eye_config, wrist_config
 from .randomize import RandomizationSpec, SeededRng
 from .env import EpisodeConfig, RewardSpec, TrackingEnv, run_episode
 from .sac import ReplayBuffer, SacAgent, Trajectory
@@ -20,7 +20,7 @@ from .fieldtest import FieldTestSpec, run_field_test, summarize
 
 __all__ = [
     "MuscleParams", "SCP_NOMINAL", "TCA_NOMINAL",
-    "PlantConfig", "PlantState", "eye_config", "wrist_config",
+    "PlantConfig", "PlantRows", "eye_config", "wrist_config",
     "RandomizationSpec", "SeededRng",
     "EpisodeConfig", "RewardSpec", "TrackingEnv", "run_episode",
     "ReplayBuffer", "SacAgent", "Trajectory",

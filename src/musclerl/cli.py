@@ -57,11 +57,12 @@ def _config_overrides(args) -> dict:
     return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
 
 
-def _open_checkpoint(load, path):
-    """load(path), or None after printing why the checkpoint is unusable.
+def _opened(load, path):
+    """load(path), or None after printing why the checkpoint or config is unusable.
 
-    A missing, truncated, corrupt, old-version or other-numerics file ends
-    the command with one line on stderr instead of a traceback.
+    A missing, truncated, corrupt, old-version or other-numerics checkpoint,
+    and a missing or bad config file or value, end the command with one line
+    on stderr instead of a traceback.
     """
     try:
         return load(path)
@@ -78,7 +79,7 @@ def _controller(args):
     if not args.checkpoint:
         print(f"{args.command} needs --checkpoint or --pid", file=sys.stderr)
         return None
-    loaded = _open_checkpoint(load_policy, args.checkpoint)
+    loaded = _opened(load_policy, args.checkpoint)
     if loaded is None:
         return None
     agent, cfg = loaded
@@ -94,12 +95,14 @@ def cmd_train(args) -> int:
             print(f"train --resume takes no config flags (got {', '.join(flags)}); "
                   "only --stop-after may go with it", file=sys.stderr)
             return 2
-        trainer = _open_checkpoint(lambda p: Trainer.restore(p, resume=True), args.resume)
+        trainer = _opened(lambda p: Trainer.restore(p, resume=True), args.resume)
         if trainer is None:
             return 2
         print(f"resumed at episode {trainer.episode_idx} from {args.resume}")
     else:
-        trainer = Trainer(load_config(args.config, overrides))
+        trainer = _opened(lambda p: Trainer(load_config(p, overrides)), args.config)
+        if trainer is None:
+            return 2
     resolved = trainer.cfg
     print(f"training {resolved.preset}: N={resolved.episodes} M={resolved.bootstrap_episodes} "
           f"seed={resolved.seed} hash={resolved.config_hash()} -> {resolved.out_dir}")
@@ -144,7 +147,7 @@ def cmd_episode(args) -> int:
     spec = field_spec_for(preset, args.duration or PRESETS[preset].steps * ACTION_PERIOD)
     env = make_eval_env(preset, spec, plant)
     target = (args.target1, args.target2)
-    _, outputs, actions, rewards = (r[0] for r in run_episode([env], controller, [target]))
+    _, outputs, actions, rewards = (r[0] for r in run_episode(env, controller, [target]))
     lines = ["t,angle1,rate1,angle2,rate2," +
              ",".join(f"action{i+1}" for i in range(env.action_dim)) + "," +
              ",".join(f"volt{i+1}" for i in range(env.active.n_muscles)) + ",reward"]

@@ -64,7 +64,7 @@ class RunConfig:
             raise ValueError(f"unknown preset {self.preset!r}")
 
     def resolved(self) -> "RunConfig":
-        """Fill preset-dependent defaults; validates M <= N, gamma, batch and checkpoint sizes."""
+        """Fill preset-dependent defaults; validates M <= N, gamma and the sizes below."""
         p = PRESETS[self.preset]
         cfg = dataclasses.replace(
             self,
@@ -80,6 +80,9 @@ class RunConfig:
         for key in ("batch_size", "checkpoint_every"):
             if getattr(cfg, key) < 1:
                 raise ValueError(f"{key} must be at least 1, got {getattr(cfg, key)!r}")
+        if cfg.buffer_capacity < cfg.batch_size:  # no update could ever sample a batch
+            raise ValueError(f"buffer_capacity ({cfg.buffer_capacity!r}) must be at least "
+                             f"batch_size ({cfg.batch_size!r})")
         if cfg.updates_per_episode is None:
             cfg = dataclasses.replace(cfg, updates_per_episode=cfg.episode_length)
         return cfg

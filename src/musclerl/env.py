@@ -13,22 +13,25 @@ bonus per axis inside a small error threshold,
 computed on the noiseless output at the state where the action was taken,
 so the same reward can be recomputed exactly from logged trajectories.
 reward() is elementwise over leading axes, so one call scores a whole
-episode, or a whole episode under many relabelled targets. step() advances
-the plant and returns no reward. run_episode() is the one closed loop
-every driver of the plant runs: it steps a list of envs in lockstep with
-one controller call per step for all of them (training, the episode
-command and the PID gate pass one env, the field test one per target),
-and scores the episodes in one reward() call after its loop. Episodes
-end by time limit (truncation), never by failure. PRESETS holds each
-number that differs between the eye and the wrist, from the plant and
-reward to the training schedule.
+episode, or a whole episode under many relabelled targets. An env holds
+rows: reset(n) starts n episodes and step() advances all of them with one
+plant product, and returns no reward. run_episode() is the one closed
+loop every driver of the plant runs: one env's rows in lockstep, with one
+controller call and one step per action for all of them (training and
+the episode command run one row; the PID demonstrations run many
+episodes of the training env, the field test one row per target), and
+it scores the episodes in one reward() call after its loop. Episodes end
+by time limit (truncation), never by failure. PRESETS holds each number
+that differs between the eye and the wrist, from the plant and reward to
+the training schedule.
 
-step() clamps the action to the box as np.clip with array bounds does:
+step() clamps the actions to the box as np.clip with array bounds does:
 np.minimum(np.maximum(a, low), high) against the env's read-only bound
 arrays, which turns -0.0 into +0.0 at a 0.0 bound and passes NaN through,
-so a NaN action ends in advance()'s ValueError. The per-step path builds
-its small arrays from Python floats rather than through numpy's function
-wrappers; every value is the one the array form gives.
+so a NaN action ends in advance()'s ValueError. Every per-row operation
+of a step (the clamp, the eye's voltage map, the voltage check, the
+output gather, the observation noise) is one whole-array operation whose
+every element is the value the scalar form gives.
 """
 
 from __future__ import annotations
@@ -38,12 +41,12 @@ from typing import Callable
 
 import numpy as np
 
-from .plant import (PlantConfig, PlantState, StepMap, advance, eye_config, initial_state,
-                    wrist_config)
+from .plant import PlantConfig, PlantRows, StepMap, advance, eye_config, wrist_config
 from .randomize import (
     RandomizationSpec,
     SeededRng,
     apply_observation_noise,
+    draw_observation_noise,
     sample_muscle_set,
 )
 
@@ -112,14 +115,18 @@ PRESETS = {
 
 
 def map_action_eye(a) -> np.ndarray:
-    """Signed pair commands -> four voltages, one muscle per pair powered.
+    """Signed pair commands (..., 2) -> voltages (..., 4), one muscle per pair powered.
 
     a1 = -V1 + V2 and a2 = -V3 + V4 with V1 V2 = V3 V4 = 0; components are
-    clamped to [-10, 10] on entry.
+    clamped to [-10, 10] on entry. V1 = -min(a1, 0) and V2 = max(a1, 0) as
+    Python's min and max give them, so a zero component keeps its sign in
+    V2 and flips it in V1, and NaN passes through.
     """
-    a1 = min(max(float(a[0]), -10.0), 10.0)
-    a2 = min(max(float(a[1]), -10.0), 10.0)
-    return np.array([-min(a1, 0.0), max(a1, 0.0), -min(a2, 0.0), max(a2, 0.0)])
+    a = np.minimum(np.maximum(a, -10.0), 10.0)
+    v = np.empty(a.shape[:-1] + (4,))
+    v[..., 0::2] = -np.where(a > 0.0, 0.0, a)
+    v[..., 1::2] = np.where(a < 0.0, 0.0, a)
+    return v
 
 
 def reward(spec: RewardSpec, y, y_star, a):
@@ -146,13 +153,16 @@ def reward(spec: RewardSpec, y, y_star, a):
 
 
 class TrackingEnv:
-    """One episode-owning environment instance for a named plant preset.
+    """An environment of lockstep rows, each one episode of a named plant preset.
 
-    Muscle parameters resample at reset and stay fixed for the episode, so
-    reset also builds the episode's plant StepMap, unless the muscles equal
-    the last episode's (as without randomization); observation noise redraws
-    every step. All randomness flows through named child streams of the
-    seed rng, so trajectories are reproducible.
+    reset(n) starts n episodes and draws them in episode order, as n resets
+    in turn would: per row the muscle parameters, which stay fixed for the
+    episode (with a new plant StepMap, unless the muscles equal the
+    previous row's, as without randomization), the target, and the
+    episode's observation noise. step() then advances every row by one
+    action with one plant product (plant.advance). All randomness flows
+    through named child streams of the seed rng, so trajectories are
+    reproducible.
     """
 
     def __init__(
@@ -181,95 +191,111 @@ class TrackingEnv:
         self._noise_rngs = [rng.split(f"obs-noise/{i}") for i in range(4)]
         self.active = self.nominal
         self.step_map: StepMap | None = None
-        self.state: PlantState | None = None
-        self.target = np.zeros(2)
+        self.plant: PlantRows | None = None
+        self.target = np.zeros((1, 2))
         self.steps_taken = 0
         self._done = True
 
     def map_action(self, a) -> np.ndarray:
-        """The voltages of a clipped action: the wrist's are the action itself."""
+        """The voltages of clipped actions (..., A): the wrist's are the actions themselves."""
         return map_action_eye(a) if self.preset == "eye" else a
 
     # -- episode lifecycle ------------------------------------------------
 
-    def reset(self) -> np.ndarray:
-        """Start a fresh episode; returns the initial (noisy) observation."""
-        muscles = sample_muscle_set(self.nominal.muscles, self.randomization, self._params_rng)
-        if self.step_map is None or muscles != self.active.muscles:
-            self.active = self.nominal.with_muscles(muscles)
-            self.step_map = StepMap(self.active, PHYSICS_DT, SUBSTEPS)
-        self.state = initial_state(self.active)
-        tr = self.episode.target_range
-        self.target = self._target_rng.uniform(-tr, tr, size=2)
+    def reset(self, n: int = 1, targets=None) -> np.ndarray:
+        """Start n fresh episodes, one per row; returns their (n, 6) initial observations.
+
+        With targets ((B, 2) poses, deg), the env draws one episode and
+        plays it against each target as a row: the rows share its muscles
+        and noise, the drawn target gives way to theirs, and n is B.
+        """
+        tr, steps = self.episode.target_range, self.episode.episode_length + 1
+        draws = n if targets is None else 1
+        maps, drawn, noise = [], np.empty((draws, 2)), []
+        for b in range(draws):
+            muscles = sample_muscle_set(self.nominal.muscles, self.randomization,
+                                        self._params_rng)
+            if self.step_map is None or muscles != self.active.muscles:
+                self.active = self.nominal.with_muscles(muscles)
+                self.step_map = StepMap(self.active, PHYSICS_DT, SUBSTEPS)
+            maps.append(self.step_map)
+            drawn[b] = self._target_rng.uniform(-tr, tr, size=2)
+            self._channels, row_noise = draw_observation_noise(self.randomization,
+                                                               self._noise_rngs, steps)
+            noise.append(row_noise)
+        if targets is not None:
+            drawn = np.array(targets, dtype=np.float64).reshape(-1, 2)
+            maps, noise = maps * len(drawn), noise * len(drawn)
+        self.plant = PlantRows(maps)
+        self.target = drawn
+        self._noise = np.stack(noise, axis=1)  # (T+1, n, channels)
         self.steps_taken = 0
         self._done = False
         return self._observe()
 
-    def _output(self) -> list[float]:
-        (a1, a2), (w1, w2) = self.state.angles.tolist(), self.state.rates.tolist()
-        return [a1, w1, a2, w2]
-
     def true_output(self) -> np.ndarray:
-        """Noiseless [angle1, rate1, angle2, rate2] of the current state."""
-        return np.array(self._output())
+        """Noiseless [angle1, rate1, angle2, rate2] of every row's current state, (n, 4)."""
+        return self.plant.outputs()
 
     def _observe(self) -> np.ndarray:
-        obs = np.array(self._output() + self.target.tolist())
-        return apply_observation_noise(obs, self.randomization, self._noise_rngs)
+        obs = np.empty((len(self.target), OBS_DIM))
+        obs[:, :4] = self.plant.outputs()
+        obs[:, TARGET_SLICE] = self.target
+        apply_observation_noise(obs, self._channels, self._noise[self.steps_taken])
+        return obs
 
-    def step(self, action) -> tuple[np.ndarray, bool, dict]:
-        """Apply one action for one action period.
+    def step(self, actions) -> tuple[np.ndarray, bool, dict]:
+        """Apply one action per row for one action period.
 
-        Returns (next_obs, done, info); info carries the noiseless output at
-        which the action was taken, the clipped action and the applied
-        voltages, which are what reward() scores. done is a time-limit
-        truncation, so critic targets keep bootstrapping. The voltages are
-        map_action's, inline: the wrist's are the clipped action array itself.
+        actions is (n, A), or (A,) with one row. Returns (next_obs (n, 6),
+        done, info); info carries the noiseless outputs (n, 4) at which the
+        actions were taken, the clipped actions (n, A) and the applied
+        voltages (n, m), which are what reward() scores. done is a
+        time-limit truncation, so critic targets keep bootstrapping. The
+        clamp is np.clip's with array bounds, as the module docstring says;
+        the wrist's voltages are the clipped action array itself.
         """
         if self._done:
             raise RuntimeError("step() called on a finished episode; call reset()")
-        a = np.maximum(action, self.action_low)
+        a = np.maximum(actions, self.action_low)
         np.minimum(a, self.action_high, out=a)
-        y_before = self.true_output()
+        a = a.reshape(len(self.target), self.action_dim)
+        y_before = self.plant.outputs()
         volts = map_action_eye(a) if self.preset == "eye" else a
-        self.state = advance(self.step_map, self.state, volts)
+        advance(self.plant, volts)
         self.steps_taken += 1
         self._done = self.steps_taken >= self.episode.episode_length
         info = {"output": y_before, "action": a, "voltages": volts, "truncated": self._done}
         return self._observe(), self._done, info
 
 
-def run_episode(envs: list[TrackingEnv], controller, targets=None):
-    """Closed-loop episodes, one per env, from reset to the time limit in lockstep.
+def run_episode(env: TrackingEnv, controller, targets=None, rows: int = 1):
+    """Closed-loop episodes of env's rows, from reset to the time limit in lockstep.
 
-    The envs share one preset and episode length. At each step every env
-    takes its step, then the controller makes one call for all of them:
-    it needs reset(n) and act(obs (n, 6), dt) -> (n, A) actions. targets,
-    if given, replace the sampled target poses (deg), one per env. Returns
-    (obs (B, T+1, 6), outputs (B, T+1, 4), actions (B, T, A), rewards
-    (B, T)) for the B envs: the observations and noiseless outputs at every
-    step boundary, and the clipped actions applied with their rewards,
-    which one reward() call computes from outputs[:, :T], the targets and
-    the actions once the loop is done.
+    env resets `rows` episodes, or, when targets ((B, 2) poses, deg) are
+    given, one episode played against each target as a row. At each step
+    the controller makes one call for all rows, then one env.step advances
+    them all. The controller needs reset(n) and act(obs (n, 6), dt) ->
+    (n, A) actions. Returns (obs (B, T+1, 6), outputs (B, T+1, 4), actions
+    (B, T, A), rewards (B, T)): the observations and noiseless outputs at
+    every step boundary, and the clipped actions applied with their
+    rewards, which one reward() call computes from outputs[:, :T], the
+    targets and the actions once the loop is done. Each row is bitwise the
+    episode it would be alone: the rows share no arithmetic.
     """
-    B, T, A = len(envs), envs[0].episode.episode_length, envs[0].action_dim
+    T, A = env.episode.episode_length, env.action_dim
+    obs0 = env.reset(rows, targets)
+    B = len(obs0)
     obs_rows = np.empty((B, T + 1, OBS_DIM))
     out_rows = np.empty((B, T + 1, 4))
     act_rows = np.empty((B, T, A))
-    for b, env in enumerate(envs):
-        obs_rows[b, 0] = env.reset()
-        if targets is not None:
-            env.target = np.array(targets[b], dtype=np.float64)
-            obs_rows[b, 0, TARGET_SLICE] = env.target
+    obs_rows[:, 0] = obs0
     controller.reset(B)
     for t in range(T):
         actions = controller.act(obs_rows[:, t], dt=ACTION_PERIOD)
-        for b, env in enumerate(envs):
-            obs_rows[b, t + 1], _, info = env.step(actions[b])
-            out_rows[b, t] = info["output"]
-            act_rows[b, t] = info["action"]
-    for b, env in enumerate(envs):
-        out_rows[b, T] = env.true_output()
-    y_star = np.array([env.target for env in envs])[:, None, :]
-    rewards = reward(envs[0].reward_spec, out_rows[:, :T], y_star, act_rows)
+        obs_rows[:, t + 1], _, info = env.step(actions)
+        out_rows[:, t] = info["output"]
+        act_rows[:, t] = info["action"]
+    out_rows[:, T] = env.true_output()
+    rewards = reward(env.reward_spec, out_rows[:, :T], env.target[:, None, :], act_rows)
     return obs_rows, out_rows, act_rows, rewards

@@ -3,20 +3,23 @@
 Evaluation always runs on the nominal plant (the preset's, or the one a
 checkpoint was trained on) with no parameter randomization and no
 observation noise, from rest, with the deterministic policy. The field
-test runs its targets' episodes in lockstep through env.run_episode: each
-target has its env, all on one plant StepMap, and the controller acts once
-per step on the (81, 6) observations of the grid. Each target's episode is
-bitwise the one it runs alone (the acting rows are independent). The
-steady-state error of one episode is the Euclidean angle error averaged over
-the final settle window, sampled at the action period (env.ACTION_PERIOD);
-the per-target duration is the preset's (env.PRESETS):
+test runs its targets' episodes in lockstep through env.run_episode: one
+evaluation env plays its episode against every target, a row each, all on
+one plant StepMap, so each action step is one controller call on the
+(81, 6) observations of the grid and one plant product for all rows. Each
+target's episode is bitwise the one it runs alone (the rows share no
+arithmetic). The grid is built once per FieldTestSpec, so the rows of
+every call share its target floats. The steady-state error of one
+episode is the Euclidean angle error averaged over the final settle
+window, sampled at the action period (env.ACTION_PERIOD); the per-target
+duration is the preset's (env.PRESETS):
 
     e_ss = mean over last (settle / t_a) steps of sqrt((a1 - t1)^2 + (a2 - t2)^2)
 """
 
 from __future__ import annotations
 
-import copy
+import functools
 import os
 from dataclasses import dataclass
 
@@ -62,9 +65,15 @@ def field_spec_for(preset: str, duration: float | None = None) -> FieldTestSpec:
     return FieldTestSpec(duration=duration, settle=min(FieldTestSpec.settle, duration))
 
 
-def grid_targets(spec: FieldTestSpec) -> list[tuple[float, float]]:
-    axis = np.arange(-spec.extent, spec.extent + spec.spacing / 2, spec.spacing)
-    return [(float(t1), float(t2)) for t1 in axis for t2 in axis]
+@functools.cache
+def grid_targets(spec: FieldTestSpec) -> tuple[tuple[float, float], ...]:
+    """The spec's target grid, built once: every call returns the same tuples.
+
+    The cache holds one immutable tuple per FieldTestSpec a process uses
+    (the presets' and a few durations), so field-test rows share its floats.
+    """
+    axis = np.arange(-spec.extent, spec.extent + spec.spacing / 2, spec.spacing).tolist()
+    return tuple((t1, t2) for t1 in axis for t2 in axis)
 
 
 def steady_state_error(angles: np.ndarray, target, settle_steps: int) -> float:
@@ -110,7 +119,7 @@ def default_episode_runner(preset: str, spec: FieldTestSpec, controller, target,
 
     env is make_eval_env(preset, spec, plant).
     """
-    _, outputs, _, _ = run_episode([env], controller, [target])
+    _, outputs, _, _ = run_episode(env, controller, [target])
     return outputs[0, 1:, ::2]
 
 
@@ -119,19 +128,14 @@ def run_field_test(preset: str, controller, spec: FieldTestSpec | None = None,
     """Evaluate every grid target; returns (target1, target2, e_ss) rows.
 
     plant is the nominal plant, the preset's if None. The targets' episodes
-    run in lockstep, one env each, and the controller acts once per step
-    for all of them. The envs are shallow copies of one evaluation env
-    reset once, so they share its plant StepMap, built once for all
-    targets, and its random streams: without randomization or noise those
-    give every env the nominal muscles and draw nothing that reaches an
-    episode.
+    run in lockstep as the rows of one evaluation env, which plays its one
+    episode (nominal muscles, no noise) against every target: the rows
+    share one plant StepMap, built once, and the controller acts once per
+    step for all of them.
     """
     spec = spec or field_spec_for(preset)
     targets = grid_targets(spec)
-    env = make_eval_env(preset, spec, plant)
-    env.reset()
-    envs = [env] + [copy.copy(env) for _ in targets[1:]]
-    _, outputs, _, _ = run_episode(envs, controller, targets)
+    _, outputs, _, _ = run_episode(make_eval_env(preset, spec, plant), controller, targets)
     return [(t1, t2, steady_state_error(out[1:, ::2], (t1, t2), spec.settle_steps))
             for (t1, t2), out in zip(targets, outputs)]
 

@@ -11,13 +11,15 @@ of the small-angle torque map, then clamps to [0, 10] per muscle. Gains are
 deliberately mediocre: the controller only has to reach the neighbourhood
 of the target, not track it well.
 
-The controller runs on Python floats, axis by axis, in the order of the
-formulas above, so each value is the one elementwise float64 array
-arithmetic gives. Every clamp is min(max(x, lo), hi) written out as the
-comparisons those builtins make (lo if lo > x else x, then hi if hi < x
-else x), which has np.clip's semantics for scalar bounds: x is kept when
-it equals a bound (-0.0 against a 0.0 bound stays -0.0) and NaN passes
-through.
+The controller runs on float64 arrays, one row per episode, so one call
+acts for every row of a lockstep batch; each operation is elementwise, in
+the order of the formulas above, so each row's values are the ones the
+row gives alone, and the wrist's pseudo-inverse product is one np.matmul
+that makes per row the gemv of a single row's product. Every clamp is
+min(max(x, lo), hi) written out as the comparisons those builtins make
+(np.where(lo > x, lo, x), then np.where(hi < x, hi, x)), which has
+np.clip's semantics for scalar bounds: x is kept when it equals a bound
+(-0.0 against a 0.0 bound stays -0.0) and NaN passes through.
 """
 
 from __future__ import annotations
@@ -74,37 +76,34 @@ def gains_for(preset: str, plant: PlantConfig | None = None, scale: float = 1.0)
 
 
 class PidController:
-    """Two-axis PID with clamped integral state; one instance per episode.
+    """Two-axis PID with clamped integral state, one row per episode.
 
-    integral and prev_error are lists of floats, one per axis.
+    integral and prev_error are (rows, 2) float64 arrays.
     """
 
-    def __init__(self, gains: PidGains):
+    def __init__(self, gains: PidGains, rows: int = 1):
         self.gains = gains
-        self.reset()
+        self.reset(rows)
 
-    def reset(self) -> None:
-        self.integral = [0.0, 0.0]
-        self.prev_error = [0.0, 0.0]
+    def reset(self, rows: int = 1) -> None:
+        self.integral = np.zeros((rows, 2))
+        self.prev_error = np.zeros((rows, 2))
 
-    def commands(self, error, dt: float) -> list[float]:
-        """Axis commands for the current per-axis error (deg), as floats."""
+    def commands(self, error, dt: float) -> np.ndarray:
+        """Axis commands (rows, 2) for the rows' current per-axis errors (deg)."""
         if not (dt > 0.0):
             raise ValueError("dt must be positive")
         g = self.gains
         i_hi, u_hi = g.i_clamp, g.output_limit
         i_lo, u_lo = -i_hi, -u_hi
-        u = []
-        for k, e in enumerate(error):
-            i = self.integral[k] + e * dt
-            i = i_lo if i_lo > i else i
-            i = i_hi if i_hi < i else i
-            u_k = g.kp * e + g.ki * i + g.kd * (e - self.prev_error[k]) / dt
-            u_k = u_lo if u_lo > u_k else u_k
-            u.append(u_hi if u_hi < u_k else u_k)
-            self.integral[k] = i
-            self.prev_error[k] = e
-        return u
+        e = np.array(error, dtype=np.float64)
+        i = self.integral + e * dt
+        i = np.where(i_lo > i, i_lo, i)
+        i = np.where(i_hi < i, i_hi, i)
+        u = g.kp * e + g.ki * i + g.kd * (e - self.prev_error) / dt
+        u = np.where(u_lo > u, u_lo, u)
+        self.integral, self.prev_error = i, e
+        return np.where(u_hi < u, u_hi, u)
 
 
 class PidActionPolicy:
@@ -112,7 +111,7 @@ class PidActionPolicy:
 
     Reads the angle and target slots of each observation row, runs that
     row's PID on the per-axis error, and converts the axis commands to the
-    preset's action. reset(n) starts n rows, one PidController each; act
+    preset's action. reset(n) starts n rows in one PidController; act
     takes the (n, 6) observations and returns (n, A) actions. The wrist's
     torque-map pseudo-inverse depends only on the routing, which muscle
     randomization leaves alone, so it is computed once here.
@@ -125,20 +124,16 @@ class PidActionPolicy:
         self.reset()
 
     def reset(self, n: int = 1) -> None:
-        self.pids = [PidController(self.gains) for _ in range(n)]
+        self.pid = PidController(self.gains, rows=n)
 
     def act(self, obs, dt: float = 0.5) -> np.ndarray:
-        rows = np.asarray(obs, dtype=np.float64).tolist()
-        if len(rows) != len(self.pids):
-            raise ValueError(f"{len(rows)} observations for {len(self.pids)} PID rows")
-        flat = []
-        for o, pid in zip(rows, self.pids):
-            u = pid.commands((o[4] - o[0], o[5] - o[2]), dt)
-            if self._axis_to_volts is None:
-                v, lo = u, -10.0
-            else:  # a numpy product, not float arithmetic: BLAS may fuse multiply-adds
-                v, lo = (self._axis_to_volts @ np.array(u)).tolist(), 0.0
-            for x in v:
-                x = lo if lo > x else x
-                flat.append(10.0 if 10.0 < x else x)
-        return np.array(flat).reshape(len(rows), -1)
+        obs = np.asarray(obs, dtype=np.float64)
+        if len(obs) != len(self.pid.integral):
+            raise ValueError(f"{len(obs)} observations for {len(self.pid.integral)} PID rows")
+        u = self.pid.commands(obs[:, 4:6] - obs[:, [0, 2]], dt)
+        if self._axis_to_volts is None:
+            v, lo = u, -10.0
+        else:  # per row the gemv of axis_to_volts @ u; BLAS may fuse multiply-adds
+            v, lo = np.matmul(self._axis_to_volts, u[:, :, None])[:, :, 0], 0.0
+        v = np.where(lo > v, lo, v)
+        return np.where(10.0 < v, 10.0, v)

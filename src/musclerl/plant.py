@@ -18,21 +18,23 @@ rate units are degrees, in the integration state too; G acts on radians.
 
 Integration is explicit RK4 with the voltages held over an action step.
 The dynamics are then linear, so StepMap, built once per muscle draw,
-holds the substep matrix and its powers: advance() gets every substep's
-angles and the end state from one product. If a substep angle passes the
-travel limit, advance() falls back to the substeps one at a time with the
-clamp after each; otherwise that clamp never fires and both agree.
-StepMap is built at every randomized reset and advance() runs at every
-action, so both build their small arrays from Python floats rather than
-through numpy's function wrappers; every value is the one the array forms
-give, and tests/test_plant.py checks the bytes against those forms.
+holds the substep matrix and its powers: one product gives every substep's
+angles and the end state. PlantRows holds B plants that step in lockstep,
+their states in one (B, n) array, and advance() steps all of them with
+one np.matmul, which makes per row the gemv that the map's stack @ z
+makes. A row whose substep angle passes the travel limit falls back to
+its substeps one at a time with the clamp after each; otherwise that clamp
+never fires and both agree. StepMap is built at every randomized reset, so
+it builds its small arrays from Python floats rather than through numpy's
+function wrappers; every value is the one the array forms give, and
+tests/test_plant.py checks the bytes against those forms.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, replace
-from operator import sub
 
 import numpy as np
 
@@ -73,16 +75,16 @@ class PlantConfig:
         return len(self.muscles)
 
     def with_muscles(self, muscles: tuple[MuscleParams, ...]) -> "PlantConfig":
-        return replace(self, muscles=muscles)
+        """This plant with another set of as many muscles.
 
-
-@dataclass
-class PlantState:
-    """Joint angles (deg), angular rates (deg/s), muscle temperatures (degC)."""
-
-    angles: np.ndarray
-    rates: np.ndarray
-    temps: np.ndarray
+        A copy with the muscles swapped: the routing is the validated one,
+        so it is not checked again (a randomized reset calls this).
+        """
+        if len(muscles) != self.n_muscles:
+            raise ValueError(f"expected {self.n_muscles} muscles, got {len(muscles)}")
+        cfg = copy.copy(self)
+        object.__setattr__(cfg, "muscles", muscles)
+        return cfg
 
 
 def eye_routing(r: float) -> np.ndarray:
@@ -148,12 +150,6 @@ def configured_plant(
     return replace(cfg, **kw) if kw else cfg
 
 
-def initial_state(cfg: PlantConfig) -> PlantState:
-    """Rest at zero angles and rates, every muscle at its ambient temperature."""
-    temps = np.array([p.T_amb for p in cfg.muscles], dtype=np.float64)
-    return PlantState(np.zeros(2), np.zeros(2), temps)
-
-
 class StepMap:
     """The action step of one plant with its muscles fixed, as matrices.
 
@@ -171,8 +167,8 @@ class StepMap:
 
     A new map is built at every randomized reset. The powers are written
     by np.dot(M, M^(s-1), out=...) into one (S, n, n) buffer and the
-    stack filled from it by two slice copies; hA is formed once. `tamb`
-    (array), `t_amb` and `rc` = R C_th (Python floats) serve advance().
+    stack filled from it by two slice copies; hA is formed once. `t_amb`
+    and `rc` = R C_th (lists of Python floats) serve PlantRows.
     """
 
     def __init__(self, cfg: PlantConfig, dt: float, substeps: int):
@@ -183,8 +179,7 @@ class StepMap:
         m, n, J = cfg.n_muscles, 2 * cfg.n_muscles + 6, cfg.J
         k, b, c, lam, cth, res, tamb = zip(
             *[(p.k, p.b, p.c, p.lambda_, p.C_th, p.R, p.T_amb) for p in cfg.muscles])
-        self.tamb = np.array(tamb, dtype=np.float64)
-        self.t_amb = self.tamb.tolist()
+        self.t_amb = [float(t) for t in tamb]
         self.rc = [r * ct for r, ct in zip(res, cth)]
         # A as nested Python floats (rows: angles, rates, temperature rises;
         # q and e are held), each entry computed as the block form
@@ -223,49 +218,89 @@ class StepMap:
         self.stack[2 * substeps:] = powers[-1]
 
 
-def advance(
-    sm: StepMap,
-    state: PlantState,
-    voltages: np.ndarray,
-    external_torque: np.ndarray | None = None,
-) -> PlantState:
-    """Integrate the map's `substeps` RK4 steps with voltages held constant.
+# the noiseless output [angle1, rate1, angle2, rate2] in z's columns
+OUTPUT_COLUMNS = [0, 2, 1, 3]
 
-    Voltages must lie in [0, 10] (the action mapping clamps); NaN, out of
-    range or a wrong count raises ValueError. Angles are clamped at the
-    travel limit after every substep, with the outward rate zeroed; when no
-    substep reaches the limit that clamp is idle and the end state is one
-    product. argmax finds the largest substep |angle| in one C call and,
-    like max, returns a NaN if there is one, so a NaN state takes the
-    substep loop as before. external_torque (N*cm per DOF, list or array)
-    is a test hook.
+
+class PlantRows:
+    """B plants stepped in lockstep: each row's StepMap and its state.
+
+    z (B, n) holds every row's augmented state in StepMap's layout, except
+    that the temperatures are absolute (degC):
+
+        z = [a1, a2, w1, w2, T_1 .. T_m, q_1 .. q_m, e1, e2]
+
+    The q and e columns are advance()'s inputs, written at every step. The
+    rows start at rest: zero angles and rates, every muscle at its ambient
+    temperature. The maps share one substep count and muscle count. When
+    every row has the same map (the field test) the product runs on its
+    (2S+n, n) stack; otherwise on the rows' stacks, copied into one
+    (B, 2S+n, n) array here.
     """
-    cfg = sm.cfg
-    m = cfg.n_muscles
-    v = np.asarray(voltages, dtype=np.float64)
-    if v.shape != (m,):
-        raise ValueError(f"expected {m} voltages, got shape {v.shape}")
-    z = state.angles.tolist() + state.rates.tolist()
-    z += map(sub, state.temps.tolist(), sm.t_amb)
-    for x, rc in zip(v.tolist(), sm.rc):
-        if not 0.0 <= x <= 10.0:  # false for NaN too
-            raise ValueError(f"voltages out of range [0, 10]: {v}")
-        z.append(x * x / rc)
-    z += [0.0, 0.0] if external_torque is None else np.asarray(
-        external_torque, dtype=np.float64).tolist()
-    z = np.array(z)
-    out = sm.stack @ z
-    lim, n_ang = cfg.angle_limit, 2 * sm.substeps
-    peak = np.abs(out[:n_ang])
-    if peak[peak.argmax()] <= lim:
-        z = out[n_ang:]
-    else:
-        for _ in range(sm.substeps):
-            z = sm.one @ z
-            for j in (0, 1):
-                if abs(z[j]) > lim:
-                    z[j] = math.copysign(lim, z[j])
-                    if z[2 + j] * z[j] > 0.0:
-                        z[2 + j] = 0.0
-    return PlantState(z[0:2], z[2:4], z[4:4 + m] + sm.tamb)
 
+    def __init__(self, maps: list[StepMap]):
+        first = maps[0]
+        self.maps = maps
+        self.m = m = first.cfg.n_muscles
+        self.substeps = first.substeps
+        shared = all(sm is first for sm in maps)
+        self.stack = first.stack if shared else np.stack([sm.stack for sm in maps])
+        self.tamb = np.array([sm.t_amb for sm in maps], dtype=np.float64)
+        self.rc = np.array([sm.rc for sm in maps], dtype=np.float64)
+        self.limit = np.array([sm.cfg.angle_limit for sm in maps])
+        self.z = np.zeros((len(maps), 2 * m + 6))
+        self.z[:, 4:4 + m] = self.tamb
+
+    def outputs(self) -> np.ndarray:
+        """Noiseless [angle1, rate1, angle2, rate2] of every row, a new (B, 4) array."""
+        return self.z[:, OUTPUT_COLUMNS]
+
+
+def _clamped_substeps(sm: StepMap, z: np.ndarray) -> np.ndarray:
+    """One row's action step a substep at a time, clamping the angles after each.
+
+    z is the row's augmented state with temperature rises; an angle past
+    the travel limit is set to it and its outward rate zeroed.
+    """
+    lim = sm.cfg.angle_limit
+    for _ in range(sm.substeps):
+        z = sm.one @ z
+        for j in (0, 1):
+            if abs(z[j]) > lim:
+                z[j] = math.copysign(lim, z[j])
+                if z[2 + j] * z[j] > 0.0:
+                    z[2 + j] = 0.0
+    return z
+
+
+def advance(rows: PlantRows, voltages, external_torque=None) -> None:
+    """Integrate every row's `substeps` RK4 steps with its voltages held, in place.
+
+    voltages (B, m) must lie in [0, 10] (the action mapping clamps); NaN,
+    out of range or a wrong shape raises ValueError before any row moves.
+    Each step makes the temperatures' round trip, T - T_amb and then
+    + T_amb, and writes q = V^2 / (R C_th) and the torque into z; one
+    np.matmul then gives every row's substep angles and end state. A row
+    whose largest substep |angle| passes its travel limit, or is NaN,
+    takes the substep fallback alone; the other rows keep the product.
+    external_torque (N*cm per DOF, broadcast to (B, 2)) is a test hook.
+    """
+    z, m = rows.z, rows.m
+    v = np.asarray(voltages, dtype=np.float64)
+    if v.shape != (len(z), m):
+        raise ValueError(f"expected {len(z)} rows of {m} voltages, got shape {v.shape}")
+    if not ((v >= 0.0) & (v <= 10.0)).all():  # false for NaN too
+        raise ValueError(f"voltages out of range [0, 10]: {v}")
+    z[:, 4 + 2 * m:] = 0.0 if external_torque is None else external_torque
+    temps, q = z[:, 4:4 + m], z[:, 4 + m:4 + 2 * m]
+    np.subtract(temps, rows.tamb, out=temps)
+    np.multiply(v, v, out=q)
+    np.divide(q, rows.rc, out=q)
+    out = np.matmul(rows.stack, z[:, :, None])[:, :, 0]
+    n_ang = 2 * rows.substeps
+    within = np.abs(out[:, :n_ang]).max(axis=1) <= rows.limit
+    if not within.all():
+        for b in np.flatnonzero(~within).tolist():
+            out[b, n_ang:] = _clamped_substeps(rows.maps[b], z[b])
+    z[:] = out[:, n_ang:]
+    np.add(temps, rows.tamb, out=temps)

@@ -3,13 +3,14 @@
 Each of the six muscle constants {k, b, c, C_th, lambda_, R} is scaled by an
 independent uniform factor drawn once per episode; resting length and ambient
 temperature are never touched. Observation noise is zero-mean Gaussian, added
-independently per step to the measured angles and angular velocities only.
+independently per step to the measured angles and angular velocities only;
+an episode draws all of its noise at reset, one call per channel, which
+gives the draws a call per step would give.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -147,20 +148,34 @@ def sample_muscle_set(
     return tuple(map(_scaled, nominals, _draw_factors(spec, rng, len(nominals))))
 
 
-def apply_observation_noise(
-    obs: np.ndarray, spec: RandomizationSpec, channel_rngs: list[SeededRng]
-) -> np.ndarray:
-    """Perturb the four measured motion components of an observation.
+def draw_observation_noise(
+    spec: RandomizationSpec, channel_rngs: list[SeededRng], steps: int
+) -> tuple[list[int], np.ndarray]:
+    """One episode's observation noise: the noisy channels and their (steps, k) draws.
 
-    Layout is [angle1, rate1, angle2, rate2, target1, target2]; targets are
-    never perturbed. One stream per measured channel. Returns a new array;
-    obs is left as it is.
+    The channels are the indices, in [angle1, rate1, angle2, rate2], whose
+    SD is positive; a channel with SD 0 draws nothing. Each channel's stream
+    draws the episode's steps values in one call, which gives the values
+    and leaves the stream state of that many scalar draws in turn.
     """
-    out = np.asarray(obs, dtype=np.float64).tolist()
-    if not all(map(math.isfinite, out)):
-        raise ValueError("observation must be finite")
     angle_sd, vel_sd = spec.effective_noise_sds()
-    for i, sd in enumerate((angle_sd, vel_sd, angle_sd, vel_sd)):
-        if sd > 0.0:
-            out[i] += channel_rngs[i].gen.normal(0.0, sd)
-    return np.array(out)
+    sds = [(i, sd) for i, sd in enumerate((angle_sd, vel_sd, angle_sd, vel_sd)) if sd > 0.0]
+    noise = np.empty((steps, len(sds)))
+    for k, (i, sd) in enumerate(sds):
+        noise[:, k] = channel_rngs[i].gen.normal(0.0, sd, size=steps)
+    return [i for i, _ in sds], noise
+
+
+def apply_observation_noise(obs: np.ndarray, channels: list[int], noise: np.ndarray) -> None:
+    """Add one step's drawn noise to observation rows obs (B, 6), in place.
+
+    Layout is [angle1, rate1, angle2, rate2, target1, target2]; noise
+    (B, k) goes onto the k channels from draw_observation_noise, so targets
+    and noiseless channels are never touched (not even by adding 0.0,
+    which would turn -0.0 into +0.0). Non-finite observations raise
+    ValueError.
+    """
+    if not np.isfinite(obs).all():
+        raise ValueError("observation must be finite")
+    if channels:
+        obs[:, channels] += noise

@@ -245,7 +245,12 @@ class ReplayBuffer:
 
 
 class SacAgent:
-    """Actor, twin critics with targets, temperature, and their optimizers."""
+    """Actor, twin critics with targets, temperature, and their optimizers.
+
+    actor_only=True builds the actor alone, for acting from a policy
+    checkpoint: no critics, targets, temperature or optimizer state, so
+    only act(), initial_hidden() and state(policy=True) work.
+    """
 
     OPTIMIZERS = ("actor", "q1", "q2", "alpha")  # the order of opt_t and opt_skipped
 
@@ -261,6 +266,7 @@ class SacAgent:
         action_half=10.0,
         fixed_alpha: float | None = None,
         dtype=np.float32,
+        actor_only: bool = False,
     ):
         self.obs_dim = obs_dim
         self.dtype = np.dtype(dtype)
@@ -277,6 +283,10 @@ class SacAgent:
         actor_shape = NetworkShape(obs_dim, gru_hidden, 2 * action_dim)
         critic_shape = NetworkShape(obs_dim + action_dim, gru_hidden, 1)
         self.actor = init_params(actor_shape, rng.split("actor"))
+        self._noise_rng = rng.split("update-noise")
+        self._act_cell = None
+        if actor_only:
+            return
         self.q1 = init_params(critic_shape, rng.split("critic-1"))
         self.q2 = init_params(critic_shape, rng.split("critic-2"))
         self.q1_target = self.q1.copy()
@@ -289,9 +299,7 @@ class SacAgent:
         self.opt_q1 = AdamState.for_params(self.q1.flat, lr)
         self.opt_q2 = AdamState.for_params(self.q2.flat, lr)
         self.opt_alpha = AdamState.for_params(self.log_alpha, lr)
-        self._noise_rng = rng.split("update-noise")
         self._ws: dict = {}  # one StackCache per update pass, by pass name
-        self._act_cell = None
 
     @property
     def alpha(self) -> float:

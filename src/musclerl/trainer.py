@@ -2,7 +2,12 @@
 
 Phase one rolls out the PID controller (or uniform-random actions when the
 bootstrap is disabled) for the first M episodes, storing each trajectory
-with its target relabels; no gradient steps happen here. Phase two rolls
+with its target relabels; no gradient steps happen here. The PID episodes
+run in lockstep, up to DEMONSTRATION_ROWS at a time as the rows of the
+training env, and are then stored and logged in episode order, which gives
+every random stream, buffer slot and log row that one episode at a time
+gives. The uniform warm-up and the policy run one episode per call, since
+their per-step draws would interleave across rows. Phase two rolls
 out the current policy, augments, stores, and runs k gradient updates per
 episode. Muscle dynamics resample every reset.
 
@@ -29,6 +34,16 @@ from .fieldtest import PolicyController
 from .pid import PidActionPolicy, gains_for
 from .randomize import NO_RANDOMIZATION, RandomizationSpec, SeededRng
 from .sac import ReplayBuffer, SacAgent, Trajectory
+
+# PID demonstration episodes per lockstep call. Each row holds its plant
+# StepMap and a copy of its stack while a call runs, so the rows per call
+# set the phase's transient memory: for the stock wrist phase (500
+# episodes, width 64) peak RSS rose by 0.9 MB at 25 rows, 2.3 MB at 50 and
+# 12 MB with all 500 in one call, over one row at a time. Beyond about 25
+# rows the per-step Python a call shares is already small: the phase took
+# 0.21 s of CPU at 25 rows, 0.19 s at 50 and 1.4 s one row at a time (one
+# BLAS thread on a 2-vCPU VM).
+DEMONSTRATION_ROWS = 25
 
 
 def format_float(x: float) -> str:
@@ -90,7 +105,13 @@ class UniformController:
 class Trainer:
     """Owns the environment, agent, buffer, and every random stream."""
 
-    def __init__(self, cfg: RunConfig):
+    def __init__(self, cfg: RunConfig, actor_only: bool = False):
+        """A fresh trainer for cfg.
+
+        actor_only builds the actor without the learner (critics, targets,
+        optimizers): such a trainer acts and saves policy checkpoints but
+        refuses to train or to write a full checkpoint.
+        """
         self.cfg = cfg = cfg.resolved()
         master = SeededRng(cfg.seed)
         randomization = (
@@ -114,6 +135,7 @@ class Trainer:
             tau=cfg.tau,
             action_center=(low + high) / 2,
             action_half=(high - low) / 2,
+            actor_only=actor_only,
         )
         self.buffer = ReplayBuffer(cfg.buffer_capacity)
         self.sample_rng = master.split("replay")
@@ -133,14 +155,19 @@ class Trainer:
             "policy": PolicyController(self.agent, rng=self.rollout_rng),
         }
         self.episode_idx = 0  # completed episodes
-        self.actor_only = False  # restored from a policy checkpoint: no learner state
+        self.actor_only = actor_only
 
     # -- rollouts ----------------------------------------------------------
 
-    def rollout(self, kind: str) -> Trajectory:
-        """One full episode under 'pid', 'random', or 'policy' control."""
-        rows = run_episode([self.env], self.controllers[kind])
-        return Trajectory(*(r[0] for r in rows), controller=kind)
+    def rollout(self, kind: str, rows: int = 1) -> list[Trajectory]:
+        """rows full episodes in lockstep under 'pid', 'random', or 'policy' control.
+
+        The episodes come back in the order their rows reset in.
+        """
+        obs, outputs, actions, rewards = run_episode(self.env, self.controllers[kind],
+                                                     rows=rows)
+        return [Trajectory(*row, controller=kind)
+                for row in zip(obs, outputs, actions, rewards)]
 
     def store_with_augmentation(self, traj: Trajectory) -> int:
         """Push the rollout with its relabels; returns the number of slots filled."""
@@ -150,25 +177,31 @@ class Trainer:
         return 1 + len(targets)
 
     def bootstrap_phase(self, log: "CsvLog | None" = None, stop: int | None = None) -> None:
-        """Demonstration episodes 1..M; fills the buffer, no gradient steps."""
+        """Demonstration episodes 1..M (or up to stop); fills the buffer, no gradient steps.
+
+        PID episodes run DEMONSTRATION_ROWS at a time in lockstep, the
+        uniform warm-up one at a time; either way each episode is stored
+        with its relabels and logged in episode order.
+        """
         cfg = self.cfg
         stop = cfg.bootstrap_episodes if stop is None else min(stop, cfg.bootstrap_episodes)
         controller = "random" if cfg.no_bootstrap else "pid"
+        rows = 1 if cfg.no_bootstrap else DEMONSTRATION_ROWS
         while self.episode_idx < stop:
-            traj = self.rollout(controller)
-            self.store_with_augmentation(traj)
-            self.episode_idx += 1
-            if log is not None:
-                avg = float(traj.rewards.mean())
-                log.row([self.episode_idx, controller, traj.length,
-                         float(traj.rewards.sum()), avg])
+            for traj in self.rollout(controller, min(rows, stop - self.episode_idx)):
+                self.store_with_augmentation(traj)
+                self.episode_idx += 1
+                if log is not None:
+                    avg = float(traj.rewards.mean())
+                    log.row([self.episode_idx, controller, traj.length,
+                             float(traj.rewards.sum()), avg])
 
     # -- training ----------------------------------------------------------
 
     def train_episode(self) -> tuple[Trajectory, dict | None]:
         """One policy episode plus k gradient updates; returns mean losses."""
         cfg = self.cfg
-        traj = self.rollout("policy")
+        (traj,) = self.rollout("policy")
         self.store_with_augmentation(traj)
         self.episode_idx += 1
         if len(self.buffer) < cfg.batch_size:
@@ -285,8 +318,9 @@ class Trainer:
         The checkpoint must carry this code's numerics stamp and every
         array its kind needs. A full checkpoint restores everything, and
         the buffer rebuilds its rewards. A policy checkpoint restores the
-        actor and the episode count; the rest keeps its fresh state, so the
-        trainer can act and save a policy checkpoint but refuses to train.
+        actor and the episode count into an actor_only trainer, which holds
+        no critics, targets, optimizer moments or replay data: it can act
+        and save a policy checkpoint but refuses to train.
         Older layouts that also stored rewards, or (policy) the whole
         learner, restore the same way. resume=True requires a full
         checkpoint, since continuing a run exactly needs its replay buffer.
@@ -304,8 +338,8 @@ class Trainer:
         if "count" in meta.get("buffer", {}):
             raise ValueError(f"{path}: replay buffer saved one copy per augmented episode, "
                              "a layout this code no longer reads; start the run afresh")
-        tr = cls(RunConfig(**meta["config"]))
         policy = kind == "policy"
+        tr = cls(RunConfig(**meta["config"]), actor_only=policy)
         needed = list(tr.agent.state(policy)[1])
         if not policy and meta["buffer"]["slots"]:
             needed += ReplayBuffer.ARRAYS
@@ -314,7 +348,6 @@ class Trainer:
                 raise ValueError(f"{path}: {kind} checkpoint has no array {name!r}")
         tr.agent.load_state(meta, arrays, policy)
         tr.episode_idx = int(meta["episode"])
-        tr.actor_only = policy
         if not policy:
             for name, stream in tr.rng_streams().items():
                 state = meta["rng"][name]
@@ -325,6 +358,9 @@ class Trainer:
 
 
 def load_policy(path: str) -> tuple[SacAgent, RunConfig]:
-    """The agent and config of a (policy or full) checkpoint, via Trainer.restore."""
+    """The agent and config of a (policy or full) checkpoint, via Trainer.restore.
+
+    A policy checkpoint gives an actor-only agent (see SacAgent).
+    """
     tr = Trainer.restore(path)
     return tr.agent, tr.cfg

@@ -33,7 +33,7 @@ from musclerl.fieldtest import (
 )
 from musclerl.muscle import SCP_NOMINAL
 from musclerl.nets import NetworkShape, init_params
-from musclerl.plant import StepMap, advance, eye_config, initial_state
+from musclerl.plant import PlantRows, StepMap, advance, eye_config
 from musclerl.randomize import (
     DEFAULT_INTERVALS,
     RANDOMIZED_NAMES,
@@ -86,12 +86,11 @@ def test_criterion_1_thermal_steady_state():
     t0 = time.perf_counter()
     cfg = eye_config()
     p = cfg.muscles[0]
-    sm = StepMap(cfg, dt=0.01, substeps=50)
-    s = initial_state(cfg)
-    volts = np.array([10.0, 0.0, 0.0, 0.0])
+    plant = PlantRows([StepMap(cfg, dt=0.01, substeps=50)])  # one plant, at rest
+    volts = np.array([[10.0, 0.0, 0.0, 0.0]])
     for _ in range(math.ceil(10.0 * thermal_time_constant(p) / 0.5)):
-        s = advance(sm, s, volts)
-    rise = s.temps[0] - p.T_amb
+        advance(plant, volts)
+    rise = plant.z[0, 4] - p.T_amb  # z holds the first muscle's temperature in column 4
     target = steady_state_rise(p, 10.0)
     rel = abs(rise - target) / target
     elapsed = time.perf_counter() - t0

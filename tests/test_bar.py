@@ -54,13 +54,13 @@ def augmented_copies(traj, spec, reward_spec, rng):
 
 def test_pid_zero_error_zero_output():
     pid = PidController(WRIST_GAINS)
-    u = pid.commands(np.zeros(2), 0.5)
-    assert np.array_equal(u, np.zeros(2))
+    u = pid.commands(np.zeros((1, 2)), 0.5)
+    assert np.array_equal(u, np.zeros((1, 2)))
 
 
 def test_pid_first_step_worked_example():
     pid = PidController(PidGains(kp=3.3, ki=0.5, kd=0.3, output_limit=45.0))
-    u = pid.commands(np.array([1.0, 0.0]), 0.5)
+    (u,) = pid.commands(np.array([[1.0, 0.0]]), 0.5)
     assert u[0] == pytest.approx(3.3 + 0.25 + 0.6, abs=1e-12)
     assert u[1] == 0.0
 
@@ -81,7 +81,7 @@ def test_pid_integral_respects_clamp():
     gains = PidGains(kp=1.0, ki=0.5, kd=0.0, output_limit=10.0, integral_limit=3.0)
     pid = PidController(gains)
     for _ in range(200):
-        pid.commands(np.array([50.0, -50.0]), 0.5)
+        pid.commands(np.array([[50.0, -50.0]]), 0.5)
         assert np.all(np.abs(pid.integral) <= 3.0)
 
 
@@ -138,12 +138,30 @@ def test_pid_clamps_match_clip_oracle_bit_for_bit(preset):
             a = policy.act(obs[None], dt=0.5)[0]
             expected = oracle.act(obs, dt=0.5)
             assert a.tobytes() == expected.tobytes()
-            assert np.asarray(policy.pids[0].integral).tobytes() == oracle.integral.tobytes()
+            assert policy.pid.integral[0].tobytes() == oracle.integral.tobytes()
             hit.update(("low" if x == low else "high" if x == 10.0 else "in") for x in a)
             hit.update("negzero" for x in a if x == 0.0 and np.signbit(x))
     assert {"low", "high", "in"} <= hit
     if preset == "eye":  # the eye's box passes a -0.0 command through
         assert "negzero" in hit
+
+
+@pytest.mark.parametrize("preset", ["wrist", "eye"])
+def test_pid_rows_in_one_call_equal_each_row_alone(preset):
+    # a lockstep batch of rows against one single-row policy per row
+    plant = eye_config() if preset == "eye" else wrist_config()
+    rng = np.random.default_rng(4)
+    batch = PidActionPolicy(preset, plant)
+    batch.reset(7)
+    alone = [PidActionPolicy(preset, plant) for _ in range(7)]
+    for _ in range(40):
+        obs = rng.uniform(-40.0, 40.0, size=(7, 6))
+        obs[rng.uniform(size=(7, 6)) < 0.2] = -0.0
+        got = batch.act(obs)
+        want = np.concatenate([p.act(o[None]) for p, o in zip(alone, obs)])
+        assert got.tobytes() == want.tobytes()
+    with pytest.raises(ValueError):
+        batch.act(obs[:6])
 
 
 def test_pid_controller_update_matches_clip_oracle_at_both_clamps():
@@ -153,7 +171,7 @@ def test_pid_controller_update_matches_clip_oracle_at_both_clamps():
     errors = [(40.0, -40.0), (40.0, -40.0), (-0.0, 0.0), (-3.0, 3.0), (0.0, -0.0),
               (-40.0, 40.0), (1e-300, -1e-300), (0.25, -0.25)]
     for e in errors:  # dt = 0.3, not a power of two, so the operation order shows
-        u = pid.commands(np.array(e), 0.3)
+        u = pid.commands(np.array([e]), 0.3)
         expected = oracle.update(np.array(e), 0.3)
         assert np.asarray(u).tobytes() == expected.tobytes()
         assert np.asarray(pid.integral).tobytes() == oracle.integral.tobytes()

@@ -83,12 +83,12 @@ def test_reset_with_zero_target_range():
     env = TrackingEnv("eye", SeededRng(0),
                       episode=EpisodeConfig(episode_length=30, target_range=0.0))
     env.reset()
-    assert np.array_equal(env.target, np.zeros(2))
+    assert np.array_equal(env.target, np.zeros((1, 2)))
 
 
 def test_reset_target_marginals_are_uniform():
     env = TrackingEnv("wrist", SeededRng(123))
-    targets = np.array([env.reset()[4:6] for _ in range(10_000)])
+    targets = np.array([env.reset()[0, 4:6] for _ in range(10_000)])
     for axis in range(2):
         x = np.sort(targets[:, axis])
         cdf = (x + 10.0) / 20.0
@@ -130,7 +130,7 @@ def test_episode_lengths_and_done_signalling():
 def test_zero_action_zero_target_scores_full_bonus():
     env = TrackingEnv("eye", SeededRng(2),
                       episode=EpisodeConfig(episode_length=30, target_range=0.0))
-    _, _, _, rewards = run_episode([env], ActionSequence(np.zeros((30, 2))))
+    _, _, _, rewards = run_episode(env, ActionSequence(np.zeros((30, 2))))
     rewards = rewards[0]
     assert rewards.shape == (30,)
     for r in rewards:
@@ -140,14 +140,14 @@ def test_zero_action_zero_target_scores_full_bonus():
 def test_observation_layout_and_noise_slots():
     env = TrackingEnv("wrist", SeededRng(3))
     obs = env.reset()
-    assert obs.shape == (6,)
-    assert np.array_equal(obs[4:6], env.target)
+    assert obs.shape == (1, 6)
+    assert np.array_equal(obs[:, 4:6], env.target)
     true = env.true_output()
-    assert not np.array_equal(obs[0:4], true)  # noise applied to motion slots
+    assert not np.array_equal(obs[:, 0:4], true)  # noise applied to motion slots
     # perturbation is plant output plus noise at the configured scale
-    assert np.all(np.abs(obs[0:4] - true) < 6.0 * np.array([0.1, 0.05, 0.1, 0.05]))
+    assert np.all(np.abs(obs[:, 0:4] - true) < 6.0 * np.array([0.1, 0.05, 0.1, 0.05]))
     obs2, _, _ = env.step(np.zeros(3))
-    assert np.array_equal(obs2[4:6], env.target)
+    assert np.array_equal(obs2[:, 4:6], env.target)
 
 
 def test_muscle_parameters_constant_within_episode():
@@ -165,7 +165,7 @@ def test_episode_determinism_under_fixed_actions():
     def run(seed):
         env = TrackingEnv("eye", SeededRng(seed))
         actions = np.random.default_rng(0).uniform(-10, 10, size=(30, 2))
-        rows, _, _, rewards = run_episode([env], ActionSequence(actions))
+        rows, _, _, rewards = run_episode(env, ActionSequence(actions))
         return rows[0], rewards[0]
 
     o1, r1 = run(55)
@@ -204,8 +204,8 @@ def test_signed_zero_actions_keep_their_sign_bits():
         env = TrackingEnv(preset, SeededRng(3))
         env.reset()
         _, _, info = env.step(np.array(action))
-        assert np.signbit(info["action"]).tolist() == action_signs
-        assert np.signbit(info["voltages"]).tolist() == volt_signs
+        assert np.signbit(info["action"]).tolist() == [action_signs]
+        assert np.signbit(info["voltages"]).tolist() == [volt_signs]
 
 
 @pytest.mark.parametrize("preset", ["wrist", "eye"])
@@ -253,6 +253,48 @@ def test_episode_calls_the_traced_plant_names(monkeypatch):
 
         monkeypatch.setattr(musclerl.env, name, counting)
     env = TrackingEnv("wrist", SeededRng(4))
-    run_episode([env], pid_controller_for("wrist"))
+    run_episode(env, pid_controller_for("wrist"))
     assert calls == {"advance": env.episode.episode_length, "sample_muscle_set": 1}
     assert env.episode.episode_length == 40
+
+
+def test_nan_action_in_one_row_raises_before_any_row_moves():
+    # three rows in lockstep: the voltage check covers every row's action
+    # before the plant product, so a NaN in one row stops the whole step
+    class NanInRowOne:
+        def reset(self, n):
+            self.t = 0
+
+        def act(self, obs, dt=0.5):
+            self.t += 1
+            actions = np.full((len(obs), 3), 5.0)
+            if self.t == 3:
+                actions[1, 2] = np.nan
+            return actions
+
+    env = TrackingEnv("wrist", SeededRng(3))
+    with pytest.raises(ValueError, match="voltages"):
+        run_episode(env, NanInRowOne(), rows=3)
+    assert env.steps_taken == 2
+    after_two = env.plant.z.copy()
+    with pytest.raises(ValueError):
+        env.step(np.array([[5.0] * 3, [5.0, 5.0, np.nan], [5.0] * 3]))
+    assert env.plant.z.tobytes() == after_two.tobytes()
+
+
+def test_targets_play_one_drawn_episode_as_rows():
+    # given targets, the env draws one episode (muscles, noise) and plays it
+    # against each target: one draw from every stream, one shared StepMap
+    env = TrackingEnv("wrist", SeededRng(8))
+    obs = env.reset(targets=[(1.0, 2.0), (-3.0, 4.0), (0.5, -0.5)])
+    twin = TrackingEnv("wrist", SeededRng(8))
+    one = twin.reset()
+    assert obs[:, 4:].tolist() == [[1.0, 2.0], [-3.0, 4.0], [0.5, -0.5]]
+    assert obs[:, :4].tobytes() == np.tile(one[:, :4], (3, 1)).tobytes()
+    assert env.plant.stack is env.step_map.stack
+    streams = [env._params_rng, env._target_rng, *env._noise_rngs]
+    twins = [twin._params_rng, twin._target_rng, *twin._noise_rngs]
+    assert repr([r.get_state() for r in streams]) == repr([r.get_state() for r in twins])
+    obs2, _, _ = env.step(np.zeros((3, 3)))
+    obs1, _, _ = twin.step(np.zeros(3))
+    assert obs2[:, :4].tobytes() == np.tile(obs1[:, :4], (3, 1)).tobytes()

@@ -12,6 +12,7 @@ import pytest
 
 import musclerl.env
 import musclerl.fieldtest
+import musclerl.trainer
 from musclerl.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from musclerl.cli import main as cli_main
 from musclerl.config import (
@@ -37,7 +38,7 @@ from musclerl.fieldtest import (
 )
 from musclerl.randomize import SeededRng
 from musclerl.sac import SacAgent
-from musclerl.trainer import Trainer, load_policy
+from musclerl.trainer import CsvLog, Trainer, load_policy
 
 
 def tiny_cfg(out_dir, **kw):
@@ -111,6 +112,26 @@ def test_batch_size_or_checkpoint_every_below_one_is_rejected(key, value, tmp_pa
     with pytest.raises(ValueError, match=key):
         Trainer(RunConfig(gru_hidden=8, out_dir=str(tmp_path), **{key: value}))
     assert getattr(RunConfig(**{key: 1}).resolved(), key) == 1
+
+
+def test_buffer_smaller_than_a_batch_is_rejected_naming_both_keys(tmp_path):
+    # no update could ever sample a batch, so training would skip every one
+    with pytest.raises(ValueError, match="buffer_capacity.*batch_size") as info:
+        Trainer(RunConfig(preset="eye", buffer_capacity=5, batch_size=6, gru_hidden=8,
+                          out_dir=str(tmp_path)))
+    assert "\n" not in str(info.value)
+    assert RunConfig(buffer_capacity=6, batch_size=6).resolved().buffer_capacity == 6
+
+
+def test_cli_train_reports_a_config_error_in_one_line(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("preset = eye\nbuffer_capacity = 5\nbatch_size = 6\n")
+    for argv in (["--checkpoint-every", "0"], ["--config", str(bad)],
+                 ["--config", str(tmp_path / "missing.cfg")]):
+        assert cli_main(["train", "--out-dir", str(tmp_path / "run")] + argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err, err
+    assert not (tmp_path / "run").exists()
 
 
 def test_every_config_field_round_trips_through_a_config_file(tmp_path):
@@ -211,6 +232,15 @@ def test_field_test_builds_the_plant_step_map_once(monkeypatch):
     assert len(built) == 3
 
 
+def test_field_tests_of_one_spec_share_the_grid_targets():
+    spec = FieldTestSpec(extent=5.0, spacing=5.0, duration=3.0, settle=1.0)
+    assert grid_targets(spec) is grid_targets(FieldTestSpec(5.0, 5.0, 3.0, 1.0))
+    rows = [run_field_test("wrist", pid_controller_for("wrist"), spec) for _ in range(2)]
+    assert rows[0] == rows[1]
+    for a, b, (t1, t2) in zip(*rows, grid_targets(spec)):
+        assert a[0] is b[0] is t1 and a[1] is b[1] is t2
+
+
 def _perturbed_policy(preset, tmp_path):
     # a width-16 actor with every parameter, biases included, nonzero
     agent = Trainer(RunConfig(preset=preset, seed=21, gru_hidden=16,
@@ -230,7 +260,7 @@ def test_lockstep_field_test_equals_serial_episodes(preset, kind, tmp_path):
     serial = []
     for target in grid_targets(spec):
         env = make_eval_env(preset, spec)
-        _, outputs, _, _ = run_episode([env], controller, [target])
+        _, outputs, _, _ = run_episode(env, controller, [target])
         serial.append((target[0], target[1],
                        steady_state_error(outputs[0, 1:, ::2], target, spec.settle_steps)))
     rows = run_field_test(preset, controller, spec)
@@ -249,7 +279,8 @@ def _repo_module(name, *path):
 
 def test_traced_field_test_acts_once_per_step(tmp_path):
     # the benchmark's span wrappers around a 9-target field test of each
-    # controller: the policy acts once per step for all targets
+    # controller: the controller acts once per step for all targets, and
+    # one env step with one plant product advances all 9 rows
     spans = _repo_module("perfbench_spans", "perfbench", "spans.py")
     spec = FieldTestSpec(extent=5.0, spacing=5.0, duration=3.0, settle=1.0)
     controllers = (pid_controller_for("wrist"), _perturbed_policy("wrist", tmp_path))
@@ -262,7 +293,9 @@ def test_traced_field_test_acts_once_per_step(tmp_path):
     assert names.count("fieldtest.run_field_test.policy") == 1
     assert names.count("pid.PidActionPolicy.act") == spec.steps
     assert names.count("sac.SacAgent.act.deterministic") == spec.steps
-    assert names.count("env.TrackingEnv.step") == 2 * 9 * spec.steps
+    assert names.count("env.TrackingEnv.step") == 2 * spec.steps
+    assert names.count("plant.advance") == 2 * spec.steps
+    assert names.count("env.TrackingEnv.reset") == 2
     metrics = spans.analyze(tracer)
     assert metrics["sac.SacAgent.act.deterministic.n"][0] == spec.steps
 
@@ -292,6 +325,74 @@ def test_buffer_counting_during_bootstrap(tmp_path):
     tr = Trainer(cfg)
     tr.bootstrap_phase()
     assert len(tr.buffer) == 3 * 5
+
+
+def _serial_demonstrations(tr: Trainer, log: CsvLog) -> None:
+    """The demonstration phase one episode at a time: the reference for the lockstep one."""
+    kind = "random" if tr.cfg.no_bootstrap else "pid"
+    while tr.episode_idx < tr.cfg.bootstrap_episodes:
+        (traj,) = tr.rollout(kind)
+        tr.store_with_augmentation(traj)
+        tr.episode_idx += 1
+        log.row([tr.episode_idx, kind, traj.length, float(traj.rewards.sum()),
+                 float(traj.rewards.mean())])
+
+
+def _streams(tr: Trainer) -> str:
+    return repr({name: [r.get_state() for r in s] if isinstance(s, list) else s.get_state()
+                 for name, s in tr.rng_streams().items()})
+
+
+@pytest.mark.parametrize("preset, angle_limit", [("wrist", None), ("eye", None), ("wrist", 3.0)])
+def test_lockstep_demonstrations_equal_serial_episodes(preset, angle_limit, tmp_path,
+                                                        monkeypatch):
+    # 7 PID episodes in lockstep calls of 3, 3 and 1 rows against one episode
+    # at a time: the same buffer bytes, log rows and stream states. At a 3
+    # deg travel limit, with targets within 4 deg, some rows take the
+    # substep fallback and others do not, in the same lockstep call.
+    monkeypatch.setattr(musclerl.trainer, "DEMONSTRATION_ROWS", 3)
+    cfg = RunConfig(preset=preset, seed=5, episodes=7, bootstrap_episodes=7, gru_hidden=8,
+                    augment_copies=2, plant_angle_limit=angle_limit,
+                    target_range=10.0 if angle_limit is None else 4.0, out_dir=str(tmp_path))
+    columns = ["episode", "controller", "steps", "episode_return", "avg_reward"]
+    results = []
+    for name, phase in (("serial", _serial_demonstrations),
+                        ("lockstep", lambda tr, log: tr.bootstrap_phase(log))):
+        tr = Trainer(cfg)
+        log = CsvLog(str(tmp_path / f"{name}.csv"), columns, "provenance")
+        phase(tr, log)
+        log.close()
+        meta, arrays = tr.buffer.state()
+        results.append((meta, {k: v.tobytes() for k, v in arrays.items()}, _streams(tr),
+                        (tmp_path / f"{name}.csv").read_bytes()))
+    assert results[0] == results[1]
+    assert results[0][3].count(b"\n") == 2 + 7
+    if angle_limit is not None:
+        outputs = tr.buffer.state()[1]["buf_outputs"]
+        on_limit = np.any(np.abs(outputs[..., [0, 2]]) == angle_limit, axis=(1, 2))
+        assert on_limit.tolist() == [True, False, True, True, False, False, True]
+
+
+def test_stop_inside_the_lockstep_demonstrations_then_resume(tmp_path, monkeypatch):
+    # stop_after=4 falls inside the straight run's second lockstep call
+    # (episodes 4-5): the stopped run takes episode 4 alone, the resumed run
+    # episode 5, and every row and update matches the run that never stopped
+    monkeypatch.setattr(musclerl.trainer, "DEMONSTRATION_ROWS", 3)
+    ref = tiny_cfg(tmp_path / "straight", bootstrap_episodes=5, batch_size=4)
+    straight = Trainer(ref)
+    straight.train()
+    part = tiny_cfg(tmp_path / "resumed", bootstrap_episodes=5, batch_size=4)
+    Trainer(part).train(stop_after=4)
+    tr = Trainer.restore(str(tmp_path / "resumed" / "checkpoint.ckpt"), resume=True)
+    assert tr.episode_idx == 4 and len(tr.buffer) == 4 * 2
+    tr.train()
+    for name in ("rewards.csv", "losses.csv"):
+        assert ((tmp_path / "straight" / name).read_bytes()
+                == (tmp_path / "resumed" / name).read_bytes())
+    assert tr.agent.opt_q1.t == straight.agent.opt_q1.t > 0
+    assert _streams(tr) == _streams(straight)
+    assert ([a.tobytes() for a in tr.buffer.state()[1].values()]
+            == [a.tobytes() for a in straight.buffer.state()[1].values()])
 
 
 def test_run_determinism_bytes(tmp_path):
@@ -375,7 +476,7 @@ def test_wrapped_buffer_checkpoint_roundtrip_is_byte_stable(tmp_path):
     # 6 episodes of 1 + 2 slots in a ring of 7: some relabels outlive their
     # episode's own slot
     cfg = tiny_cfg(tmp_path / "run", bootstrap_episodes=6, augment_copies=2,
-                   buffer_capacity=7)
+                   buffer_capacity=7, batch_size=7)
     tr = Trainer(cfg)
     tr.bootstrap_phase()
     first, again = str(tmp_path / "a.ckpt"), str(tmp_path / "b.ckpt")
@@ -518,6 +619,27 @@ def test_policy_checkpoint_holds_only_the_actor(tmp_path):
     rows = [run_field_test("wrist", PolicyController(load_policy(path)[0]), spec)
             for path in (policy, full)]
     assert len(rows[0]) == 9 and rows[0] == rows[1]
+
+
+def test_policy_load_holds_the_actor_alone(tmp_path):
+    # a width-64 trainer holds about 2.5 MB of learner state for a 0.2 MB actor
+    path = str(tmp_path / "policy.ckpt")
+    Trainer(tiny_cfg(tmp_path, gru_hidden=64)).save(path, include_buffer=False)
+    tracemalloc.start()
+    try:
+        agent, _ = load_policy(path)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 1.25 * agent.actor.flat.nbytes, (held, agent.actor.flat.nbytes)
+    for name in ("q1", "q2", "q1_target", "q2_target", "log_alpha", "opt_actor", "opt_q1"):
+        assert not hasattr(agent, name), name
+    restored = Trainer.restore(path)
+    assert restored.actor_only and len(restored.buffer) == 0
+    full = tmp_path / "full.ckpt"
+    with pytest.raises(ValueError, match="policy checkpoint"):
+        restored.save(str(full))
+    assert not full.exists()
 
 
 def test_policy_checkpoint_is_the_actor_and_a_small_header(tmp_path):

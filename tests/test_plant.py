@@ -1,22 +1,44 @@
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
 from musclerl.env import PRESETS
 from musclerl.muscle import MuscleParams
-from musclerl.plant import (
-    PlantState,
-    StepMap,
-    advance,
-    eye_config,
-    initial_state,
-    wrist_config,
-)
+from musclerl.plant import PlantRows, StepMap, advance, eye_config, wrist_config
 from musclerl.randomize import RandomizationSpec, SeededRng, sample_muscle_set
 
 DEG = math.pi / 180.0
+
+
+@dataclass
+class PlantState:
+    """One plant's joint angles (deg), angular rates (deg/s), muscle temperatures (degC)."""
+
+    angles: np.ndarray
+    rates: np.ndarray
+    temps: np.ndarray
+
+
+def initial_state(cfg):
+    """Rest: zero angles and rates, every muscle at its ambient temperature."""
+    temps = np.array([p.T_amb for p in cfg.muscles], dtype=np.float64)
+    return PlantState(np.zeros(2), np.zeros(2), temps)
+
+
+def row_state(rows, b):
+    """Row b of a PlantRows as a PlantState of copies (z's layout: angles, rates, temps)."""
+    z = rows.z[b]
+    return PlantState(z[0:2].copy(), z[2:4].copy(), z[4:4 + rows.m].copy())
+
+
+def advance_one(sm, state, voltages, external_torque=None):
+    """One action step of one plant, as a one-row PlantRows through advance()."""
+    rows = PlantRows([sm])
+    rows.z[0, :4 + rows.m] = np.concatenate((state.angles, state.rates, state.temps))
+    advance(rows, [voltages], None if external_torque is None else [external_torque])
+    return row_state(rows, 0)
 
 
 def muscle_kinematics(cfg, angles_deg, rates_deg):
@@ -151,7 +173,7 @@ def reference_advance(cfg, state, voltages, dt, substeps, external_torque=None):
 
 
 def step(cfg, state, voltages, dt=0.01, substeps=1, external_torque=None):
-    return advance(StepMap(cfg, dt, substeps), state, voltages, external_torque)
+    return advance_one(StepMap(cfg, dt, substeps), state, voltages, external_torque)
 
 
 def inert_muscles(n, x0=10.0):
@@ -232,7 +254,7 @@ def test_passive_energy_never_increases():
         e_prev = mechanical_energy(cfg, s)
         sm = StepMap(cfg, 0.01, 1)
         for _ in range(500):
-            s = advance(sm, s, np.zeros(cfg.n_muscles))
+            s = advance_one(sm, s, np.zeros(cfg.n_muscles))
             e = mechanical_energy(cfg, s)
             assert e <= e_prev * (1.0 + 1e-9) + 1e-12
             e_prev = e
@@ -255,8 +277,8 @@ def test_step_is_deterministic():
     s.angles[:] = [1.0, -1.0]
     v = np.array([3.0, 1.0, 0.5])
     sm = StepMap(cfg, 0.01, 50)
-    a = advance(sm, s, v)
-    b = advance(sm, s, v)
+    a = advance_one(sm, s, v)
+    b = advance_one(sm, s, v)
     assert np.array_equal(a.angles, b.angles)
     assert np.array_equal(a.rates, b.rates)
     assert np.array_equal(a.temps, b.temps)
@@ -294,8 +316,8 @@ def test_voltage_validation():
                 [[0.0, 0.0], [0.0, 0.0]], *nan_anywhere):
         for form in (bad, np.array(bad)):
             with pytest.raises(ValueError):
-                advance(sm, s, form)
-    advance(sm, s, [0.0, -0.0, 10.0, 10])  # both ends are inside
+                advance_one(sm, s, form)
+    advance_one(sm, s, [0.0, -0.0, 10.0, 10])  # both ends are inside
     for dt, substeps in ((0.0, 50), (-0.01, 50), (0.01, 0)):
         with pytest.raises(ValueError):
             StepMap(cfg, dt, substeps)
@@ -306,11 +328,11 @@ def test_angle_clamp_zeroes_outward_rate():
     s = initial_state(cfg)
     s.rates[0] = 500.0  # overshoots the 2 deg limit within one step
     sm = StepMap(cfg, 0.01, 1)
-    s = advance(sm, s, np.zeros(4))
+    s = advance_one(sm, s, np.zeros(4))
     assert s.angles[0] == 2.0
     assert s.rates[0] == 0.0
     for _ in range(200):
-        s = advance(sm, s, np.zeros(4))
+        s = advance_one(sm, s, np.zeros(4))
         assert s.angles[0] <= 2.0
 
 
@@ -321,7 +343,7 @@ def test_clamp_inside_an_action_step_holds_the_limit():
     s = initial_state(cfg)
     s.rates[:] = [30.0, -30.0]  # about 0.3 deg per substep: the limit comes after a few
     v, push = np.zeros(4), np.array([0.01, -0.01])  # outward torque keeps it there
-    out = advance(StepMap(cfg, 0.01, 50), s, v, push)
+    out = advance_one(StepMap(cfg, 0.01, 50), s, v, push)
     assert out.angles[0] == 1.0 and out.angles[1] == -1.0
     assert out.rates[0] == 0.0 and out.rates[1] == 0.0
     ref = reference_advance(cfg, s, v, 0.01, 50, push)
@@ -348,7 +370,7 @@ def test_step_map_matches_scalar_rk4_reference(preset, angle_limit):
         got = ref = initial_state(cfg)
         for _ in range(40):
             v = rng.uniform(0.0, 10.0, size=cfg.n_muscles)
-            got = advance(sm, got, v)
+            got = advance_one(sm, got, v)
             ref = reference_advance(cfg, ref, v, 0.01, 50)
             for a, b in ((got.angles, ref.angles), (got.rates, ref.rates),
                          (got.temps, ref.temps)):
@@ -388,7 +410,7 @@ def test_step_map_and_advance_match_the_array_oracles_bit_for_bit(preset, multip
                 v[rng.gen.integers(m)] = 0.0
                 push = [float(x) for x in rng.uniform(-40.0, 40.0, size=2)]
                 ext = push if t < 11 else np.array(push)
-            got = advance(sm, got, v, ext)
+            got = advance_one(sm, got, v, ext)
             ref, clamped = oracle_advance(cfg, maps, ref, v, 50, ext)
             branches[clamped] += 1
             for a, b in ((got.angles, ref.angles), (got.rates, ref.rates),
@@ -404,8 +426,64 @@ def test_nan_torque_takes_the_substep_fallback_like_the_oracle():
     s = initial_state(cfg)
     v = np.array([4.0, 0.0, 2.0])
     for ext in ([np.nan, 0.0], np.array([0.0, np.nan])):
-        got = advance(sm, s, v, ext)
+        got = advance_one(sm, s, v, ext)
         ref, clamped = oracle_advance(cfg, maps, s, v, 50, ext)
         assert clamped
         for a, b in ((got.angles, ref.angles), (got.rates, ref.rates), (got.temps, ref.temps)):
             assert _same_bytes(a, b)
+
+
+@pytest.mark.parametrize("preset", ["eye", "wrist"])
+def test_rows_in_one_product_equal_each_row_alone(preset):
+    # rows with their own muscles, states and voltages, at a 3 deg travel
+    # limit that some rows pass within a step and others do not: each row
+    # of the lockstep product (and each fallback row) is bitwise that row
+    # stepped alone
+    nominal = replace(PRESETS[preset].plant(), angle_limit=3.0)
+    rng = SeededRng(31).split(f"plant-rows/{preset}")
+    spec = RandomizationSpec(variance_multiplier=2.0)
+    maps = [StepMap(nominal.with_muscles(sample_muscle_set(nominal.muscles, spec, rng)), 0.01, 50)
+            for _ in range(6)]
+    maps[4] = maps[1]  # the stacked product also takes repeated maps
+    rows = PlantRows(maps)
+    alone = [initial_state(sm.cfg) for sm in maps]
+    m = nominal.n_muscles
+    clamped_rows = set()
+    for t in range(20):
+        v = rng.uniform(0.0, 0.5, size=(len(maps), m))  # gentle: inside the limit
+        v[1::2] = 0.0
+        v[1::2, 0] = 10.0  # every other row holds one muscle saturated and hits it
+        advance(rows, v)
+        for b, sm in enumerate(maps):
+            alone[b] = advance_one(sm, alone[b], v[b])
+            got = row_state(rows, b)
+            for a, w in ((got.angles, alone[b].angles), (got.rates, alone[b].rates),
+                         (got.temps, alone[b].temps)):
+                assert _same_bytes(a, w)
+            if np.any(np.abs(alone[b].angles) == 3.0):
+                clamped_rows.add(b)
+    assert clamped_rows and clamped_rows != set(range(len(maps)))
+    shared = PlantRows([maps[0]] * 3)
+    assert shared.stack is maps[0].stack  # one map for every row: no stacked copy
+
+
+def test_voltage_check_refuses_the_whole_batch_before_any_row_moves():
+    sm = StepMap(wrist_config(), 0.01, 50)
+    rows = PlantRows([sm, sm])
+    before = rows.z.copy()
+    with pytest.raises(ValueError):
+        advance(rows, [[1.0, 2.0, 3.0], [1.0, np.nan, 3.0]])
+    assert rows.z.tobytes() == before.tobytes()
+
+
+def test_with_muscles_swaps_the_muscles_only():
+    # the randomized reset's copy: every other field is the validated one
+    cfg = wrist_config()
+    muscles = sample_muscle_set(cfg.muscles, RandomizationSpec(), SeededRng(6))
+    new = cfg.with_muscles(muscles)
+    assert new.muscles == muscles and cfg.muscles != muscles
+    assert new.routing is cfg.routing
+    assert (new.name, new.J, new.d, new.kappa, new.r, new.angle_limit) == (
+        cfg.name, cfg.J, cfg.d, cfg.kappa, cfg.r, cfg.angle_limit)
+    with pytest.raises(ValueError):
+        cfg.with_muscles(muscles[:2])

@@ -11,6 +11,7 @@ from musclerl.randomize import (
     RandomizationSpec,
     SeededRng,
     apply_observation_noise,
+    draw_observation_noise,
     sample_muscle_set,
 )
 
@@ -75,35 +76,63 @@ def test_split_streams_are_independent():
 
 
 def test_zero_noise_returns_observation_unchanged():
-    obs = np.array([1.0, -2.0, 3.0, 0.5, 7.0, -7.0])
+    # no channel draws, and a -0.0 component keeps its sign: nothing is added
+    obs = np.array([[1.0, -0.0, 3.0, 0.5, 7.0, -7.0]])
     rngs = [SeededRng(0).split(str(i)) for i in range(4)]
-    out = apply_observation_noise(obs, NO_RANDOMIZATION, rngs)
-    assert np.array_equal(out, obs)
+    before = repr([r.get_state() for r in rngs])
+    channels, noise = draw_observation_noise(NO_RANDOMIZATION, rngs, 5)
+    assert channels == [] and noise.shape == (5, 0)
+    assert repr([r.get_state() for r in rngs]) == before
+    out = obs.copy()
+    apply_observation_noise(out, channels, noise[None, 0])
+    assert out.tobytes() == obs.tobytes()
 
 
 def test_noise_touches_only_motion_components():
     spec = RandomizationSpec()
     rngs = [SeededRng(1).split(str(i)) for i in range(4)]
-    obs = np.array([0.0, 0.0, 0.0, 0.0, 4.5, -3.25])
-    for _ in range(50):
-        out = apply_observation_noise(obs, spec, rngs)
-        assert out[4] == 4.5 and out[5] == -3.25
-        assert not np.array_equal(out[:4], obs[:4])
+    obs = np.array([[0.0, 0.0, 0.0, 0.0, 4.5, -3.25]])
+    channels, noise = draw_observation_noise(spec, rngs, 50)
+    assert channels == [0, 1, 2, 3]
+    for step in noise:
+        out = obs.copy()
+        apply_observation_noise(out, channels, step[None])
+        assert out[0, 4] == 4.5 and out[0, 5] == -3.25
+        assert not np.array_equal(out[0, :4], obs[0, :4])
+    with pytest.raises(ValueError):
+        apply_observation_noise(np.array([[0.0, np.nan, 0.0, 0.0, 0.0, 0.0]]), channels,
+                                noise[None, 0])
 
 
 def test_noise_empirical_sd_and_independence():
     spec = RandomizationSpec()
     rngs = [SeededRng(2).split(str(i)) for i in range(4)]
-    obs = np.zeros(6)
     n = 100_000
-    angle_noise = np.empty(n)
-    for i in range(n):
-        angle_noise[i] = apply_observation_noise(obs, spec, rngs)[0]
+    _, noise = draw_observation_noise(spec, rngs, n)
+    angle_noise = noise[:, 0]
     sd = angle_noise.std()
     assert 0.097 <= sd <= 0.103
     x = angle_noise - angle_noise.mean()
     lag1 = float(np.dot(x[:-1], x[1:]) / np.dot(x, x))
     assert abs(lag1) < 0.02
+
+
+@pytest.mark.parametrize("spec", [RandomizationSpec(), RandomizationSpec(angle_noise_sd=0.0),
+                                  RandomizationSpec(variance_multiplier=2.5)])
+def test_episode_noise_draw_matches_per_step_scalar_draws(spec):
+    # one size-(T+1) call per channel gives the values and the stream state
+    # of one scalar draw per step, channel by channel
+    rngs = [SeededRng(4).split(f"obs-noise/{i}") for i in range(4)]
+    oracle = [SeededRng(4).split(f"obs-noise/{i}") for i in range(4)]
+    angle_sd, vel_sd = spec.effective_noise_sds()
+    sds = (angle_sd, vel_sd, angle_sd, vel_sd)
+    for _ in range(3):  # successive episodes continue the streams
+        channels, noise = draw_observation_noise(spec, rngs, 41)
+        assert channels == [i for i in range(4) if sds[i] > 0.0]
+        want = np.array([[float(oracle[i].gen.normal(0.0, sds[i])) for i in channels]
+                         for _ in range(41)]).reshape(41, len(channels))
+        assert noise.tobytes() == want.tobytes()
+        assert repr([r.get_state() for r in rngs]) == repr([r.get_state() for r in oracle])
 
 
 def test_variance_multiplier_scales_intervals_and_noise():
