@@ -11,10 +11,13 @@ are episode constants, so both states of every transition shift together):
 A relabel is therefore just its target and its rewards: the replay buffer
 stores it as those two rows beside its base episode (hindsight relabelling,
 as in HER) and builds the relabelled observations only when it is sampled.
+The episodes of one lockstep call are relabelled together: one draw gives
+every relabel's sign and Z, and one reward() call scores them all.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,19 +40,24 @@ class AugmentationSpec:
             raise ValueError("n_copies and delta must be nonnegative")
 
 
-def augment_trajectory(traj: Trajectory, spec: AugmentationSpec, reward_spec: RewardSpec,
-                       rng: SeededRng) -> tuple[np.ndarray, np.ndarray]:
-    """n_copies relabels of traj: targets (K, 2) and their rewards (K, T).
+def augment_trajectory(trajs: Sequence[Trajectory], spec: AugmentationSpec,
+                       reward_spec: RewardSpec, rng: SeededRng) -> tuple[np.ndarray, np.ndarray]:
+    """n_copies relabels of each of the B episodes trajs: targets (B, K, 2), rewards (B, K, T).
 
-    Every relabel draws its sign, then its Z, in turn; all rewards then
-    come from one reward() call. delta = 0 reproduces the original.
+    The episodes share their length. One uniform(0, 1) draw of (B, K,
+    1 + dim) gives every relabel's sign (column 0 below 0.5 is +1, as
+    SeededRng.sign draws it) and then its Z, episode after episode, which
+    are the values and stream state of a sign() and a size-dim uniform call
+    per relabel in turn; n_copies = 0 draws nothing. One reward() call then
+    scores all B x K relabels. delta = 0 reproduces the originals.
     """
-    dim = traj.target.shape[0]
-    signs, z = np.empty((spec.n_copies, 1)), np.empty((spec.n_copies, dim))
-    for k in range(spec.n_copies):
-        signs[k] = rng.sign()
-        z[k] = rng.uniform(0.0, 1.0, size=dim)
+    base = np.stack([traj.target for traj in trajs])[:, None, :]
+    B, K, dim = len(trajs), spec.n_copies, base.shape[-1]
+    u = rng.uniform(0.0, 1.0, size=(B, K, 1 + dim)) if K else np.empty((B, 0, 1 + dim))
+    signs = np.where(u[:, :, :1] < 0.5, 1.0, -1.0)
     tr = spec.target_range
-    targets = np.clip(traj.target + signs * spec.delta * z, -tr, tr)
-    rewards = reward(reward_spec, traj.outputs[:-1], targets[:, None, :], traj.actions)
+    targets = np.clip(base + signs * spec.delta * u[:, :, 1:], -tr, tr)
+    outputs = np.stack([traj.outputs[:-1] for traj in trajs])[:, None]
+    actions = np.stack([traj.actions for traj in trajs])[:, None]
+    rewards = reward(reward_spec, outputs, targets[:, :, None, :], actions)
     return targets, rewards

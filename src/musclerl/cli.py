@@ -58,11 +58,12 @@ def _config_overrides(args) -> dict:
 
 
 def _opened(load, path):
-    """load(path), or None after printing why the checkpoint or config is unusable.
+    """load(path), or None after printing why the checkpoint, config or duration is unusable.
 
     A missing, truncated, corrupt, old-version or other-numerics checkpoint,
-    and a missing or bad config file or value, end the command with one line
-    on stderr instead of a traceback.
+    a missing or bad config file or value, and a field-test duration with no
+    whole action step end the command with one line on stderr instead of a
+    traceback.
     """
     try:
         return load(path)
@@ -126,7 +127,9 @@ def cmd_eval_field(args) -> int:
     if cfg is not None:
         provenance = (f"musclerl field test controller=policy preset={preset} "
                       f"config_sha256={cfg.config_hash()} seed={cfg.seed}")
-    spec = field_spec_for(preset, args.duration or None)
+    spec = _opened(lambda d: field_spec_for(preset, d), args.duration)
+    if spec is None:
+        return 2
     rows = run_field_test(preset, controller, spec, plant=plant)
     s = summarize(rows)
     if args.out:
@@ -144,7 +147,10 @@ def cmd_episode(args) -> int:
         return 2
     preset, controller, cfg = resolved
     plant = None if cfg is None else cfg.plant_config()
-    spec = field_spec_for(preset, args.duration or PRESETS[preset].steps * ACTION_PERIOD)
+    duration = PRESETS[preset].steps * ACTION_PERIOD if args.duration is None else args.duration
+    spec = _opened(lambda d: field_spec_for(preset, d), duration)
+    if spec is None:
+        return 2
     env = make_eval_env(preset, spec, plant)
     target = (args.target1, args.target2)
     _, outputs, actions, rewards = (r[0] for r in run_episode(env, controller, [target]))

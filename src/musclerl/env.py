@@ -155,11 +155,14 @@ def reward(spec: RewardSpec, y, y_star, a):
 class TrackingEnv:
     """An environment of lockstep rows, each one episode of a named plant preset.
 
-    reset(n) starts n episodes and draws them in episode order, as n resets
-    in turn would: per row the muscle parameters, which stay fixed for the
-    episode (with a new plant StepMap, unless the muscles equal the
-    previous row's, as without randomization), the target, and the
-    episode's observation noise. step() then advances every row by one
+    reset(n) starts n episodes with one draw per stream for all of them:
+    the rows' muscle parameters, which stay fixed for the episode, their
+    targets, and each observation-noise channel for all their steps. Each
+    draw gives the values, in episode order, and leaves the stream state
+    of n resets in turn. The rows' muscles get one plant StepMap of n
+    rows, built in one pass; when every row has the same muscles (no
+    randomization) the rows share a one-row map, kept across resets while
+    the muscles stay the same. step() then advances every row by one
     action with one plant product (plant.advance). All randomness flows
     through named child streams of the seed rng, so trajectories are
     reproducible.
@@ -189,7 +192,6 @@ class TrackingEnv:
         self._params_rng = rng.split("muscle-params")
         self._target_rng = rng.split("target")
         self._noise_rngs = [rng.split(f"obs-noise/{i}") for i in range(4)]
-        self.active = self.nominal
         self.step_map: StepMap | None = None
         self.plant: PlantRows | None = None
         self.target = np.zeros((1, 2))
@@ -205,33 +207,40 @@ class TrackingEnv:
     def reset(self, n: int = 1, targets=None) -> np.ndarray:
         """Start n fresh episodes, one per row; returns their (n, 6) initial observations.
 
-        With targets ((B, 2) poses, deg), the env draws one episode and
-        plays it against each target as a row: the rows share its muscles
-        and noise, the drawn target gives way to theirs, and n is B.
+        Every stream makes one draw for the n rows (see the class
+        docstring). With targets ((B, 2) poses, deg), the env draws one
+        episode and plays it against each target as a row: the rows share
+        its muscles, map and noise, the drawn target gives way to theirs,
+        and n is B.
         """
         tr, steps = self.episode.target_range, self.episode.episode_length + 1
         draws = n if targets is None else 1
-        maps, drawn, noise = [], np.empty((draws, 2)), []
-        for b in range(draws):
-            muscles = sample_muscle_set(self.nominal.muscles, self.randomization,
-                                        self._params_rng)
-            if self.step_map is None or muscles != self.active.muscles:
-                self.active = self.nominal.with_muscles(muscles)
-                self.step_map = StepMap(self.active, PHYSICS_DT, SUBSTEPS)
-            maps.append(self.step_map)
-            drawn[b] = self._target_rng.uniform(-tr, tr, size=2)
-            self._channels, row_noise = draw_observation_noise(self.randomization,
-                                                               self._noise_rngs, steps)
-            noise.append(row_noise)
+        m = self.nominal.n_muscles
+        muscles = sample_muscle_set(self.nominal.muscles, self.randomization,
+                                    self._params_rng, draws)
+        first = muscles[:m]
+        if muscles != first * draws:
+            self.step_map = StepMap(self.nominal, PHYSICS_DT, SUBSTEPS, muscles)
+        elif self.step_map is None or self.step_map.muscles != first:
+            self.step_map = StepMap(self.nominal, PHYSICS_DT, SUBSTEPS, first)
+        drawn = self._target_rng.uniform(-tr, tr, size=(draws, 2))
+        self._channels, self._noise = draw_observation_noise(self.randomization,
+                                                             self._noise_rngs, steps, draws)
         if targets is not None:
             drawn = np.array(targets, dtype=np.float64).reshape(-1, 2)
-            maps, noise = maps * len(drawn), noise * len(drawn)
-        self.plant = PlantRows(maps)
+            self._noise = np.repeat(self._noise, len(drawn), axis=1)
+        self.plant = PlantRows(self.step_map, len(drawn))
         self.target = drawn
-        self._noise = np.stack(noise, axis=1)  # (T+1, n, channels)
         self.steps_taken = 0
         self._done = False
         return self._observe()
+
+    @property
+    def active(self) -> PlantConfig:
+        """The plant of the last row reset (the nominal one before any reset)."""
+        if self.step_map is None:
+            return self.nominal
+        return self.nominal.with_muscles(self.step_map.muscles[-self.nominal.n_muscles:])
 
     def true_output(self) -> np.ndarray:
         """Noiseless [angle1, rate1, angle2, rate2] of every row's current state, (n, 4)."""

@@ -20,6 +20,7 @@ duration is the preset's (env.PRESETS):
 from __future__ import annotations
 
 import functools
+import math
 import os
 from dataclasses import dataclass
 
@@ -35,7 +36,11 @@ from .sac import SacAgent
 
 @dataclass(frozen=True)
 class FieldTestSpec:
-    """Grid extent/spacing (deg) and per-target timing (s)."""
+    """Grid extent/spacing (deg) and per-target timing (s).
+
+    The episode and its settle window must each round to at least one
+    action step (env.ACTION_PERIOD).
+    """
 
     extent: float = 10.0
     spacing: float = 2.5
@@ -46,7 +51,11 @@ class FieldTestSpec:
         n = self.extent / self.spacing
         if abs(n - round(n)) > 1e-9:
             raise ValueError("spacing must divide extent")
-        if not (0 < self.settle <= self.duration):
+        for name, span in (("duration", self.duration), ("settle window", self.settle)):
+            if not (math.isfinite(span) and round(span / ACTION_PERIOD) >= 1):
+                raise ValueError(f"field test {name} must round to at least one "
+                                 f"{ACTION_PERIOD:g} s action step, got {span:g} s")
+        if not self.settle <= self.duration:
             raise ValueError("settle window must fit in the episode")
 
     @property

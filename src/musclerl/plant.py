@@ -19,15 +19,16 @@ rate units are degrees, in the integration state too; G acts on radians.
 Integration is explicit RK4 with the voltages held over an action step.
 The dynamics are then linear, so StepMap, built once per muscle draw,
 holds the substep matrix and its powers: one product gives every substep's
-angles and the end state. PlantRows holds B plants that step in lockstep,
-their states in one (B, n) array, and advance() steps all of them with
-one np.matmul, which makes per row the gemv that the map's stack @ z
-makes. A row whose substep angle passes the travel limit falls back to
-its substeps one at a time with the clamp after each; otherwise that clamp
-never fires and both agree. StepMap is built at every randomized reset, so
-it builds its small arrays from Python floats rather than through numpy's
-function wrappers; every value is the one the array forms give, and
-tests/test_plant.py checks the bytes against those forms.
+angles and the end state. A randomized reset of n episodes builds one
+StepMap of n rows, every row's matrices in one batched pass whose every
+value is the one a single plant's build gives (tests/reference.py keeps
+that build, and tests/test_plant.py compares the bytes row by row).
+PlantRows holds B plants that step in lockstep, their states in one
+(B, n) array, and advance() steps all of them with one np.matmul, which
+makes per row the gemv that the row's stack @ z makes. A row whose
+substep angle passes the travel limit falls back to its substeps one at
+a time with the clamp after each; otherwise that clamp never fires and
+both agree.
 """
 
 from __future__ import annotations
@@ -151,7 +152,7 @@ def configured_plant(
 
 
 class StepMap:
-    """The action step of one plant with its muscles fixed, as matrices.
+    """The action step of plants of one geometry, each with its muscles fixed, as matrices.
 
     Between two actions the dynamics are linear and time-invariant on the
     augmented state
@@ -165,57 +166,58 @@ class StepMap:
     every substep's angles and the end state. Temperatures enter as rises
     above ambient, which makes the rest state map to itself exactly.
 
-    A new map is built at every randomized reset. The powers are written
-    by np.dot(M, M^(s-1), out=...) into one (S, n, n) buffer and the
-    stack filled from it by two slice copies; hA is formed once. `t_amb`
-    and `rc` = R C_th (lists of Python floats) serve PlantRows.
+    One map holds `rows` plants: cfg's geometry with muscles, a flat
+    sequence of rows muscle sets back to back (cfg's own set, one row, by
+    default). One build serves every row: A is a (rows, n, n) array whose
+    every entry is computed as the block form
+      A[2:4, 0:2] = -(kappa I + G^T diag(k) G) / J   (d and b for 2:4)
+      A[2:4, 4:4+m] = G^T diag(c) / (J DEG),  A[2:4, n-2:] = I / (J DEG)
+      A[4:4+m, 4:4+m] = diag(-lambda / C_th),  A[4:4+m, 4+m:4+2m] = I
+    computes it, M comes from batched products, and each power M^s is one
+    np.matmul(M, M^(s-1)) for every row, written into one (S, rows, n, n)
+    buffer: per row the cblas_dgemm that np.dot of the two matrices makes.
+    The (rows, 2S+n, n) stack is filled from that buffer by two slice
+    copies. `one` is (rows, n, n); `t_amb` and `rc` = R C_th are the rows'
+    (rows, m) arrays, which PlantRows reads; `muscles` is the flat tuple
+    the map was built from.
     """
 
-    def __init__(self, cfg: PlantConfig, dt: float, substeps: int):
+    def __init__(self, cfg: PlantConfig, dt: float, substeps: int, muscles=None):
         if not (dt > 0.0 and substeps >= 1):
             raise ValueError("require dt > 0 and substeps >= 1")
-        self.cfg = cfg
-        self.substeps = substeps
+        muscles = cfg.muscles if muscles is None else tuple(muscles)
         m, n, J = cfg.n_muscles, 2 * cfg.n_muscles + 6, cfg.J
-        k, b, c, lam, cth, res, tamb = zip(
-            *[(p.k, p.b, p.c, p.lambda_, p.C_th, p.R, p.T_amb) for p in cfg.muscles])
-        self.t_amb = [float(t) for t in tamb]
-        self.rc = [r * ct for r, ct in zip(res, cth)]
-        # A as nested Python floats (rows: angles, rates, temperature rises;
-        # q and e are held), each entry computed as the block form
-        #   A[2:4, 0:2] = -(kappa I + G^T diag(k) G) / J   (d and b for 2:4)
-        #   A[2:4, 4:4+m] = G^T diag(c) / (J DEG),  A[2:4, n-2:] = I / (J DEG)
-        #   A[4:4+m, 4:4+m] = diag(-lambda / C_th),  A[4:4+m, 4+m:4+2m] = I
-        # computes it; only the two G^T diag(.) G products run in numpy.
-        g = cfg.routing
-        gkg, gbg = ((g.T @ (np.array(w)[:, None] * g)).tolist() for w in (k, b))
-        gt = g.T.tolist()
-        a = [[0.0] * n for _ in range(n)]
-        a[0][2] = a[1][3] = 1.0
-        for r, eye in ((0, (1.0, 0.0)), (1, (0.0, 1.0))):
-            row = a[2 + r]
-            for s in (0, 1):
-                row[s] = -(cfg.kappa * eye[s] + gkg[r][s]) / J
-                row[2 + s] = -(cfg.d * eye[s] + gbg[r][s]) / J
-            for i in range(m):
-                row[4 + i] = gt[r][i] * c[i] / (J * DEG)
-            row[n - 2 + r] = 1.0 / (J * DEG)
-        for i in range(m):
-            a[4 + i][4 + i] = -lam[i] / cth[i]
-            a[4 + i][4 + m + i] = 1.0
-        ha = dt * np.array(a)
+        rows, extra = divmod(len(muscles), m)
+        if extra or not rows:
+            raise ValueError(f"expected whole sets of {m} muscles, got {len(muscles)}")
+        self.cfg, self.substeps, self.rows, self.muscles = cfg, substeps, rows, muscles
+        k, b, c, lam, cth, res, self.t_amb = np.array(list(zip(
+            *[(p.k, p.b, p.c, p.lambda_, p.C_th, p.R, p.T_amb) for p in muscles]
+        ))).reshape(7, rows, m)
+        self.rc = res * cth
+        g, eye, idx = cfg.routing, np.eye(2), np.arange(4, 4 + m)
+        a = np.zeros((rows, n, n))
+        a[:, 0, 2] = a[:, 1, 3] = 1.0
+        a[:, 2:4, 0:2] = -(cfg.kappa * eye + g.T @ (k[:, :, None] * g)) / J
+        a[:, 2:4, 2:4] = -(cfg.d * eye + g.T @ (b[:, :, None] * g)) / J
+        a[:, 2:4, 4:4 + m] = g.T * c[:, None, :] / (J * DEG)
+        a[:, 2:4, n - 2:] = eye / (J * DEG)
+        a[:, idx, idx] = -lam / cth
+        a[:, idx, idx + m] = 1.0
+        ha = dt * a
         one = term = np.eye(n)
         for j in (1, 2, 3, 4):
             term = term @ ha / j
             one = one + term
-        powers = np.empty((substeps, n, n))
+        powers = np.empty((substeps, rows, n, n))
         powers[0] = one
         for prev, cur in zip(powers, powers[1:]):
-            np.dot(one, prev, out=cur)  # matmul's cblas_dgemm call, less call overhead
+            np.matmul(one, prev, cur)
         self.one = one
-        self.stack = np.empty((2 * substeps + n, n))
-        self.stack[:2 * substeps].reshape(substeps, 2, n)[...] = powers[:, :2]
-        self.stack[2 * substeps:] = powers[-1]
+        self.stack = np.empty((rows, 2 * substeps + n, n))
+        self.stack[:, :2 * substeps].reshape(rows, substeps, 2, n)[...] = (
+            powers[:, :, :2].transpose(1, 0, 2, 3))
+        self.stack[:, 2 * substeps:] = powers[-1]
 
 
 # the noiseless output [angle1, rate1, angle2, rate2] in z's columns
@@ -223,7 +225,7 @@ OUTPUT_COLUMNS = [0, 2, 1, 3]
 
 
 class PlantRows:
-    """B plants stepped in lockstep: each row's StepMap and its state.
+    """B plants stepped in lockstep: their StepMap and their states.
 
     z (B, n) holds every row's augmented state in StepMap's layout, except
     that the temperatures are absolute (degC):
@@ -232,23 +234,20 @@ class PlantRows:
 
     The q and e columns are advance()'s inputs, written at every step. The
     rows start at rest: zero angles and rates, every muscle at its ambient
-    temperature. The maps share one substep count and muscle count. When
-    every row has the same map (the field test) the product runs on its
-    (2S+n, n) stack; otherwise on the rows' stacks, copied into one
-    (B, 2S+n, n) array here.
+    temperature. The map holds a plant per row, or one plant that every
+    row shares (the field test, or no randomization); either way the
+    product runs on the map's own stack, with no copy.
     """
 
-    def __init__(self, maps: list[StepMap]):
-        first = maps[0]
-        self.maps = maps
-        self.m = m = first.cfg.n_muscles
-        self.substeps = first.substeps
-        shared = all(sm is first for sm in maps)
-        self.stack = first.stack if shared else np.stack([sm.stack for sm in maps])
-        self.tamb = np.array([sm.t_amb for sm in maps], dtype=np.float64)
-        self.rc = np.array([sm.rc for sm in maps], dtype=np.float64)
-        self.limit = np.array([sm.cfg.angle_limit for sm in maps])
-        self.z = np.zeros((len(maps), 2 * m + 6))
+    def __init__(self, sm: StepMap, n: int | None = None):
+        n = sm.rows if n is None else n
+        if sm.rows not in (1, n):
+            raise ValueError(f"a map of {sm.rows} rows cannot step {n} rows")
+        self.m = m = sm.cfg.n_muscles
+        self.substeps = sm.substeps
+        self.one, self.stack, self.tamb, self.rc = sm.one, sm.stack, sm.t_amb, sm.rc
+        self.limit = sm.cfg.angle_limit
+        self.z = np.zeros((n, 2 * m + 6))
         self.z[:, 4:4 + m] = self.tamb
 
     def outputs(self) -> np.ndarray:
@@ -256,15 +255,15 @@ class PlantRows:
         return self.z[:, OUTPUT_COLUMNS]
 
 
-def _clamped_substeps(sm: StepMap, z: np.ndarray) -> np.ndarray:
+def _clamped_substeps(one: np.ndarray, z: np.ndarray, lim: float, substeps: int) -> np.ndarray:
     """One row's action step a substep at a time, clamping the angles after each.
 
-    z is the row's augmented state with temperature rises; an angle past
-    the travel limit is set to it and its outward rate zeroed.
+    one is the row's substep matrix and z its augmented state with
+    temperature rises; an angle past the travel limit lim is set to it and
+    its outward rate zeroed.
     """
-    lim = sm.cfg.angle_limit
-    for _ in range(sm.substeps):
-        z = sm.one @ z
+    for _ in range(substeps):
+        z = one @ z
         for j in (0, 1):
             if abs(z[j]) > lim:
                 z[j] = math.copysign(lim, z[j])
@@ -301,6 +300,7 @@ def advance(rows: PlantRows, voltages, external_torque=None) -> None:
     within = np.abs(out[:, :n_ang]).max(axis=1) <= rows.limit
     if not within.all():
         for b in np.flatnonzero(~within).tolist():
-            out[b, n_ang:] = _clamped_substeps(rows.maps[b], z[b])
+            one = rows.one[b if len(rows.one) > 1 else 0]
+            out[b, n_ang:] = _clamped_substeps(one, z[b], rows.limit, rows.substeps)
     z[:] = out[:, n_ang:]
     np.add(temps, rows.tamb, out=temps)

@@ -3,9 +3,11 @@
 Each of the six muscle constants {k, b, c, C_th, lambda_, R} is scaled by an
 independent uniform factor drawn once per episode; resting length and ambient
 temperature are never touched. Observation noise is zero-mean Gaussian, added
-independently per step to the measured angles and angular velocities only;
-an episode draws all of its noise at reset, one call per channel, which
-gives the draws a call per step would give.
+independently per step to the measured angles and angular velocities only.
+A reset of n episodes makes one draw per stream for all of them, one
+factor draw for all their muscles and one call per noise channel for all
+their steps, which gives the values and stream states that n resets, each
+with one draw per factor or per step, would give.
 """
 
 from __future__ import annotations
@@ -135,34 +137,37 @@ def _scaled(p: MuscleParams, row: list[float]) -> MuscleParams:
 
 
 def sample_muscle_set(
-    nominals: tuple[MuscleParams, ...], spec: RandomizationSpec, rng: SeededRng
+    nominals: tuple[MuscleParams, ...], spec: RandomizationSpec, rng: SeededRng, rows: int = 1
 ) -> tuple[MuscleParams, ...]:
-    """Sample all muscles of one robot for one episode.
+    """Sample all muscles of one robot for each of rows episodes, back to back.
 
-    By default each muscle draws its own factors; with shared_across_muscles
-    a single factor set scales every muscle.
+    Returns rows * len(nominals) muscles, episode after episode. By default
+    each muscle draws its own factors; with shared_across_muscles a single
+    factor set scales every muscle of an episode. One _draw_factors call
+    draws every episode's factors, which gives the values and leaves the
+    stream state of one call per episode in turn.
     """
     if spec.shared_across_muscles:
-        row = _draw_factors(spec, rng, 1)[0]
-        return tuple(_scaled(p, row) for p in nominals)
-    return tuple(map(_scaled, nominals, _draw_factors(spec, rng, len(nominals))))
+        return tuple(_scaled(p, row) for row in _draw_factors(spec, rng, rows) for p in nominals)
+    return tuple(map(_scaled, nominals * rows, _draw_factors(spec, rng, rows * len(nominals))))
 
 
 def draw_observation_noise(
-    spec: RandomizationSpec, channel_rngs: list[SeededRng], steps: int
+    spec: RandomizationSpec, channel_rngs: list[SeededRng], steps: int, rows: int = 1
 ) -> tuple[list[int], np.ndarray]:
-    """One episode's observation noise: the noisy channels and their (steps, k) draws.
+    """rows episodes' observation noise: the noisy channels and their (steps, rows, k) draws.
 
     The channels are the indices, in [angle1, rate1, angle2, rate2], whose
     SD is positive; a channel with SD 0 draws nothing. Each channel's stream
-    draws the episode's steps values in one call, which gives the values
-    and leaves the stream state of that many scalar draws in turn.
+    draws every episode's steps values in one call, episode after episode,
+    which gives the values and leaves the stream state of that many scalar
+    draws in turn.
     """
     angle_sd, vel_sd = spec.effective_noise_sds()
     sds = [(i, sd) for i, sd in enumerate((angle_sd, vel_sd, angle_sd, vel_sd)) if sd > 0.0]
-    noise = np.empty((steps, len(sds)))
+    noise = np.empty((steps, rows, len(sds)))
     for k, (i, sd) in enumerate(sds):
-        noise[:, k] = channel_rngs[i].gen.normal(0.0, sd, size=steps)
+        noise[:, :, k] = channel_rngs[i].gen.normal(0.0, sd, size=(rows, steps)).T
     return [i for i, _ in sds], noise
 
 

@@ -4,9 +4,10 @@ Phase one rolls out the PID controller (or uniform-random actions when the
 bootstrap is disabled) for the first M episodes, storing each trajectory
 with its target relabels; no gradient steps happen here. The PID episodes
 run in lockstep, up to DEMONSTRATION_ROWS at a time as the rows of the
-training env, and are then stored and logged in episode order, which gives
-every random stream, buffer slot and log row that one episode at a time
-gives. The uniform warm-up and the policy run one episode per call, since
+training env, whose reset makes one draw per stream for all of them; their
+relabels are drawn and scored in one pass per call, and the episodes are
+then stored and logged in episode order, which gives every random stream,
+buffer slot and log row that one episode at a time gives. The uniform warm-up and the policy run one episode per call, since
 their per-step draws would interleave across rows. Phase two rolls
 out the current policy, augments, stores, and runs k gradient updates per
 episode. Muscle dynamics resample every reset.
@@ -35,14 +36,15 @@ from .pid import PidActionPolicy, gains_for
 from .randomize import NO_RANDOMIZATION, RandomizationSpec, SeededRng
 from .sac import ReplayBuffer, SacAgent, Trajectory
 
-# PID demonstration episodes per lockstep call. Each row holds its plant
-# StepMap and a copy of its stack while a call runs, so the rows per call
-# set the phase's transient memory: for the stock wrist phase (500
-# episodes, width 64) peak RSS rose by 0.9 MB at 25 rows, 2.3 MB at 50 and
-# 12 MB with all 500 in one call, over one row at a time. Beyond about 25
-# rows the per-step Python a call shares is already small: the phase took
-# 0.21 s of CPU at 25 rows, 0.19 s at 50 and 1.4 s one row at a time (one
-# BLAS thread on a 2-vCPU VM).
+# PID demonstration episodes per lockstep call. A call's reset builds one
+# plant StepMap for all its rows, through a buffer of every row's 50
+# substep powers (57.6 kB a row), so the rows per call set the phase's
+# transient memory: for the stock wrist phase (500 episodes, width 64)
+# peak RSS rose by 2.2 MB at 25 rows, 3.8 MB at 50 and 10.6 MB at 100,
+# over one row at a time. The phase took 0.11-0.20 s of CPU at 25 rows,
+# 0.09-0.14 s at 50, 0.07-0.12 s at 100 and 1.4-2.5 s one row at a time
+# (four runs each, one BLAS thread on a shared 2-vCPU VM); the phase is
+# under 0.1 % of a training run, so memory decides.
 DEMONSTRATION_ROWS = 25
 
 
@@ -169,12 +171,15 @@ class Trainer:
         return [Trajectory(*row, controller=kind)
                 for row in zip(obs, outputs, actions, rewards)]
 
-    def store_with_augmentation(self, traj: Trajectory) -> int:
-        """Push the rollout with its relabels; returns the number of slots filled."""
-        targets, rewards = augment_trajectory(traj, self.aug_spec, self.env.reward_spec,
+    def store_with_augmentation(self, *trajs: Trajectory) -> None:
+        """Push the episodes in order, each followed by its relabels.
+
+        One augment_trajectory call draws and scores every episode's relabels.
+        """
+        targets, rewards = augment_trajectory(trajs, self.aug_spec, self.env.reward_spec,
                                               self.augment_rng)
-        self.buffer.push(traj, targets, rewards)
-        return 1 + len(targets)
+        for traj, t, r in zip(trajs, targets, rewards):
+            self.buffer.push(traj, t, r)
 
     def bootstrap_phase(self, log: "CsvLog | None" = None, stop: int | None = None) -> None:
         """Demonstration episodes 1..M (or up to stop); fills the buffer, no gradient steps.
@@ -188,8 +193,9 @@ class Trainer:
         controller = "random" if cfg.no_bootstrap else "pid"
         rows = 1 if cfg.no_bootstrap else DEMONSTRATION_ROWS
         while self.episode_idx < stop:
-            for traj in self.rollout(controller, min(rows, stop - self.episode_idx)):
-                self.store_with_augmentation(traj)
+            trajs = self.rollout(controller, min(rows, stop - self.episode_idx))
+            self.store_with_augmentation(*trajs)
+            for traj in trajs:
                 self.episode_idx += 1
                 if log is not None:
                     avg = float(traj.rewards.mean())

@@ -3,6 +3,8 @@
 forward and backward run one float64 net through the stacked kernel at
 S = 1, the exact reference for the gradient checks. steady_state_rise and
 thermal_time_constant are the closed forms of one muscle's thermal law.
+step_map_row builds one plant's RK4 step map a row at a time, from
+Python floats: the byte reference for plant.StepMap's batched build.
 """
 
 import numpy as np
@@ -16,6 +18,7 @@ from musclerl.nets import (
     forward_stacked,
     grads_to_flat,
 )
+from musclerl.plant import DEG, PlantConfig
 
 
 def forward(net: GruNet, x: np.ndarray, h0: np.ndarray | None = None):
@@ -56,3 +59,48 @@ def steady_state_rise(p: MuscleParams, V: float) -> float:
 def thermal_time_constant(p: MuscleParams) -> float:
     """Cooling time constant C_th / lambda_, s."""
     return p.C_th / p.lambda_
+
+
+def step_map_row(cfg: PlantConfig, dt: float, substeps: int) -> tuple[np.ndarray, np.ndarray]:
+    """(one (n, n), stack (2S+n, n)) of one plant with cfg's muscles, built alone.
+
+    A is built as nested Python floats (rows: angles, rates, temperature
+    rises; q and e are held), each entry computed as the block form
+      A[2:4, 0:2] = -(kappa I + G^T diag(k) G) / J   (d and b for 2:4)
+      A[2:4, 4:4+m] = G^T diag(c) / (J DEG),  A[2:4, n-2:] = I / (J DEG)
+      A[4:4+m, 4:4+m] = diag(-lambda / C_th),  A[4:4+m, 4+m:4+2m] = I
+    computes it; only the two G^T diag(.) G products run in numpy. The
+    powers are written by np.dot(M, M^(s-1), out=...) into one (S, n, n)
+    buffer and the stack filled from it by two slice copies.
+    """
+    m, n, J = cfg.n_muscles, 2 * cfg.n_muscles + 6, cfg.J
+    k, b, c, lam, cth = zip(*[(p.k, p.b, p.c, p.lambda_, p.C_th) for p in cfg.muscles])
+    g = cfg.routing
+    gkg, gbg = ((g.T @ (np.array(w)[:, None] * g)).tolist() for w in (k, b))
+    gt = g.T.tolist()
+    a = [[0.0] * n for _ in range(n)]
+    a[0][2] = a[1][3] = 1.0
+    for r, eye in ((0, (1.0, 0.0)), (1, (0.0, 1.0))):
+        row = a[2 + r]
+        for s in (0, 1):
+            row[s] = -(cfg.kappa * eye[s] + gkg[r][s]) / J
+            row[2 + s] = -(cfg.d * eye[s] + gbg[r][s]) / J
+        for i in range(m):
+            row[4 + i] = gt[r][i] * c[i] / (J * DEG)
+        row[n - 2 + r] = 1.0 / (J * DEG)
+    for i in range(m):
+        a[4 + i][4 + i] = -lam[i] / cth[i]
+        a[4 + i][4 + m + i] = 1.0
+    ha = dt * np.array(a)
+    one = term = np.eye(n)
+    for j in (1, 2, 3, 4):
+        term = term @ ha / j
+        one = one + term
+    powers = np.empty((substeps, n, n))
+    powers[0] = one
+    for prev, cur in zip(powers, powers[1:]):
+        np.dot(one, prev, out=cur)
+    stack = np.empty((2 * substeps + n, n))
+    stack[:2 * substeps].reshape(substeps, 2, n)[...] = powers[:, :2]
+    stack[2 * substeps:] = powers[-1]
+    return one, stack

@@ -86,7 +86,7 @@ def test_criterion_1_thermal_steady_state():
     t0 = time.perf_counter()
     cfg = eye_config()
     p = cfg.muscles[0]
-    plant = PlantRows([StepMap(cfg, dt=0.01, substeps=50)])  # one plant, at rest
+    plant = PlantRows(StepMap(cfg, dt=0.01, substeps=50))  # one plant, at rest
     volts = np.array([[10.0, 0.0, 0.0, 0.0]])
     for _ in range(math.ceil(10.0 * thermal_time_constant(p) / 0.5)):
         advance(plant, volts)
@@ -157,7 +157,9 @@ def test_criterion_3_augmentation_oracle():
                             for t in range(T)])
         traj = Trajectory(obs, outputs, actions, rewards)
         buf = ReplayBuffer(capacity=2)
-        buf.push(traj, *augment_trajectory(traj, spec, WRIST_REWARD, aug_rng))
+        (targets,), (relabel_rewards,) = augment_trajectory([traj], spec, WRIST_REWARD,
+                                                            aug_rng)
+        buf.push(traj, targets, relabel_rewards)
         _, copy = buf.snapshot()
         assert np.array_equal(copy.obs[:, :4], traj.obs[:, :4])
         assert np.array_equal(copy.outputs, traj.outputs)

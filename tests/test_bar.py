@@ -12,17 +12,17 @@ from musclerl.trainer import Trainer
 
 
 class StubRng:
-    """Fixed sign and Z draws for exact augmentation arithmetic."""
+    """Fixed sign and Z draws for exact augmentation arithmetic.
+
+    Every relabel's (1 + dim) uniform draw is the sign's (0.25 gives +1,
+    0.75 gives -1) and then Z.
+    """
 
     def __init__(self, sign, z):
-        self._sign = sign
-        self._z = np.asarray(z, dtype=np.float64)
-
-    def sign(self):
-        return self._sign
+        self._row = np.concatenate(([0.25 if sign > 0 else 0.75], z))
 
     def uniform(self, lo=0.0, hi=1.0, size=None):
-        return self._z.copy()
+        return np.broadcast_to(self._row, size).copy()
 
 
 def random_traj(T=8, action_dim=3, seed=0, target=None):
@@ -39,7 +39,7 @@ def random_traj(T=8, action_dim=3, seed=0, target=None):
 
 def augmented_copies(traj, spec, reward_spec, rng):
     """The relabels of traj, as the replay buffer hands them out."""
-    targets, rewards = augment_trajectory(traj, spec, reward_spec, rng)
+    (targets,), (rewards,) = augment_trajectory([traj], spec, reward_spec, rng)
     assert targets.shape == (spec.n_copies, 2)
     assert rewards.shape == (spec.n_copies, traj.length)
     buf = ReplayBuffer(capacity=1 + spec.n_copies)
@@ -267,6 +267,47 @@ def test_single_target_per_trajectory():
     for copy in augmented_copies(traj, AugmentationSpec(n_copies=8), WRIST_REWARD, rng):
         targets = copy.obs[:, 4:6]
         assert np.all(targets == targets[0])
+
+
+def per_copy_relabels(trajs, spec, reward_spec, rng):
+    """The relabels drawn the long way: per episode, each copy's sign(), then its Z.
+
+    Returns (targets (B, K, 2), rewards (B, K, T)), each copy scored alone.
+    """
+    tr, targets, rewards = spec.target_range, [], []
+    for traj in trajs:
+        for _ in range(spec.n_copies):
+            sign = rng.sign()
+            z = rng.uniform(0.0, 1.0, size=2)
+            target = np.clip(traj.target + sign * spec.delta * z, -tr, tr)
+            targets.append(target)
+            rewards.append(reward(reward_spec, traj.outputs[:-1], target, traj.actions))
+    B, K, T = len(trajs), spec.n_copies, trajs[0].length
+    return (np.array(targets).reshape(B, K, 2), np.array(rewards).reshape(B, K, T))
+
+
+@pytest.mark.parametrize("n_copies, delta", [(10, 2.0), (3, 0.0), (1, 7.5), (0, 2.0)])
+@pytest.mark.parametrize("episodes", [1, 5])
+def test_batched_relabels_equal_per_copy_draws(n_copies, delta, episodes):
+    # one uniform draw for all the episodes' relabels gives every sign, Z,
+    # target and reward of one sign() and one Z draw per copy in turn, and
+    # leaves the augment stream where those draws leave it (n_copies = 0
+    # draws nothing)
+    spec = AugmentationSpec(n_copies=n_copies, delta=delta)
+    got_rng, want_rng = SeededRng(17).split("augment"), SeededRng(17).split("augment")
+    untouched = repr(got_rng.get_state())
+    for call in range(3):
+        trajs = [random_traj(T=7, seed=10 * call + b) for b in range(episodes)]
+        trajs[-1].obs[:, 4:6] = (9.5, -9.9)  # near the range edge: the clip engages
+        got = augment_trajectory(trajs, spec, WRIST_REWARD, got_rng)
+        want = per_copy_relabels(trajs, spec, WRIST_REWARD, want_rng)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+        assert repr(got_rng.get_state()) == repr(want_rng.get_state())
+    assert (repr(got_rng.get_state()) == untouched) == (n_copies == 0)
+    if delta == 0.0:  # every relabel keeps its episode's target
+        bases = np.stack([traj.target for traj in trajs])[:, None]
+        assert np.array_equal(got[0], np.broadcast_to(bases, got[0].shape))
 
 
 def test_relabel_keeps_controller():

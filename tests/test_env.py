@@ -13,7 +13,7 @@ from musclerl.env import (
 )
 import musclerl.env
 from musclerl.fieldtest import pid_controller_for
-from musclerl.randomize import SeededRng
+from musclerl.randomize import NO_RANDOMIZATION, RandomizationSpec, SeededRng
 
 
 class ActionSequence:
@@ -238,6 +238,46 @@ def test_reset_target_pair_matches_two_scalar_draws():
         want = np.array([float(oracle.uniform(-tr, tr)), float(oracle.uniform(-tr, tr))])
         assert env.target.dtype == want.dtype and env.target.tobytes() == want.tobytes()
         assert repr(env._target_rng.get_state()) == repr(oracle.get_state())
+
+
+def _stream_states(env):
+    return repr([r.get_state() for r in (env._params_rng, env._target_rng, *env._noise_rngs)])
+
+
+RESET_SPECS = {
+    "default": RandomizationSpec(),
+    "shared": RandomizationSpec(shared_across_muscles=True),
+    "doubled": RandomizationSpec(variance_multiplier=2.0),
+    "none": NO_RANDOMIZATION,
+}
+
+
+@pytest.mark.parametrize("spec", list(RESET_SPECS), ids=list(RESET_SPECS))
+@pytest.mark.parametrize("preset", ["wrist", "eye"])
+def test_reset_of_n_rows_draws_what_n_single_resets_draw(preset, spec):
+    # one draw per stream for n rows: the params, target and each obs-noise
+    # stream end where n reset(1) calls leave them, and every row has the
+    # muscles, step map, target, noise and first observation of its single
+    # reset, byte for byte
+    spec = RESET_SPECS[spec]
+    env = TrackingEnv(preset, SeededRng(12), randomization=spec)
+    serial = TrackingEnv(preset, SeededRng(12), randomization=spec)
+    m = env.nominal.n_muscles
+    for n in (4, 1, 3):
+        obs = env.reset(n)
+        sm = env.step_map
+        for b in range(n):
+            one = serial.reset()
+            row = b if sm.rows > 1 else 0
+            assert sm.muscles[row * m:(row + 1) * m] == serial.step_map.muscles
+            assert sm.one[row].tobytes() == serial.step_map.one[0].tobytes()
+            assert sm.stack[row].tobytes() == serial.step_map.stack[0].tobytes()
+            assert env.target[b].tobytes() == serial.target[0].tobytes()
+            assert env._noise[:, b].tobytes() == serial._noise[:, 0].tobytes()
+            assert obs[b].tobytes() == one[0].tobytes()
+        assert _stream_states(env) == _stream_states(serial)
+        assert env.active.muscles == serial.active.muscles
+    assert (sm.rows == 1) == (spec is NO_RANDOMIZATION)
 
 
 def test_episode_calls_the_traced_plant_names(monkeypatch):

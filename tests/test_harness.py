@@ -36,7 +36,7 @@ from musclerl.fieldtest import (
     steady_state_error,
     summarize,
 )
-from musclerl.randomize import SeededRng
+from musclerl.randomize import NO_RANDOMIZATION, SeededRng
 from musclerl.sac import SacAgent
 from musclerl.trainer import CsvLog, Trainer, load_policy
 
@@ -190,6 +190,29 @@ def test_field_spec_validation():
         FieldTestSpec(settle=30.0, duration=25.0)
     assert field_spec_for("eye").duration == 15.0
     assert field_spec_for("wrist").duration == 25.0
+    shortest = field_spec_for("wrist", 0.3)  # the shortest span that rounds to one step
+    assert (shortest.steps, shortest.settle_steps) == (1, 1)
+
+
+@pytest.mark.parametrize("duration, settle", [
+    (0.0, 0.0), (-1.0, 5.0), (0.2, 0.2), (0.25, 0.25), (math.nan, 5.0), (math.inf, 5.0),
+    (3.0, 0.2), (3.0, -1.0)])
+def test_field_spec_refuses_spans_without_an_action_step(duration, settle):
+    # the episode and its settle window must each round to one 0.5 s step
+    with pytest.raises(ValueError, match="at least one 0.5 s action step"):
+        FieldTestSpec(duration=duration, settle=settle)
+
+
+@pytest.mark.parametrize("verb, duration", [
+    ("eval-field", "0"), ("eval-field", "-2"), ("episode", "0"), ("episode", "-2"),
+    ("episode", "0.2")])
+def test_cli_refuses_a_field_duration_without_an_action_step(verb, duration, capsys):
+    # --duration 0 once ran the preset's duration, a negative one ended in a
+    # traceback and 0.2 s ran a zero-step episode with a NaN e_ss
+    assert cli_main([verb, "--pid", "--preset", "wrist", "--duration", duration]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and "at least one 0.5 s action step" in err
 
 
 def test_teleporting_oracle_scores_zero():
@@ -220,16 +243,31 @@ def test_summary_statistics():
 
 
 def test_field_test_builds_the_plant_step_map_once(monkeypatch):
+    # counts the plant rows of every map built: one for the field test, a
+    # row per episode for a randomized reset, and one map that every row
+    # shares without randomization, built once for every later reset
     built = []
     real = musclerl.env.StepMap
-    monkeypatch.setattr(musclerl.env, "StepMap", lambda *args: built.append(1) or real(*args))
+
+    def counting(*args):
+        sm = real(*args)
+        built.append(sm.rows)
+        return sm
+
+    monkeypatch.setattr(musclerl.env, "StepMap", counting)
     spec = FieldTestSpec(extent=5.0, spacing=5.0, duration=3.0, settle=1.0)
     assert len(run_field_test("wrist", pid_controller_for("wrist"), spec)) == 9
-    assert len(built) == 1
-    env = TrackingEnv("wrist", SeededRng(0))  # randomized muscles: a new map every reset
+    assert built == [1]
+    env = TrackingEnv("wrist", SeededRng(0))  # randomized muscles: new maps every reset
     env.reset()
+    env.reset(4)
+    assert built == [1, 1, 4]
+    env = TrackingEnv("wrist", SeededRng(0), randomization=NO_RANDOMIZATION)
+    env.reset(5)
+    env.reset(3)
     env.reset()
-    assert len(built) == 3
+    assert built == [1, 1, 4, 1]
+    assert env.plant.stack is env.step_map.stack
 
 
 def test_field_tests_of_one_spec_share_the_grid_targets():
@@ -343,17 +381,22 @@ def _streams(tr: Trainer) -> str:
                  for name, s in tr.rng_streams().items()})
 
 
-@pytest.mark.parametrize("preset, angle_limit", [("wrist", None), ("eye", None), ("wrist", 3.0)])
-def test_lockstep_demonstrations_equal_serial_episodes(preset, angle_limit, tmp_path,
-                                                        monkeypatch):
+@pytest.mark.parametrize("preset, angle_limit, randomization", [
+    ("wrist", None, {}), ("eye", None, {}), ("wrist", 3.0, {}),
+    ("wrist", None, {"shared_muscle_scaling": True}), ("eye", None, {"no_randomize": True})],
+    ids=["wrist-None", "eye-None", "wrist-3.0", "wrist-shared", "eye-no_randomize"])
+def test_lockstep_demonstrations_equal_serial_episodes(preset, angle_limit, randomization,
+                                                        tmp_path, monkeypatch):
     # 7 PID episodes in lockstep calls of 3, 3 and 1 rows against one episode
-    # at a time: the same buffer bytes, log rows and stream states. At a 3
-    # deg travel limit, with targets within 4 deg, some rows take the
-    # substep fallback and others do not, in the same lockstep call.
+    # at a time: the same buffer bytes, log rows and stream states, with
+    # each call's resets and relabels drawn in one pass. At a 3 deg travel
+    # limit, with targets within 4 deg, some rows take the substep fallback
+    # and others do not, in the same lockstep call.
     monkeypatch.setattr(musclerl.trainer, "DEMONSTRATION_ROWS", 3)
     cfg = RunConfig(preset=preset, seed=5, episodes=7, bootstrap_episodes=7, gru_hidden=8,
                     augment_copies=2, plant_angle_limit=angle_limit,
-                    target_range=10.0 if angle_limit is None else 4.0, out_dir=str(tmp_path))
+                    target_range=10.0 if angle_limit is None else 4.0, out_dir=str(tmp_path),
+                    **randomization)
     columns = ["episode", "controller", "steps", "episode_return", "avg_reward"]
     results = []
     for name, phase in (("serial", _serial_demonstrations),

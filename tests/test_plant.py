@@ -8,6 +8,7 @@ from musclerl.env import PRESETS
 from musclerl.muscle import MuscleParams
 from musclerl.plant import PlantRows, StepMap, advance, eye_config, wrist_config
 from musclerl.randomize import RandomizationSpec, SeededRng, sample_muscle_set
+from reference import step_map_row
 
 DEG = math.pi / 180.0
 
@@ -35,7 +36,7 @@ def row_state(rows, b):
 
 def advance_one(sm, state, voltages, external_torque=None):
     """One action step of one plant, as a one-row PlantRows through advance()."""
-    rows = PlantRows([sm])
+    rows = PlantRows(sm)
     rows.z[0, :4 + rows.m] = np.concatenate((state.angles, state.rates, state.temps))
     advance(rows, [voltages], None if external_torque is None else [external_torque])
     return row_state(rows, 0)
@@ -399,7 +400,7 @@ def test_step_map_and_advance_match_the_array_oracles_bit_for_bit(preset, multip
         cfg = nominal.with_muscles(sample_muscle_set(nominal.muscles, spec, rng))
         sm = StepMap(cfg, 0.01, 50)
         maps = oracle_step_map(cfg, 0.01, 50)
-        assert _same_bytes(sm.one, maps[0]) and _same_bytes(sm.stack, maps[1])
+        assert _same_bytes(sm.one[0], maps[0]) and _same_bytes(sm.stack[0], maps[1])
         got = ref = initial_state(cfg)
         for t in range(16):
             ext = None
@@ -417,6 +418,34 @@ def test_step_map_and_advance_match_the_array_oracles_bit_for_bit(preset, multip
                          (got.temps, ref.temps)):
                 assert _same_bytes(a, b)
     assert branches[False] >= 20 * 6 and branches[True] >= 20 * 5
+
+
+@pytest.mark.parametrize("preset", ["eye", "wrist"])
+@pytest.mark.parametrize("multiplier", [1.0, 2.0])
+@pytest.mark.parametrize("shared", [False, True])
+def test_batched_step_map_equals_the_per_row_build_bit_for_bit(preset, multiplier, shared):
+    # 25 randomized rows and the nominal plant in one build: every row's
+    # one, stack, ambient temperatures and R C_th are the bytes of that
+    # row's map built alone from Python floats
+    nominal = PRESETS[preset].plant()
+    spec = RandomizationSpec(variance_multiplier=multiplier, shared_across_muscles=shared)
+    rng = SeededRng(41).split(f"plant-batched/{preset}/{multiplier}/{shared}")
+    m, n = nominal.n_muscles, 2 * nominal.n_muscles + 6
+    drawn = sample_muscle_set(nominal.muscles, spec, rng, 25)
+    sets = [drawn[b * m:(b + 1) * m] for b in range(25)] + [nominal.muscles]
+    sm = StepMap(nominal, 0.01, 50, drawn + nominal.muscles)
+    assert sm.rows == 26 and sm.one.shape == (26, n, n) and sm.stack.shape == (26, 100 + n, n)
+    for b, muscles in enumerate(sets):
+        one, stack = step_map_row(nominal.with_muscles(muscles), 0.01, 50)
+        assert _same_bytes(sm.one[b], one) and _same_bytes(sm.stack[b], stack)
+        assert sm.t_amb[b].tolist() == [p.T_amb for p in muscles]
+        assert sm.rc[b].tolist() == [p.R * p.C_th for p in muscles]
+    alone = StepMap(nominal, 0.01, 50)
+    one, stack = step_map_row(nominal, 0.01, 50)
+    assert alone.rows == 1 and alone.muscles == nominal.muscles
+    assert _same_bytes(alone.one[0], one) and _same_bytes(alone.stack[0], stack)
+    with pytest.raises(ValueError):
+        StepMap(nominal, 0.01, 50, drawn[:m + 1])
 
 
 def test_nan_torque_takes_the_substep_fallback_like_the_oracle():
@@ -442,10 +471,10 @@ def test_rows_in_one_product_equal_each_row_alone(preset):
     nominal = replace(PRESETS[preset].plant(), angle_limit=3.0)
     rng = SeededRng(31).split(f"plant-rows/{preset}")
     spec = RandomizationSpec(variance_multiplier=2.0)
-    maps = [StepMap(nominal.with_muscles(sample_muscle_set(nominal.muscles, spec, rng)), 0.01, 50)
-            for _ in range(6)]
-    maps[4] = maps[1]  # the stacked product also takes repeated maps
-    rows = PlantRows(maps)
+    sets = [sample_muscle_set(nominal.muscles, spec, rng) for _ in range(6)]
+    sets[4] = sets[1]  # the batched map also takes repeated muscles
+    rows = PlantRows(StepMap(nominal, 0.01, 50, [p for s in sets for p in s]))
+    maps = [StepMap(nominal.with_muscles(s), 0.01, 50) for s in sets]
     alone = [initial_state(sm.cfg) for sm in maps]
     m = nominal.n_muscles
     clamped_rows = set()
@@ -463,13 +492,15 @@ def test_rows_in_one_product_equal_each_row_alone(preset):
             if np.any(np.abs(alone[b].angles) == 3.0):
                 clamped_rows.add(b)
     assert clamped_rows and clamped_rows != set(range(len(maps)))
-    shared = PlantRows([maps[0]] * 3)
+    shared = PlantRows(maps[0], 3)
     assert shared.stack is maps[0].stack  # one map for every row: no stacked copy
+    with pytest.raises(ValueError):
+        PlantRows(StepMap(nominal, 0.01, 50, sets[0] + sets[1]), 3)
 
 
 def test_voltage_check_refuses_the_whole_batch_before_any_row_moves():
     sm = StepMap(wrist_config(), 0.01, 50)
-    rows = PlantRows([sm, sm])
+    rows = PlantRows(sm, 2)
     before = rows.z.copy()
     with pytest.raises(ValueError):
         advance(rows, [[1.0, 2.0, 3.0], [1.0, np.nan, 3.0]])

@@ -81,10 +81,10 @@ def test_zero_noise_returns_observation_unchanged():
     rngs = [SeededRng(0).split(str(i)) for i in range(4)]
     before = repr([r.get_state() for r in rngs])
     channels, noise = draw_observation_noise(NO_RANDOMIZATION, rngs, 5)
-    assert channels == [] and noise.shape == (5, 0)
+    assert channels == [] and noise.shape == (5, 1, 0)
     assert repr([r.get_state() for r in rngs]) == before
     out = obs.copy()
-    apply_observation_noise(out, channels, noise[None, 0])
+    apply_observation_noise(out, channels, noise[0])
     assert out.tobytes() == obs.tobytes()
 
 
@@ -96,12 +96,12 @@ def test_noise_touches_only_motion_components():
     assert channels == [0, 1, 2, 3]
     for step in noise:
         out = obs.copy()
-        apply_observation_noise(out, channels, step[None])
+        apply_observation_noise(out, channels, step)
         assert out[0, 4] == 4.5 and out[0, 5] == -3.25
         assert not np.array_equal(out[0, :4], obs[0, :4])
     with pytest.raises(ValueError):
         apply_observation_noise(np.array([[0.0, np.nan, 0.0, 0.0, 0.0, 0.0]]), channels,
-                                noise[None, 0])
+                                noise[0])
 
 
 def test_noise_empirical_sd_and_independence():
@@ -109,7 +109,7 @@ def test_noise_empirical_sd_and_independence():
     rngs = [SeededRng(2).split(str(i)) for i in range(4)]
     n = 100_000
     _, noise = draw_observation_noise(spec, rngs, n)
-    angle_noise = noise[:, 0]
+    angle_noise = noise[:, 0, 0]
     sd = angle_noise.std()
     assert 0.097 <= sd <= 0.103
     x = angle_noise - angle_noise.mean()
