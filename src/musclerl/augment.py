@@ -45,9 +45,9 @@ def augment_trajectory(trajs: Sequence[Trajectory], spec: AugmentationSpec,
     """n_copies relabels of each of the B episodes trajs: targets (B, K, 2), rewards (B, K, T).
 
     The episodes share their length. One uniform(0, 1) draw of (B, K,
-    1 + dim) gives every relabel's sign (column 0 below 0.5 is +1, as
-    SeededRng.sign draws it) and then its Z, episode after episode, which
-    are the values and stream state of a sign() and a size-dim uniform call
+    1 + dim) gives every relabel's sign (column 0 below 0.5 is +1) and
+    then its Z, episode after episode, which are the values and stream
+    state of a scalar uniform call for the sign and a size-dim one for Z
     per relabel in turn; n_copies = 0 draws nothing. One reward() call then
     scores all B x K relabels. delta = 0 reproduces the originals.
     """

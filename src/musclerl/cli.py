@@ -156,7 +156,7 @@ def cmd_episode(args) -> int:
     _, outputs, actions, rewards = (r[0] for r in run_episode(env, controller, [target]))
     lines = ["t,angle1,rate1,angle2,rate2," +
              ",".join(f"action{i+1}" for i in range(env.action_dim)) + "," +
-             ",".join(f"volt{i+1}" for i in range(env.active.n_muscles)) + ",reward"]
+             ",".join(f"volt{i+1}" for i in range(env.nominal.n_muscles)) + ",reward"]
     for t, y in enumerate(outputs):
         cells = [repr(ACTION_PERIOD * t)] + [repr(float(v)) for v in y]
         if t < spec.steps:
@@ -164,7 +164,7 @@ def cmd_episode(args) -> int:
             cells += [repr(float(v)) for v in env.map_action(actions[t])]
             cells.append(repr(float(rewards[t])))
         else:  # the final state has no action
-            cells += [""] * (env.action_dim + env.active.n_muscles + 1)
+            cells += [""] * (env.action_dim + env.nominal.n_muscles + 1)
         lines.append(",".join(cells))
     e_ss = steady_state_error(outputs[1:, ::2], target, spec.settle_steps)
     seed = 0 if cfg is None else cfg.seed

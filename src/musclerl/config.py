@@ -56,7 +56,7 @@ class RunConfig:
     plant_damping: float | None = None
     plant_stiffness: float | None = None
     plant_moment_arm: float | None = None
-    plant_rest_length: float | None = None
+    plant_rest_length: float | None = None  # refused by resolved(); kept in the hash
     plant_angle_limit: float | None = None
 
     def __post_init__(self):
@@ -64,7 +64,7 @@ class RunConfig:
             raise ValueError(f"unknown preset {self.preset!r}")
 
     def resolved(self) -> "RunConfig":
-        """Fill preset-dependent defaults; validates M <= N, gamma and the sizes below."""
+        """Fill preset-dependent defaults; validates M <= N, gamma and the checks below."""
         p = PRESETS[self.preset]
         cfg = dataclasses.replace(
             self,
@@ -73,6 +73,9 @@ class RunConfig:
                                 else self.bootstrap_episodes),
             episode_length=p.steps if self.episode_length is None else self.episode_length,
         )
+        if cfg.plant_rest_length is not None:
+            raise ValueError("plant_rest_length is not supported: the linearized muscle "
+                             "routing cancels the rest length, so it changes no dynamics")
         if cfg.bootstrap_episodes > cfg.episodes:
             raise ValueError("bootstrap_episodes must not exceed episodes")
         if not 0 < cfg.gamma <= 1:
@@ -111,7 +114,6 @@ class RunConfig:
             damping=self.plant_damping,
             stiffness=self.plant_stiffness,
             moment_arm=self.plant_moment_arm,
-            rest_length=self.plant_rest_length,
             angle_limit=self.plant_angle_limit,
         )
 

@@ -41,6 +41,7 @@ from typing import Callable
 
 import numpy as np
 
+from .muscle import muscle_table
 from .plant import PlantConfig, PlantRows, StepMap, advance, eye_config, wrist_config
 from .randomize import (
     RandomizationSpec,
@@ -156,14 +157,14 @@ class TrackingEnv:
     """An environment of lockstep rows, each one episode of a named plant preset.
 
     reset(n) starts n episodes with one draw per stream for all of them:
-    the rows' muscle parameters, which stay fixed for the episode, their
-    targets, and each observation-noise channel for all their steps. Each
-    draw gives the values, in episode order, and leaves the stream state
-    of n resets in turn. The rows' muscles get one plant StepMap of n
-    rows, built in one pass; when every row has the same muscles (no
-    randomization) the rows share a one-row map, kept across resets while
-    the muscles stay the same. step() then advances every row by one
-    action with one plant product (plant.advance). All randomness flows
+    the rows' muscle table (n, m, 7), which stays fixed for the episode,
+    their targets, and each observation-noise channel for all their steps.
+    Each draw gives the values, in episode order, and leaves the stream
+    state of n resets in turn. The table goes straight to one plant
+    StepMap of n rows, built in one pass; when every row has the same
+    muscles (no randomization) the rows share a one-row map, kept across
+    resets while its table stays the same. step() then advances every row
+    by one action with one plant product (plant.advance). All randomness flows
     through named child streams of the seed rng, so trajectories are
     reproducible.
     """
@@ -181,6 +182,7 @@ class TrackingEnv:
         p = PRESETS[preset]
         self.preset = preset
         self.nominal = plant_config if plant_config is not None else p.plant()
+        self._nominal_table = muscle_table(self.nominal.muscles)
         self.episode = episode or EpisodeConfig(episode_length=p.steps)
         self.randomization = randomization if randomization is not None else RandomizationSpec()
         self.reward_spec = p.reward
@@ -215,14 +217,12 @@ class TrackingEnv:
         """
         tr, steps = self.episode.target_range, self.episode.episode_length + 1
         draws = n if targets is None else 1
-        m = self.nominal.n_muscles
-        muscles = sample_muscle_set(self.nominal.muscles, self.randomization,
+        muscles = sample_muscle_set(self._nominal_table, self.randomization,
                                     self._params_rng, draws)
-        first = muscles[:m]
-        if muscles != first * draws:
+        if (muscles != muscles[0]).any():
             self.step_map = StepMap(self.nominal, PHYSICS_DT, SUBSTEPS, muscles)
-        elif self.step_map is None or self.step_map.muscles != first:
-            self.step_map = StepMap(self.nominal, PHYSICS_DT, SUBSTEPS, first)
+        elif self.step_map is None or not np.array_equal(self.step_map.muscles, muscles[:1]):
+            self.step_map = StepMap(self.nominal, PHYSICS_DT, SUBSTEPS, muscles[:1])
         drawn = self._target_rng.uniform(-tr, tr, size=(draws, 2))
         self._channels, self._noise = draw_observation_noise(self.randomization,
                                                              self._noise_rngs, steps, draws)
@@ -234,13 +234,6 @@ class TrackingEnv:
         self.steps_taken = 0
         self._done = False
         return self._observe()
-
-    @property
-    def active(self) -> PlantConfig:
-        """The plant of the last row reset (the nominal one before any reset)."""
-        if self.step_map is None:
-            return self.nominal
-        return self.nominal.with_muscles(self.step_map.muscles[-self.nominal.n_muscles:])
 
     def true_output(self) -> np.ndarray:
         """Noiseless [angle1, rate1, angle2, rate2] of every row's current state, (n, 4)."""
@@ -270,7 +263,7 @@ class TrackingEnv:
         np.minimum(a, self.action_high, out=a)
         a = a.reshape(len(self.target), self.action_dim)
         y_before = self.plant.outputs()
-        volts = map_action_eye(a) if self.preset == "eye" else a
+        volts = self.map_action(a)
         advance(self.plant, volts)
         self.steps_taken += 1
         self._done = self.steps_taken >= self.episode.episode_length

@@ -8,14 +8,35 @@ driven by Joule heating against first-order convective cooling:
 
 Sign convention: positive force is tension (contraction), pulling the anchor
 toward the fixed end. Units are cm, N, degC, s, V, Ohm throughout. This
-module holds the constants; the plant (plant.StepMap) integrates both
-equations together with the joints.
+module holds the constants: a validated MuscleParams per nominal muscle,
+and the float64 table the plant (plant.StepMap) reads, whose last axis
+holds one muscle's constants in COLUMNS order; a reset draws its rows as
+one (rows, m, 7) table. The rest length x0 is no column: the linearized
+routing cancels it. The plant integrates both equations with the joints.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
+
+COLUMNS = ("k", "b", "c", "C_th", "lambda_", "R", "T_amb")
+
+
+def refuse_nonpositive(values, names) -> None:
+    """Raise ValueError naming the first constant of values that is not positive and finite.
+
+    values is an array of constants whose last axis runs over names; NaN
+    and infinities are refused too.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    ok = (values > 0.0) & (values < math.inf)
+    if not ok.all():
+        where = tuple(np.argwhere(~ok)[0])
+        raise ValueError(f"muscle constant {names[where[-1]]} must be strictly positive "
+                         f"and finite, got {values[where]}")
 
 
 @dataclass(frozen=True)
@@ -37,10 +58,13 @@ class MuscleParams:
     T_amb: float = 25.0
 
     def __post_init__(self):
-        for name in ("k", "b", "c", "C_th", "lambda_", "R", "x0"):
-            v = getattr(self, name)
-            if not (v > 0.0) or not math.isfinite(v):
-                raise ValueError(f"MuscleParams.{name} must be strictly positive, got {v}")
+        names = ("k", "b", "c", "C_th", "lambda_", "R", "x0")
+        refuse_nonpositive([getattr(self, name) for name in names], names)
+
+
+def muscle_table(muscles) -> np.ndarray:
+    """The (len(muscles), 7) float64 table of muscles' constants, in COLUMNS order."""
+    return np.array([[getattr(p, name) for name in COLUMNS] for p in muscles])
 
 
 # Nominal parameter sets, from system identification of the two muscle types.

@@ -20,9 +20,10 @@ Integration is explicit RK4 with the voltages held over an action step.
 The dynamics are then linear, so StepMap, built once per muscle draw,
 holds the substep matrix and its powers: one product gives every substep's
 angles and the end state. A randomized reset of n episodes builds one
-StepMap of n rows, every row's matrices in one batched pass whose every
-value is the one a single plant's build gives (tests/reference.py keeps
-that build, and tests/test_plant.py compares the bytes row by row).
+StepMap of n rows from its drawn (n, m, 7) muscle table (muscle.COLUMNS),
+every row's matrices in one batched pass whose every value is the one a
+single plant's build gives (tests/reference.py keeps that build, and
+tests/test_plant.py compares the bytes row by row).
 PlantRows holds B plants that step in lockstep, their states in one
 (B, n) array, and advance() steps all of them with one np.matmul, which
 makes per row the gemv that the row's stack @ z makes. A row whose
@@ -33,13 +34,12 @@ both agree.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .muscle import MuscleParams, SCP_NOMINAL, TCA_NOMINAL
+from .muscle import COLUMNS, MuscleParams, SCP_NOMINAL, TCA_NOMINAL, muscle_table
 
 DEG = math.pi / 180.0
 
@@ -50,8 +50,9 @@ class PlantConfig:
 
     J: inertia per DOF (torque-consistent units, N*cm*s^2/rad); d: viscous
     damping N*cm*s/rad; kappa: restoring stiffness N*cm/rad; r: moment arm cm;
-    routing: (muscles x 2) matrix described above; muscles: per-muscle
-    constants; angle_limit: travel limit, deg.
+    routing: (muscles x 2) matrix described above; muscles: the nominal
+    per-muscle constants (a randomized episode's are a StepMap's table
+    row); angle_limit: travel limit, deg.
     """
 
     name: str
@@ -74,18 +75,6 @@ class PlantConfig:
     @property
     def n_muscles(self) -> int:
         return len(self.muscles)
-
-    def with_muscles(self, muscles: tuple[MuscleParams, ...]) -> "PlantConfig":
-        """This plant with another set of as many muscles.
-
-        A copy with the muscles swapped: the routing is the validated one,
-        so it is not checked again (a randomized reset calls this).
-        """
-        if len(muscles) != self.n_muscles:
-            raise ValueError(f"expected {self.n_muscles} muscles, got {len(muscles)}")
-        cfg = copy.copy(self)
-        object.__setattr__(cfg, "muscles", muscles)
-        return cfg
 
 
 def eye_routing(r: float) -> np.ndarray:
@@ -125,13 +114,11 @@ def configured_plant(
     damping: float | None = None,
     stiffness: float | None = None,
     moment_arm: float | None = None,
-    rest_length: float | None = None,
     angle_limit: float | None = None,
 ) -> PlantConfig:
     """A preset plant with selected constants overridden (config-file knobs).
 
-    Changing the moment arm rebuilds the routing matrix; changing the rest
-    length rebuilds the muscle set.
+    Changing the moment arm rebuilds the routing matrix.
     """
     kw = {}
     if inertia is not None:
@@ -146,8 +133,6 @@ def configured_plant(
         kw["r"] = moment_arm
         builder = eye_routing if cfg.name == "eye" else wrist_routing
         kw["routing"] = builder(moment_arm)
-    if rest_length is not None:
-        kw["muscles"] = tuple(replace(p, x0=rest_length) for p in cfg.muscles)
     return replace(cfg, **kw) if kw else cfg
 
 
@@ -166,8 +151,8 @@ class StepMap:
     every substep's angles and the end state. Temperatures enter as rises
     above ambient, which makes the rest state map to itself exactly.
 
-    One map holds `rows` plants: cfg's geometry with muscles, a flat
-    sequence of rows muscle sets back to back (cfg's own set, one row, by
+    One map holds `rows` plants: cfg's geometry with muscles, a (rows, m,
+    7) muscle table in muscle.COLUMNS order (cfg's own muscles, one row, by
     default). One build serves every row: A is a (rows, n, n) array whose
     every entry is computed as the block form
       A[2:4, 0:2] = -(kappa I + G^T diag(k) G) / J   (d and b for 2:4)
@@ -178,22 +163,22 @@ class StepMap:
     buffer: per row the cblas_dgemm that np.dot of the two matrices makes.
     The (rows, 2S+n, n) stack is filled from that buffer by two slice
     copies. `one` is (rows, n, n); `t_amb` and `rc` = R C_th are the rows'
-    (rows, m) arrays, which PlantRows reads; `muscles` is the flat tuple
-    the map was built from.
+    (rows, m) arrays, which PlantRows reads; `muscles` is the table the
+    map was built from.
     """
 
     def __init__(self, cfg: PlantConfig, dt: float, substeps: int, muscles=None):
         if not (dt > 0.0 and substeps >= 1):
             raise ValueError("require dt > 0 and substeps >= 1")
-        muscles = cfg.muscles if muscles is None else tuple(muscles)
         m, n, J = cfg.n_muscles, 2 * cfg.n_muscles + 6, cfg.J
-        rows, extra = divmod(len(muscles), m)
-        if extra or not rows:
-            raise ValueError(f"expected whole sets of {m} muscles, got {len(muscles)}")
+        muscles = muscle_table(cfg.muscles)[None] if muscles is None else muscles
+        if muscles.ndim != 3 or muscles.shape[1:] != (m, len(COLUMNS)) or not len(muscles):
+            raise ValueError(f"expected a (rows, {m}, {len(COLUMNS)}) muscle table, "
+                             f"got shape {muscles.shape}")
+        rows = len(muscles)
         self.cfg, self.substeps, self.rows, self.muscles = cfg, substeps, rows, muscles
-        k, b, c, lam, cth, res, self.t_amb = np.array(list(zip(
-            *[(p.k, p.b, p.c, p.lambda_, p.C_th, p.R, p.T_amb) for p in muscles]
-        ))).reshape(7, rows, m)
+        # contiguous (rows, m) columns: advance() reads t_amb at every step
+        k, b, c, cth, lam, res, self.t_amb = muscles.transpose(2, 0, 1).copy()
         self.rc = res * cth
         g, eye, idx = cfg.routing, np.eye(2), np.arange(4, 4 + m)
         a = np.zeros((rows, n, n))

@@ -2,24 +2,28 @@
 
 Each of the six muscle constants {k, b, c, C_th, lambda_, R} is scaled by an
 independent uniform factor drawn once per episode; resting length and ambient
-temperature are never touched. Observation noise is zero-mean Gaussian, added
-independently per step to the measured angles and angular velocities only.
-A reset of n episodes makes one draw per stream for all of them, one
-factor draw for all their muscles and one call per noise channel for all
-their steps, which gives the values and stream states that n resets, each
-with one draw per factor or per step, would give.
+temperature are never touched. A draw works on muscle tables (muscle.COLUMNS
+order): the nominal (m, 7) table times the drawn factors gives the episodes'
+(rows, m, 7) table, each product the one a scalar multiplication gives.
+Observation noise is zero-mean Gaussian, added independently per step to
+the measured angles and angular velocities only. A reset of n episodes
+makes one draw per stream for all of them, one factor draw for all their
+muscles and one call per noise channel for all their steps, which gives
+the values and stream states that n resets, each with one draw per factor
+or per step, would give.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .muscle import MuscleParams
+from .muscle import COLUMNS, refuse_nonpositive
 
-RANDOMIZED_NAMES = ("k", "b", "c", "C_th", "lambda_", "R")
+RANDOMIZED_NAMES = COLUMNS[:6]
 
 
 class SeededRng:
@@ -55,9 +59,6 @@ class SeededRng:
     def choice_without_replacement(self, n: int, k: int) -> np.ndarray:
         return self.gen.choice(n, size=k, replace=False)
 
-    def sign(self) -> float:
-        return 1.0 if self.gen.uniform() < 0.5 else -1.0
-
     def get_state(self) -> dict:
         return {"key_hex": self._key.hex(), "bitgen": self.gen.bit_generator.state}
 
@@ -74,7 +75,8 @@ class RandomizationSpec:
     intervals maps parameter name -> (lo, hi) dimensionless multipliers.
     variance_multiplier m rescales interval half-widths about 1 and the noise
     SDs jointly, for robustness-vs-variance sweeps; interval ends are clamped
-    below at 0.05 to keep parameters positive.
+    below at 0.05 to keep parameters positive. The SDs and m must be finite
+    and nonnegative.
     """
 
     intervals: dict[str, tuple[float, float]] = field(
@@ -89,8 +91,10 @@ class RandomizationSpec:
         for name, (lo, hi) in self.intervals.items():
             if not (0.0 < lo <= hi):
                 raise ValueError(f"interval for {name} must satisfy 0 < lo <= hi, got ({lo}, {hi})")
-        if self.angle_noise_sd < 0 or self.velocity_noise_sd < 0 or self.variance_multiplier < 0:
-            raise ValueError("noise SDs and variance multiplier must be nonnegative")
+        for name in ("angle_noise_sd", "velocity_noise_sd", "variance_multiplier"):
+            if not 0.0 <= getattr(self, name) < math.inf:  # false for NaN too
+                raise ValueError(f"{name} must be finite and nonnegative, "
+                                 f"got {getattr(self, name)!r}")
 
     def effective_interval(self, name: str) -> tuple[float, float]:
         lo, hi = self.intervals[name]
@@ -118,38 +122,28 @@ NO_RANDOMIZATION = RandomizationSpec(
 )
 
 
-def _draw_factors(spec: RandomizationSpec, rng: SeededRng, rows: int) -> list[list[float]]:
-    """rows factor rows, one factor per randomized constant in RANDOMIZED_NAMES order.
+def sample_muscle_set(
+    nominal: np.ndarray, spec: RandomizationSpec, rng: SeededRng, rows: int = 1
+) -> np.ndarray:
+    """Sample all muscles of one robot for each of rows episodes: a (rows, m, 7) table.
 
-    One uniform call draws them all: its array form gives the same values,
-    in the same row-major order, and leaves the same stream state as one
-    scalar call per factor.
+    nominal is the robot's (m, 7) muscle table (muscle.COLUMNS order).
+    Each row is the nominal table with its six randomized columns times
+    drawn factors: by default each muscle draws its own, and with
+    shared_across_muscles a single factor set scales every muscle of an
+    episode. One uniform call draws every episode's factors, which gives
+    the values, in the same row-major order, and leaves the stream state of
+    one scalar call per factor, episode after episode. A drawn constant
+    that is not positive and finite (an overflow at a huge multiplier)
+    raises ValueError naming it.
     """
     lo, hi = zip(*map(spec.effective_interval, RANDOMIZED_NAMES))
-    return rng.gen.uniform(lo, hi, size=(rows, len(RANDOMIZED_NAMES))).tolist()
-
-
-def _scaled(p: MuscleParams, row: list[float]) -> MuscleParams:
-    """p with its six randomized constants multiplied by row (RANDOMIZED_NAMES order)."""
-    k, b, c, c_th, lam, res = row
-    return MuscleParams(p.k * k, p.b * b, p.c * c, p.C_th * c_th, p.lambda_ * lam, p.R * res,
-                        p.x0, p.T_amb)
-
-
-def sample_muscle_set(
-    nominals: tuple[MuscleParams, ...], spec: RandomizationSpec, rng: SeededRng, rows: int = 1
-) -> tuple[MuscleParams, ...]:
-    """Sample all muscles of one robot for each of rows episodes, back to back.
-
-    Returns rows * len(nominals) muscles, episode after episode. By default
-    each muscle draws its own factors; with shared_across_muscles a single
-    factor set scales every muscle of an episode. One _draw_factors call
-    draws every episode's factors, which gives the values and leaves the
-    stream state of one call per episode in turn.
-    """
-    if spec.shared_across_muscles:
-        return tuple(_scaled(p, row) for row in _draw_factors(spec, rng, rows) for p in nominals)
-    return tuple(map(_scaled, nominals * rows, _draw_factors(spec, rng, rows * len(nominals))))
+    per_row = 1 if spec.shared_across_muscles else len(nominal)
+    table = np.repeat(nominal[None], rows, axis=0)
+    drawn = table[:, :, :len(RANDOMIZED_NAMES)]  # a view: scaled in place
+    drawn *= rng.gen.uniform(lo, hi, size=(rows, per_row, len(RANDOMIZED_NAMES)))
+    refuse_nonpositive(drawn, RANDOMIZED_NAMES)
+    return table
 
 
 def draw_observation_noise(

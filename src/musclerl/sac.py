@@ -61,9 +61,6 @@ from .nets import (
 )
 from .randomize import SeededRng
 
-REPLAY_CAPACITY = 100_000
-BATCH_TRAJECTORIES = 20
-
 
 class Trajectory:
     """One episode: T transitions over T+1 states.
@@ -113,7 +110,7 @@ class ReplayBuffer:
     state and load_state).
     """
 
-    def __init__(self, capacity: int = REPLAY_CAPACITY):
+    def __init__(self, capacity: int):
         self.capacity = capacity
         self._slots: list[tuple[Trajectory, np.ndarray | None, np.ndarray | None]] = []
         self._next = 0

@@ -4,7 +4,8 @@ forward and backward run one float64 net through the stacked kernel at
 S = 1, the exact reference for the gradient checks. steady_state_rise and
 thermal_time_constant are the closed forms of one muscle's thermal law.
 step_map_row builds one plant's RK4 step map a row at a time, from
-Python floats: the byte reference for plant.StepMap's batched build.
+Python floats: the byte reference for each row of plant.StepMap's
+batched build from a muscle table.
 """
 
 import numpy as np
@@ -61,8 +62,12 @@ def thermal_time_constant(p: MuscleParams) -> float:
     return p.C_th / p.lambda_
 
 
-def step_map_row(cfg: PlantConfig, dt: float, substeps: int) -> tuple[np.ndarray, np.ndarray]:
-    """(one (n, n), stack (2S+n, n)) of one plant with cfg's muscles, built alone.
+def step_map_row(cfg: PlantConfig, muscles: np.ndarray, dt: float,
+                 substeps: int) -> tuple[np.ndarray, np.ndarray]:
+    """(one (n, n), stack (2S+n, n)) of one plant of cfg's geometry, built alone.
+
+    muscles is the plant's (m, 7) muscle table row (muscle.COLUMNS order);
+    its constants are read as Python floats.
 
     A is built as nested Python floats (rows: angles, rates, temperature
     rises; q and e are held), each entry computed as the block form
@@ -74,7 +79,7 @@ def step_map_row(cfg: PlantConfig, dt: float, substeps: int) -> tuple[np.ndarray
     buffer and the stack filled from it by two slice copies.
     """
     m, n, J = cfg.n_muscles, 2 * cfg.n_muscles + 6, cfg.J
-    k, b, c, lam, cth = zip(*[(p.k, p.b, p.c, p.lambda_, p.C_th) for p in cfg.muscles])
+    k, b, c, cth, lam = (muscles[:, j].tolist() for j in range(5))
     g = cfg.routing
     gkg, gbg = ((g.T @ (np.array(w)[:, None] * g)).tolist() for w in (k, b))
     gt = g.T.tolist()

@@ -31,7 +31,7 @@ from musclerl.fieldtest import (
     run_field_test,
     summarize,
 )
-from musclerl.muscle import SCP_NOMINAL
+from musclerl.muscle import SCP_NOMINAL, muscle_table
 from musclerl.nets import NetworkShape, init_params
 from musclerl.plant import PlantRows, StepMap, advance, eye_config
 from musclerl.randomize import (
@@ -187,10 +187,11 @@ def test_criterion_4_randomization_bounds():
     rng = SeededRng(4)
     lo_hi = dict(DEFAULT_INTERVALS)
     ratios = {n: np.empty(10_000) for n in RANDOMIZED_NAMES}
+    nominal = muscle_table((SCP_NOMINAL,))
     for i in range(10_000):
-        p = sample_muscle_set((SCP_NOMINAL,), spec, rng)[0]
-        for n in RANDOMIZED_NAMES:
-            r = getattr(p, n) / getattr(SCP_NOMINAL, n)
+        row = sample_muscle_set(nominal, spec, rng)[0, 0]
+        for j, n in enumerate(RANDOMIZED_NAMES):
+            r = row[j] / nominal[0, j]
             lo, hi = lo_hi[n]
             assert lo <= r <= hi, f"{n} sample {r} outside [{lo}, {hi}]"
             ratios[n][i] = r

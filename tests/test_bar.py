@@ -270,14 +270,16 @@ def test_single_target_per_trajectory():
 
 
 def per_copy_relabels(trajs, spec, reward_spec, rng):
-    """The relabels drawn the long way: per episode, each copy's sign(), then its Z.
+    """The relabels drawn the long way: per episode, each copy's sign, then its Z.
+
+    A sign is one scalar uniform draw: +1 below 0.5, else -1.
 
     Returns (targets (B, K, 2), rewards (B, K, T)), each copy scored alone.
     """
     tr, targets, rewards = spec.target_range, [], []
     for traj in trajs:
         for _ in range(spec.n_copies):
-            sign = rng.sign()
+            sign = 1.0 if rng.gen.uniform() < 0.5 else -1.0
             z = rng.uniform(0.0, 1.0, size=2)
             target = np.clip(traj.target + sign * spec.delta * z, -tr, tr)
             targets.append(target)
@@ -290,7 +292,7 @@ def per_copy_relabels(trajs, spec, reward_spec, rng):
 @pytest.mark.parametrize("episodes", [1, 5])
 def test_batched_relabels_equal_per_copy_draws(n_copies, delta, episodes):
     # one uniform draw for all the episodes' relabels gives every sign, Z,
-    # target and reward of one sign() and one Z draw per copy in turn, and
+    # target and reward of one sign and one Z draw per copy in turn, and
     # leaves the augment stream where those draws leave it (n_copies = 0
     # draws nothing)
     spec = AugmentationSpec(n_copies=n_copies, delta=delta)

@@ -3,8 +3,9 @@ standard library, numpy or the package itself. Other packages may be
 installed where the tests run, so an accidental import would otherwise pass.
 It also uses only numpy's public API: no private name (np._core, ...) and no
 numpy.core, which numpy 2 renamed and pyproject's numpy>=1.24 does not pin.
-And it holds only production code: every module-level function and class
-is named by the package, the benchmark or the scripts, not by tests alone."""
+And it holds only production code: every module-level function and class,
+and every public method and property of those classes, is named by the
+package, the benchmark or the scripts, not by tests alone."""
 
 import ast
 import pathlib
@@ -115,10 +116,18 @@ _DOTTED_NAME = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 
 
 def defined_names(path: pathlib.Path) -> set[str]:
-    """Names of the module-level functions and classes of one source file."""
+    """Names of the module-level functions and classes of one source file, and
+    Class.name for each public method and property of its classes."""
     tree = ast.parse(path.read_text(), filename=str(path))
-    return {n.name for n in tree.body
-            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    names = set()
+    for n in tree.body:
+        if isinstance(n, (*functions, ast.ClassDef)):
+            names.add(n.name)
+        if isinstance(n, ast.ClassDef):
+            names.update(f"{n.name}.{m.name}" for m in n.body
+                         if isinstance(m, functions) and not m.name.startswith("_"))
+    return names
 
 
 def referenced_names(path: pathlib.Path) -> set[str]:
@@ -141,7 +150,7 @@ def referenced_names(path: pathlib.Path) -> set[str]:
 def test_package_holds_only_production_code():
     used = set().union(*map(referenced_names, PRODUCTION))
     unreached = sorted(f"{p.stem}.{n}" for p in sorted(PACKAGE.glob("*.py"))
-                       for n in defined_names(p) - used)
+                       for n in defined_names(p) if n.rsplit(".", 1)[-1] not in used)
     assert not unreached, f"no code in src, perfbench or scripts names: {unreached}"
 
 
@@ -152,6 +161,9 @@ def test_reference_scan_sees_names_attributes_imports_and_dotted_strings(tmp_pat
         "from .nets import alpha as a\nimport pkg.beta\n"
         "def gamma():\n    return delta(pkg.epsilon, 'pkg.zeta', 'two words')\n"
         "class Eta:\n    def theta(self):\n        pass\n"
+        "    @property\n    def iota(self):\n        pass\n"
+        "    def _kappa(self):\n        pass\n    def __len__(self):\n        pass\n"
     )
-    assert defined_names(src) == {"gamma", "Eta"}
-    assert referenced_names(src) == {"alpha", "pkg", "beta", "delta", "epsilon", "zeta"}
+    assert defined_names(src) == {"gamma", "Eta", "Eta.theta", "Eta.iota"}
+    assert referenced_names(src) == {"alpha", "pkg", "beta", "delta", "epsilon", "zeta",
+                                     "property"}

@@ -12,6 +12,7 @@ from musclerl.env import (
     run_episode,
 )
 import musclerl.env
+from musclerl.muscle import MuscleParams
 from musclerl.fieldtest import pid_controller_for
 from musclerl.randomize import NO_RANDOMIZATION, RandomizationSpec, SeededRng
 
@@ -102,12 +103,12 @@ def test_reset_is_deterministic():
     def fingerprint(seed):
         env = TrackingEnv("wrist", SeededRng(seed))
         obs = env.reset()
-        return obs, env.target.copy(), tuple(env.active.muscles)
+        return obs, env.target.copy(), env.step_map.muscles.copy()
 
     o1, t1, m1 = fingerprint(7)
     o2, t2, m2 = fingerprint(7)
     o3, _, _ = fingerprint(8)
-    assert np.array_equal(o1, o2) and np.array_equal(t1, t2) and m1 == m2
+    assert np.array_equal(o1, o2) and np.array_equal(t1, t2) and np.array_equal(m1, m2)
     assert not np.array_equal(o1, o3)
 
 
@@ -153,12 +154,12 @@ def test_observation_layout_and_noise_slots():
 def test_muscle_parameters_constant_within_episode():
     env = TrackingEnv("wrist", SeededRng(4))
     env.reset()
-    before = tuple(env.active.muscles)
+    before = env.step_map.muscles.copy()
     for _ in range(10):
         env.step(np.zeros(3))
-    assert tuple(env.active.muscles) == before
+    assert np.array_equal(env.step_map.muscles, before)
     env.reset()
-    assert tuple(env.active.muscles) != before
+    assert not np.array_equal(env.step_map.muscles, before)
 
 
 def test_episode_determinism_under_fixed_actions():
@@ -262,21 +263,20 @@ def test_reset_of_n_rows_draws_what_n_single_resets_draw(preset, spec):
     spec = RESET_SPECS[spec]
     env = TrackingEnv(preset, SeededRng(12), randomization=spec)
     serial = TrackingEnv(preset, SeededRng(12), randomization=spec)
-    m = env.nominal.n_muscles
     for n in (4, 1, 3):
         obs = env.reset(n)
         sm = env.step_map
         for b in range(n):
             one = serial.reset()
             row = b if sm.rows > 1 else 0
-            assert sm.muscles[row * m:(row + 1) * m] == serial.step_map.muscles
+            assert sm.muscles[row:row + 1].tobytes() == serial.step_map.muscles.tobytes()
             assert sm.one[row].tobytes() == serial.step_map.one[0].tobytes()
             assert sm.stack[row].tobytes() == serial.step_map.stack[0].tobytes()
             assert env.target[b].tobytes() == serial.target[0].tobytes()
             assert env._noise[:, b].tobytes() == serial._noise[:, 0].tobytes()
             assert obs[b].tobytes() == one[0].tobytes()
         assert _stream_states(env) == _stream_states(serial)
-        assert env.active.muscles == serial.active.muscles
+        assert sm.muscles[-1].tobytes() == serial.step_map.muscles[-1].tobytes()
     assert (sm.rows == 1) == (spec is NO_RANDOMIZATION)
 
 
@@ -338,3 +338,15 @@ def test_targets_play_one_drawn_episode_as_rows():
     obs2, _, _ = env.step(np.zeros((3, 3)))
     obs1, _, _ = twin.step(np.zeros(3))
     assert obs2[:, :4].tobytes() == np.tile(obs1[:, :4], (3, 1)).tobytes()
+
+
+@pytest.mark.parametrize("preset", ["wrist", "eye"])
+def test_randomized_reset_builds_no_muscle_objects(preset, monkeypatch):
+    # the drawn muscles go from the draw to the step map as one table
+    env = TrackingEnv(preset, SeededRng(9))
+    built = []
+    monkeypatch.setattr(MuscleParams, "__post_init__", lambda p: built.append(p))
+    env.reset(25)
+    assert built == []
+    assert env.step_map.rows == 25 and env.step_map.muscles.shape == (
+        25, env.nominal.n_muscles, 7)

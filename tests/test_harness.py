@@ -126,8 +126,11 @@ def test_buffer_smaller_than_a_batch_is_rejected_naming_both_keys(tmp_path):
 def test_cli_train_reports_a_config_error_in_one_line(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("preset = eye\nbuffer_capacity = 5\nbatch_size = 6\n")
+    rest = tmp_path / "rest.cfg"
+    rest.write_text("preset = eye\nplant_rest_length = 8.0\n")
     for argv in (["--checkpoint-every", "0"], ["--config", str(bad)],
-                 ["--config", str(tmp_path / "missing.cfg")]):
+                 ["--config", str(tmp_path / "missing.cfg")], ["--config", str(rest)],
+                 ["--variance-multiplier", "inf"], ["--variance-multiplier", "nan"]):
         assert cli_main(["train", "--out-dir", str(tmp_path / "run")] + argv) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err, err
@@ -161,17 +164,19 @@ def test_plant_overrides_from_config_file(tmp_path):
     from musclerl.trainer import Trainer
 
     p = tmp_path / "plant.cfg"
-    p.write_text(
-        "preset = wrist\nepisodes = 1\nbootstrap_episodes = 1\ngru_hidden = 8\n"
-        "plant_moment_arm = 2.5\nplant_damping = 4.0\nplant_rest_length = 8.0\n"
-        f"out_dir = {tmp_path / 'run'}\n"
-    )
+    text = ("preset = wrist\nepisodes = 1\nbootstrap_episodes = 1\ngru_hidden = 8\n"
+            "plant_moment_arm = 2.5\nplant_damping = 4.0\n"
+            f"out_dir = {tmp_path / 'run'}\n")
+    p.write_text(text)
     cfg = load_config(str(p))
     tr = Trainer(cfg)
     plant = tr.env.nominal
     assert plant.r == 2.5 and plant.d == 4.0
-    assert plant.muscles[0].x0 == 8.0
     assert abs(plant.routing[0, 0] - 2.5) < 1e-12
+    # the linearized routing cancels the rest length: the key would only move the hash
+    p.write_text(text + "plant_rest_length = 8.0\n")
+    with pytest.raises(ValueError, match="plant_rest_length"):
+        Trainer(load_config(str(p)))
 
 
 # -- field test ----------------------------------------------------------------

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from musclerl.env import PRESETS
-from musclerl.muscle import MuscleParams
+from musclerl.muscle import COLUMNS, MuscleParams, muscle_table
 from musclerl.plant import PlantRows, StepMap, advance, eye_config, wrist_config
 from musclerl.randomize import RandomizationSpec, SeededRng, sample_muscle_set
 from reference import step_map_row
@@ -26,6 +26,12 @@ def initial_state(cfg):
     """Rest: zero angles and rates, every muscle at its ambient temperature."""
     temps = np.array([p.T_amb for p in cfg.muscles], dtype=np.float64)
     return PlantState(np.zeros(2), np.zeros(2), temps)
+
+
+def drawn_plant(nominal, row):
+    """nominal's plant with the muscles of one (m, 7) table row, as MuscleParams."""
+    return replace(nominal, muscles=tuple(
+        replace(p, **dict(zip(COLUMNS, r.tolist()))) for p, r in zip(nominal.muscles, row)))
 
 
 def row_state(rows, b):
@@ -366,8 +372,9 @@ def test_step_map_matches_scalar_rk4_reference(preset, angle_limit):
     spec = RandomizationSpec(variance_multiplier=2.0)
     hits = 0
     for _ in range(3):
-        cfg = nominal.with_muscles(sample_muscle_set(nominal.muscles, spec, rng))
-        sm = StepMap(cfg, 0.01, 50)
+        table = sample_muscle_set(muscle_table(nominal.muscles), spec, rng)
+        cfg = drawn_plant(nominal, table[0])
+        sm = StepMap(nominal, 0.01, 50, table)
         got = ref = initial_state(cfg)
         for _ in range(40):
             v = rng.uniform(0.0, 10.0, size=cfg.n_muscles)
@@ -397,8 +404,9 @@ def test_step_map_and_advance_match_the_array_oracles_bit_for_bit(preset, multip
     m = nominal.n_muscles
     branches = {False: 0, True: 0}
     for _ in range(20):
-        cfg = nominal.with_muscles(sample_muscle_set(nominal.muscles, spec, rng))
-        sm = StepMap(cfg, 0.01, 50)
+        table = sample_muscle_set(muscle_table(nominal.muscles), spec, rng)
+        cfg = drawn_plant(nominal, table[0])
+        sm = StepMap(nominal, 0.01, 50, table)
         maps = oracle_step_map(cfg, 0.01, 50)
         assert _same_bytes(sm.one[0], maps[0]) and _same_bytes(sm.stack[0], maps[1])
         got = ref = initial_state(cfg)
@@ -424,28 +432,32 @@ def test_step_map_and_advance_match_the_array_oracles_bit_for_bit(preset, multip
 @pytest.mark.parametrize("multiplier", [1.0, 2.0])
 @pytest.mark.parametrize("shared", [False, True])
 def test_batched_step_map_equals_the_per_row_build_bit_for_bit(preset, multiplier, shared):
-    # 25 randomized rows and the nominal plant in one build: every row's
-    # one, stack, ambient temperatures and R C_th are the bytes of that
-    # row's map built alone from Python floats
+    # 25 randomized rows and the nominal plant in one build from their
+    # table: every row's one, stack, ambient temperatures and R C_th are
+    # the bytes of that row's map built alone from Python floats
     nominal = PRESETS[preset].plant()
     spec = RandomizationSpec(variance_multiplier=multiplier, shared_across_muscles=shared)
     rng = SeededRng(41).split(f"plant-batched/{preset}/{multiplier}/{shared}")
     m, n = nominal.n_muscles, 2 * nominal.n_muscles + 6
-    drawn = sample_muscle_set(nominal.muscles, spec, rng, 25)
-    sets = [drawn[b * m:(b + 1) * m] for b in range(25)] + [nominal.muscles]
-    sm = StepMap(nominal, 0.01, 50, drawn + nominal.muscles)
+    nominal_table = muscle_table(nominal.muscles)
+    drawn = sample_muscle_set(nominal_table, spec, rng, 25)
+    table = np.concatenate([drawn, nominal_table[None]])
+    sm = StepMap(nominal, 0.01, 50, table)
     assert sm.rows == 26 and sm.one.shape == (26, n, n) and sm.stack.shape == (26, 100 + n, n)
-    for b, muscles in enumerate(sets):
-        one, stack = step_map_row(nominal.with_muscles(muscles), 0.01, 50)
+    assert sm.muscles is table
+    for b, row in enumerate(table):
+        one, stack = step_map_row(nominal, row, 0.01, 50)
         assert _same_bytes(sm.one[b], one) and _same_bytes(sm.stack[b], stack)
+        muscles = drawn_plant(nominal, row).muscles
         assert sm.t_amb[b].tolist() == [p.T_amb for p in muscles]
         assert sm.rc[b].tolist() == [p.R * p.C_th for p in muscles]
     alone = StepMap(nominal, 0.01, 50)
-    one, stack = step_map_row(nominal, 0.01, 50)
-    assert alone.rows == 1 and alone.muscles == nominal.muscles
+    one, stack = step_map_row(nominal, nominal_table, 0.01, 50)
+    assert alone.rows == 1 and alone.muscles.tobytes() == nominal_table.tobytes()
     assert _same_bytes(alone.one[0], one) and _same_bytes(alone.stack[0], stack)
-    with pytest.raises(ValueError):
-        StepMap(nominal, 0.01, 50, drawn[:m + 1])
+    for bad in (drawn[:, :m - 1], drawn[0], drawn[:0]):
+        with pytest.raises(ValueError):
+            StepMap(nominal, 0.01, 50, bad)
 
 
 def test_nan_torque_takes_the_substep_fallback_like_the_oracle():
@@ -471,10 +483,10 @@ def test_rows_in_one_product_equal_each_row_alone(preset):
     nominal = replace(PRESETS[preset].plant(), angle_limit=3.0)
     rng = SeededRng(31).split(f"plant-rows/{preset}")
     spec = RandomizationSpec(variance_multiplier=2.0)
-    sets = [sample_muscle_set(nominal.muscles, spec, rng) for _ in range(6)]
+    sets = [sample_muscle_set(muscle_table(nominal.muscles), spec, rng) for _ in range(6)]
     sets[4] = sets[1]  # the batched map also takes repeated muscles
-    rows = PlantRows(StepMap(nominal, 0.01, 50, [p for s in sets for p in s]))
-    maps = [StepMap(nominal.with_muscles(s), 0.01, 50) for s in sets]
+    rows = PlantRows(StepMap(nominal, 0.01, 50, np.concatenate(sets)))
+    maps = [StepMap(nominal, 0.01, 50, s) for s in sets]
     alone = [initial_state(sm.cfg) for sm in maps]
     m = nominal.n_muscles
     clamped_rows = set()
@@ -495,7 +507,7 @@ def test_rows_in_one_product_equal_each_row_alone(preset):
     shared = PlantRows(maps[0], 3)
     assert shared.stack is maps[0].stack  # one map for every row: no stacked copy
     with pytest.raises(ValueError):
-        PlantRows(StepMap(nominal, 0.01, 50, sets[0] + sets[1]), 3)
+        PlantRows(StepMap(nominal, 0.01, 50, np.concatenate(sets[:2])), 3)
 
 
 def test_voltage_check_refuses_the_whole_batch_before_any_row_moves():
@@ -505,16 +517,3 @@ def test_voltage_check_refuses_the_whole_batch_before_any_row_moves():
     with pytest.raises(ValueError):
         advance(rows, [[1.0, 2.0, 3.0], [1.0, np.nan, 3.0]])
     assert rows.z.tobytes() == before.tobytes()
-
-
-def test_with_muscles_swaps_the_muscles_only():
-    # the randomized reset's copy: every other field is the validated one
-    cfg = wrist_config()
-    muscles = sample_muscle_set(cfg.muscles, RandomizationSpec(), SeededRng(6))
-    new = cfg.with_muscles(muscles)
-    assert new.muscles == muscles and cfg.muscles != muscles
-    assert new.routing is cfg.routing
-    assert (new.name, new.J, new.d, new.kappa, new.r, new.angle_limit) == (
-        cfg.name, cfg.J, cfg.d, cfg.kappa, cfg.r, cfg.angle_limit)
-    with pytest.raises(ValueError):
-        cfg.with_muscles(muscles[:2])

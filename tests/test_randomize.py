@@ -1,9 +1,11 @@
+import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from musclerl.muscle import SCP_NOMINAL, TCA_NOMINAL
+from musclerl.muscle import COLUMNS, SCP_NOMINAL, TCA_NOMINAL, muscle_table
 from musclerl.randomize import (
     DEFAULT_INTERVALS,
     NO_RANDOMIZATION,
@@ -14,36 +16,38 @@ from musclerl.randomize import (
     draw_observation_noise,
     sample_muscle_set,
 )
+from musclerl.plant import eye_config
+
+SCP, TCA = muscle_table((SCP_NOMINAL,)), muscle_table((TCA_NOMINAL,))
 
 
 def test_degenerate_intervals_return_nominal_exactly():
     spec = RandomizationSpec(intervals={n: (1.0, 1.0) for n in RANDOMIZED_NAMES})
-    out = sample_muscle_set((SCP_NOMINAL,), spec, SeededRng(3))[0]
-    assert out == SCP_NOMINAL
+    out = sample_muscle_set(SCP, spec, SeededRng(3))
+    assert out.shape == (1, 1, len(COLUMNS)) and out.tobytes() == SCP.tobytes()
 
 
 def test_scp_stiffness_stays_in_scaled_interval():
     spec = RandomizationSpec()
     rng = SeededRng(11)
     for _ in range(2000):
-        p = sample_muscle_set((SCP_NOMINAL,), spec, rng)[0]
-        assert 0.20 <= p.k <= 0.30
+        k = sample_muscle_set(SCP, spec, rng)[0, 0, COLUMNS.index("k")]
+        assert 0.20 <= k <= 0.30
 
 
 def test_support_containment_all_parameters():
     spec = RandomizationSpec()
     rng = SeededRng(12)
-    nominal = TCA_NOMINAL
     lo_hi = dict(DEFAULT_INTERVALS)
     draws = {n: [] for n in RANDOMIZED_NAMES}
     for _ in range(10_000):
-        p = sample_muscle_set((nominal,), spec, rng)[0]
-        for n in RANDOMIZED_NAMES:
-            v = getattr(p, n) / getattr(nominal, n)
+        row = sample_muscle_set(TCA, spec, rng)[0, 0]
+        for j, n in enumerate(RANDOMIZED_NAMES):
+            v = row[j] / TCA[0, j]
             lo, hi = lo_hi[n]
             assert lo <= v <= hi
             draws[n].append(v)
-        assert p.x0 == nominal.x0 and p.T_amb == nominal.T_amb
+        assert row[COLUMNS.index("T_amb")] == TCA_NOMINAL.T_amb
     # empirical mean of each scaling factor within 1 % of 1
     for n in RANDOMIZED_NAMES:
         assert abs(np.mean(draws[n]) - 1.0) < 0.01
@@ -51,19 +55,27 @@ def test_support_containment_all_parameters():
 
 def test_same_seed_gives_bitwise_identical_draws():
     spec = RandomizationSpec()
-    a = sample_muscle_set((SCP_NOMINAL,), spec, SeededRng(99))[0]
-    b = sample_muscle_set((SCP_NOMINAL,), spec, SeededRng(99))[0]
-    assert a == b
-    set_a = sample_muscle_set((TCA_NOMINAL,) * 3, spec, SeededRng(5))
-    set_b = sample_muscle_set((TCA_NOMINAL,) * 3, spec, SeededRng(5))
-    assert set_a == set_b
-    assert set_a[0] != set_a[1]  # independent per muscle
+    a = sample_muscle_set(SCP, spec, SeededRng(99))
+    b = sample_muscle_set(SCP, spec, SeededRng(99))
+    assert a.tobytes() == b.tobytes()
+    set_a = sample_muscle_set(np.repeat(TCA, 3, axis=0), spec, SeededRng(5))
+    set_b = sample_muscle_set(np.repeat(TCA, 3, axis=0), spec, SeededRng(5))
+    assert set_a.tobytes() == set_b.tobytes()
+    assert not np.array_equal(set_a[0, 0], set_a[0, 1])  # independent per muscle
 
 
 def test_shared_scaling_applies_same_factors():
     spec = RandomizationSpec(shared_across_muscles=True)
-    muscles = sample_muscle_set((TCA_NOMINAL,) * 3, spec, SeededRng(5))
-    assert muscles[0] == muscles[1] == muscles[2]
+    muscles = sample_muscle_set(np.repeat(TCA, 3, axis=0), spec, SeededRng(5))[0]
+    assert np.array_equal(muscles[0], muscles[1]) and np.array_equal(muscles[1], muscles[2])
+
+
+def test_overflowing_draw_is_refused_naming_the_constant():
+    # at a multiplier of 1e308 an R factor reaches 1e307, which times the
+    # eye's 20 ohm overflows to inf; no other drawn eye constant can
+    spec = RandomizationSpec(variance_multiplier=1e308)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="constant R must be"):
+        sample_muscle_set(muscle_table(eye_config().muscles), spec, SeededRng(1), 50)
 
 
 def test_split_streams_are_independent():
@@ -158,6 +170,14 @@ def test_invalid_specs_rejected():
         RandomizationSpec(angle_noise_sd=-1.0)
 
 
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+@pytest.mark.parametrize("name", ["variance_multiplier", "angle_noise_sd", "velocity_noise_sd"])
+def test_non_finite_multiplier_and_noise_sds_rejected(name, value):
+    # refused at build time, before any draw could overflow numpy's uniform
+    with pytest.raises(ValueError, match=name):
+        RandomizationSpec(**{name: value})
+
+
 def test_rng_state_roundtrip():
     rng = SeededRng(123)
     rng.uniform(size=7)
@@ -178,11 +198,19 @@ def oracle_scaled(p, factors):
     return replace(p, **{name: getattr(p, name) * f for name, f in factors.items()})
 
 
-def oracle_sample_muscle_set(nominals, spec, rng):
-    if spec.shared_across_muscles:
-        factors = oracle_draw_factors(spec, rng)
-        return tuple(oracle_scaled(p, factors) for p in nominals)
-    return tuple(oracle_scaled(p, oracle_draw_factors(spec, rng)) for p in nominals)
+def oracle_sample_muscle_set(nominals, spec, rng, rows=1):
+    """rows episodes' muscles the per-muscle way: each MuscleParams scaled by scalar draws.
+
+    Returns the rows * len(nominals) muscles, episode after episode.
+    """
+    out = []
+    for _ in range(rows):
+        if spec.shared_across_muscles:
+            factors = oracle_draw_factors(spec, rng)
+            out += [oracle_scaled(p, factors) for p in nominals]
+        else:
+            out += [oracle_scaled(p, oracle_draw_factors(spec, rng)) for p in nominals]
+    return tuple(out)
 
 
 def rng_state(rng):
@@ -206,17 +234,21 @@ ORACLE_SPECS = [
 @pytest.mark.parametrize("shared", [False, True])
 @pytest.mark.parametrize("spec", ORACLE_SPECS)
 def test_one_call_draw_matches_the_scalar_oracle(spec, shared):
-    # same parameter sets bit for bit, and the same stream state after
+    # the table of 1 or 25 rows holds the oracle's MuscleParams bit for bit,
+    # episode after episode, and the stream state after is the oracle's
     spec = replace(spec, shared_across_muscles=shared)
-    for nominals in ((SCP_NOMINAL,) * 4, (TCA_NOMINAL,) * 3):
+    for nominals, rows in itertools.product((eye_config().muscles, (TCA_NOMINAL,) * 3), (1, 25)):
+        table, m = muscle_table(nominals), len(nominals)
         got_rng, want_rng = SeededRng(31), SeededRng(31)
-        for _ in range(20):
-            got = sample_muscle_set(nominals, spec, got_rng)
-            want = oracle_sample_muscle_set(nominals, spec, want_rng)
-            assert got == want
+        for _ in range(20 if rows == 1 else 3):
+            got = sample_muscle_set(table, spec, got_rng, rows)
+            want = muscle_table(oracle_sample_muscle_set(nominals, spec, want_rng, rows))
+            assert got.shape == (rows, m, len(COLUMNS))
+            assert got.tobytes() == want.tobytes()
             assert rng_state(got_rng) == rng_state(want_rng)
-        assert sample_muscle_set((TCA_NOMINAL,), spec, got_rng)[0] == oracle_scaled(
-            TCA_NOMINAL, oracle_draw_factors(spec, want_rng))
+        got = sample_muscle_set(TCA, spec, got_rng)
+        want = muscle_table((oracle_scaled(TCA_NOMINAL, oracle_draw_factors(spec, want_rng)),))
+        assert got.tobytes() == want.tobytes()
         assert rng_state(got_rng) == rng_state(want_rng)
 
 

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from musclerl.config import RunConfig
 from musclerl.env import EYE_REWARD, reward
 from musclerl.nets import (
     BLOCK,
@@ -448,7 +449,7 @@ def test_buffer_relabel_slots_match_list_of_copies_reference():
 
 
 def test_buffer_full_capacity_eviction():
-    buf = ReplayBuffer()
+    buf = ReplayBuffer(RunConfig.buffer_capacity)
     T = 1
     proto = make_traj(T=T, seed=0)
     for i in range(buf.capacity + 1):
