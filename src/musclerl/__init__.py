@@ -7,7 +7,7 @@ augmentation, and per-episode muscle-dynamics randomization, and a
 reproducible training/evaluation harness.
 """
 
-from .muscle import MuscleParams, SCP_NOMINAL, TCA_NOMINAL
+from .muscle import SCP_NOMINAL, TCA_NOMINAL
 from .plant import PlantConfig, PlantRows, eye_config, wrist_config
 from .randomize import RandomizationSpec, SeededRng
 from .env import EpisodeConfig, RewardSpec, TrackingEnv, run_episode
@@ -19,7 +19,7 @@ from .trainer import Trainer, load_policy
 from .fieldtest import FieldTestSpec, run_field_test, summarize
 
 __all__ = [
-    "MuscleParams", "SCP_NOMINAL", "TCA_NOMINAL",
+    "SCP_NOMINAL", "TCA_NOMINAL",
     "PlantConfig", "PlantRows", "eye_config", "wrist_config",
     "RandomizationSpec", "SeededRng",
     "EpisodeConfig", "RewardSpec", "TrackingEnv", "run_episode",

@@ -1,19 +1,18 @@
-"""Run configuration: defaults, key=value config files, CLI/env overrides.
+"""Run configuration: defaults, key=value config files, CLI overrides.
 
 A config file is plain lines of `key = value` with `#` comments, keys matching
-RunConfig fields. Override precedence: CLI flag > MUSCLERL_SEED environment
-variable (seed only) > config file > preset default (env.PRESETS: N, M and
-the episode steps). The resolved config has a stable hash that is stamped
-into every output artifact, next to CODE_STAMP: the package version and the
-numerics version, which moves whenever the last bits of simulated
-trajectories change while the config hash does not.
+RunConfig fields. Override precedence: CLI flag > config file > preset
+default (env.PRESETS: N, M and the episode steps). The resolved config has
+a stable hash that is stamped into every output artifact, next to
+CODE_STAMP: the package version and the numerics version, which moves
+whenever the last bits of simulated trajectories change while the config
+hash does not.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
-import os
 import typing
 from dataclasses import dataclass
 
@@ -23,7 +22,6 @@ from .plant import PlantConfig, configured_plant
 __version__ = "0.1.0"
 NUMERICS = 3  # 2: the RK4 step map of plant.StepMap; 3: float32 SAC update passes
 CODE_STAMP = f"version={__version__} numerics={NUMERICS}"
-SEED_ENV_VAR = "MUSCLERL_SEED"
 
 
 @dataclass
@@ -164,13 +162,10 @@ def parse_config_file(path: str) -> dict:
 
 
 def load_config(path: str | None = None, overrides: dict | None = None) -> RunConfig:
-    """Build a RunConfig from file + environment + explicit overrides."""
+    """Build a RunConfig from file + explicit overrides."""
     fields: dict = {}
     if path:
         fields.update(parse_config_file(path))
-    env_seed = os.environ.get(SEED_ENV_VAR)
-    if env_seed is not None:
-        fields["seed"] = int(env_seed)
     if overrides:
         fields.update({k: v for k, v in overrides.items() if v is not None})
     return RunConfig(**fields)

@@ -41,9 +41,9 @@ from typing import Callable
 
 import numpy as np
 
-from .muscle import muscle_table
 from .plant import PlantConfig, PlantRows, StepMap, advance, eye_config, wrist_config
 from .randomize import (
+    RANDOMIZED_NAMES,
     RandomizationSpec,
     SeededRng,
     apply_observation_noise,
@@ -115,6 +115,29 @@ PRESETS = {
 }
 
 
+def refuse_unstable_draws(nominal: PlantConfig, spec: RandomizationSpec) -> None:
+    """Raise ValueError if spec's widest plant has a non-finite or unstable RK4 substep.
+
+    The widest plant has k, b, c, lambda_ and R at their interval's high
+    end and C_th at its low end. The held q and e of the substep matrix
+    map to themselves, so its spectral radius is that of its state block
+    (angles, rates, temperature rises), or 1. A spec that widens no
+    interval is not checked.
+    """
+    ends = [spec.effective_interval(name) for name in RANDOMIZED_NAMES]
+    if all(end == (1.0, 1.0) for end in ends):
+        return
+    scale = [lo if name == "C_th" else hi for name, (lo, hi) in zip(RANDOMIZED_NAMES, ends)]
+    n = 4 + nominal.n_muscles
+    with np.errstate(all="ignore"):  # a huge multiplier overflows: refused below
+        widest = nominal.muscles * (scale + [1.0])
+        one = StepMap(nominal, PHYSICS_DT, 1, widest[None]).one[0, :n, :n]
+    if not (np.isfinite(one).all() and np.abs(np.linalg.eigvals(one)).max() <= 1.0):
+        raise ValueError(f"variance_multiplier {spec.variance_multiplier!r} is too large for "
+                         f"the {nominal.name} plant: the widest muscles it can draw make the "
+                         f"{PHYSICS_DT} s RK4 substep unstable")
+
+
 def map_action_eye(a) -> np.ndarray:
     """Signed pair commands (..., 2) -> voltages (..., 4), one muscle per pair powered.
 
@@ -166,7 +189,8 @@ class TrackingEnv:
     resets while its table stays the same. step() then advances every row
     by one action with one plant product (plant.advance). All randomness flows
     through named child streams of the seed rng, so trajectories are
-    reproducible.
+    reproducible. A randomization too wide for the RK4 substep is refused
+    when the env is built (refuse_unstable_draws).
     """
 
     def __init__(
@@ -182,15 +206,14 @@ class TrackingEnv:
         p = PRESETS[preset]
         self.preset = preset
         self.nominal = plant_config if plant_config is not None else p.plant()
-        self._nominal_table = muscle_table(self.nominal.muscles)
         self.episode = episode or EpisodeConfig(episode_length=p.steps)
         self.randomization = randomization if randomization is not None else RandomizationSpec()
+        refuse_unstable_draws(self.nominal, self.randomization)
         self.reward_spec = p.reward
         self.action_dim = p.action_dim
         self.action_low = np.full(p.action_dim, p.action_low)
         self.action_high = np.full(p.action_dim, 10.0)
-        self.action_low.flags.writeable = False
-        self.action_high.flags.writeable = False
+        self.action_low.flags.writeable = self.action_high.flags.writeable = False
         self._params_rng = rng.split("muscle-params")
         self._target_rng = rng.split("target")
         self._noise_rngs = [rng.split(f"obs-noise/{i}") for i in range(4)]
@@ -217,7 +240,7 @@ class TrackingEnv:
         """
         tr, steps = self.episode.target_range, self.episode.episode_length + 1
         draws = n if targets is None else 1
-        muscles = sample_muscle_set(self._nominal_table, self.randomization,
+        muscles = sample_muscle_set(self.nominal.muscles, self.randomization,
                                     self._params_rng, draws)
         if (muscles != muscles[0]).any():
             self.step_map = StepMap(self.nominal, PHYSICS_DT, SUBSTEPS, muscles)

@@ -10,7 +10,8 @@ to muscle lengths and, transposed, muscle tensions to joint torques:
 
 Eye: four muscles in two antagonistic pairs, (m1, m2) on pitch and (m3, m4)
 on yaw, signs chosen so that the second muscle of each pair pulls the axis
-positive. Wrist: three muscles at 120 deg azimuthal spacing.
+positive. Wrist: three muscles at 120 deg azimuthal spacing. The x0 cancel
+from the torques, so a plant's muscles are an (m, 7) table without them.
 
 Joint dynamics per DOF: J alphaddot = tau - d alphadot - kappa alpha, with
 angles hard-clamped at the travel limits (rate zeroed on contact). Angle and
@@ -39,7 +40,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .muscle import COLUMNS, MuscleParams, SCP_NOMINAL, TCA_NOMINAL, muscle_table
+from .muscle import COLUMNS, SCP_NOMINAL, TCA_NOMINAL, refuse_nonpositive
 
 DEG = math.pi / 180.0
 
@@ -50,9 +51,9 @@ class PlantConfig:
 
     J: inertia per DOF (torque-consistent units, N*cm*s^2/rad); d: viscous
     damping N*cm*s/rad; kappa: restoring stiffness N*cm/rad; r: moment arm cm;
-    routing: (muscles x 2) matrix described above; muscles: the nominal
-    per-muscle constants (a randomized episode's are a StepMap's table
-    row); angle_limit: travel limit, deg.
+    routing: (muscles x 2) matrix described above; muscles: the (m, 7)
+    muscle.COLUMNS table, stored as a read-only copy whose six randomized
+    constants must be positive and finite; angle_limit: travel limit, deg.
     """
 
     name: str
@@ -61,15 +62,20 @@ class PlantConfig:
     kappa: float
     r: float
     routing: np.ndarray
-    muscles: tuple[MuscleParams, ...]
+    muscles: np.ndarray
     angle_limit: float = 25.0
 
     def __post_init__(self):
         if not (self.J > 0 and self.r > 0 and self.d >= 0 and self.kappa >= 0):
             raise ValueError("require J > 0, r > 0, d >= 0, kappa >= 0")
+        muscles = np.array(self.muscles, dtype=np.float64)
         routing = np.asarray(self.routing, dtype=np.float64)
-        if routing.shape != (len(self.muscles), 2):
-            raise ValueError("routing must be (n_muscles, 2)")
+        if muscles.shape != (len(routing), len(COLUMNS)) or routing.shape[1:] != (2,):
+            raise ValueError("require muscles (m, 7) and routing (m, 2), "
+                             f"got {muscles.shape} and {routing.shape}")
+        refuse_nonpositive(muscles[:, :6], COLUMNS[:6])
+        muscles.flags.writeable = False
+        object.__setattr__(self, "muscles", muscles)
         object.__setattr__(self, "routing", routing)
 
     @property
@@ -95,7 +101,7 @@ def eye_config() -> PlantConfig:
     r = 1.2
     return PlantConfig(
         name="eye", J=0.6, d=1.4, kappa=0.05, r=r,
-        routing=eye_routing(r), muscles=(SCP_NOMINAL,) * 4,
+        routing=eye_routing(r), muscles=np.tile(SCP_NOMINAL, (4, 1)),
     )
 
 
@@ -104,7 +110,7 @@ def wrist_config() -> PlantConfig:
     r = 1.2
     return PlantConfig(
         name="wrist", J=2.4, d=1.3, kappa=1.0, r=r,
-        routing=wrist_routing(r), muscles=(TCA_NOMINAL,) * 3,
+        routing=wrist_routing(r), muscles=np.tile(TCA_NOMINAL, (3, 1)),
     )
 
 
@@ -152,8 +158,8 @@ class StepMap:
     above ambient, which makes the rest state map to itself exactly.
 
     One map holds `rows` plants: cfg's geometry with muscles, a (rows, m,
-    7) muscle table in muscle.COLUMNS order (cfg's own muscles, one row, by
-    default). One build serves every row: A is a (rows, n, n) array whose
+    7) muscle table in muscle.COLUMNS order (cfg.muscles[None], one row,
+    by default). One build serves every row: A is a (rows, n, n) array whose
     every entry is computed as the block form
       A[2:4, 0:2] = -(kappa I + G^T diag(k) G) / J   (d and b for 2:4)
       A[2:4, 4:4+m] = G^T diag(c) / (J DEG),  A[2:4, n-2:] = I / (J DEG)
@@ -171,7 +177,7 @@ class StepMap:
         if not (dt > 0.0 and substeps >= 1):
             raise ValueError("require dt > 0 and substeps >= 1")
         m, n, J = cfg.n_muscles, 2 * cfg.n_muscles + 6, cfg.J
-        muscles = muscle_table(cfg.muscles)[None] if muscles is None else muscles
+        muscles = cfg.muscles[None] if muscles is None else muscles
         if muscles.ndim != 3 or muscles.shape[1:] != (m, len(COLUMNS)) or not len(muscles):
             raise ValueError(f"expected a (rows, {m}, {len(COLUMNS)}) muscle table, "
                              f"got shape {muscles.shape}")

@@ -1,8 +1,9 @@
 """Reference code the tests compare the package against.
 
 forward and backward run one float64 net through the stacked kernel at
-S = 1, the exact reference for the gradient checks. steady_state_rise and
-thermal_time_constant are the closed forms of one muscle's thermal law.
+S = 1, the exact reference for the gradient checks. col reads one constant
+of a muscle table by name. steady_state_rise and thermal_time_constant are
+the closed forms of one muscle's thermal law.
 step_map_row builds one plant's RK4 step map a row at a time, from
 Python floats: the byte reference for each row of plant.StepMap's
 batched build from a muscle table.
@@ -10,7 +11,7 @@ batched build from a muscle table.
 
 import numpy as np
 
-from musclerl.muscle import MuscleParams
+from musclerl.muscle import COLUMNS
 from musclerl.nets import (
     GruNet,
     StackCache,
@@ -52,14 +53,19 @@ def backward(cache: StackCache, dy: np.ndarray, dh_final: np.ndarray | None = No
     return flat, dx[0], dh0[0]
 
 
-def steady_state_rise(p: MuscleParams, V: float) -> float:
-    """Equilibrium temperature rise V^2 / (R lambda_) above ambient, degC."""
-    return V * V / (p.R * p.lambda_)
+def col(muscles: np.ndarray, name: str):
+    """Constant name of a muscle table's rows (last axis in muscle.COLUMNS order)."""
+    return muscles[..., COLUMNS.index(name)]
 
 
-def thermal_time_constant(p: MuscleParams) -> float:
-    """Cooling time constant C_th / lambda_, s."""
-    return p.C_th / p.lambda_
+def steady_state_rise(p: np.ndarray, V: float) -> float:
+    """Equilibrium temperature rise V^2 / (R lambda_) above ambient of muscle row p, degC."""
+    return V * V / (col(p, "R") * col(p, "lambda_"))
+
+
+def thermal_time_constant(p: np.ndarray) -> float:
+    """Cooling time constant C_th / lambda_ of muscle row p, s."""
+    return col(p, "C_th") / col(p, "lambda_")
 
 
 def step_map_row(cfg: PlantConfig, muscles: np.ndarray, dt: float,

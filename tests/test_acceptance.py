@@ -31,7 +31,7 @@ from musclerl.fieldtest import (
     run_field_test,
     summarize,
 )
-from musclerl.muscle import SCP_NOMINAL, muscle_table
+from musclerl.muscle import SCP_NOMINAL
 from musclerl.nets import NetworkShape, init_params
 from musclerl.plant import PlantRows, StepMap, advance, eye_config
 from musclerl.randomize import (
@@ -43,7 +43,7 @@ from musclerl.randomize import (
 )
 from musclerl.sac import ReplayBuffer, Trajectory
 from musclerl.trainer import Trainer, load_policy
-from reference import backward, forward, steady_state_rise, thermal_time_constant
+from reference import backward, col, forward, steady_state_rise, thermal_time_constant
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RUNS = os.environ.get("MUSCLERL_RUNS_DIR", os.path.join(REPO, "runs"))
@@ -90,7 +90,7 @@ def test_criterion_1_thermal_steady_state():
     volts = np.array([[10.0, 0.0, 0.0, 0.0]])
     for _ in range(math.ceil(10.0 * thermal_time_constant(p) / 0.5)):
         advance(plant, volts)
-    rise = plant.z[0, 4] - p.T_amb  # z holds the first muscle's temperature in column 4
+    rise = plant.z[0, 4] - col(p, "T_amb")  # z holds the first muscle's temperature in column 4
     target = steady_state_rise(p, 10.0)
     rel = abs(rise - target) / target
     elapsed = time.perf_counter() - t0
@@ -187,7 +187,7 @@ def test_criterion_4_randomization_bounds():
     rng = SeededRng(4)
     lo_hi = dict(DEFAULT_INTERVALS)
     ratios = {n: np.empty(10_000) for n in RANDOMIZED_NAMES}
-    nominal = muscle_table((SCP_NOMINAL,))
+    nominal = SCP_NOMINAL[None]
     for i in range(10_000):
         row = sample_muscle_set(nominal, spec, rng)[0, 0]
         for j, n in enumerate(RANDOMIZED_NAMES):
@@ -232,20 +232,22 @@ def test_criterion_5_training_determinism(tmp_path):
        f"{'carries' if stamped else 'lacks'} {CODE_STAMP!r}, {elapsed:.0f}s")
 
 
-def test_committed_run_matches_the_code(tmp_path):
-    # the first 504 episodes of runs/wrist_sacbar_s101 (500 PID episodes,
-    # then 4 with updates) re-run by the command that made it: a change that
-    # moves the learner's numbers without re-running the artifacts fails here.
-    # The runs were made with one BLAS thread (scripts/acceptance_runs.sh);
-    # more threads sum the GEMMs in another order, so the re-run pins them too.
-    run = "wrist_sacbar_s101"
+@pytest.mark.parametrize("seed", [101, 102])
+def test_committed_run_matches_the_code(tmp_path, seed):
+    # the first 504 episodes of each committed wrist SAC-bar run (500 PID
+    # episodes, then 4 with updates) re-run by the command that made it: a
+    # change that moves the learner's numbers without re-running the
+    # artifacts fails here. The runs were made with one BLAS thread
+    # (scripts/acceptance_runs.sh); more threads sum the GEMMs in another
+    # order, so the re-run pins them too.
+    run = f"wrist_sacbar_s{seed}"
     committed = os.path.join(REPO, "runs", run)
     src = os.path.dirname(os.path.dirname(os.path.abspath(musclerl.__file__)))
     thread_vars = _load("perfbench_run", "perfbench", "run.py").THREAD_VARS
     env = dict(os.environ, **{v: "1" for v in thread_vars})
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     subprocess.run([sys.executable, "-m", "musclerl.cli", "train", "--preset", "wrist",
-                    "--seed", "101", "--episodes", "1700", "--gru-hidden", "64",
+                    "--seed", str(seed), "--episodes", "1700", "--gru-hidden", "64",
                     "--stop-after", "504", "--out-dir", str(tmp_path)],
                    env=env, check=True, stdout=subprocess.DEVNULL)
 

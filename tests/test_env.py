@@ -1,9 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 
 from musclerl.env import (
     ACTION_PERIOD,
     EYE_REWARD,
+    PHYSICS_DT,
+    PRESETS,
     WRIST_REWARD,
     EpisodeConfig,
     TrackingEnv,
@@ -12,9 +16,14 @@ from musclerl.env import (
     run_episode,
 )
 import musclerl.env
-from musclerl.muscle import MuscleParams
 from musclerl.fieldtest import pid_controller_for
-from musclerl.randomize import NO_RANDOMIZATION, RandomizationSpec, SeededRng
+from musclerl.plant import StepMap
+from musclerl.randomize import (
+    NO_RANDOMIZATION,
+    RandomizationSpec,
+    SeededRng,
+    sample_muscle_set,
+)
 
 
 class ActionSequence:
@@ -45,14 +54,13 @@ def test_action_map_saturated():
 
 
 def test_action_map_round_trip_and_complementarity():
-    rng = np.random.default_rng(0)
-    for _ in range(100_000):
-        a = rng.uniform(-10, 10, size=2)
-        v = map_action_eye(a)
-        assert v[0] * v[1] == 0.0 and v[2] * v[3] == 0.0
-        assert -v[0] + v[1] == a[0]
-        assert -v[2] + v[3] == a[1]
-        assert np.all(v >= 0.0) and np.all(v <= 10.0)
+    a = np.random.default_rng(0).uniform(-10, 10, (100_000, 2))
+    v = map_action_eye(a)
+    assert v.shape == (100_000, 4)
+    assert np.all(v[:, 0] * v[:, 1] == 0.0) and np.all(v[:, 2] * v[:, 3] == 0.0)
+    assert np.all(-v[:, 0] + v[:, 1] == a[:, 0])
+    assert np.all(-v[:, 2] + v[:, 3] == a[:, 1])
+    assert np.all(v >= 0.0) and np.all(v <= 10.0)
 
 
 def test_reward_perfect_tracking_hits_upper_bound():
@@ -88,8 +96,10 @@ def test_reset_with_zero_target_range():
 
 
 def test_reset_target_marginals_are_uniform():
+    # 100 resets of 100 rows draw the targets of 10,000 single resets
     env = TrackingEnv("wrist", SeededRng(123))
-    targets = np.array([env.reset()[0, 4:6] for _ in range(10_000)])
+    targets = np.concatenate([env.reset(100)[:, 4:6] for _ in range(100)])
+    assert targets.shape == (10_000, 2)
     for axis in range(2):
         x = np.sort(targets[:, axis])
         cdf = (x + 10.0) / 20.0
@@ -340,13 +350,27 @@ def test_targets_play_one_drawn_episode_as_rows():
     assert obs2[:, :4].tobytes() == np.tile(obs1[:, :4], (3, 1)).tobytes()
 
 
-@pytest.mark.parametrize("preset", ["wrist", "eye"])
-def test_randomized_reset_builds_no_muscle_objects(preset, monkeypatch):
-    # the drawn muscles go from the draw to the step map as one table
-    env = TrackingEnv(preset, SeededRng(9))
-    built = []
-    monkeypatch.setattr(MuscleParams, "__post_init__", lambda p: built.append(p))
-    env.reset(25)
-    assert built == []
-    assert env.step_map.rows == 25 and env.step_map.muscles.shape == (
-        25, env.nominal.n_muscles, 7)
+@pytest.mark.parametrize("preset, stable, unstable", [("eye", 250.0, 280.0),
+                                                     ("wrist", 2000.0, 2500.0)])
+def test_a_multiplier_that_makes_the_substep_unstable_is_refused(preset, stable, unstable):
+    # the widest drawable plant's substep is stable at the first multiplier
+    # and unstable at the second; at 1e308 its substep matrix overflows
+    TrackingEnv(preset, SeededRng(1), randomization=RandomizationSpec(variance_multiplier=stable))
+    for m in (unstable, 1e308):
+        spec = RandomizationSpec(variance_multiplier=m)
+        with pytest.raises(ValueError, match=re.escape(f"{m!r} is too large for the {preset}")):
+            TrackingEnv(preset, SeededRng(1), randomization=spec)
+
+
+@pytest.mark.parametrize("shared", [False, True])
+@pytest.mark.parametrize("preset, multiplier", [("eye", 250.0), ("wrist", 2000.0)])
+def test_draws_at_an_accepted_multiplier_have_stable_substeps(preset, multiplier, shared):
+    # 10,000 drawn plants: each substep matrix's state block has spectral
+    # radius at most 1 (the held inputs add the eigenvalue 1 to the whole)
+    nominal = PRESETS[preset].plant()
+    spec = RandomizationSpec(variance_multiplier=multiplier, shared_across_muscles=shared)
+    TrackingEnv(preset, SeededRng(0), randomization=spec)
+    table = sample_muscle_set(nominal.muscles, spec, SeededRng(6), 10_000)
+    n = 4 + nominal.n_muscles
+    one = StepMap(nominal, PHYSICS_DT, 1, table).one
+    assert np.abs(np.linalg.eigvals(one[:, :n, :n])).max() <= 1.0

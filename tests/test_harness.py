@@ -74,14 +74,13 @@ def test_config_unknown_key_rejected(tmp_path):
         parse_config_file(str(p))
 
 
-def test_config_override_precedence(tmp_path, monkeypatch):
+def test_config_override_precedence(tmp_path):
     p = tmp_path / "run.cfg"
     p.write_text("seed = 1\npreset = eye\n")
-    monkeypatch.setenv("MUSCLERL_SEED", "2")
     cfg = load_config(str(p))
-    assert cfg.seed == 2 and cfg.preset == "eye"  # env beats file, seed only
+    assert cfg.seed == 1 and cfg.preset == "eye"
     cfg = load_config(str(p), overrides={"seed": 3})
-    assert cfg.seed == 3  # CLI beats env
+    assert cfg.seed == 3 and cfg.preset == "eye"  # CLI beats file
 
 
 def test_config_preset_defaults_and_validation():
@@ -130,7 +129,10 @@ def test_cli_train_reports_a_config_error_in_one_line(tmp_path, capsys):
     rest.write_text("preset = eye\nplant_rest_length = 8.0\n")
     for argv in (["--checkpoint-every", "0"], ["--config", str(bad)],
                  ["--config", str(tmp_path / "missing.cfg")], ["--config", str(rest)],
-                 ["--variance-multiplier", "inf"], ["--variance-multiplier", "nan"]):
+                 ["--variance-multiplier", "inf"], ["--variance-multiplier", "nan"],
+                 ["--preset", "eye", "--variance-multiplier", "300"],
+                 ["--preset", "eye", "--variance-multiplier", "1e308"],
+                 ["--preset", "wrist", "--variance-multiplier", "1e308"]):
         assert cli_main(["train", "--out-dir", str(tmp_path / "run")] + argv) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err, err
@@ -248,9 +250,10 @@ def test_summary_statistics():
 
 
 def test_field_test_builds_the_plant_step_map_once(monkeypatch):
-    # counts the plant rows of every map built: one for the field test, a
-    # row per episode for a randomized reset, and one map that every row
-    # shares without randomization, built once for every later reset
+    # counts the plant rows of every map built: one for the field test, one
+    # for a randomized env's stability check when it is built, a row per
+    # episode for a randomized reset, and one map that every row shares
+    # without randomization, built once for every later reset
     built = []
     real = musclerl.env.StepMap
 
@@ -264,14 +267,15 @@ def test_field_test_builds_the_plant_step_map_once(monkeypatch):
     assert len(run_field_test("wrist", pid_controller_for("wrist"), spec)) == 9
     assert built == [1]
     env = TrackingEnv("wrist", SeededRng(0))  # randomized muscles: new maps every reset
+    assert built == [1, 1]
     env.reset()
     env.reset(4)
-    assert built == [1, 1, 4]
+    assert built == [1, 1, 1, 4]
     env = TrackingEnv("wrist", SeededRng(0), randomization=NO_RANDOMIZATION)
     env.reset(5)
     env.reset(3)
     env.reset()
-    assert built == [1, 1, 4, 1]
+    assert built == [1, 1, 1, 4, 1]
     assert env.plant.stack is env.step_map.stack
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import dataclass, replace
 
@@ -5,12 +6,13 @@ import numpy as np
 import pytest
 
 from musclerl.env import PRESETS
-from musclerl.muscle import COLUMNS, MuscleParams, muscle_table
+from musclerl.muscle import COLUMNS
 from musclerl.plant import PlantRows, StepMap, advance, eye_config, wrist_config
 from musclerl.randomize import RandomizationSpec, SeededRng, sample_muscle_set
-from reference import step_map_row
+from reference import col, step_map_row
 
 DEG = math.pi / 180.0
+REST_LENGTH = {"eye": 14.5, "wrist": 6.0}  # cm: the routing cancels it, lengths show it
 
 
 @dataclass
@@ -24,14 +26,7 @@ class PlantState:
 
 def initial_state(cfg):
     """Rest: zero angles and rates, every muscle at its ambient temperature."""
-    temps = np.array([p.T_amb for p in cfg.muscles], dtype=np.float64)
-    return PlantState(np.zeros(2), np.zeros(2), temps)
-
-
-def drawn_plant(nominal, row):
-    """nominal's plant with the muscles of one (m, 7) table row, as MuscleParams."""
-    return replace(nominal, muscles=tuple(
-        replace(p, **dict(zip(COLUMNS, r.tolist()))) for p, r in zip(nominal.muscles, row)))
+    return PlantState(np.zeros(2), np.zeros(2), col(cfg.muscles, "T_amb").copy())
 
 
 def row_state(rows, b):
@@ -55,8 +50,7 @@ def muscle_kinematics(cfg, angles_deg, rates_deg):
     """
     alpha = np.asarray(angles_deg, dtype=np.float64) * DEG
     omega = np.asarray(rates_deg, dtype=np.float64) * DEG
-    x0 = np.array([p.x0 for p in cfg.muscles])
-    lengths = x0 - cfg.routing @ alpha
+    lengths = REST_LENGTH[cfg.name] - cfg.routing @ alpha
     rates = -(cfg.routing @ omega)
     return lengths, rates, cfg.routing.copy()
 
@@ -66,7 +60,7 @@ def mechanical_energy(cfg, state):
     alpha = state.angles * DEG
     omega = state.rates * DEG
     stretch = -(cfg.routing @ alpha)
-    k_arr = np.array([p.k for p in cfg.muscles])
+    k_arr = col(cfg.muscles, "k")
     return float(
         0.5 * cfg.J * (omega @ omega)
         + 0.5 * cfg.kappa * (alpha @ alpha)
@@ -81,9 +75,7 @@ def oracle_step_map(cfg, dt, substeps):
     """
     m = cfg.n_muscles
     k, b, c, lam, cth, res, tamb = (
-        np.array([getattr(p, f) for p in cfg.muscles])
-        for f in ("k", "b", "c", "lambda_", "C_th", "R", "T_amb")
-    )
+        col(cfg.muscles, f).copy() for f in ("k", "b", "c", "lambda_", "C_th", "R", "T_amb"))
     g, n = cfg.routing, 2 * m + 6
     a = np.zeros((n, n))
     a[0, 2] = a[1, 3] = 1.0
@@ -139,8 +131,8 @@ def reference_advance(cfg, state, voltages, dt, substeps, external_torque=None):
     """
     m = cfg.n_muscles
     g = [(float(cfg.routing[i, 0]), float(cfg.routing[i, 1])) for i in range(m)]
-    mus = cfg.muscles
-    power = [float(voltages[i]) ** 2 / mus[i].R / mus[i].C_th for i in range(m)]
+    mus = [dict(zip(COLUMNS, row)) for row in cfg.muscles.tolist()]
+    power = [float(voltages[i]) ** 2 / mus[i]["R"] / mus[i]["C_th"] for i in range(m)]
     ext1, ext2 = (0.0, 0.0) if external_torque is None else map(float, external_torque)
     lim = cfg.angle_limit * DEG
 
@@ -149,12 +141,12 @@ def reference_advance(cfg, state, voltages, dt, substeps, external_torque=None):
         tau2 = ext2 - cfg.d * w2 - cfg.kappa * a2
         dT = []
         for i, p in enumerate(mus):
-            rise = temps[i] - p.T_amb
-            f = (-p.k * (g[i][0] * a1 + g[i][1] * a2)
-                 - p.b * (g[i][0] * w1 + g[i][1] * w2) + p.c * rise)
+            rise = temps[i] - p["T_amb"]
+            f = (-p["k"] * (g[i][0] * a1 + g[i][1] * a2)
+                 - p["b"] * (g[i][0] * w1 + g[i][1] * w2) + p["c"] * rise)
             tau1 += g[i][0] * f
             tau2 += g[i][1] * f
-            dT.append(power[i] - p.lambda_ / p.C_th * rise)
+            dT.append(power[i] - p["lambda_"] / p["C_th"] * rise)
         return [w1, w2, tau1 / cfg.J, tau2 / cfg.J] + dT
 
     x = ([float(a) * DEG for a in state.angles] + [float(w) * DEG for w in state.rates]
@@ -183,19 +175,16 @@ def step(cfg, state, voltages, dt=0.01, substeps=1, external_torque=None):
     return advance_one(StepMap(cfg, dt, substeps), state, voltages, external_torque)
 
 
-def inert_muscles(n, x0=10.0):
+def inert_muscles(n):
     # effectively force-free strings: spring/damper/thermal terms ~ 0
     tiny = 1e-12
-    return tuple(
-        MuscleParams(k=tiny, b=tiny, c=tiny, C_th=0.3, lambda_=0.1, R=20.0, x0=x0)
-        for _ in range(n)
-    )
+    return np.tile([tiny, tiny, tiny, 0.3, 0.1, 20.0, 25.0], (n, 1))
 
 
 def test_kinematics_at_rest():
     for cfg in (eye_config(), wrist_config()):
         lengths, rates, g = muscle_kinematics(cfg, (0.0, 0.0), (0.0, 0.0))
-        assert np.allclose(lengths, [p.x0 for p in cfg.muscles])
+        assert np.allclose(lengths, REST_LENGTH[cfg.name])
         assert np.all(rates == 0.0)
         assert g.shape == (cfg.n_muscles, 2)
 
@@ -203,12 +192,13 @@ def test_kinematics_at_rest():
 def test_eye_yaw_pair_is_antagonistic():
     cfg = eye_config()
     lengths, _, _ = muscle_kinematics(cfg, (0.0, 5.0), (0.0, 0.0))
-    d3 = lengths[2] - cfg.muscles[2].x0
-    d4 = lengths[3] - cfg.muscles[3].x0
+    x0 = REST_LENGTH["eye"]
+    d3 = lengths[2] - x0
+    d4 = lengths[3] - x0
     assert d3 == pytest.approx(-d4, rel=1e-12)
     assert abs(d3) == pytest.approx(cfg.r * 5.0 * DEG, rel=1e-12)
     # pitch pair unaffected by yaw
-    assert lengths[0] == cfg.muscles[0].x0 and lengths[1] == cfg.muscles[1].x0
+    assert lengths[0] == x0 and lengths[1] == x0
 
 
 def test_wrist_symmetric_layout_cancels_equal_tension():
@@ -293,7 +283,7 @@ def test_step_is_deterministic():
 
 def test_torque_map_matches_potential_energy_gradient():
     for cfg in (eye_config(), wrist_config()):
-        k_arr = np.array([p.k for p in cfg.muscles])
+        k_arr = col(cfg.muscles, "k")
 
         def potential(angles):
             stretch = -(cfg.routing @ (np.asarray(angles) * DEG))
@@ -301,7 +291,7 @@ def test_torque_map_matches_potential_energy_gradient():
 
         for angles in ([0.5, -0.8], [1.0, 1.0], [-0.3, 0.9]):
             lengths, _, g = muscle_kinematics(cfg, angles, (0.0, 0.0))
-            forces = k_arr * (lengths - np.array([p.x0 for p in cfg.muscles]))
+            forces = k_arr * (lengths - REST_LENGTH[cfg.name])
             torque = g.T @ forces
             h = 1e-5
             for axis in range(2):
@@ -372,8 +362,8 @@ def test_step_map_matches_scalar_rk4_reference(preset, angle_limit):
     spec = RandomizationSpec(variance_multiplier=2.0)
     hits = 0
     for _ in range(3):
-        table = sample_muscle_set(muscle_table(nominal.muscles), spec, rng)
-        cfg = drawn_plant(nominal, table[0])
+        table = sample_muscle_set(nominal.muscles, spec, rng)
+        cfg = replace(nominal, muscles=table[0])
         sm = StepMap(nominal, 0.01, 50, table)
         got = ref = initial_state(cfg)
         for _ in range(40):
@@ -404,8 +394,8 @@ def test_step_map_and_advance_match_the_array_oracles_bit_for_bit(preset, multip
     m = nominal.n_muscles
     branches = {False: 0, True: 0}
     for _ in range(20):
-        table = sample_muscle_set(muscle_table(nominal.muscles), spec, rng)
-        cfg = drawn_plant(nominal, table[0])
+        table = sample_muscle_set(nominal.muscles, spec, rng)
+        cfg = replace(nominal, muscles=table[0])
         sm = StepMap(nominal, 0.01, 50, table)
         maps = oracle_step_map(cfg, 0.01, 50)
         assert _same_bytes(sm.one[0], maps[0]) and _same_bytes(sm.stack[0], maps[1])
@@ -439,21 +429,20 @@ def test_batched_step_map_equals_the_per_row_build_bit_for_bit(preset, multiplie
     spec = RandomizationSpec(variance_multiplier=multiplier, shared_across_muscles=shared)
     rng = SeededRng(41).split(f"plant-batched/{preset}/{multiplier}/{shared}")
     m, n = nominal.n_muscles, 2 * nominal.n_muscles + 6
-    nominal_table = muscle_table(nominal.muscles)
-    drawn = sample_muscle_set(nominal_table, spec, rng, 25)
-    table = np.concatenate([drawn, nominal_table[None]])
+    drawn = sample_muscle_set(nominal.muscles, spec, rng, 25)
+    table = np.concatenate([drawn, nominal.muscles[None]])
     sm = StepMap(nominal, 0.01, 50, table)
     assert sm.rows == 26 and sm.one.shape == (26, n, n) and sm.stack.shape == (26, 100 + n, n)
     assert sm.muscles is table
     for b, row in enumerate(table):
         one, stack = step_map_row(nominal, row, 0.01, 50)
         assert _same_bytes(sm.one[b], one) and _same_bytes(sm.stack[b], stack)
-        muscles = drawn_plant(nominal, row).muscles
-        assert sm.t_amb[b].tolist() == [p.T_amb for p in muscles]
-        assert sm.rc[b].tolist() == [p.R * p.C_th for p in muscles]
+        assert sm.t_amb[b].tolist() == col(row, "T_amb").tolist()
+        assert sm.rc[b].tolist() == [r * c for r, c in zip(col(row, "R").tolist(),
+                                                           col(row, "C_th").tolist())]
     alone = StepMap(nominal, 0.01, 50)
-    one, stack = step_map_row(nominal, nominal_table, 0.01, 50)
-    assert alone.rows == 1 and alone.muscles.tobytes() == nominal_table.tobytes()
+    one, stack = step_map_row(nominal, nominal.muscles, 0.01, 50)
+    assert alone.rows == 1 and alone.muscles.tobytes() == nominal.muscles.tobytes()
     assert _same_bytes(alone.one[0], one) and _same_bytes(alone.stack[0], stack)
     for bad in (drawn[:, :m - 1], drawn[0], drawn[:0]):
         with pytest.raises(ValueError):
@@ -483,7 +472,7 @@ def test_rows_in_one_product_equal_each_row_alone(preset):
     nominal = replace(PRESETS[preset].plant(), angle_limit=3.0)
     rng = SeededRng(31).split(f"plant-rows/{preset}")
     spec = RandomizationSpec(variance_multiplier=2.0)
-    sets = [sample_muscle_set(muscle_table(nominal.muscles), spec, rng) for _ in range(6)]
+    sets = [sample_muscle_set(nominal.muscles, spec, rng) for _ in range(6)]
     sets[4] = sets[1]  # the batched map also takes repeated muscles
     rows = PlantRows(StepMap(nominal, 0.01, 50, np.concatenate(sets)))
     maps = [StepMap(nominal, 0.01, 50, s) for s in sets]
@@ -517,3 +506,49 @@ def test_voltage_check_refuses_the_whole_batch_before_any_row_moves():
     with pytest.raises(ValueError):
         advance(rows, [[1.0, 2.0, 3.0], [1.0, np.nan, 3.0]])
     assert rows.z.tobytes() == before.tobytes()
+
+
+# sha256 of the presets' (m, 7) muscle tables: the bytes the nominal
+# constants had when each muscle was its own object
+PRESET_MUSCLES_SHA256 = {
+    "eye": "db513c89ec9736984e5d2d7a618384dc88c5ead6660da9479d03da9c1a855f6f",
+    "wrist": "0fc4a9fca7516915df2a6eeb731138dc31be03a15912628dd159c96e8a0fb326",
+}
+
+
+@pytest.mark.parametrize("preset", ["eye", "wrist"])
+def test_preset_muscle_tables_are_pinned_and_read_only(preset):
+    muscles = PRESETS[preset].plant().muscles
+    assert muscles.dtype == np.float64 and muscles.shape == (4 if preset == "eye" else 3, 7)
+    assert hashlib.sha256(muscles.tobytes()).hexdigest() == PRESET_MUSCLES_SHA256[preset]
+    with pytest.raises(ValueError):
+        muscles[0, 0] = 1.0
+
+
+def test_plant_config_refuses_a_bad_muscle_table():
+    nominal = eye_config()
+    for shape in ((4, 6), (4, 8), (7,), (4, 7, 1), (3, 7)):
+        with pytest.raises(ValueError):
+            replace(nominal, muscles=np.ones(shape))
+    for name in COLUMNS[:6]:
+        for value in (0.0, -1.0, math.nan, math.inf):
+            muscles = nominal.muscles.copy()
+            muscles[1, COLUMNS.index(name)] = value
+            with pytest.raises(ValueError, match=f"constant {name} must"):
+                replace(nominal, muscles=muscles)
+    muscles = nominal.muscles.copy()
+    muscles[:, COLUMNS.index("T_amb")] = -5.0  # the ambient may be any temperature
+    assert replace(nominal, muscles=muscles).muscles[0, -1] == -5.0
+
+
+def test_replacing_the_muscles_revalidates_and_copies_the_row():
+    # a held-out plant is replace(nominal, muscles=table[k]): validated again,
+    # stored as a read-only copy of the row's bytes
+    nominal = wrist_config()
+    table = sample_muscle_set(nominal.muscles, RandomizationSpec(), SeededRng(5), 3)
+    cfg = replace(nominal, muscles=table[1])
+    assert cfg.muscles.tobytes() == table[1].tobytes() and not cfg.muscles.flags.writeable
+    table[1] = 0.0
+    assert (cfg.muscles > 0.0).all()
+    with pytest.raises(ValueError, match="constant k must"):
+        replace(nominal, muscles=table[1])

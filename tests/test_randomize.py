@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from musclerl.muscle import COLUMNS, SCP_NOMINAL, TCA_NOMINAL, muscle_table
+from musclerl.muscle import COLUMNS, SCP_NOMINAL, TCA_NOMINAL
 from musclerl.randomize import (
     DEFAULT_INTERVALS,
     NO_RANDOMIZATION,
@@ -18,7 +18,7 @@ from musclerl.randomize import (
 )
 from musclerl.plant import eye_config
 
-SCP, TCA = muscle_table((SCP_NOMINAL,)), muscle_table((TCA_NOMINAL,))
+SCP, TCA = SCP_NOMINAL[None], TCA_NOMINAL[None]
 
 
 def test_degenerate_intervals_return_nominal_exactly():
@@ -47,7 +47,7 @@ def test_support_containment_all_parameters():
             lo, hi = lo_hi[n]
             assert lo <= v <= hi
             draws[n].append(v)
-        assert row[COLUMNS.index("T_amb")] == TCA_NOMINAL.T_amb
+        assert row[COLUMNS.index("T_amb")] == TCA[0, COLUMNS.index("T_amb")]
     # empirical mean of each scaling factor within 1 % of 1
     for n in RANDOMIZED_NAMES:
         assert abs(np.mean(draws[n]) - 1.0) < 0.01
@@ -75,7 +75,7 @@ def test_overflowing_draw_is_refused_naming_the_constant():
     # eye's 20 ohm overflows to inf; no other drawn eye constant can
     spec = RandomizationSpec(variance_multiplier=1e308)
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="constant R must be"):
-        sample_muscle_set(muscle_table(eye_config().muscles), spec, SeededRng(1), 50)
+        sample_muscle_set(eye_config().muscles, spec, SeededRng(1), 50)
 
 
 def test_split_streams_are_independent():
@@ -195,13 +195,15 @@ def oracle_draw_factors(spec, rng):
 
 
 def oracle_scaled(p, factors):
-    return replace(p, **{name: getattr(p, name) * f for name, f in factors.items()})
+    """Muscle row p with each drawn constant times its factor, as Python floats."""
+    return [v * factors[name] if name in factors else v
+            for name, v in zip(COLUMNS, p.tolist())]
 
 
 def oracle_sample_muscle_set(nominals, spec, rng, rows=1):
-    """rows episodes' muscles the per-muscle way: each MuscleParams scaled by scalar draws.
+    """rows episodes' muscles the per-muscle way: each row scaled by scalar draws.
 
-    Returns the rows * len(nominals) muscles, episode after episode.
+    Returns the rows * len(nominals) muscle rows, episode after episode.
     """
     out = []
     for _ in range(rows):
@@ -234,20 +236,21 @@ ORACLE_SPECS = [
 @pytest.mark.parametrize("shared", [False, True])
 @pytest.mark.parametrize("spec", ORACLE_SPECS)
 def test_one_call_draw_matches_the_scalar_oracle(spec, shared):
-    # the table of 1 or 25 rows holds the oracle's MuscleParams bit for bit,
+    # the table of 1 or 25 rows holds the oracle's muscles bit for bit,
     # episode after episode, and the stream state after is the oracle's
     spec = replace(spec, shared_across_muscles=shared)
-    for nominals, rows in itertools.product((eye_config().muscles, (TCA_NOMINAL,) * 3), (1, 25)):
-        table, m = muscle_table(nominals), len(nominals)
+    for table, rows in itertools.product((eye_config().muscles, np.repeat(TCA, 3, axis=0)),
+                                         (1, 25)):
+        m = len(table)
         got_rng, want_rng = SeededRng(31), SeededRng(31)
         for _ in range(20 if rows == 1 else 3):
             got = sample_muscle_set(table, spec, got_rng, rows)
-            want = muscle_table(oracle_sample_muscle_set(nominals, spec, want_rng, rows))
+            want = np.array(oracle_sample_muscle_set(table, spec, want_rng, rows))
             assert got.shape == (rows, m, len(COLUMNS))
             assert got.tobytes() == want.tobytes()
             assert rng_state(got_rng) == rng_state(want_rng)
         got = sample_muscle_set(TCA, spec, got_rng)
-        want = muscle_table((oracle_scaled(TCA_NOMINAL, oracle_draw_factors(spec, want_rng)),))
+        want = np.array(oracle_scaled(TCA_NOMINAL, oracle_draw_factors(spec, want_rng)))
         assert got.tobytes() == want.tobytes()
         assert rng_state(got_rng) == rng_state(want_rng)
 
