@@ -121,17 +121,18 @@ def refuse_unstable_draws(nominal: PlantConfig, spec: RandomizationSpec) -> None
     The widest plant has k, b, c, lambda_ and R at their interval's high
     end and C_th at its low end. The held q and e of the substep matrix
     map to themselves, so its spectral radius is that of its state block
-    (angles, rates, temperature rises), or 1. A spec that widens no
-    interval is not checked.
+    (angles, rates, temperature rises), or 1. A multiplier of 0 draws the
+    nominal plant and is not checked.
     """
-    ends = [spec.effective_interval(name) for name in RANDOMIZED_NAMES]
-    if all(end == (1.0, 1.0) for end in ends):
+    if spec.variance_multiplier == 0.0:
         return
-    scale = [lo if name == "C_th" else hi for name, (lo, hi) in zip(RANDOMIZED_NAMES, ends)]
+    lo, hi = spec.effective_intervals()
+    c_th = RANDOMIZED_NAMES.index("C_th")
+    scale = np.append(hi, 1.0)  # T_amb is never scaled
+    scale[c_th] = lo[c_th]
     n = 4 + nominal.n_muscles
     with np.errstate(all="ignore"):  # a huge multiplier overflows: refused below
-        widest = nominal.muscles * (scale + [1.0])
-        one = StepMap(nominal, PHYSICS_DT, 1, widest[None]).one[0, :n, :n]
+        one = StepMap(nominal, PHYSICS_DT, 1, (nominal.muscles * scale)[None]).one[0, :n, :n]
     if not (np.isfinite(one).all() and np.abs(np.linalg.eigvals(one)).max() <= 1.0):
         raise ValueError(f"variance_multiplier {spec.variance_multiplier!r} is too large for "
                          f"the {nominal.name} plant: the widest muscles it can draw make the "
@@ -185,7 +186,7 @@ class TrackingEnv:
     Each draw gives the values, in episode order, and leaves the stream
     state of n resets in turn. The table goes straight to one plant
     StepMap of n rows, built in one pass; when every row has the same
-    muscles (no randomization) the rows share a one-row map, kept across
+    muscles (variance multiplier 0) the rows share a one-row map, kept across
     resets while its table stays the same. step() then advances every row
     by one action with one plant product (plant.advance). All randomness flows
     through named child streams of the seed rng, so trajectories are
@@ -233,27 +234,24 @@ class TrackingEnv:
         """Start n fresh episodes, one per row; returns their (n, 6) initial observations.
 
         Every stream makes one draw for the n rows (see the class
-        docstring). With targets ((B, 2) poses, deg), the env draws one
-        episode and plays it against each target as a row: the rows share
-        its muscles, map and noise, the drawn target gives way to theirs,
-        and n is B.
+        docstring). With targets ((B, 2) poses, deg), n is B and the
+        targets replace the drawn ones, row for row.
         """
+        if targets is not None:
+            targets = np.array(targets, dtype=np.float64).reshape(-1, 2)
+            n = len(targets)
         tr, steps = self.episode.target_range, self.episode.episode_length + 1
-        draws = n if targets is None else 1
         muscles = sample_muscle_set(self.nominal.muscles, self.randomization,
-                                    self._params_rng, draws)
+                                    self._params_rng, n)
         if (muscles != muscles[0]).any():
             self.step_map = StepMap(self.nominal, PHYSICS_DT, SUBSTEPS, muscles)
         elif self.step_map is None or not np.array_equal(self.step_map.muscles, muscles[:1]):
             self.step_map = StepMap(self.nominal, PHYSICS_DT, SUBSTEPS, muscles[:1])
-        drawn = self._target_rng.uniform(-tr, tr, size=(draws, 2))
+        drawn = self._target_rng.uniform(-tr, tr, size=(n, 2))
         self._channels, self._noise = draw_observation_noise(self.randomization,
-                                                             self._noise_rngs, steps, draws)
-        if targets is not None:
-            drawn = np.array(targets, dtype=np.float64).reshape(-1, 2)
-            self._noise = np.repeat(self._noise, len(drawn), axis=1)
-        self.plant = PlantRows(self.step_map, len(drawn))
-        self.target = drawn
+                                                             self._noise_rngs, steps, n)
+        self.target = drawn if targets is None else targets
+        self.plant = PlantRows(self.step_map, n)
         self.steps_taken = 0
         self._done = False
         return self._observe()
@@ -298,15 +296,16 @@ def run_episode(env: TrackingEnv, controller, targets=None, rows: int = 1):
     """Closed-loop episodes of env's rows, from reset to the time limit in lockstep.
 
     env resets `rows` episodes, or, when targets ((B, 2) poses, deg) are
-    given, one episode played against each target as a row. At each step
-    the controller makes one call for all rows, then one env.step advances
-    them all. The controller needs reset(n) and act(obs (n, 6), dt) ->
-    (n, A) actions. Returns (obs (B, T+1, 6), outputs (B, T+1, 4), actions
-    (B, T, A), rewards (B, T)): the observations and noiseless outputs at
-    every step boundary, and the clipped actions applied with their
-    rewards, which one reward() call computes from outputs[:, :T], the
-    targets and the actions once the loop is done. Each row is bitwise the
-    episode it would be alone: the rows share no arithmetic.
+    given, one episode per target, which replaces the row's drawn one. At
+    each step the controller makes one call for all rows, then one
+    env.step advances them all. The controller needs reset(n) and
+    act(obs (n, 6), dt) -> (n, A) actions. Returns (obs (B, T+1, 6),
+    outputs (B, T+1, 4), actions (B, T, A), rewards (B, T)): the
+    observations and noiseless outputs at every step boundary, and the
+    clipped actions applied with their rewards, which one reward() call
+    computes from outputs[:, :T], the targets and the actions once the
+    loop is done. Each row is bitwise the episode it would be alone: the
+    rows share no arithmetic.
     """
     T, A = env.episode.episode_length, env.action_dim
     obs0 = env.reset(rows, targets)

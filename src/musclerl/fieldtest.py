@@ -4,15 +4,16 @@ Evaluation always runs on the nominal plant (the preset's, or the one a
 checkpoint was trained on) with no parameter randomization and no
 observation noise, from rest, with the deterministic policy. The field
 test runs its targets' episodes in lockstep through env.run_episode: one
-evaluation env plays its episode against every target, a row each, all on
-one plant StepMap, so each action step is one controller call on the
-(81, 6) observations of the grid and one plant product for all rows. Each
-target's episode is bitwise the one it runs alone (the rows share no
-arithmetic). The grid is built once per FieldTestSpec, so the rows of
-every call share its target floats. The steady-state error of one
-episode is the Euclidean angle error averaged over the final settle
-window, sampled at the action period (env.ACTION_PERIOD); the per-target
-duration is the preset's (env.PRESETS):
+evaluation env resets a row per target, with the grid's target in place
+of the drawn one, and the rows, all nominal, share one plant StepMap, so
+each action step is one controller call on the (81, 6) observations of
+the grid and one plant product for all rows. Each target's episode is
+bitwise the one it runs alone (the rows share no arithmetic). The grid
+is built once per FieldTestSpec, so the rows of every call share its
+target floats. The steady-state error of one episode is the Euclidean
+angle error averaged over the final settle window, sampled at the action
+period (env.ACTION_PERIOD); the per-target duration is the preset's
+(env.PRESETS):
 
     e_ss = mean over last (settle / t_a) steps of sqrt((a1 - t1)^2 + (a2 - t2)^2)
 """
@@ -115,15 +116,15 @@ class PolicyController:
 
 def make_eval_env(preset: str, spec: FieldTestSpec,
                   plant: PlantConfig | None = None) -> TrackingEnv:
-    """Nominal noiseless env; plant None means the preset's own plant."""
-    # targets are set explicitly per grid point
-    episode = EpisodeConfig(episode_length=spec.steps, target_range=0.0)
-    return TrackingEnv(preset, SeededRng(0), episode=episode,
+    """Nominal noiseless env; plant None means the preset's own plant.
+
+    Its episodes run with targets given, which replace the drawn ones.
+    """
+    return TrackingEnv(preset, SeededRng(0), episode=EpisodeConfig(episode_length=spec.steps),
                        randomization=NO_RANDOMIZATION, plant_config=plant)
 
 
-def default_episode_runner(preset: str, spec: FieldTestSpec, controller, target,
-                           env: TrackingEnv) -> np.ndarray:
+def default_episode_runner(controller, target, env: TrackingEnv) -> np.ndarray:
     """One evaluation episode (the PID gate's); returns post-step angles, one row per step.
 
     env is make_eval_env(preset, spec, plant).
@@ -137,10 +138,9 @@ def run_field_test(preset: str, controller, spec: FieldTestSpec | None = None,
     """Evaluate every grid target; returns (target1, target2, e_ss) rows.
 
     plant is the nominal plant, the preset's if None. The targets' episodes
-    run in lockstep as the rows of one evaluation env, which plays its one
-    episode (nominal muscles, no noise) against every target: the rows
-    share one plant StepMap, built once, and the controller acts once per
-    step for all of them.
+    run in lockstep as the rows of one evaluation env (nominal muscles, no
+    noise), one row per target: the rows share one plant StepMap, built
+    once, and the controller acts once per step for all of them.
     """
     spec = spec or field_spec_for(preset)
     targets = grid_targets(spec)
@@ -189,8 +189,7 @@ def pid_gate(preset: str, plant: PlantConfig | None = None) -> tuple[float | Non
     plant = plant or PRESETS[preset].plant()
     spec = field_spec_for(preset)
     pid = PidActionPolicy(preset, plant)
-    angles = default_episode_runner(preset, spec, pid, (5.0, 5.0),
-                                    make_eval_env(preset, spec, plant))
+    angles = default_episode_runner(pid, (5.0, 5.0), make_eval_env(preset, spec, plant))
     near = np.nonzero(np.hypot(angles[:, 0] - 5.0, angles[:, 1] - 5.0)
                       < 0.1 * np.hypot(5.0, 5.0))[0]
     rise = ACTION_PERIOD * (int(near[0]) + 1) if near.size else None

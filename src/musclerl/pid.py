@@ -2,7 +2,7 @@
 
 Per controlled axis, with error e in degrees and step dt in seconds:
 
-    I <- clamp(I + e dt, +-integral_limit)
+    I <- clamp(I + e dt, +-output_limit / Ki)   (+-0 when Ki = 0)
     u  = Kp e + Ki I + Kd (e - e_prev) / dt
 
 The eye takes u directly as its signed pair command. The wrist maps the
@@ -24,7 +24,7 @@ np.clip's semantics for scalar bounds: x is kept when it equals a bound
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,7 +39,6 @@ class PidGains:
     ki: float
     kd: float
     output_limit: float
-    integral_limit: float | None = None
 
     def __post_init__(self):
         if self.kp < 0 or self.ki < 0 or self.kd < 0:
@@ -47,9 +46,7 @@ class PidGains:
 
     @property
     def i_clamp(self) -> float:
-        if self.integral_limit is not None:
-            return self.integral_limit
-        # default: integral term alone can just saturate the output
+        # the integral term alone can just saturate the output
         return self.output_limit / self.ki if self.ki > 0 else 0.0
 
 
@@ -61,18 +58,12 @@ EYE_GAINS = PidGains(kp=2.1, ki=0.2, kd=0.5, output_limit=10.0)
 WRIST_GAINS = PidGains(kp=3.3, ki=0.5, kd=0.3, output_limit=18.0)
 
 
-def gains_for(preset: str, plant: PlantConfig | None = None, scale: float = 1.0) -> PidGains:
-    if preset == "eye":
-        g = EYE_GAINS
-    elif plant is not None:
-        g = PidGains(kp=WRIST_GAINS.kp, ki=WRIST_GAINS.ki, kd=WRIST_GAINS.kd,
-                     output_limit=15.0 * plant.r)
-    else:
-        g = WRIST_GAINS
+def gains_for(preset: str, plant: PlantConfig, scale: float = 1.0) -> PidGains:
+    """The preset's stock gains for plant (the wrist's output limit is 15 r), times scale."""
+    g = EYE_GAINS if preset == "eye" else replace(WRIST_GAINS, output_limit=15.0 * plant.r)
     if scale == 1.0:
         return g
-    return PidGains(kp=g.kp * scale, ki=g.ki * scale, kd=g.kd * scale,
-                    output_limit=g.output_limit, integral_limit=g.integral_limit)
+    return replace(g, kp=g.kp * scale, ki=g.ki * scale, kd=g.kd * scale)
 
 
 class PidController:

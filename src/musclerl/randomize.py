@@ -6,7 +6,9 @@ is never touched. A draw works on muscle tables (muscle.COLUMNS order): the
 plant's (m, 7) table times the drawn factors gives the episodes' (rows, m,
 7) table, each product the one a scalar multiplication gives.
 Observation noise is zero-mean Gaussian, added independently per step to
-the measured angles and angular velocities only. A reset of n episodes
+the measured angles and angular velocities only. The factor intervals and
+the noise SDs are fixed; a RandomizationSpec scales them all with its one
+variance multiplier (0 turns randomization off). A reset of n episodes
 makes one draw per stream for all of them, one factor draw for all their
 muscles and one call per noise channel for all their steps, which gives
 the values and stream states that n resets, each with one draw per factor
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,59 +70,47 @@ class SeededRng:
         self.gen.bit_generator.state = state["bitgen"]
 
 
+# Each randomized constant's (lo, hi) factor interval at multiplier 1, in
+# RANDOMIZED_NAMES order, and the observation-noise SDs (deg, deg/s).
+INTERVALS = np.array([(0.8, 1.2), (0.9, 1.1), (0.85, 1.15), (0.8, 1.2), (0.85, 1.15),
+                      (0.9, 1.1)])
+INTERVALS.flags.writeable = False
+ANGLE_NOISE_SD = 0.1
+VELOCITY_NOISE_SD = 0.05
+
+
 @dataclass(frozen=True)
 class RandomizationSpec:
-    """Scaling intervals for the muscle constants plus observation-noise law.
+    """How widely episodes vary: one variance multiplier m, and whether muscles share factors.
 
-    intervals maps parameter name -> (lo, hi) dimensionless multipliers.
-    variance_multiplier m rescales interval half-widths about 1 and the noise
-    SDs jointly, for robustness-vs-variance sweeps; interval ends are clamped
-    below at 0.05 to keep parameters positive. The SDs and m must be finite
-    and nonnegative. env.TrackingEnv refuses an m whose widest draw makes
-    the RK4 substep unstable (above about 270 on the eye, 2,380 on the wrist).
+    m rescales the half-widths of INTERVALS about 1 and the noise SDs
+    jointly, for robustness-vs-variance sweeps; interval ends are clamped
+    below at 0.05 to keep parameters positive, and m = 0 draws the nominal
+    plant without noise. m must be finite and nonnegative.
+    env.TrackingEnv refuses an m whose widest draw makes the RK4 substep
+    unstable (above about 270 on the eye, 2,380 on the wrist).
     """
 
-    intervals: dict[str, tuple[float, float]] = field(
-        default_factory=lambda: dict(DEFAULT_INTERVALS)
-    )
-    angle_noise_sd: float = 0.1
-    velocity_noise_sd: float = 0.05
     variance_multiplier: float = 1.0
     shared_across_muscles: bool = False
 
     def __post_init__(self):
-        for name, (lo, hi) in self.intervals.items():
-            if not (0.0 < lo <= hi):
-                raise ValueError(f"interval for {name} must satisfy 0 < lo <= hi, got ({lo}, {hi})")
-        for name in ("angle_noise_sd", "velocity_noise_sd", "variance_multiplier"):
-            if not 0.0 <= getattr(self, name) < math.inf:  # false for NaN too
-                raise ValueError(f"{name} must be finite and nonnegative, "
-                                 f"got {getattr(self, name)!r}")
+        if not 0.0 <= self.variance_multiplier < math.inf:  # false for NaN too
+            raise ValueError(f"variance_multiplier must be finite and nonnegative, "
+                             f"got {self.variance_multiplier!r}")
 
-    def effective_interval(self, name: str) -> tuple[float, float]:
-        lo, hi = self.intervals[name]
+    def effective_intervals(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (6,) low and high ends of the factor intervals, in RANDOMIZED_NAMES order."""
+        lo, hi = INTERVALS.T
         m = self.variance_multiplier
-        return (max(1.0 - m * (1.0 - lo), 0.05), 1.0 + m * (hi - 1.0))
+        return np.maximum(1.0 - m * (1.0 - lo), 0.05), 1.0 + m * (hi - 1.0)
 
     def effective_noise_sds(self) -> tuple[float, float]:
         m = self.variance_multiplier
-        return (self.angle_noise_sd * m, self.velocity_noise_sd * m)
+        return (ANGLE_NOISE_SD * m, VELOCITY_NOISE_SD * m)
 
 
-DEFAULT_INTERVALS: tuple[tuple[str, tuple[float, float]], ...] = (
-    ("k", (0.8, 1.2)),
-    ("b", (0.9, 1.1)),
-    ("c", (0.85, 1.15)),
-    ("C_th", (0.8, 1.2)),
-    ("lambda_", (0.85, 1.15)),
-    ("R", (0.9, 1.1)),
-)
-
-NO_RANDOMIZATION = RandomizationSpec(
-    intervals={name: (1.0, 1.0) for name in RANDOMIZED_NAMES},
-    angle_noise_sd=0.0,
-    velocity_noise_sd=0.0,
-)
+NO_RANDOMIZATION = RandomizationSpec(variance_multiplier=0.0)
 
 
 def sample_muscle_set(
@@ -138,7 +128,7 @@ def sample_muscle_set(
     that is not positive and finite (an overflow at a huge multiplier)
     raises ValueError naming it.
     """
-    lo, hi = zip(*map(spec.effective_interval, RANDOMIZED_NAMES))
+    lo, hi = spec.effective_intervals()
     per_row = 1 if spec.shared_across_muscles else len(nominal)
     table = np.repeat(nominal[None], rows, axis=0)
     drawn = table[:, :, :len(RANDOMIZED_NAMES)]  # a view: scaled in place

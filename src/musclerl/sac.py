@@ -341,13 +341,17 @@ class SacAgent:
     def act(self, obs, hidden, deterministic: bool = False, rng: SeededRng | None = None):
         """One action per row of obs (B, 6), carrying the rows' GRU states.
 
-        Stochastic mode samples the squashed Gaussian, with noise drawn as
-        (B, A) in row order; deterministic mode returns the squashed mean
-        (evaluation policy). hidden is the (B, 1, H) state from
-        initial_hidden(B) or the previous act, and obs may be (6,) when
-        B = 1. Returns (B, A) actions and the next state, a new array. Each
-        row's action and state are bitwise those of acting on it alone.
+        Stochastic mode samples the squashed Gaussian, with noise drawn from
+        rng as (B, A) in row order, and refuses to act without rng: the
+        agent's own noise stream belongs to update. Deterministic mode
+        returns the squashed mean (evaluation policy). hidden is the
+        (B, 1, H) state from initial_hidden(B) or the previous act, and obs
+        may be (6,) when B = 1. Returns (B, A) actions and the next state, a
+        new array. Each row's action and state are bitwise those of acting
+        on it alone.
         """
+        if not deterministic and rng is None:
+            raise ValueError("a stochastic act needs rng, its own noise stream")
         if self._act_cell is None:
             self._act_cell = ActCell(self.actor)
         B, A = hidden.shape[0], self.action_dim
@@ -357,8 +361,7 @@ class SacAgent:
             action = squash_mean(y[:, 0, :A], self.action_center, self.action_half)
         else:
             mu, log_sd, _ = split_head(y[:, 0])
-            noise_rng = rng if rng is not None else self._noise_rng
-            noise = noise_rng.standard_normal((B, A))
+            noise = rng.standard_normal((B, A))
             action, _, _ = squash_sample(mu, log_sd, noise, self.action_center, self.action_half)
         return action, h_next
 

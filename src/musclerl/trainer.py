@@ -7,10 +7,11 @@ run in lockstep, up to DEMONSTRATION_ROWS at a time as the rows of the
 training env, whose reset makes one draw per stream for all of them; their
 relabels are drawn and scored in one pass per call, and the episodes are
 then stored and logged in episode order, which gives every random stream,
-buffer slot and log row that one episode at a time gives. The uniform warm-up and the policy run one episode per call, since
-their per-step draws would interleave across rows. Phase two rolls
-out the current policy, augments, stores, and runs k gradient updates per
-episode. Muscle dynamics resample every reset.
+buffer slot and log row that one episode at a time gives. The uniform
+warm-up and the policy run one episode per call, since their per-step
+draws would interleave across rows. Phase two rolls out the current
+policy, augments, stores, and runs k gradient updates per episode. Muscle
+dynamics resample every reset.
 
 Artifacts (under the run directory): rewards.csv with one row per episode,
 losses.csv with per-episode mean losses, a rolling full checkpoint for

@@ -35,7 +35,7 @@ from musclerl.muscle import SCP_NOMINAL
 from musclerl.nets import NetworkShape, init_params
 from musclerl.plant import PlantRows, StepMap, advance, eye_config
 from musclerl.randomize import (
-    DEFAULT_INTERVALS,
+    INTERVALS,
     RANDOMIZED_NAMES,
     RandomizationSpec,
     SeededRng,
@@ -185,14 +185,13 @@ def test_criterion_4_randomization_bounds():
     t0 = time.perf_counter()
     spec = RandomizationSpec()
     rng = SeededRng(4)
-    lo_hi = dict(DEFAULT_INTERVALS)
     ratios = {n: np.empty(10_000) for n in RANDOMIZED_NAMES}
     nominal = SCP_NOMINAL[None]
     for i in range(10_000):
         row = sample_muscle_set(nominal, spec, rng)[0, 0]
         for j, n in enumerate(RANDOMIZED_NAMES):
             r = row[j] / nominal[0, j]
-            lo, hi = lo_hi[n]
+            lo, hi = INTERVALS[j]
             assert lo <= r <= hi, f"{n} sample {r} outside [{lo}, {hi}]"
             ratios[n][i] = r
     drift = {n: abs(float(ratios[n].mean()) - 1.0) for n in RANDOMIZED_NAMES}

@@ -78,11 +78,12 @@ def test_pid_output_always_inside_action_box():
 
 
 def test_pid_integral_respects_clamp():
-    gains = PidGains(kp=1.0, ki=0.5, kd=0.0, output_limit=10.0, integral_limit=3.0)
+    gains = PidGains(kp=1.0, ki=2.0, kd=0.0, output_limit=6.0)  # integral clamp 3
     pid = PidController(gains)
     for _ in range(200):
         pid.commands(np.array([[50.0, -50.0]]), 0.5)
         assert np.all(np.abs(pid.integral) <= 3.0)
+    assert pid.integral.tolist() == [[3.0, -3.0]]
 
 
 class ClipPidOracle:
@@ -116,7 +117,7 @@ def test_pid_clamps_match_clip_oracle_bit_for_bit(preset):
     stock = gains_for(preset, plant)
     gain_sets = [
         stock,
-        PidGains(kp=1.0, ki=0.5, kd=0.2, output_limit=12.0, integral_limit=3.0),
+        PidGains(kp=1.0, ki=4.0, kd=0.2, output_limit=12.0),  # integral clamp 3
         PidGains(kp=2.0, ki=0.0, kd=0.0, output_limit=10.0),  # integral clamp at +-0.0
         PidGains(kp=0.0, ki=0.0, kd=0.0, output_limit=10.0),  # signed-zero commands
     ]
@@ -165,7 +166,7 @@ def test_pid_rows_in_one_call_equal_each_row_alone(preset):
 
 
 def test_pid_controller_update_matches_clip_oracle_at_both_clamps():
-    gains = PidGains(kp=3.0, ki=0.5, kd=0.4, output_limit=6.0, integral_limit=2.0)
+    gains = PidGains(kp=3.0, ki=3.0, kd=0.4, output_limit=6.0)  # integral clamp 2
     pid = PidController(gains)
     oracle = ClipPidOracle("eye", eye_config(), gains)
     errors = [(40.0, -40.0), (40.0, -40.0), (-0.0, 0.0), (-3.0, 3.0), (0.0, -0.0),
@@ -184,7 +185,7 @@ def test_pid_default_integral_clamp_saturates_output():
 
 
 def test_pid_gain_scaling():
-    g = gains_for("eye", scale=2.0)
+    g = gains_for("eye", eye_config(), scale=2.0)
     assert (g.kp, g.ki, g.kd) == (4.2, 0.4, 1.0)
 
 

@@ -292,8 +292,8 @@ def test_reset_of_n_rows_draws_what_n_single_resets_draw(preset, spec):
 
 def test_episode_calls_the_traced_plant_names(monkeypatch):
     # the benchmark's per-layer spans wrap these module attributes, so an
-    # episode must reach the plant and the muscle draw through them
-    calls = {"advance": 0, "sample_muscle_set": 0}
+    # episode must reach the plant, the muscle draw and the noise through them
+    calls = {"advance": 0, "sample_muscle_set": 0, "apply_observation_noise": 0}
     for name in calls:
         raw = getattr(musclerl.env, name)
 
@@ -304,8 +304,9 @@ def test_episode_calls_the_traced_plant_names(monkeypatch):
         monkeypatch.setattr(musclerl.env, name, counting)
     env = TrackingEnv("wrist", SeededRng(4))
     run_episode(env, pid_controller_for("wrist"))
-    assert calls == {"advance": env.episode.episode_length, "sample_muscle_set": 1}
-    assert env.episode.episode_length == 40
+    T = env.episode.episode_length
+    assert calls == {"advance": T, "sample_muscle_set": 1, "apply_observation_noise": T + 1}
+    assert T == 40
 
 
 def test_nan_action_in_one_row_raises_before_any_row_moves():
@@ -332,22 +333,29 @@ def test_nan_action_in_one_row_raises_before_any_row_moves():
     assert env.plant.z.tobytes() == after_two.tobytes()
 
 
-def test_targets_play_one_drawn_episode_as_rows():
-    # given targets, the env draws one episode (muscles, noise) and plays it
-    # against each target: one draw from every stream, one shared StepMap
-    env = TrackingEnv("wrist", SeededRng(8))
-    obs = env.reset(targets=[(1.0, 2.0), (-3.0, 4.0), (0.5, -0.5)])
-    twin = TrackingEnv("wrist", SeededRng(8))
-    one = twin.reset()
-    assert obs[:, 4:].tolist() == [[1.0, 2.0], [-3.0, 4.0], [0.5, -0.5]]
-    assert obs[:, :4].tobytes() == np.tile(one[:, :4], (3, 1)).tobytes()
-    assert env.plant.stack is env.step_map.stack
-    streams = [env._params_rng, env._target_rng, *env._noise_rngs]
-    twins = [twin._params_rng, twin._target_rng, *twin._noise_rngs]
-    assert repr([r.get_state() for r in streams]) == repr([r.get_state() for r in twins])
+@pytest.mark.parametrize("spec", ["default", "none"])
+def test_targets_replace_the_drawn_targets_of_their_rows(spec):
+    # given targets, the env resets one row per target as reset(n) does and
+    # then sets the targets: the rows, step map, noise and stream states are
+    # a twin's reset(3), byte for byte, and so is the next step
+    targets = [(1.0, 2.0), (-3.0, 4.0), (0.5, -0.5)]
+    spec = RESET_SPECS[spec]
+    env = TrackingEnv("wrist", SeededRng(8), randomization=spec)
+    twin = TrackingEnv("wrist", SeededRng(8), randomization=spec)
+    obs = env.reset(targets=targets)
+    one = twin.reset(3)
+    assert obs[:, 4:].tolist() == env.target.tolist() == [list(t) for t in targets]
+    assert obs[:, :4].tobytes() == one[:, :4].tobytes()
+    for name in ("muscles", "one", "stack"):
+        assert getattr(env.step_map, name).tobytes() == getattr(twin.step_map, name).tobytes()
+    assert env.step_map.rows == (1 if spec is NO_RANDOMIZATION else 3)
+    assert env._channels == twin._channels
+    assert env._noise.tobytes() == twin._noise.tobytes()
+    assert env.plant.z.tobytes() == twin.plant.z.tobytes()
+    assert _stream_states(env) == _stream_states(twin)
     obs2, _, _ = env.step(np.zeros((3, 3)))
-    obs1, _, _ = twin.step(np.zeros(3))
-    assert obs2[:, :4].tobytes() == np.tile(obs1[:, :4], (3, 1)).tobytes()
+    obs1, _, _ = twin.step(np.zeros((3, 3)))
+    assert obs2[:, :4].tobytes() == obs1[:, :4].tobytes()
 
 
 @pytest.mark.parametrize("preset, stable, unstable", [("eye", 250.0, 280.0),

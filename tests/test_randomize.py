@@ -7,7 +7,7 @@ import pytest
 
 from musclerl.muscle import COLUMNS, SCP_NOMINAL, TCA_NOMINAL
 from musclerl.randomize import (
-    DEFAULT_INTERVALS,
+    INTERVALS,
     NO_RANDOMIZATION,
     RANDOMIZED_NAMES,
     RandomizationSpec,
@@ -22,7 +22,7 @@ SCP, TCA = SCP_NOMINAL[None], TCA_NOMINAL[None]
 
 
 def test_degenerate_intervals_return_nominal_exactly():
-    spec = RandomizationSpec(intervals={n: (1.0, 1.0) for n in RANDOMIZED_NAMES})
+    spec = RandomizationSpec(variance_multiplier=0.0)
     out = sample_muscle_set(SCP, spec, SeededRng(3))
     assert out.shape == (1, 1, len(COLUMNS)) and out.tobytes() == SCP.tobytes()
 
@@ -38,13 +38,12 @@ def test_scp_stiffness_stays_in_scaled_interval():
 def test_support_containment_all_parameters():
     spec = RandomizationSpec()
     rng = SeededRng(12)
-    lo_hi = dict(DEFAULT_INTERVALS)
     draws = {n: [] for n in RANDOMIZED_NAMES}
     for _ in range(10_000):
         row = sample_muscle_set(TCA, spec, rng)[0, 0]
         for j, n in enumerate(RANDOMIZED_NAMES):
             v = row[j] / TCA[0, j]
-            lo, hi = lo_hi[n]
+            lo, hi = INTERVALS[j]
             assert lo <= v <= hi
             draws[n].append(v)
         assert row[COLUMNS.index("T_amb")] == TCA[0, COLUMNS.index("T_amb")]
@@ -129,7 +128,13 @@ def test_noise_empirical_sd_and_independence():
     assert abs(lag1) < 0.02
 
 
-@pytest.mark.parametrize("spec", [RandomizationSpec(), RandomizationSpec(angle_noise_sd=0.0),
+# six times the smallest denormal: the angle SD rounds to that denormal and
+# the velocity SD to 0, so only the angle channels draw
+DENORMAL = 6 * 5e-324
+
+
+@pytest.mark.parametrize("spec", [RandomizationSpec(),
+                                  RandomizationSpec(variance_multiplier=DENORMAL),
                                   RandomizationSpec(variance_multiplier=2.5)])
 def test_episode_noise_draw_matches_per_step_scalar_draws(spec):
     # one size-(T+1) call per channel gives the values and the stream state
@@ -149,29 +154,41 @@ def test_episode_noise_draw_matches_per_step_scalar_draws(spec):
 
 def test_variance_multiplier_scales_intervals_and_noise():
     base = RandomizationSpec()
-    assert base.effective_interval("k") == (0.8, 1.2)
+    assert [end.tolist() for end in base.effective_intervals()] == INTERVALS.T.tolist()
+    assert base.effective_noise_sds() == (0.1, 0.05)
     doubled = RandomizationSpec(variance_multiplier=2.0)
-    lo, hi = doubled.effective_interval("k")
-    assert lo == pytest.approx(0.6) and hi == pytest.approx(1.4)
+    lo, hi = doubled.effective_intervals()
+    assert lo[0] == pytest.approx(0.6) and hi[0] == pytest.approx(1.4)
     assert doubled.effective_noise_sds() == (0.2, 0.1)
     frozen = RandomizationSpec(variance_multiplier=0.0)
-    assert frozen.effective_interval("k") == (1.0, 1.0)
+    assert all(end.tolist() == [1.0] * 6 for end in frozen.effective_intervals())
     assert frozen.effective_noise_sds() == (0.0, 0.0)
     # positivity clamp engages for extreme multipliers
     extreme = RandomizationSpec(variance_multiplier=10.0)
-    lo, hi = extreme.effective_interval("k")
-    assert lo == 0.05 and hi == pytest.approx(3.0)
+    lo, hi = extreme.effective_intervals()
+    assert lo[0] == 0.05 and hi[0] == pytest.approx(3.0)
+
+
+@pytest.mark.parametrize("m", [0.0, DENORMAL, 1e-17, 0.5, 1.0, 2.0, 2.5, 10.0, 2000.0, 1e308])
+def test_effective_intervals_equal_the_scalar_formula(m):
+    # each array end is, bit for bit, the per-constant scalar formula
+    lo, hi = RandomizationSpec(variance_multiplier=m).effective_intervals()
+    for j, (lo_j, hi_j) in enumerate(INTERVALS.tolist()):
+        assert lo[j].tobytes() == np.float64(max(1.0 - m * (1.0 - lo_j), 0.05)).tobytes()
+        assert hi[j].tobytes() == np.float64(1.0 + m * (hi_j - 1.0)).tobytes()
 
 
 def test_invalid_specs_rejected():
     with pytest.raises(ValueError):
-        RandomizationSpec(intervals={"k": (0.0, 1.0)})
+        RandomizationSpec(variance_multiplier=-1.0)
     with pytest.raises(ValueError):
-        RandomizationSpec(angle_noise_sd=-1.0)
+        RandomizationSpec(variance_multiplier=-5e-324)
 
 
+# the noise SDs are fixed constants times the multiplier, so it is the one
+# value to refuse
 @pytest.mark.parametrize("value", [math.inf, math.nan])
-@pytest.mark.parametrize("name", ["variance_multiplier", "angle_noise_sd", "velocity_noise_sd"])
+@pytest.mark.parametrize("name", ["variance_multiplier"])
 def test_non_finite_multiplier_and_noise_sds_rejected(name, value):
     # refused at build time, before any draw could overflow numpy's uniform
     with pytest.raises(ValueError, match=name):
@@ -190,8 +207,8 @@ def test_rng_state_roundtrip():
 
 def oracle_draw_factors(spec, rng):
     """One scalar uniform call per factor, in RANDOMIZED_NAMES order."""
-    return {name: float(rng.uniform(*spec.effective_interval(name)))
-            for name in RANDOMIZED_NAMES}
+    lo, hi = (end.tolist() for end in spec.effective_intervals())
+    return {name: float(rng.uniform(lo[j], hi[j])) for j, name in enumerate(RANDOMIZED_NAMES)}
 
 
 def oracle_scaled(p, factors):
@@ -256,4 +273,4 @@ def test_one_call_draw_matches_the_scalar_oracle(spec, shared):
 
 
 def test_clamped_oracle_spec_sits_at_the_lower_end():
-    assert all(ORACLE_SPECS[3].effective_interval(n)[0] == 0.05 for n in RANDOMIZED_NAMES)
+    assert ORACLE_SPECS[3].effective_intervals()[0].tolist() == [0.05] * len(RANDOMIZED_NAMES)

@@ -115,7 +115,7 @@ def test_update_leaves_no_stacked_nets_in_its_caches():
     agent = make_agent(hidden=6, seed=7)
     batch = [make_traj(T=4, seed=i) for i in range(20)]
     obs = np.random.default_rng(7).normal(size=6)
-    agent.act(obs, agent.initial_hidden())
+    agent.act(obs, agent.initial_hidden(), rng=SeededRng(7))
     for _ in range(2):
         agent.update(batch, gamma=0.9)
         assert sorted(agent._ws) == ["actor", "critic", "critic_pi", "target"]
@@ -366,10 +366,21 @@ def test_actions_stay_in_box():
     for seed in range(10):
         agent = make_agent(action_dim=3, hidden=6, seed=seed)
         h = agent.initial_hidden()
+        noise = SeededRng(seed)
         for _ in range(300):
             obs = rng.normal(scale=5.0, size=6)
-            a, h = agent.act(obs, h)
+            a, h = agent.act(obs, h, rng=noise)
             assert np.all(a >= 0.0) and np.all(a <= 10.0)
+
+
+def test_stochastic_act_without_rng_is_refused():
+    # the agent's own noise stream is update's: acting must not draw from it
+    agent = make_agent(action_dim=3, hidden=6, seed=2)
+    before = repr(agent._noise_rng.get_state())
+    with pytest.raises(ValueError, match="needs rng"):
+        agent.act(np.zeros(6), agent.initial_hidden())
+    assert repr(agent._noise_rng.get_state()) == before
+    agent.act(np.zeros(6), agent.initial_hidden(), True)
 
 
 def test_fresh_agent_zero_observation_acts_near_center():
