@@ -154,7 +154,8 @@ def test_episode_noise_draw_matches_per_step_scalar_draws(spec):
 
 def test_variance_multiplier_scales_intervals_and_noise():
     base = RandomizationSpec()
-    assert [end.tolist() for end in base.effective_intervals()] == INTERVALS.T.tolist()
+    assert [end.tolist() for end in base.effective_intervals()] == [
+        [0.8, 0.9, 0.85, 0.8, 0.85, 0.9], [1.2, 1.1, 1.15, 1.2, 1.15, 1.1]]
     assert base.effective_noise_sds() == (0.1, 0.05)
     doubled = RandomizationSpec(variance_multiplier=2.0)
     lo, hi = doubled.effective_intervals()
