@@ -10,7 +10,7 @@ reproducible training/evaluation harness.
 from .muscle import SCP_NOMINAL, TCA_NOMINAL
 from .plant import PlantConfig, PlantRows, eye_config, wrist_config
 from .randomize import RandomizationSpec, SeededRng
-from .env import EpisodeConfig, RewardSpec, TrackingEnv, run_episode
+from .env import RewardSpec, TrackingEnv, run_episode
 from .sac import ReplayBuffer, SacAgent, Trajectory
 from .augment import AugmentationSpec, augment_trajectory
 from .pid import PidController, PidGains
@@ -22,7 +22,7 @@ __all__ = [
     "SCP_NOMINAL", "TCA_NOMINAL",
     "PlantConfig", "PlantRows", "eye_config", "wrist_config",
     "RandomizationSpec", "SeededRng",
-    "EpisodeConfig", "RewardSpec", "TrackingEnv", "run_episode",
+    "RewardSpec", "TrackingEnv", "run_episode",
     "ReplayBuffer", "SacAgent", "Trajectory",
     "AugmentationSpec", "augment_trajectory",
     "PidController", "PidGains",

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 
@@ -142,6 +143,10 @@ def cmd_eval_field(args) -> int:
 
 
 def cmd_episode(args) -> int:
+    target = (args.target1, args.target2)
+    if not all(map(math.isfinite, target)):
+        print(f"episode targets must be finite, got {target}", file=sys.stderr)
+        return 2
     resolved = _controller(args)
     if resolved is None:
         return 2
@@ -152,7 +157,6 @@ def cmd_episode(args) -> int:
     if spec is None:
         return 2
     env = make_eval_env(preset, spec, plant)
-    target = (args.target1, args.target2)
     _, outputs, actions, rewards = (r[0] for r in run_episode(env, controller, [target]))
     lines = ["t,angle1,rate1,angle2,rate2," +
              ",".join(f"action{i+1}" for i in range(env.action_dim)) + "," +

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 import typing
 from dataclasses import dataclass
 
@@ -62,7 +63,7 @@ class RunConfig:
             raise ValueError(f"unknown preset {self.preset!r}")
 
     def resolved(self) -> "RunConfig":
-        """Fill preset-dependent defaults; validates M <= N, gamma and the checks below."""
+        """Fill preset-dependent defaults; refuses M > N and each out-of-range number below."""
         p = PRESETS[self.preset]
         cfg = dataclasses.replace(
             self,
@@ -71,6 +72,8 @@ class RunConfig:
                                 else self.bootstrap_episodes),
             episode_length=p.steps if self.episode_length is None else self.episode_length,
         )
+        if cfg.updates_per_episode is None:
+            cfg = dataclasses.replace(cfg, updates_per_episode=cfg.episode_length)
         if cfg.plant_rest_length is not None:
             raise ValueError("plant_rest_length is not supported: the linearized muscle "
                              "routing cancels the rest length, so it changes no dynamics")
@@ -78,14 +81,23 @@ class RunConfig:
             raise ValueError("bootstrap_episodes must not exceed episodes")
         if not 0 < cfg.gamma <= 1:
             raise ValueError(f"gamma must lie in (0, 1], got {cfg.gamma!r}")
-        for key in ("batch_size", "checkpoint_every"):
+        if not 0 <= cfg.tau <= 1:
+            raise ValueError(f"tau must lie in [0, 1], got {cfg.tau!r}")
+        if not 0 < cfg.lr < math.inf:
+            raise ValueError(f"lr must be finite and positive, got {cfg.lr!r}")
+        for key in ("batch_size", "checkpoint_every", "episode_length", "updates_per_episode"):
             if getattr(cfg, key) < 1:
                 raise ValueError(f"{key} must be at least 1, got {getattr(cfg, key)!r}")
+        for key in ("bootstrap_episodes", "augment_copies"):
+            if getattr(cfg, key) < 0:
+                raise ValueError(f"{key} must not be negative, got {getattr(cfg, key)!r}")
+        for key in ("target_range", "augment_delta"):
+            if not 0 <= getattr(cfg, key) < math.inf:
+                raise ValueError(f"{key} must be finite and nonnegative, "
+                                 f"got {getattr(cfg, key)!r}")
         if cfg.buffer_capacity < cfg.batch_size:  # no update could ever sample a batch
             raise ValueError(f"buffer_capacity ({cfg.buffer_capacity!r}) must be at least "
                              f"batch_size ({cfg.batch_size!r})")
-        if cfg.updates_per_episode is None:
-            cfg = dataclasses.replace(cfg, updates_per_episode=cfg.episode_length)
         return cfg
 
     def canonical_items(self) -> list[tuple[str, str]]:

@@ -15,15 +15,16 @@ so the same reward can be recomputed exactly from logged trajectories.
 reward() is elementwise over leading axes, so one call scores a whole
 episode, or a whole episode under many relabelled targets. An env holds
 rows: reset(n) starts n episodes and step() advances all of them with one
-plant product, and returns no reward. run_episode() is the one closed
-loop every driver of the plant runs: one env's rows in lockstep, with one
-controller call and one step per action for all of them (training and
-the episode command run one row; the PID demonstrations run many
-episodes of the training env, the field test one row per target), and
-it scores the episodes in one reward() call after its loop. Episodes end
-by time limit (truncation), never by failure. PRESETS holds each number
-that differs between the eye and the wrist, from the plant and reward to
-the training schedule.
+plant product; it returns the next observations and the outputs and
+clipped actions that reward() scores, but no reward. run_episode() is the
+one closed loop every driver of the plant runs: one env's rows in
+lockstep, with one controller call and one step per action for all of
+them (training and the episode command run one row; the PID
+demonstrations run many episodes of the training env, the field test one
+row per target), and it scores the episodes in one reward() call after
+its loop. Episodes end at the time limit of `steps` actions, never by
+failure. PRESETS holds each number that differs between the eye and the
+wrist, from the plant and reward to the training schedule.
 
 step() clamps the actions to the box as np.clip with array bounds does:
 np.minimum(np.maximum(a, low), high) against the env's read-only bound
@@ -72,14 +73,6 @@ class RewardSpec:
 ACTION_PERIOD = 0.5  # s between actions
 PHYSICS_DT = 0.01    # s per plant substep
 SUBSTEPS = round(ACTION_PERIOD / PHYSICS_DT)
-
-
-@dataclass(frozen=True)
-class EpisodeConfig:
-    """Episode length (actions) and target law (uniform on +-target_range deg)."""
-
-    episode_length: int
-    target_range: float = 10.0
 
 
 EYE_REWARD = RewardSpec(q_e=(0.05, 0.25, 0.05, 0.25), r_a=(0.01, 0.01), bonus_threshold=0.3)
@@ -180,25 +173,27 @@ def reward(spec: RewardSpec, y, y_star, a):
 class TrackingEnv:
     """An environment of lockstep rows, each one episode of a named plant preset.
 
-    reset(n) starts n episodes with one draw per stream for all of them:
-    the rows' muscle table (n, m, 7), which stays fixed for the episode,
-    their targets, and each observation-noise channel for all their steps.
-    Each draw gives the values, in episode order, and leaves the stream
-    state of n resets in turn. The table goes straight to one plant
-    StepMap of n rows, built in one pass; when every row has the same
-    muscles (variance multiplier 0) the rows share a one-row map, kept across
-    resets while its table stays the same. step() then advances every row
-    by one action with one plant product (plant.advance). All randomness flows
-    through named child streams of the seed rng, so trajectories are
-    reproducible. A randomization too wide for the RK4 substep is refused
-    when the env is built (refuse_unstable_draws).
+    An episode is `steps` actions (the preset's by default) toward a target
+    drawn uniformly on +-target_range deg per axis. reset(n) starts n
+    episodes with one draw per stream for all of them: the rows' muscle
+    table (n, m, 7), which stays fixed for the episode, their targets, and
+    each observation-noise channel for all their steps. Each draw gives the
+    values, in episode order, and leaves the stream state of n resets in
+    turn. Each reset builds one plant StepMap in one pass: of n rows, or of
+    one row that every row shares when all rows have the same muscles
+    (variance multiplier 0). step() then advances every row by one action
+    with one plant product (plant.advance). All randomness flows through
+    named child streams of the seed rng, so trajectories are reproducible.
+    A randomization too wide for the RK4 substep is refused when the env is
+    built (refuse_unstable_draws).
     """
 
     def __init__(
         self,
         preset: str,
         rng: SeededRng,
-        episode: EpisodeConfig | None = None,
+        steps: int | None = None,
+        target_range: float = 10.0,
         randomization: RandomizationSpec | None = None,
         plant_config: PlantConfig | None = None,
     ):
@@ -207,7 +202,8 @@ class TrackingEnv:
         p = PRESETS[preset]
         self.preset = preset
         self.nominal = plant_config if plant_config is not None else p.plant()
-        self.episode = episode or EpisodeConfig(episode_length=p.steps)
+        self.steps = p.steps if steps is None else steps
+        self.target_range = target_range
         self.randomization = randomization if randomization is not None else RandomizationSpec()
         refuse_unstable_draws(self.nominal, self.randomization)
         self.reward_spec = p.reward
@@ -222,7 +218,6 @@ class TrackingEnv:
         self.plant: PlantRows | None = None
         self.target = np.zeros((1, 2))
         self.steps_taken = 0
-        self._done = True
 
     def map_action(self, a) -> np.ndarray:
         """The voltages of clipped actions (..., A): the wrist's are the actions themselves."""
@@ -233,32 +228,26 @@ class TrackingEnv:
     def reset(self, n: int = 1, targets=None) -> np.ndarray:
         """Start n fresh episodes, one per row; returns their (n, 6) initial observations.
 
-        Every stream makes one draw for the n rows (see the class
-        docstring). With targets ((B, 2) poses, deg), n is B and the
-        targets replace the drawn ones, row for row.
+        Every stream makes one draw for the n rows, and the drawn muscles
+        get a new StepMap (see the class docstring). With targets ((B, 2)
+        poses, deg), n is B and the targets replace the drawn ones, row for
+        row.
         """
         if targets is not None:
             targets = np.array(targets, dtype=np.float64).reshape(-1, 2)
             n = len(targets)
-        tr, steps = self.episode.target_range, self.episode.episode_length + 1
+        tr = self.target_range
         muscles = sample_muscle_set(self.nominal.muscles, self.randomization,
                                     self._params_rng, n)
-        if (muscles != muscles[0]).any():
-            self.step_map = StepMap(self.nominal, PHYSICS_DT, SUBSTEPS, muscles)
-        elif self.step_map is None or not np.array_equal(self.step_map.muscles, muscles[:1]):
-            self.step_map = StepMap(self.nominal, PHYSICS_DT, SUBSTEPS, muscles[:1])
+        self.step_map = StepMap(self.nominal, PHYSICS_DT, SUBSTEPS,
+                                muscles if (muscles != muscles[0]).any() else muscles[:1])
         drawn = self._target_rng.uniform(-tr, tr, size=(n, 2))
         self._channels, self._noise = draw_observation_noise(self.randomization,
-                                                             self._noise_rngs, steps, n)
+                                                             self._noise_rngs, self.steps + 1, n)
         self.target = drawn if targets is None else targets
         self.plant = PlantRows(self.step_map, n)
         self.steps_taken = 0
-        self._done = False
         return self._observe()
-
-    def true_output(self) -> np.ndarray:
-        """Noiseless [angle1, rate1, angle2, rate2] of every row's current state, (n, 4)."""
-        return self.plant.outputs()
 
     def _observe(self) -> np.ndarray:
         obs = np.empty((len(self.target), OBS_DIM))
@@ -267,29 +256,26 @@ class TrackingEnv:
         apply_observation_noise(obs, self._channels, self._noise[self.steps_taken])
         return obs
 
-    def step(self, actions) -> tuple[np.ndarray, bool, dict]:
+    def step(self, actions) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Apply one action per row for one action period.
 
         actions is (n, A), or (A,) with one row. Returns (next_obs (n, 6),
-        done, info); info carries the noiseless outputs (n, 4) at which the
-        actions were taken, the clipped actions (n, A) and the applied
-        voltages (n, m), which are what reward() scores. done is a
-        time-limit truncation, so critic targets keep bootstrapping. The
-        clamp is np.clip's with array bounds, as the module docstring says;
-        the wrist's voltages are the clipped action array itself.
+        outputs (n, 4), actions (n, A)): the noiseless outputs at which the
+        actions were taken and the clipped actions, which are what reward()
+        scores. The clamp is np.clip's with array bounds, as the module
+        docstring says; the wrist's voltages are the clipped action array
+        itself. A step before any reset, or after the episode's `steps`
+        actions, raises RuntimeError.
         """
-        if self._done:
-            raise RuntimeError("step() called on a finished episode; call reset()")
+        if self.plant is None or self.steps_taken >= self.steps:
+            raise RuntimeError("step() called outside an episode; call reset()")
         a = np.maximum(actions, self.action_low)
         np.minimum(a, self.action_high, out=a)
         a = a.reshape(len(self.target), self.action_dim)
         y_before = self.plant.outputs()
-        volts = self.map_action(a)
-        advance(self.plant, volts)
+        advance(self.plant, self.map_action(a))
         self.steps_taken += 1
-        self._done = self.steps_taken >= self.episode.episode_length
-        info = {"output": y_before, "action": a, "voltages": volts, "truncated": self._done}
-        return self._observe(), self._done, info
+        return self._observe(), y_before, a
 
 
 def run_episode(env: TrackingEnv, controller, targets=None, rows: int = 1):
@@ -300,14 +286,15 @@ def run_episode(env: TrackingEnv, controller, targets=None, rows: int = 1):
     each step the controller makes one call for all rows, then one
     env.step advances them all. The controller needs reset(n) and
     act(obs (n, 6), dt) -> (n, A) actions. Returns (obs (B, T+1, 6),
-    outputs (B, T+1, 4), actions (B, T, A), rewards (B, T)): the
-    observations and noiseless outputs at every step boundary, and the
-    clipped actions applied with their rewards, which one reward() call
-    computes from outputs[:, :T], the targets and the actions once the
-    loop is done. Each row is bitwise the episode it would be alone: the
-    rows share no arithmetic.
+    outputs (B, T+1, 4), actions (B, T, A), rewards (B, T)), T = env.steps:
+    the observations and noiseless outputs at every step boundary (each
+    step's, and the plant's after the last), and the clipped actions
+    applied with their rewards, which one reward() call computes from
+    outputs[:, :T], the targets and the actions once the loop is done. Each
+    row is bitwise the episode it would be alone: the rows share no
+    arithmetic.
     """
-    T, A = env.episode.episode_length, env.action_dim
+    T, A = env.steps, env.action_dim
     obs0 = env.reset(rows, targets)
     B = len(obs0)
     obs_rows = np.empty((B, T + 1, OBS_DIM))
@@ -317,9 +304,7 @@ def run_episode(env: TrackingEnv, controller, targets=None, rows: int = 1):
     controller.reset(B)
     for t in range(T):
         actions = controller.act(obs_rows[:, t], dt=ACTION_PERIOD)
-        obs_rows[:, t + 1], _, info = env.step(actions)
-        out_rows[:, t] = info["output"]
-        act_rows[:, t] = info["action"]
-    out_rows[:, T] = env.true_output()
+        obs_rows[:, t + 1], out_rows[:, t], act_rows[:, t] = env.step(actions)
+    out_rows[:, T] = env.plant.outputs()
     rewards = reward(env.reward_spec, out_rows[:, :T], env.target[:, None, :], act_rows)
     return obs_rows, out_rows, act_rows, rewards

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import CODE_STAMP
-from .env import ACTION_PERIOD, PRESETS, EpisodeConfig, TrackingEnv, run_episode
+from .env import ACTION_PERIOD, PRESETS, TrackingEnv, run_episode
 from .pid import PidActionPolicy
 from .plant import PlantConfig
 from .randomize import NO_RANDOMIZATION, SeededRng
@@ -120,8 +120,8 @@ def make_eval_env(preset: str, spec: FieldTestSpec,
 
     Its episodes run with targets given, which replace the drawn ones.
     """
-    return TrackingEnv(preset, SeededRng(0), episode=EpisodeConfig(episode_length=spec.steps),
-                       randomization=NO_RANDOMIZATION, plant_config=plant)
+    return TrackingEnv(preset, SeededRng(0), steps=spec.steps, randomization=NO_RANDOMIZATION,
+                       plant_config=plant)
 
 
 def default_episode_runner(controller, target, env: TrackingEnv) -> np.ndarray:

@@ -321,8 +321,7 @@ def forward_stacked(sp: StackedNets, x: np.ndarray, h0: np.ndarray | None = None
 
     # input-side projections for the whole sequence, flattened over (T, B)
     N = T * B
-    x_flat = x.reshape(S_x, N, I) if x.flags["C_CONTIGUOUS"] else \
-        np.ascontiguousarray(x).reshape(S_x, N, I)
+    x_flat = np.ascontiguousarray(x).reshape(S_x, N, I)
     input_projection(sp, x_flat, ws.pre.reshape(S, N, H), ws.relu_mask.reshape(S, N, H),
                      ws.a.reshape(S, N, H), ws.gx.reshape(S, N, 3 * H))
 
@@ -410,8 +409,7 @@ def backward_stacked(cache: StackCache, dy: np.ndarray, dh_final: np.ndarray | N
         raise ValueError(f"dy shape {dy.shape} does not match outputs {(S, T, B, O)}")
     _check_dtype(sp, dy=dy, dh_final=dh_final)
 
-    dy_flat = dy.reshape(S, T * B, O) if dy.flags["C_CONTIGUOUS"] else \
-        np.ascontiguousarray(dy).reshape(S, T * B, O)
+    dy_flat = np.ascontiguousarray(dy).reshape(S, T * B, O)
     dh_out = cache.pre
     np.matmul(dy_flat, sp.W_outT, out=dh_out.reshape(S, T * B, H))
     dgx = cache.dgx
@@ -466,8 +464,7 @@ def backward_stacked(cache: StackCache, dy: np.ndarray, dh_final: np.ndarray | N
     if need_param_grads:
         I = sp.shape.input_dim
         S_x = cache.x.shape[0]
-        f_x = cache.x.reshape(S_x, T * B, I) if cache.x.flags["C_CONTIGUOUS"] else \
-            np.ascontiguousarray(cache.x).reshape(S_x, T * B, I)
+        f_x = np.ascontiguousarray(cache.x).reshape(S_x, T * B, I)
         f_a = cache.a.reshape(S, T * B, H)
         f_h = cache.h_out.reshape(S, T * B, H)
         f_hprev = cache.h_states[:, :T].reshape(S, T * B, H)

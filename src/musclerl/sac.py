@@ -367,12 +367,12 @@ class SacAgent:
 
     # -- learning ---------------------------------------------------------
 
-    def _forward(self, name: str, sp: StackedNets, x: np.ndarray, h0=None, share=None):
-        """forward_stacked through the agent's cache for pass name.
+    def _forward(self, name: str, sp: StackedNets, x: np.ndarray, share=None):
+        """forward_stacked from zero hidden states, through the agent's cache for pass name.
 
         share names the pass whose storage the cache uses (see StackCache).
         """
-        out = forward_stacked(sp, x, h0, cache=self._ws.get(name),
+        out = forward_stacked(sp, x, cache=self._ws.get(name),
                               share=None if share is None else self._ws[share])
         self._ws[name] = out[2]
         return out

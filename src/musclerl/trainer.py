@@ -31,7 +31,7 @@ import numpy as np
 from .augment import AugmentationSpec, augment_trajectory
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import CODE_STAMP, NUMERICS, RunConfig, __version__
-from .env import EpisodeConfig, TrackingEnv, run_episode
+from .env import TrackingEnv, run_episode
 from .fieldtest import PolicyController
 from .pid import PidActionPolicy, gains_for
 from .randomize import NO_RANDOMIZATION, RandomizationSpec, SeededRng
@@ -125,9 +125,9 @@ class Trainer:
                 shared_across_muscles=cfg.shared_muscle_scaling,
             )
         )
-        episode = EpisodeConfig(episode_length=cfg.episode_length, target_range=cfg.target_range)
-        self.env = TrackingEnv(cfg.preset, master.split("env"), episode=episode,
-                               randomization=randomization, plant_config=cfg.plant_config())
+        self.env = TrackingEnv(cfg.preset, master.split("env"), steps=cfg.episode_length,
+                               target_range=cfg.target_range, randomization=randomization,
+                               plant_config=cfg.plant_config())
         low, high = self.env.action_low, self.env.action_high
         self.agent = SacAgent(
             obs_dim=6,

@@ -9,7 +9,6 @@ from musclerl.env import (
     PHYSICS_DT,
     PRESETS,
     WRIST_REWARD,
-    EpisodeConfig,
     TrackingEnv,
     map_action_eye,
     reward,
@@ -89,8 +88,7 @@ def test_reward_never_exceeds_two_bonuses():
 
 
 def test_reset_with_zero_target_range():
-    env = TrackingEnv("eye", SeededRng(0),
-                      episode=EpisodeConfig(episode_length=30, target_range=0.0))
+    env = TrackingEnv("eye", SeededRng(0), steps=30, target_range=0.0)
     env.reset()
     assert np.array_equal(env.target, np.zeros((1, 2)))
 
@@ -122,25 +120,33 @@ def test_reset_is_deterministic():
     assert not np.array_equal(o1, o3)
 
 
-def test_episode_lengths_and_done_signalling():
+def test_the_steps_th_step_is_the_last_of_an_episode():
+    # the preset's steps by default: the steps-th step is the last, one more
+    # raises, and so does a step before any reset
     for preset, n_steps in (("eye", 30), ("wrist", 40)):
         env = TrackingEnv(preset, SeededRng(1))
-        env.reset()
-        done = False
-        count = 0
-        while not done:
-            _, done, info = env.step(np.zeros(env.action_dim))
-            count += 1
-        assert count == n_steps
-        assert info["truncated"] is True
-        assert count * ACTION_PERIOD == pytest.approx(15.0 if preset == "eye" else 20.0)
+        assert env.steps == n_steps
+        assert n_steps * ACTION_PERIOD == pytest.approx(15.0 if preset == "eye" else 20.0)
         with pytest.raises(RuntimeError):
             env.step(np.zeros(env.action_dim))
+        env.reset()
+        for _ in range(n_steps):
+            env.step(np.zeros(env.action_dim))
+        assert env.steps_taken == n_steps
+        with pytest.raises(RuntimeError):
+            env.step(np.zeros(env.action_dim))
+        env.reset()
+        env.step(np.zeros(env.action_dim))
+    short = TrackingEnv("wrist", SeededRng(1), steps=2)
+    short.reset()
+    short.step(np.zeros(3))
+    short.step(np.zeros(3))
+    with pytest.raises(RuntimeError):
+        short.step(np.zeros(3))
 
 
 def test_zero_action_zero_target_scores_full_bonus():
-    env = TrackingEnv("eye", SeededRng(2),
-                      episode=EpisodeConfig(episode_length=30, target_range=0.0))
+    env = TrackingEnv("eye", SeededRng(2), steps=30, target_range=0.0)
     _, _, _, rewards = run_episode(env, ActionSequence(np.zeros((30, 2))))
     rewards = rewards[0]
     assert rewards.shape == (30,)
@@ -153,7 +159,7 @@ def test_observation_layout_and_noise_slots():
     obs = env.reset()
     assert obs.shape == (1, 6)
     assert np.array_equal(obs[:, 4:6], env.target)
-    true = env.true_output()
+    true = env.plant.outputs()
     assert not np.array_equal(obs[:, 0:4], true)  # noise applied to motion slots
     # perturbation is plant output plus noise at the configured scale
     assert np.all(np.abs(obs[:, 0:4] - true) < 6.0 * np.array([0.1, 0.05, 0.1, 0.05]))
@@ -201,7 +207,20 @@ def test_nan_action_component_is_rejected(preset):
             env.step(action)
 
 
-def test_signed_zero_actions_keep_their_sign_bits():
+def recorded_voltages(monkeypatch):
+    """A list that gets a copy of the voltages of every plant advance the env makes."""
+    applied = []
+    raw = musclerl.env.advance
+
+    def recording(plant, volts):
+        applied.append(np.array(volts))
+        return raw(plant, volts)
+
+    monkeypatch.setattr(musclerl.env, "advance", recording)
+    return applied
+
+
+def test_signed_zero_actions_keep_their_sign_bits(monkeypatch):
     # recorded from the np.clip implementation: the wrist's array-bound clamp
     # at 0 turns -0.0 into +0.0; the eye's [-10, 10] box keeps -0.0, and its
     # pair map gives zero voltages the signs below
@@ -211,39 +230,40 @@ def test_signed_zero_actions_keep_their_sign_bits():
         ("eye", (-0.0, 0.0), [True, False], [False, True, True, False]),
         ("eye", (0.0, -0.0), [False, True], [True, False, False, True]),
     ]
+    applied = recorded_voltages(monkeypatch)
     for preset, action, action_signs, volt_signs in cases:
         env = TrackingEnv(preset, SeededRng(3))
         env.reset()
-        _, _, info = env.step(np.array(action))
-        assert np.signbit(info["action"]).tolist() == [action_signs]
-        assert np.signbit(info["voltages"]).tolist() == [volt_signs]
+        _, _, clipped = env.step(np.array(action))
+        assert np.signbit(clipped).tolist() == [action_signs]
+        assert np.signbit(applied[-1]).tolist() == [volt_signs]
 
 
 @pytest.mark.parametrize("preset", ["wrist", "eye"])
-def test_step_clamp_matches_array_bound_clip(preset):
+def test_step_clamp_matches_array_bound_clip(preset, monkeypatch):
+    applied = recorded_voltages(monkeypatch)
     env = TrackingEnv(preset, SeededRng(5))
     low = np.array([-10.0, -10.0]) if preset == "eye" else np.zeros(3)
     high = np.full(env.action_dim, 10.0)
     values = np.array([-0.0, 0.0, -10.0, 10.0, -12.5, 12.5, 3.25, -3.25, -np.inf, np.inf])
     rng = np.random.default_rng(0)
-    env.reset()
     for k in range(200):
+        if k % env.steps == 0:
+            env.reset()
         action = rng.choice(values, size=env.action_dim)
         if k % 3 == 0:
             action = action.tolist()
-        _, done, info = env.step(action)
-        if done:
-            env.reset()
+        _, _, clipped = env.step(action)
         expected = np.clip(np.asarray(action, dtype=np.float64), low, high)
-        assert info["action"].tobytes() == expected.tobytes()
-        assert info["voltages"].tobytes() == env.map_action(expected).tobytes()
+        assert clipped.tobytes() == expected.tobytes()
+        assert applied[-1].tobytes() == env.map_action(expected).tobytes()
 
 
 def test_reset_target_pair_matches_two_scalar_draws():
     # one size-2 draw gives the values and the stream state of two scalar draws
     env = TrackingEnv("wrist", SeededRng(9))
     oracle = SeededRng(9).split("target")
-    tr = env.episode.target_range
+    tr = env.target_range
     for _ in range(20):
         env.reset()
         want = np.array([float(oracle.uniform(-tr, tr)), float(oracle.uniform(-tr, tr))])
@@ -304,7 +324,7 @@ def test_episode_calls_the_traced_plant_names(monkeypatch):
         monkeypatch.setattr(musclerl.env, name, counting)
     env = TrackingEnv("wrist", SeededRng(4))
     run_episode(env, pid_controller_for("wrist"))
-    T = env.episode.episode_length
+    T = env.steps
     assert calls == {"advance": T, "sample_muscle_set": 1, "apply_observation_noise": T + 1}
     assert T == 40
 

@@ -122,6 +122,32 @@ def test_buffer_smaller_than_a_batch_is_rejected_naming_both_keys(tmp_path):
     assert RunConfig(buffer_capacity=6, batch_size=6).resolved().buffer_capacity == 6
 
 
+@pytest.mark.parametrize("key, value", [
+    ("tau", 2.0), ("tau", -0.5), ("tau", math.nan), ("lr", -0.1), ("lr", 0.0), ("lr", math.nan),
+    ("lr", math.inf), ("episode_length", 0), ("updates_per_episode", 0),
+    ("bootstrap_episodes", -3), ("augment_copies", -1), ("target_range", math.nan),
+    ("target_range", -5.0), ("target_range", math.inf), ("augment_delta", math.nan),
+    ("augment_delta", -1.0)])
+def test_an_out_of_range_training_number_is_refused_in_one_line(key, value, tmp_path, capsys):
+    # each once ran on: into a traceback after the demonstration phase or at
+    # the first update, or silently (M=-3 ran as M=0, a negative lr climbed)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"preset = eye\n{key} = {value!r}\n")
+    assert cli_main(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "run")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and key in err, err
+    assert not (tmp_path / "run").exists()
+
+
+def test_the_ends_of_each_training_number_range_are_accepted():
+    for tau in (0.0, 1.0):
+        assert RunConfig(tau=tau).resolved().tau == tau
+    edge = dict(lr=5e-324, episode_length=1, updates_per_episode=1, bootstrap_episodes=0,
+                augment_copies=0, target_range=0.0, augment_delta=0.0)
+    cfg = RunConfig(**edge).resolved()
+    assert {k: getattr(cfg, k) for k in edge} == edge
+
+
 def test_cli_train_reports_a_config_error_in_one_line(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("preset = eye\nbuffer_capacity = 5\nbatch_size = 6\n")
@@ -222,6 +248,16 @@ def test_cli_refuses_a_field_duration_without_an_action_step(verb, duration, cap
     assert err.count("\n") == 1 and "at least one 0.5 s action step" in err
 
 
+@pytest.mark.parametrize("flag, value", [("--target1", "nan"), ("--target2", "inf"),
+                                         ("--target1", "-inf")])
+def test_cli_episode_refuses_a_non_finite_target(flag, value, capsys):
+    # a NaN or infinite target once ended in the env's observation traceback
+    assert cli_main(["episode", "--pid", "--preset", "wrist", f"{flag}={value}"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and "must be finite" in err
+
+
 def test_teleporting_oracle_scores_zero():
     spec = FieldTestSpec()
     for target in grid_targets(spec):
@@ -253,7 +289,7 @@ def test_field_test_builds_the_plant_step_map_once(monkeypatch):
     # counts the plant rows of every map built: one for the field test, one
     # for a randomized env's stability check when it is built, a row per
     # episode for a randomized reset, and one map that every row shares
-    # without randomization, built once for every later reset
+    # without randomization, built anew at each reset
     built = []
     real = musclerl.env.StepMap
 
@@ -275,7 +311,7 @@ def test_field_test_builds_the_plant_step_map_once(monkeypatch):
     env.reset(5)
     env.reset(3)
     env.reset()
-    assert built == [1, 1, 1, 4, 1]
+    assert built == [1, 1, 1, 4, 1, 1, 1]
     assert env.plant.stack is env.step_map.stack
 
 
