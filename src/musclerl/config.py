@@ -91,7 +91,7 @@ class RunConfig:
         for key in ("bootstrap_episodes", "augment_copies"):
             if getattr(cfg, key) < 0:
                 raise ValueError(f"{key} must not be negative, got {getattr(cfg, key)!r}")
-        for key in ("target_range", "augment_delta"):
+        for key in ("target_range", "augment_delta", "pid_gain_scale"):
             if not 0 <= getattr(cfg, key) < math.inf:
                 raise ValueError(f"{key} must be finite and nonnegative, "
                                  f"got {getattr(cfg, key)!r}")

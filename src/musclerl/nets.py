@@ -16,9 +16,17 @@ whole sequence and also returns input gradients (the actor update needs
 d loss / d action through the critics).
 
 The compute kernel carries a leading stack axis S so the twin critics run
-as one broadcasted pass: sequences are (S, T, B, dim), and one net is a
-stack of S = 1. Stacking changes call counts, not the per-element
+as one broadcasted pass: inputs and outputs are (S, T, B, dim), and one
+net is a stack of S = 1. Stacking changes call counts, not the per-element
 operations, so results are bitwise identical either way.
+
+At desk widths the step loops are bound by numpy's per-call cost, and an
+elementwise call on a strided view costs two to three times one on a
+contiguous block. So no per-step elementwise operation takes a strided
+operand: the gates and the candidate, which only the loops read, are
+stored by step, (T, S, B, H), and the loops copy one step of any other
+sequence array to or from contiguous (S, B, dim) scratch (see
+StackCache). Strided slices appear only in copies and as matmul operands.
 
 The gate equations are written once, as three step functions:
 input_projection (x W_in + b_in, the ReLU, a Wg + bg over a whole
@@ -174,14 +182,20 @@ def _check_dtype(sp: StackedNets, **arrays) -> None:
 class StackCache:
     """Reusable forward activations for one (T, S, B) signature.
 
-    Sequence arrays are laid out (S, T, B, dim): contiguous per stack slot,
-    so parameter-gradient contractions are plain reshapes. The per-step loop
-    works on contiguous (S, B, dim) scratch and copies one slice per array
-    per step; reusing the cache across updates avoids re-touching tens of
-    megabytes of fresh pages every call. The backward reads relu_mask, not
-    pre, so it reuses pre for its (S, T, B, H) temporaries; nor does it read
-    gx, which the forward reads only inside its step loop, so dgx, the gate
-    gradients it writes, is the same array as gx.
+    The step loops read and write one step's block of a sequence array per
+    step, and no per-step elementwise operation takes a strided operand:
+    strided slices appear only in copies and as matmul operands. The gates
+    z, r and the candidate c, which the step loops alone read, are laid out
+    (T, S, B, H), so each step's block is one contiguous (S, B, H) array.
+    Every other sequence array is (S, T, B, dim), contiguous per stack slot,
+    so the whole-sequence products and parameter-gradient contractions read
+    it as a plain reshape, and the loops copy one step of it to or from
+    contiguous (S, B, dim) scratch. Reusing the cache across updates avoids
+    re-touching tens of megabytes of fresh pages every call. The backward
+    reads relu_mask, not pre, so it reuses pre for its (S, T, B, H)
+    temporaries; nor does it read gx, which the forward reads only inside
+    its step loop, so dgx, the gate gradients it writes, is the same array
+    as gx.
 
     A cache built with share=other, a cache of the same signature, has no
     storage of its own: it takes other's sequence arrays and step scratch
@@ -193,8 +207,9 @@ class StackCache:
     forward has since overwritten.
     """
 
-    STORAGE = ("pre", "relu_mask", "a", "zr", "c", "rh", "h_states", "h_out", "gx", "dgx",
-               "y", "_zr", "_sig", "_rh", "_c", "_h", "_h2", "_t1", "_t2", "_t3", "_forwards")
+    STORAGE = ("pre", "relu_mask", "a", "z", "r", "c", "rh", "h_states", "h_out", "gx", "dgx",
+               "y", "_gzr", "_gc", "_zr", "_rh", "_h", "_h2", "_t1", "_t2", "_t3", "_t4",
+               "_t5", "_forwards")
 
     def __init__(self, sp: StackedNets, T: int, B: int, share: "StackCache | None" = None):
         S, H = sp.S, sp.shape.gru_hidden
@@ -221,8 +236,7 @@ class StackCache:
         self.pre = empty(S, T, B, H)
         self.relu_mask = np.empty((S, T, B, H), dtype=bool)
         self.a = empty(S, T, B, H)
-        self.zr = empty(S, T, B, 2 * H)
-        self.c = empty(S, T, B, H)
+        self.z, self.r, self.c = empty(T, S, B, H), empty(T, S, B, H), empty(T, S, B, H)
         self.rh = empty(S, T, B, H)
         self.h_states = empty(S, T + 1, B, H)  # row 0 is h0
         self.h_out = self.h_states[:, 1:]      # rows 1..T, a view
@@ -230,15 +244,9 @@ class StackCache:
         self.dgx = self.gx  # one array (see above)
         self.y = empty(S, T, B, sp.shape.output_dim)
         # step-loop scratch
-        self._zr = empty(S, B, 2 * H)
-        self._sig = empty(S, B, 2 * H)
-        self._rh = empty(S, B, H)
-        self._c = empty(S, B, H)
-        self._h = empty(S, B, H)
-        self._h2 = empty(S, B, H)
-        self._t1 = empty(S, B, H)
-        self._t2 = empty(S, B, H)
-        self._t3 = empty(S, B, H)
+        self._gzr, self._zr = empty(S, B, 2 * H), empty(S, B, 2 * H)
+        self._gc, self._rh, self._h, self._h2 = (empty(S, B, H) for _ in range(4))
+        self._t1, self._t2, self._t3, self._t4, self._t5 = (empty(S, B, H) for _ in range(5))
 
 
 def make_cache(sp: StackedNets, T: int, B: int, old: "StackCache | None" = None,
@@ -266,27 +274,30 @@ def input_projection(sp: StackedNets, x, pre, relu_mask, a, gx) -> None:
     gx += sp.bg
 
 
-def gru_step(sp: StackedNets, h, gx, zr, rh, c, hn) -> None:
-    """One GRU step from h (S, B, H) with input projection gx (S, B, 3H).
+def gru_step(sp: StackedNets, h, gzr, gc, zr, z, r, rh, c, hn) -> None:
+    """One GRU step from h (S, B, H) with input projections gzr (S, B, 2H), gc (S, B, H).
 
-    Writes h_t into hn, and leaves the gates [z | r] in zr and r * h and
-    the candidate in rh and c, which the backward reads.
+    Every argument is a contiguous array. Writes h_t into hn, and leaves
+    the gates in z and r, r * h in rh and the candidate in c, which the
+    backward reads; zr is scratch for the joint [z | r] block.
     """
     H = sp.shape.gru_hidden
     np.matmul(h, sp.Ug_zr, out=zr)
-    zr += gx[:, :, : 2 * H]
+    zr += gzr
     # sigmoid(v) = (tanh(v/2) + 1) / 2, one fused block for both gates
     zr *= 0.5
     np.tanh(zr, out=zr)
     zr += 1.0
     zr *= 0.5
-    np.multiply(zr[:, :, H:], h, out=rh)
+    z[:] = zr[:, :, :H]
+    r[:] = zr[:, :, H:]
+    np.multiply(r, h, out=rh)
     np.matmul(rh, sp.Ug_c, out=c)
-    c += gx[:, :, 2 * H :]
+    c += gc
     np.tanh(c, out=c)
     # h <- h + z * (c - h)
     np.subtract(c, h, out=hn)
-    hn *= zr[:, :, :H]
+    hn *= z
     hn += h
 
 
@@ -331,12 +342,13 @@ def forward_stacked(sp: StackedNets, x: np.ndarray, h0: np.ndarray | None = None
     else:
         h[:] = h0.reshape(S, B, H)
     ws.h_states[:, 0] = h
-    zr, rh, c, hn = ws._zr, ws._rh, ws._c, ws._h2
+    gx_zr, gx_c = ws.gx[..., : 2 * H], ws.gx[..., 2 * H :]
+    gzr, gc, zr, rh, hn = ws._gzr, ws._gc, ws._zr, ws._rh, ws._h2
     for t in range(T):
-        gru_step(sp, h, ws.gx[:, t], zr, rh, c, hn)
-        ws.zr[:, t] = zr
+        gzr[:] = gx_zr[:, t]
+        gc[:] = gx_c[:, t]
+        gru_step(sp, h, gzr, gc, zr, ws.z[t], ws.r[t], rh, ws.c[t], hn)
         ws.rh[:, t] = rh
-        ws.c[:, t] = c
         ws.h_states[:, t + 1] = hn
         h, hn = hn, h
     output_projection(sp, ws.h_out.reshape(S, N, H), ws.y.reshape(S, N, sp.shape.output_dim))
@@ -351,8 +363,10 @@ class ActCell:
     weights, and numpy's matmul makes for each row the call that
     forward_stacked over S = T = B = 1 makes: each row's outputs are
     bitwise those of that pass. The cell keeps no activations for a
-    backward and copies nothing per step: its scratch holds one step of B
-    rows, is rebuilt when B changes, and it reads x and h where they are.
+    backward: its scratch holds one step of B rows and is rebuilt when B
+    changes. It reads x and h where they are and copies only the two
+    halves of the input projection into contiguous scratch, as
+    forward_stacked's loop does.
     """
 
     def __init__(self, net: GruNet):
@@ -367,7 +381,9 @@ class ActCell:
             return np.empty((B, 1, n), dtype=dtype)
 
         self._pre, self._mask, self._a = empty(H), empty(H, bool), empty(H)
-        self._gx, self._zr, self._rh, self._c = empty(3 * H), empty(2 * H), empty(H), empty(H)
+        self._gx, self._gzr, self._gc = empty(3 * H), empty(2 * H), empty(H)
+        self._zr, self._z, self._r, self._rh, self._c = (
+            empty(2 * H), empty(H), empty(H), empty(H), empty(H))
         self._y = empty(sp.shape.output_dim)
         self._rows = B
 
@@ -380,9 +396,13 @@ class ActCell:
         if x.shape[0] != self._rows:
             self._build(x.shape[0])
         sp = self.nets
+        H = sp.shape.gru_hidden
         input_projection(sp, x, self._pre, self._mask, self._a, self._gx)
+        self._gzr[:] = self._gx[:, :, : 2 * H]
+        self._gc[:] = self._gx[:, :, 2 * H :]
         h_next = np.empty_like(self._c)
-        gru_step(sp, h, self._gx, self._zr, self._rh, self._c, h_next)
+        gru_step(sp, h, self._gzr, self._gc, self._zr, self._z, self._r, self._rh, self._c,
+                 h_next)
         output_projection(sp, h_next, self._y)
         return self._y, h_next
 
@@ -419,38 +439,39 @@ def backward_stacked(cache: StackCache, dy: np.ndarray, dh_final: np.ndarray | N
     else:
         dh[:] = dh_final.reshape(S, B, H)
     dh_prev = cache._h2
-    buf_zr, sig, tmp, tmp2, drh = cache._zr, cache._sig, cache._t1, cache._t2, cache._t3
+    buf_zr, dh_t, h_prev, drh = cache._zr, cache._gc, cache._t1, cache._rh
+    tmp, dsc, dz, dr = cache._t2, cache._t3, cache._t4, cache._t5
     for t in range(T - 1, -1, -1):
-        dh += dh_out[:, t]
-        zr = cache.zr[:, t]
-        z = zr[:, :, :H]
-        r = zr[:, :, H:]
-        c = cache.c[:, t]
-        h_prev = cache.h_states[:, t]
-        dz = buf_zr[:, :, :H]
+        z, r, c = cache.z[t], cache.r[t], cache.c[t]
+        dh_t[:] = dh_out[:, t]
+        h_prev[:] = cache.h_states[:, t]
+        dh += dh_t
         np.subtract(c, h_prev, out=dz)
         dz *= dh
         # dsc = dh * z * (1 - c^2) into the candidate block of dgx
         np.multiply(c, c, out=tmp)
         np.subtract(1.0, tmp, out=tmp)
-        np.multiply(dh, z, out=tmp2)
-        tmp2 *= tmp
-        dgx[:, t, :, 2 * H :] = tmp2
-        np.matmul(tmp2, sp.UcT, out=drh)
-        dr = buf_zr[:, :, H:]
+        np.multiply(dh, z, out=dsc)
+        dsc *= tmp
+        dgx[:, t, :, 2 * H :] = dsc
+        np.matmul(dsc, sp.UcT, out=drh)
         np.multiply(drh, h_prev, out=dr)
-        # dh_prev = dh*(1-z) + drh*r
+        # dh_prev = dh*(1-z) + drh*r, and each gate's sigmoid derivative
+        # upstream * (1 - g) * g
         np.subtract(1.0, z, out=tmp)
         np.multiply(dh, tmp, out=dh_prev)
+        tmp *= z
+        dz *= tmp
         np.multiply(drh, r, out=tmp)
         dh_prev += tmp
-        # joint sigmoid derivative for [z | r]: upstream * zr * (1 - zr)
-        np.subtract(1.0, zr, out=sig)
-        sig *= zr
-        buf_zr *= sig
+        np.subtract(1.0, r, out=tmp)
+        tmp *= r
+        dr *= tmp
+        buf_zr[:, :, :H] = dz
+        buf_zr[:, :, H:] = dr
         dgx[:, t, :, : 2 * H] = buf_zr
-        np.matmul(buf_zr, sp.UzrT, out=sig[:, :, :H])
-        dh_prev += sig[:, :, :H]
+        np.matmul(buf_zr, sp.UzrT, out=tmp)
+        dh_prev += tmp
         dh, dh_prev = dh_prev, dh
     dh0 = dh.copy()
 

@@ -24,6 +24,7 @@ np.clip's semantics for scalar bounds: x is kept when it equals a bound
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -41,8 +42,8 @@ class PidGains:
     output_limit: float
 
     def __post_init__(self):
-        if self.kp < 0 or self.ki < 0 or self.kd < 0:
-            raise ValueError("PID gains must be nonnegative")
+        if not all(0 <= g < math.inf for g in (self.kp, self.ki, self.kd)):
+            raise ValueError("PID gains must be finite and nonnegative")
 
     @property
     def i_clamp(self) -> float:

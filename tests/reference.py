@@ -1,13 +1,20 @@
 """Reference code the tests compare the package against.
 
 forward and backward run one float64 net through the stacked kernel at
-S = 1, the exact reference for the gradient checks. col reads one constant
-of a muscle table by name. steady_state_rise and thermal_time_constant are
-the closed forms of one muscle's thermal law.
+S = 1, the exact reference for the gradient checks. stacked_forward and
+stacked_backward run the stacked kernel's operations on fresh (S, T, B,
+dim) sequence arrays, reading the gates as strided slices of one joint
+[z | r] array: the byte reference for nets.forward_stacked and
+nets.backward_stacked, which store the gates by step, and for each row of
+nets.ActCell. col reads one constant of a muscle table by name.
+steady_state_rise and thermal_time_constant are the closed forms of one
+muscle's thermal law.
 step_map_row builds one plant's RK4 step map a row at a time, from
 Python floats: the byte reference for each row of plant.StepMap's
 batched build from a muscle table.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -51,6 +58,141 @@ def backward(cache: StackCache, dy: np.ndarray, dh_final: np.ndarray | None = No
     grads, dx, dh0 = backward_stacked(cache, dy[None], dhf, need_param_grads)
     flat = grads_to_flat(cache.nets.shape, grads, 0) if need_param_grads else None
     return flat, dx[0], dh0[0]
+
+
+def stacked_forward(sp: StackedNets, x: np.ndarray, h0: np.ndarray | None = None):
+    """forward_stacked's operations on fresh (S, T, B, dim) arrays.
+
+    x is (S_x, T, B, input_dim) with S_x in {1, S}. Returns (y, h_T, acts),
+    acts holding what stacked_backward reads.
+    """
+    S_x, T, B, I = x.shape
+    S, H, O = sp.S, sp.shape.gru_hidden, sp.shape.output_dim
+    N = T * B
+
+    def empty(*shape):
+        return np.empty(shape, dtype=sp.dtype)
+
+    acts = SimpleNamespace(
+        x=x, T=T, S=S, B=B, pre=empty(S, T, B, H), relu_mask=np.empty((S, T, B, H), dtype=bool),
+        a=empty(S, T, B, H), zr=empty(S, T, B, 2 * H), c=empty(S, T, B, H),
+        rh=empty(S, T, B, H), h_states=empty(S, T + 1, B, H), gx=empty(S, T, B, 3 * H))
+    pre, a, gx = (arr.reshape(S, N, -1) for arr in (acts.pre, acts.a, acts.gx))
+    np.matmul(np.ascontiguousarray(x).reshape(S_x, N, I), sp.W_in, out=pre)
+    pre += sp.b_in
+    np.greater(pre, 0.0, out=acts.relu_mask.reshape(S, N, H))
+    np.multiply(pre, acts.relu_mask.reshape(S, N, H), out=a)
+    np.matmul(a, sp.Wg, out=gx)
+    gx += sp.bg
+
+    h, hn = empty(S, B, H), empty(S, B, H)
+    zr, rh, c = empty(S, B, 2 * H), empty(S, B, H), empty(S, B, H)
+    if h0 is None:
+        h[:] = 0.0
+    else:
+        h[:] = h0.reshape(S, B, H)
+    acts.h_states[:, 0] = h
+    for t in range(T):
+        g = acts.gx[:, t]
+        np.matmul(h, sp.Ug_zr, out=zr)
+        zr += g[:, :, : 2 * H]
+        zr *= 0.5
+        np.tanh(zr, out=zr)
+        zr += 1.0
+        zr *= 0.5
+        np.multiply(zr[:, :, H:], h, out=rh)
+        np.matmul(rh, sp.Ug_c, out=c)
+        c += g[:, :, 2 * H :]
+        np.tanh(c, out=c)
+        np.subtract(c, h, out=hn)
+        hn *= zr[:, :, :H]
+        hn += h
+        acts.zr[:, t] = zr
+        acts.rh[:, t] = rh
+        acts.c[:, t] = c
+        acts.h_states[:, t + 1] = hn
+        h, hn = hn, h
+    y = empty(S, T, B, O)
+    y_flat = y.reshape(S, N, O)
+    np.matmul(acts.h_states[:, 1:].reshape(S, N, H), sp.W_out, out=y_flat)
+    y_flat += sp.b_out
+    return y, h.copy(), acts
+
+
+def stacked_backward(sp: StackedNets, acts: SimpleNamespace, dy: np.ndarray,
+                     dh_final: np.ndarray | None = None):
+    """backward_stacked's operations on stacked_forward's acts, which it spends.
+
+    Returns (param_grads dict of (S, ...) arrays, dx, dh0).
+    """
+    T, S, B, H = acts.T, acts.S, acts.B, sp.shape.gru_hidden
+    I, O = sp.shape.input_dim, sp.shape.output_dim
+    N = T * B
+    dy_flat = np.ascontiguousarray(dy).reshape(S, N, O)
+    dh_out = acts.pre
+    np.matmul(dy_flat, sp.W_outT, out=dh_out.reshape(S, N, H))
+    dgx = acts.gx
+
+    def empty(*shape):
+        return np.empty(shape, dtype=sp.dtype)
+
+    dh, dh_prev = empty(S, B, H), empty(S, B, H)
+    if dh_final is None:
+        dh[:] = 0.0
+    else:
+        dh[:] = dh_final.reshape(S, B, H)
+    buf_zr, sig = empty(S, B, 2 * H), empty(S, B, 2 * H)
+    tmp, tmp2, drh = empty(S, B, H), empty(S, B, H), empty(S, B, H)
+    for t in range(T - 1, -1, -1):
+        dh += dh_out[:, t]
+        zr = acts.zr[:, t]
+        z = zr[:, :, :H]
+        r = zr[:, :, H:]
+        c = acts.c[:, t]
+        h_prev = acts.h_states[:, t]
+        dz = buf_zr[:, :, :H]
+        np.subtract(c, h_prev, out=dz)
+        dz *= dh
+        np.multiply(c, c, out=tmp)
+        np.subtract(1.0, tmp, out=tmp)
+        np.multiply(dh, z, out=tmp2)
+        tmp2 *= tmp
+        dgx[:, t, :, 2 * H :] = tmp2
+        np.matmul(tmp2, sp.UcT, out=drh)
+        dr = buf_zr[:, :, H:]
+        np.multiply(drh, h_prev, out=dr)
+        np.subtract(1.0, z, out=tmp)
+        np.multiply(dh, tmp, out=dh_prev)
+        np.multiply(drh, r, out=tmp)
+        dh_prev += tmp
+        np.subtract(1.0, zr, out=sig)
+        sig *= zr
+        buf_zr *= sig
+        dgx[:, t, :, : 2 * H] = buf_zr
+        np.matmul(buf_zr, sp.UzrT, out=sig[:, :, :H])
+        dh_prev += sig[:, :, :H]
+        dh, dh_prev = dh_prev, dh
+    dh0 = dh.copy()
+
+    dgx_flat = dgx.reshape(S, N, 3 * H)
+    dpre = acts.pre
+    np.matmul(dgx_flat, sp.WgT, out=dpre.reshape(S, N, H))
+    dpre *= acts.relu_mask
+    dx = (dpre.reshape(S, N, H) @ sp.W_inT).reshape(S, T, B, I)
+
+    S_x = acts.x.shape[0]
+    f_x = np.ascontiguousarray(acts.x).reshape(S_x, N, I)
+    f_h = acts.h_states[:, 1:].reshape(S, N, H)
+    f_hprev = acts.h_states[:, :T].reshape(S, N, H)
+    f_dpre = dpre.reshape(S, N, H)
+    grads = {"W_in": f_x.transpose(0, 2, 1) @ f_dpre, "b_in": f_dpre.sum(axis=1),
+             "Wg": acts.a.reshape(S, N, H).transpose(0, 2, 1) @ dgx_flat,
+             "Ug": empty(S, H, 3 * H), "bg": dgx_flat.sum(axis=1),
+             "W_out": f_h.transpose(0, 2, 1) @ dy_flat, "b_out": dy_flat.sum(axis=1)}
+    np.matmul(f_hprev.transpose(0, 2, 1), dgx_flat[:, :, : 2 * H], out=grads["Ug"][:, :, : 2 * H])
+    np.matmul(acts.rh.reshape(S, N, H).transpose(0, 2, 1), dgx_flat[:, :, 2 * H :],
+              out=grads["Ug"][:, :, 2 * H :])
+    return grads, dx, dh0
 
 
 def col(muscles: np.ndarray, name: str):

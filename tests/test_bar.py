@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,14 @@ def test_pid_integral_respects_clamp():
         pid.commands(np.array([[50.0, -50.0]]), 0.5)
         assert np.all(np.abs(pid.integral) <= 3.0)
     assert pid.integral.tolist() == [[3.0, -3.0]]
+
+
+@pytest.mark.parametrize("gain", [-1.0, float("nan"), float("inf")])
+def test_pid_gains_refuse_a_negative_or_non_finite_gain(gain):
+    for name in ("kp", "ki", "kd"):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            replace(WRIST_GAINS, **{name: gain})
+    assert replace(WRIST_GAINS, kp=0.0, ki=0.0, kd=0.0).i_clamp == 0.0
 
 
 class ClipPidOracle:

@@ -127,7 +127,8 @@ def test_buffer_smaller_than_a_batch_is_rejected_naming_both_keys(tmp_path):
     ("lr", math.inf), ("episode_length", 0), ("updates_per_episode", 0),
     ("bootstrap_episodes", -3), ("augment_copies", -1), ("target_range", math.nan),
     ("target_range", -5.0), ("target_range", math.inf), ("augment_delta", math.nan),
-    ("augment_delta", -1.0)])
+    ("augment_delta", -1.0), ("pid_gain_scale", math.nan), ("pid_gain_scale", math.inf),
+    ("pid_gain_scale", -1.0)])
 def test_an_out_of_range_training_number_is_refused_in_one_line(key, value, tmp_path, capsys):
     # each once ran on: into a traceback after the demonstration phase or at
     # the first update, or silently (M=-3 ran as M=0, a negative lr climbed)
@@ -143,7 +144,7 @@ def test_the_ends_of_each_training_number_range_are_accepted():
     for tau in (0.0, 1.0):
         assert RunConfig(tau=tau).resolved().tau == tau
     edge = dict(lr=5e-324, episode_length=1, updates_per_episode=1, bootstrap_episodes=0,
-                augment_copies=0, target_range=0.0, augment_delta=0.0)
+                augment_copies=0, target_range=0.0, augment_delta=0.0, pid_gain_scale=0.0)
     cfg = RunConfig(**edge).resolved()
     assert {k: getattr(cfg, k) for k in edge} == edge
 
@@ -1008,3 +1009,39 @@ def test_cli_episode_is_stamped_with_the_checkpoint_seed(tmp_path):
 def test_cli_calibrate_gate_passes():
     assert cli_main(["calibrate-plant", "--preset", "wrist"]) == 0
     assert cli_main(["calibrate-plant", "--preset", "eye"]) == 0
+
+
+def test_bench_pairs_summary_counts_wins_and_quartiles(tmp_path):
+    pairs_mod = _repo_module("bench_pairs", "scripts", "bench_pairs.py")
+
+    def result(rate, rss, correct=True):
+        return {"correct": correct, "metrics": {"episodes_per_calibrated_s": {"value": rate},
+                                                "peak_rss_mb": {"value": rss}}}
+
+    pairs = [(result(1.0, 100.0), result(1.1, 100.0)), (result(2.0, 90.0), result(1.5, 80.0)),
+             (result(3.0, 110.0), result(3.3, 120.0)), (result(4.0, 100.0), {"correct": False,
+                                                                            "metrics": {}})]
+    rows = pairs_mod.summarize(pairs, [("episodes_per_calibrated_s", "higher"),
+                                       ("peak_rss_mb", "lower"), ("setup_s", "lower")])
+    rate, rss, setup = rows
+    # the fourth pair's change measured nothing, so it counts in no row
+    assert (rate["n"], rate["wins"]) == (3, 2)
+    assert rate["parent"] == (1.5, 2.0, 2.5) and rate["change"] == (1.3, 1.5, 2.4)
+    assert (rss["n"], rss["wins"]) == (3, 1)  # a tie is no win
+    assert rss["parent"] == (95.0, 100.0, 105.0)
+    assert (setup["n"], setup["wins"], setup["parent"]) == (0, 0, None)
+    lines = pairs_mod.format_rows(rows)
+    assert len(lines) == 4 and "-25.0%" in lines[1] and "2/3" in lines[1]
+    assert "not measured" in lines[3]
+
+    for a, b in (("aa", "b"), ("a", "a")):
+        for name in (a, b):
+            (tmp_path / name / "perfbench").mkdir(parents=True, exist_ok=True)
+            (tmp_path / name / "perfbench" / "run.py").touch()
+        assert pairs_mod.path_problem(tmp_path / a, tmp_path / b) is not None
+        assert pairs_mod.main([str(tmp_path / a), str(tmp_path / b), "--workload",
+                               "fieldtest"]) == 2
+    (tmp_path / "c" / "perfbench").mkdir(parents=True)
+    (tmp_path / "c" / "perfbench" / "run.py").touch()
+    assert pairs_mod.path_problem(tmp_path / "a", tmp_path / "c") is None
+    assert pairs_mod.path_problem(tmp_path / "a", tmp_path / "d") is not None

@@ -6,6 +6,7 @@ import pytest
 
 from musclerl.nets import (
     BLOCK,
+    ActCell,
     AdamState,
     GruNet,
     NetworkShape,
@@ -22,7 +23,7 @@ from musclerl.nets import (
     squash_sample,
 )
 from musclerl.randomize import SeededRng
-from reference import backward, forward
+from reference import backward, forward, stacked_backward, stacked_forward
 
 
 def sigmoid(x):
@@ -495,6 +496,13 @@ def test_stacked_param_grads_match_allocating_oracle(S, out_dim, T):
         assert np.array_equal(out, grads_to_flat(shape, grads, s))
 
 
+def _pass_bytes(y, hT, out):
+    """The bytes of a stacked pass: outputs, final state, dx, dh0, then each gradient."""
+    grads, dx, dh0 = out
+    return [y.tobytes(), hT.tobytes(), dx.tobytes(), dh0.tobytes()] + \
+           [grads[k].tobytes() for k in sorted(grads)]
+
+
 def test_caches_sharing_storage_compute_as_private_ones():
     # two S=2 passes of one signature on one storage, as in the update: each
     # pass gives the bytes of the same pass on private storage, and the
@@ -506,16 +514,10 @@ def test_caches_sharing_storage_compute_as_private_ones():
     rng = np.random.default_rng(41)
     xs = [rng.normal(size=(1, T, B, 9)).astype(np.float32) for _ in range(2)]
     dy = rng.normal(size=(2, T, B, 1)).astype(np.float32)
-
-    def bytes_of(y, hT, out):
-        grads, dx, dh0 = out
-        return [y.tobytes(), hT.tobytes(), dx.tobytes(), dh0.tobytes()] + \
-               [grads[k].tobytes() for k in sorted(grads)]
-
     private = []
     for sp, x in zip(stacks, xs):
         y, hT, cache = forward_stacked(sp, x)
-        private.append(bytes_of(y.copy(), hT, backward_stacked(cache, dy)))
+        private.append(_pass_bytes(y.copy(), hT, backward_stacked(cache, dy)))
 
     y0, hT0, first = forward_stacked(stacks[0], xs[0])
     y0 = y0.copy()
@@ -524,11 +526,11 @@ def test_caches_sharing_storage_compute_as_private_ones():
     with pytest.raises(ValueError, match="overwritten"):
         backward_stacked(first, dy)
     y1, hT1, second = forward_stacked(stacks[1], xs[1], cache=second, share=first)
-    assert bytes_of(y1, hT1, backward_stacked(second, dy)) == private[1]
+    assert _pass_bytes(y1, hT1, backward_stacked(second, dy)) == private[1]
     # the first cache comes back on the same storage and its own gradient flat
     _, _, again = forward_stacked(stacks[0], xs[0], cache=first)
     assert again is first
-    assert bytes_of(y0, hT0, backward_stacked(first, dy)) == private[0]
+    assert _pass_bytes(y0, hT0, backward_stacked(first, dy)) == private[0]
     assert first.grads["Wg"].base is not second.grads["Wg"].base
 
     # caches built without share keep private storage; share must match
@@ -536,3 +538,50 @@ def test_caches_sharing_storage_compute_as_private_ones():
     assert lone.pre is not first.pre
     with pytest.raises(ValueError, match="signature"):
         forward_stacked(stacks[0], xs[0][:, :3], share=first)
+
+
+@pytest.mark.parametrize("T", [1, 7])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("S", [1, 2])
+def test_stacked_passes_give_the_reference_loops_bytes(S, dtype, T):
+    # the step-major gate layout changes which arrays the loops read, not
+    # one operation: outputs, every gradient, dx and dh0 are the bytes of
+    # the (S, T, B, dim) reference loops, with or without h0 and dh_final,
+    # on private and on shared storage; each step's gate and candidate
+    # blocks are contiguous
+    H, B = 16, 5
+    shape = NetworkShape(7, H, 3)
+    sp = StackedNets([init_params(shape, SeededRng(60 + s)) for s in range(S)], dtype=dtype)
+    rng = np.random.default_rng(61)
+    dy = rng.normal(size=(S, T, B, 3)).astype(dtype)
+    _, _, storage = forward_stacked(sp, np.zeros((1, T, B, 7), dtype=dtype))
+    # a shared input without initial or final state, then one per slot with both
+    for S_x, seeded in ((1, False), (S, True)):
+        x = rng.normal(size=(S_x, T, B, 7)).astype(dtype)
+        h0 = rng.normal(scale=0.5, size=(S, B, H)).astype(dtype) if seeded else None
+        dhf = rng.normal(size=(S, B, H)).astype(dtype) if seeded else None
+        y, hT, acts = stacked_forward(sp, x, h0)
+        want = _pass_bytes(y, hT, stacked_backward(sp, acts, dy, dhf))
+        for share in (None, storage):
+            y, hT, cache = forward_stacked(sp, x, h0, share=share)
+            assert (cache.pre is storage.pre) == (share is not None)
+            assert all(a[t].flags.c_contiguous
+                       for a in (cache.z, cache.r, cache.c) for t in range(T))
+            assert _pass_bytes(y, hT, backward_stacked(cache, dy, dhf)) == want
+
+
+@pytest.mark.parametrize("B", [1, 81])
+def test_act_cell_rows_give_the_reference_t1_bytes(B):
+    shape = NetworkShape(6, 16, 6)
+    net = init_params(shape, SeededRng(62))
+    sp = StackedNets([net])
+    rng = np.random.default_rng(63)
+    cell = ActCell(net)
+    h = rng.normal(scale=0.5, size=(B, 1, 16))
+    for _ in range(2):  # the second step runs on the cell's built scratch
+        x = rng.normal(size=(B, 1, 6))
+        y, h_next = cell.step(x, h)
+        for b in range(B):
+            y_ref, h_ref, _ = stacked_forward(sp, x[b][None, None], h[b][None])
+            assert y[b].tobytes() == y_ref.tobytes() and h_next[b].tobytes() == h_ref.tobytes()
+        h = h_next
