@@ -4,12 +4,14 @@
     python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload learn-w64 --pairs 10
 
 Pair k runs perfbench/run.py --workload W --seed k --trace 0 once from
-each checkout, the parent first in odd pairs and the change first in even
-ones, one run at a time. For each end-to-end metric of the change's
-BENCHMARK.json it then prints each side's median and quartiles, the
-change's median relative to the parent's, the parent's interquartile range
-relative to its median, and in how many pairs the change did better; last,
-whether every run reported itself correct.
+each checkout, for the change's BENCHMARK.json run_seconds, the parent
+first in odd pairs and the change first in even ones, one run at a time.
+For each end-to-end metric of that BENCHMARK.json it then prints each
+side's median and quartiles, the change's median relative to the
+parent's, the parent's interquartile range relative to its median, and in
+how many pairs the change did better. Only pairs in which both runs
+reported themselves correct count; the last lines say how many pairs were
+left out and how many runs were correct.
 
 The two checkouts must lie at absolute paths of equal length, such as
 sibling clones a/ and b/: a run's temporary directories live under its
@@ -56,18 +58,22 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
 def summarize(pairs: list[tuple[dict, dict]], metrics: list[tuple[str, str]]) -> list[dict]:
     """One row per (name, better) metric over (parent, change) result pairs.
 
-    A row holds each side's (q1, median, q3) over the runs that measured
-    the metric, and wins, the pairs in which the change measured it and
-    did strictly better ("higher" or "lower"), of the n pairs in which both
-    did.
+    Pairs in which either run is not correct are left out: a failed run
+    still reports every metric, some of them as 0.0. A row holds each
+    side's (q1, median, q3) over the kept pairs in which both runs measured
+    the metric, n, the number of those pairs, wins, those in which the
+    change did strictly better ("higher" or "lower"), and left_out, the
+    number of pairs left out.
     """
+    kept = [(p, c) for p, c in pairs if p["correct"] and c["correct"]]
     rows = []
     for name, better in metrics:
-        both = [(p["metrics"][name]["value"], c["metrics"][name]["value"]) for p, c in pairs
+        both = [(p["metrics"][name]["value"], c["metrics"][name]["value"]) for p, c in kept
                 if name in p["metrics"] and name in c["metrics"]]
         sign = 1.0 if better == "higher" else -1.0
         row = {"name": name, "better": better, "n": len(both),
-               "wins": sum(sign * (c - p) > 0 for p, c in both)}
+               "wins": sum(sign * (c - p) > 0 for p, c in both),
+               "left_out": len(pairs) - len(kept)}
         for side, k in (("parent", 0), ("change", 1)):
             values = [pair[k] for pair in both]
             row[side] = tuple(np.percentile(values, [25, 50, 75]).tolist()) if values else None
@@ -100,7 +106,6 @@ def main(argv=None) -> int:
     ap.add_argument("change", type=Path)
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=30.0)
     args = ap.parse_args(argv)
     parent, change = args.parent.resolve(), args.change.resolve()
     problem = path_problem(parent, change)
@@ -112,11 +117,13 @@ def main(argv=None) -> int:
     pairs = []
     for seed in range(1, args.pairs + 1):
         order = (parent, change) if seed % 2 else (change, parent)
-        got = {tree: run_once(tree, args.workload, seed, args.seconds) for tree in order}
+        got = {tree: run_once(tree, args.workload, seed, bench["run_seconds"]) for tree in order}
         pairs.append((got[parent], got[change]))
         print(f"pair {seed}: {'parent' if order[0] == parent else 'change'} first", flush=True)
-    for line in format_rows(summarize(pairs, metrics)):
+    rows = summarize(pairs, metrics)
+    for line in format_rows(rows):
         print(line)
+    print(f"pairs left out, a run not correct: {rows[0]['left_out']} of {len(pairs)}")
     correct = sum(side["correct"] for pair in pairs for side in pair)
     print(f"correct runs: {correct} of {2 * len(pairs)}")
     return 0 if correct == 2 * len(pairs) else 1

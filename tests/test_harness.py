@@ -1020,11 +1020,14 @@ def test_bench_pairs_summary_counts_wins_and_quartiles(tmp_path):
 
     pairs = [(result(1.0, 100.0), result(1.1, 100.0)), (result(2.0, 90.0), result(1.5, 80.0)),
              (result(3.0, 110.0), result(3.3, 120.0)), (result(4.0, 100.0), {"correct": False,
-                                                                            "metrics": {}})]
+                                                                            "metrics": {}}),
+             (result(0.0, 0.0, correct=False), result(9.0, 1.0))]
     rows = pairs_mod.summarize(pairs, [("episodes_per_calibrated_s", "higher"),
                                        ("peak_rss_mb", "lower"), ("setup_s", "lower")])
     rate, rss, setup = rows
-    # the fourth pair's change measured nothing, so it counts in no row
+    # the last two pairs each have a run that is not correct, so they count
+    # in no row, although the fifth's runs report every metric
+    assert [r["left_out"] for r in rows] == [2, 2, 2]
     assert (rate["n"], rate["wins"]) == (3, 2)
     assert rate["parent"] == (1.5, 2.0, 2.5) and rate["change"] == (1.3, 1.5, 2.4)
     assert (rss["n"], rss["wins"]) == (3, 1)  # a tie is no win
