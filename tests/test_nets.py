@@ -445,6 +445,21 @@ def test_stacked_passes_refuse_another_dtype():
     assert grads_to_flat(shape, grads, 0).dtype == np.float64
 
 
+def test_stacked_weights_start_on_cache_lines():
+    # malloc aligns to 16 bytes; every weight array must start on a 64-byte
+    # line whatever the process allocated before it
+    nets = [init_params(NetworkShape(6, 64, 12), SeededRng(s)) for s in range(2)]
+    pads = []
+    for dtype in (np.float64, np.float32):
+        for n in range(4):
+            pads.append(np.empty(n + 1))  # moves malloc's next address
+            sp = StackedNets(nets[: n % 2 + 1], dtype=dtype)
+            weights = {k: w for k, w in vars(sp).items() if isinstance(w, np.ndarray)}
+            assert len(weights) == 13
+            for name, w in weights.items():
+                assert w.ctypes.data % 64 == 0 and w.dtype == dtype, (name, n)
+
+
 @pytest.mark.parametrize("S, out_dim, T", [(2, 1, 7), (1, 6, 8)])
 def test_stacked_param_grads_match_allocating_oracle(S, out_dim, T):
     # the gradients written into the cache's flat equal, bit for bit, the

@@ -129,7 +129,7 @@ def test_width64_update_holds_one_critic_storage():
     # an S=2 critic pass's activations take 4.35 MB at width 64 and T=40, gx
     # and dgx being one array: the agent holds one such storage for its
     # three critic passes (three would put it near 17 MB), and builds no
-    # cache only to drop it; measured 7.01 MB held and 8.67 MB peak
+    # cache only to drop it; measured 7.01 MB held and 8.69 MB peak
     T = 40
     batch = [make_traj(T=T, seed=i) for i in range(20)]
     agent = make_agent(hidden=64, seed=12)
