@@ -3,9 +3,11 @@
 
     python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload learn-w64 --pairs 10
 
-Pair k runs perfbench/run.py --workload W --seed k --trace 0 once from
-each checkout, for the change's BENCHMARK.json run_seconds, the parent
-first in odd pairs and the change first in even ones, one run at a time.
+Pair k runs perfbench/run.py --workload W --seed K+k-1 --trace 0 once
+from each checkout, for the change's BENCHMARK.json run_seconds, the
+parent first in odd pairs and the change first in even ones, one run at
+a time. K is --first-seed, 1 by default; another K checks a claim again
+on seeds not used while the change was written.
 For each end-to-end metric of that BENCHMARK.json it then prints each
 side's median and quartiles, the change's median relative to the
 parent's, the parent's interquartile range relative to its median, and in
@@ -106,6 +108,8 @@ def main(argv=None) -> int:
     ap.add_argument("change", type=Path)
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--first-seed", type=int, default=1, dest="first_seed",
+                    help="the seed of pair 1; pair k runs seed first_seed + k - 1")
     args = ap.parse_args(argv)
     parent, change = args.parent.resolve(), args.change.resolve()
     problem = path_problem(parent, change)
@@ -115,11 +119,13 @@ def main(argv=None) -> int:
     bench = json.loads((change / "BENCHMARK.json").read_text())
     metrics = [(m["name"], m["better"]) for m in bench["end_to_end"]]
     pairs = []
-    for seed in range(1, args.pairs + 1):
-        order = (parent, change) if seed % 2 else (change, parent)
+    for k in range(1, args.pairs + 1):
+        seed = args.first_seed + k - 1
+        order = (parent, change) if k % 2 else (change, parent)
         got = {tree: run_once(tree, args.workload, seed, bench["run_seconds"]) for tree in order}
         pairs.append((got[parent], got[change]))
-        print(f"pair {seed}: {'parent' if order[0] == parent else 'change'} first", flush=True)
+        print(f"pair {k} (seed {seed}): {'parent' if order[0] == parent else 'change'} first",
+              flush=True)
     rows = summarize(pairs, metrics)
     for line in format_rows(rows):
         print(line)

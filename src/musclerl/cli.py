@@ -62,9 +62,9 @@ def _opened(load, path):
     """load(path), or None after printing why the checkpoint, config or duration is unusable.
 
     A missing, truncated, corrupt, old-version or other-numerics checkpoint,
-    a missing or bad config file or value, and a field-test duration with no
-    whole action step end the command with one line on stderr instead of a
-    traceback.
+    one whose config has a key RunConfig lacks, a missing or bad config
+    file or value, and a field-test duration with no whole action step end
+    the command with one line on stderr instead of a traceback.
     """
     try:
         return load(path)

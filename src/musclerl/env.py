@@ -182,8 +182,11 @@ class TrackingEnv:
     turn. Each reset builds one plant StepMap in one pass: of n rows, or of
     one row that every row shares when all rows have the same muscles
     (variance multiplier 0). step() then advances every row by one action
-    with one plant product (plant.advance). All randomness flows through
-    named child streams of the seed rng, so trajectories are reproducible.
+    with one plant product (plant.advance). A reset first lets go of the
+    last rows' map, plant and noise draws, and release() lets go of them
+    without starting new rows; a 100-row map is a 1 MB stack. All
+    randomness flows through named child streams of the seed rng, so
+    trajectories are reproducible.
     A randomization too wide for the RK4 substep is refused when the env is
     built (refuse_unstable_draws).
     """
@@ -236,6 +239,7 @@ class TrackingEnv:
         if targets is not None:
             targets = np.array(targets, dtype=np.float64).reshape(-1, 2)
             n = len(targets)
+        self.release()
         tr = self.target_range
         muscles = sample_muscle_set(self.nominal.muscles, self.randomization,
                                     self._params_rng, n)
@@ -248,6 +252,11 @@ class TrackingEnv:
         self.plant = PlantRows(self.step_map, n)
         self.steps_taken = 0
         return self._observe()
+
+    def release(self) -> None:
+        """Let go of the rows' map, plant and noise draws; step() then needs a reset()."""
+        self.step_map = self.plant = None
+        self._channels = self._noise = None
 
     def _observe(self) -> np.ndarray:
         obs = np.empty((len(self.target), OBS_DIM))

@@ -44,12 +44,12 @@ A float64 stack is the exact reference for the gradient checks.
 
 The path from backward to the Adam step allocates no parameter-sized
 array. A backward pass writes its parameter gradients into an (S, P) flat,
-laid out like GruNet's, that its StackCache keeps (built on the first
-backward that asks for them), and grads_to_flat can cast a slot into a
-caller's float64 flat. adam_update walks the vectors in blocks of BLOCK
-elements through the module's one block-sized SCRATCH, with the whole-vector
-operations in their order, so its result is bitwise that of the
-whole-vector step.
+laid out like GruNet's, that its StackCache keeps as grad_flat (built on
+the first backward that asks for them), and grads_to_flat casts one row
+of it into a caller's float64 flat in one copy. adam_update walks the
+vectors in blocks of BLOCK elements through the module's one block-sized
+SCRATCH, with the whole-vector operations in their order, so its result
+is bitwise that of the whole-vector step.
 
 Passes of one signature whose lifetimes do not overlap can hold their
 activations in one storage: forward_stacked(..., share=cache) returns a
@@ -238,8 +238,9 @@ class StackCache:
         self.nets = sp
         self.T, self.S, self.B = T, S, B
         self.x: np.ndarray | None = None  # (S_x, T, B, I) with S_x in {1, S}
-        # named views into an (S, P) parameter-gradient flat laid out like
-        # GruNet; built by the first backward that needs parameter gradients
+        # an (S, P) parameter-gradient flat laid out like GruNet, and named
+        # views into it; built by the first backward that needs them
+        self.grad_flat: np.ndarray | None = None
         self.grads: dict[str, np.ndarray] | None = None
         self._filled_at = 0  # the storage's forward count that this cache's forward left
         if share is not None:
@@ -435,8 +436,8 @@ def backward_stacked(cache: StackCache, dy: np.ndarray, dh_final: np.ndarray | N
     dy is (S, T, B, output_dim); dy and dh_final must have the stack's
     dtype. Returns (param_grads dict of stacked arrays or None,
     dx (S, T, B, input_dim), dh0 (S, B, H)), all in that dtype. The
-    parameter gradients are views into the cache's own (S, P) flat, which
-    the next backward through this cache overwrites.
+    parameter gradients are views into the cache's own (S, P) flat,
+    cache.grad_flat, which the next backward through this cache overwrites.
     """
     sp = cache.nets
     if cache.x is None:
@@ -514,7 +515,8 @@ def backward_stacked(cache: StackCache, dy: np.ndarray, dh_final: np.ndarray | N
         f_dpre = dpre.reshape(S, T * B, H)
         if cache.grads is None:
             offsets, size = _layout(sp.shape)
-            cache.grads = _views(offsets, np.empty((S, size), dtype=sp.dtype))
+            cache.grad_flat = np.empty((S, size), dtype=sp.dtype)
+            cache.grads = _views(offsets, cache.grad_flat)
         grads = cache.grads
         np.matmul(f_x.transpose(0, 2, 1), f_dpre, out=grads["W_in"])
         np.sum(f_dpre, axis=1, out=grads["b_in"])
@@ -528,17 +530,15 @@ def backward_stacked(cache: StackCache, dy: np.ndarray, dh_final: np.ndarray | N
     return grads, dx, dh0
 
 
-def grads_to_flat(shape: NetworkShape, grads: dict, s: int,
-                  out: np.ndarray | None = None) -> np.ndarray:
-    """Slot s of stacked gradients as one flat float64 vector.
+def grads_to_flat(flat: np.ndarray, s: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Row s of an (S, P) gradient flat (a StackCache's grad_flat) as float64.
 
-    The vector is out (float64, of the shape's parameter count) when given,
-    else a new one.
+    The vector is out (float64, of length P) when given, else a new one.
     """
-    g = GruNet(shape, out)
-    for name in g.v:
-        g.v[name][:] = grads[name][s]
-    return g.flat
+    if out is None:
+        return flat[s].astype(np.float64)
+    np.copyto(out, flat[s])
+    return out
 
 
 # -- optimizer ---------------------------------------------------------------

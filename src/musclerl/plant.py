@@ -19,10 +19,11 @@ rate units are degrees, in the integration state too; G acts on radians.
 
 Integration is explicit RK4 with the voltages held over an action step.
 The dynamics are then linear, so StepMap, built once per muscle draw,
-holds the substep matrix and its powers: one product gives every substep's
-angles and the end state. A randomized reset of n episodes builds one
-StepMap of n rows from its drawn (n, m, 7) muscle table (muscle.COLUMNS),
-every row's matrices in one batched pass whose every value is the one a
+holds the substep matrix and its powers' angle rows: one product gives
+every substep's angles and the end state. A randomized reset of n
+episodes builds one StepMap of n rows from its drawn (n, m, 7) muscle
+table (muscle.COLUMNS), every row's matrices in one batched pass that
+keeps two substep powers in flight, and whose every value is the one a
 single plant's build gives (tests/reference.py keeps that build, and
 tests/test_plant.py compares the bytes row by row).
 PlantRows holds B plants that step in lockstep, their states in one
@@ -165,12 +166,13 @@ class StepMap:
       A[2:4, 4:4+m] = G^T diag(c) / (J DEG),  A[2:4, n-2:] = I / (J DEG)
       A[4:4+m, 4:4+m] = diag(-lambda / C_th),  A[4:4+m, 4+m:4+2m] = I
     computes it, M comes from batched products, and each power M^s is one
-    np.matmul(M, M^(s-1)) for every row, written into one (S, rows, n, n)
-    buffer: per row the cblas_dgemm that np.dot of the two matrices makes.
-    The (rows, 2S+n, n) stack is filled from that buffer by two slice
-    copies. `one` is (rows, n, n); `t_amb` and `rc` = R C_th are the rows'
-    (rows, m) arrays, which PlantRows reads; `muscles` is the table the
-    map was built from.
+    np.matmul(M, M^(s-1)) for every row: per row the cblas_dgemm that
+    np.dot of the two matrices makes. The powers alternate between two
+    (rows, n, n) buffers; each power's two angle rows are copied into the
+    (rows, 2S+n, n) stack as it is made, and M^S into the stack's tail, so
+    a build holds two powers at a time, not S. `one` is (rows, n, n);
+    `t_amb` and `rc` = R C_th are the rows' (rows, m) arrays, which
+    PlantRows reads; `muscles` is the table the map was built from.
     """
 
     def __init__(self, cfg: PlantConfig, dt: float, substeps: int, muscles=None):
@@ -200,15 +202,16 @@ class StepMap:
         for j in (1, 2, 3, 4):
             term = term @ ha / j
             one = one + term
-        powers = np.empty((substeps, rows, n, n))
-        powers[0] = one
-        for prev, cur in zip(powers, powers[1:]):
-            np.matmul(one, prev, cur)
         self.one = one
         self.stack = np.empty((rows, 2 * substeps + n, n))
-        self.stack[:, :2 * substeps].reshape(rows, substeps, 2, n)[...] = (
-            powers[:, :, :2].transpose(1, 0, 2, 3))
-        self.stack[:, 2 * substeps:] = powers[-1]
+        angles = self.stack[:, :2 * substeps].reshape(rows, substeps, 2, n)
+        spare = np.empty((2, rows, n, n))
+        power = one
+        angles[:, 0] = one[:, :2]
+        for s in range(1, substeps):
+            power = np.matmul(one, power, spare[s % 2])
+            angles[:, s] = power[:, :2]
+        self.stack[:, 2 * substeps:] = power
 
 
 # the noiseless output [angle1, rate1, angle2, rate2] in z's columns

@@ -398,7 +398,6 @@ class SacAgent:
         rewards = np.stack([t.rewards for t in batch], axis=1, dtype=dt)  # (T, N)
         N = len(batch)
         count = T * N
-        critic_shape = self.q1.shape
         center, half = self.action_center.astype(dt), self.action_half.astype(dt)
 
         # fresh policy samples along the whole stored state sequence
@@ -422,10 +421,10 @@ class SacAgent:
         critic1_loss = float(np.mean(td[0] * td[0]))
         critic2_loss = float(np.mean(td[1] * td[1]))
         dq = (2.0 / count) * td[..., None]
-        q_grads, _, _ = backward_stacked(cache_q, dq)
+        backward_stacked(cache_q, dq)
         critic_grad = self._grad[: self.q1.size]
         for s, net, opt in ((0, self.q1, self.opt_q1), (1, self.q2, self.opt_q2)):
-            adam_update(net.flat, grads_to_flat(critic_shape, q_grads, s, critic_grad), opt)
+            adam_update(net.flat, grads_to_flat(cache_q.grad_flat, s, critic_grad), opt)
 
         # actor: alpha log pi - min_i Q_i(s, a_pi), against the updated critics
         q_in_pi = np.concatenate([obs_all[:T], a_pi], axis=2)
@@ -452,9 +451,8 @@ class SacAgent:
         dy_actor = np.zeros((1, T + 1, N, 2 * self.action_dim), dtype=dt)
         dy_actor[0, :T, :, : self.action_dim] = dmu
         dy_actor[0, :T, :, self.action_dim:] = dls * clip_mask[:T]
-        actor_grads_stacked, _, _ = backward_stacked(actor_cache, dy_actor)
-        actor_grads = grads_to_flat(self.actor.shape, actor_grads_stacked, 0,
-                                    self._grad[: self.actor.size])
+        backward_stacked(actor_cache, dy_actor)
+        actor_grads = grads_to_flat(actor_cache.grad_flat, 0, self._grad[: self.actor.size])
         adam_update(self.actor.flat, actor_grads, self.opt_actor)
 
         # temperature: push mean log pi toward -target_entropy

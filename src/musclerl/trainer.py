@@ -23,6 +23,7 @@ streams, so reruns and resumed runs are byte-identical.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 
@@ -38,15 +39,16 @@ from .randomize import NO_RANDOMIZATION, RandomizationSpec, SeededRng
 from .sac import ReplayBuffer, SacAgent, Trajectory
 
 # PID demonstration episodes per lockstep call. A call's reset builds one
-# plant StepMap for all its rows, through a buffer of every row's 50
-# substep powers (57.6 kB a row), so the rows per call set the phase's
-# transient memory: for the stock wrist phase (500 episodes, width 64)
-# peak RSS rose by 2.2 MB at 25 rows, 3.8 MB at 50 and 10.6 MB at 100,
-# over one row at a time. The phase took 0.11-0.20 s of CPU at 25 rows,
-# 0.09-0.14 s at 50, 0.07-0.12 s at 100 and 1.4-2.5 s one row at a time
-# (four runs each, one BLAS thread on a shared 2-vCPU VM); the phase is
-# under 0.1 % of a training run, so memory decides.
-DEMONSTRATION_ROWS = 25
+# plant StepMap for all its rows, whose stack (10.75 kB a row) the rows
+# step on; the build holds two substep powers besides, so it peaks at
+# 1.7x the stack. For the stock wrist phase (500 episodes, width 64) the
+# phase took a median 0.10-0.12 s of CPU at 25 rows, 0.07 s at 50,
+# 0.06-0.07 s at 100, 0.057 s at 250 and 1.2-1.7 s one row at a time (15
+# phases each, 3 at one row), and its peak RSS rose by 0.4 MB at 25 rows,
+# 1.3 MB at 50, 3.2 MB at 100 and 7.9 MB at 250 over one row at a time
+# (one BLAS thread, shared 2-vCPU VM). Past 100 rows memory keeps growing
+# and time hardly falls.
+DEMONSTRATION_ROWS = 100
 
 
 def format_float(x: float) -> str:
@@ -202,6 +204,9 @@ class Trainer:
                     avg = float(traj.rewards.mean())
                     log.row([self.episode_idx, controller, traj.length,
                              float(traj.rewards.sum()), avg])
+        # the last call's rows need not live on through the checkpoint
+        # that follows the phase
+        self.env.release()
 
     # -- training ----------------------------------------------------------
 
@@ -322,20 +327,25 @@ class Trainer:
     def restore(cls, path: str, resume: bool = False) -> "Trainer":
         """Rebuild the trainer a checkpoint was saved from.
 
-        The checkpoint must carry this code's numerics stamp and every
-        array its kind needs. A full checkpoint restores everything, and
-        the buffer rebuilds its rewards. A policy checkpoint restores the
-        actor and the episode count into an actor_only trainer, which holds
-        no critics, targets, optimizer moments or replay data: it can act
-        and save a policy checkpoint but refuses to train.
-        Older layouts that also stored rewards, or (policy) the whole
-        learner, restore the same way. resume=True requires a full
-        checkpoint, since continuing a run exactly needs its replay buffer.
+        The checkpoint must carry this code's numerics stamp, a config of
+        RunConfig's keys alone and every array its kind needs. A full
+        checkpoint restores everything, and the buffer rebuilds its
+        rewards. A policy checkpoint restores the actor and the episode
+        count into an actor_only trainer, which holds no critics, targets,
+        optimizer moments or replay data: it can act and save a policy
+        checkpoint but refuses to train. Older layouts that also stored
+        rewards, or (policy) the whole learner, restore the same way.
+        resume=True requires a full checkpoint, since continuing a run
+        exactly needs its replay buffer.
         """
         meta, arrays = load_checkpoint(path)
         if meta.get("numerics") != NUMERICS:
             raise ValueError(f"{path}: numerics {meta.get('numerics')} differ from this "
                              f"code's {NUMERICS}; the run cannot continue exactly")
+        unknown = sorted(set(meta["config"]) - {f.name for f in dataclasses.fields(RunConfig)})
+        if unknown:
+            raise ValueError(f"{path}: config has keys this code's RunConfig lacks: "
+                             f"{', '.join(unknown)}; the run cannot be rebuilt")
         kind = meta.get("kind")
         if kind not in ("full", "policy"):
             raise ValueError(f"{path}: unknown checkpoint kind {kind!r}")

@@ -55,8 +55,8 @@ def backward(cache: StackCache, dy: np.ndarray, dh_final: np.ndarray | None = No
     """
     dy = np.asarray(dy, dtype=np.float64)
     dhf = None if dh_final is None else np.asarray(dh_final, dtype=np.float64)[None]
-    grads, dx, dh0 = backward_stacked(cache, dy[None], dhf, need_param_grads)
-    flat = grads_to_flat(cache.nets.shape, grads, 0) if need_param_grads else None
+    _, dx, dh0 = backward_stacked(cache, dy[None], dhf, need_param_grads)
+    flat = grads_to_flat(cache.grad_flat, 0) if need_param_grads else None
     return flat, dx[0], dh0[0]
 
 

@@ -362,6 +362,16 @@ def test_bootstrap_fills_buffer_with_n_plus_one_per_episode():
     assert set(tags) == {"pid"}
 
 
+def test_bootstrap_phase_lets_go_of_its_last_rows():
+    # the phase's last call's map and plant do not outlive the phase; the
+    # next episode resets the env as it would have anyway
+    tr = Trainer(tiny_cfg())
+    tr.bootstrap_phase()
+    assert tr.env.step_map is None and tr.env.plant is None
+    tr.train_episode()
+    assert tr.env.plant is not None
+
+
 def test_bootstrap_random_mode_when_disabled():
     tr = Trainer(tiny_cfg(no_bootstrap=True))
     tr.bootstrap_phase()

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -402,3 +403,29 @@ def test_draws_at_an_accepted_multiplier_have_stable_substeps(preset, multiplier
     n = 4 + nominal.n_muscles
     one = StepMap(nominal, PHYSICS_DT, 1, table).one
     assert np.abs(np.linalg.eigvals(one[:, :n, :n])).max() <= 1.0
+
+
+def test_a_reset_lets_go_of_the_last_rows_before_it_builds():
+    # a 100-row map is a 1 MB stack: a second reset's traced peak is the
+    # first's, not the old rows' plus the new build; release() lets go of
+    # them without a reset, and the streams do not notice either
+    env = TrackingEnv("wrist", SeededRng(3))
+    twin = TrackingEnv("wrist", SeededRng(3))
+    tracemalloc.start()
+    try:
+        env.reset(100)
+        first = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        env.reset(100)
+        second = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert second <= 1.1 * first, (first, second)
+    env.release()
+    assert env.step_map is None and env.plant is None
+    with pytest.raises(RuntimeError, match="outside an episode"):
+        env.step(np.zeros((100, 3)))
+    twin.reset(100)
+    twin.reset(100)
+    assert env.reset(2).tobytes() == twin.reset(2).tobytes()
+    assert _stream_states(env) == _stream_states(twin)

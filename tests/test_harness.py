@@ -882,6 +882,24 @@ def test_resume_rejects_old_copy_per_slot_buffer(tmp_path, capsys):
     assert "layout" in err and err.count("\n") == 1
 
 
+def test_a_config_key_this_code_lacks_is_refused_in_one_line(tmp_path, capsys):
+    # a field another code version added or removed, with NUMERICS unchanged
+    cfg = tiny_cfg(tmp_path / "run", episodes=4)
+    Trainer(cfg).train()
+    for src in ("policy_final.ckpt", "final.ckpt"):
+        config = load_checkpoint(str(tmp_path / "run" / src))[0]["config"]
+        config.update(old_field=1, b_field=2)
+        path = _restamped(tmp_path / "run" / src, tmp_path / f"old_{src}", config=config)
+        with pytest.raises(ValueError) as info:
+            Trainer.restore(path)
+        assert path in str(info.value) and "b_field, old_field" in str(info.value)
+        for argv in (["eval-field", "--checkpoint", path], ["episode", "--checkpoint", path],
+                     ["train", "--resume", path]):
+            assert cli_main(argv) == 2
+            err = capsys.readouterr().err
+            assert path in err and "old_field" in err and err.count("\n") == 1, (argv, err)
+
+
 def test_load_policy_rejects_missing_or_other_numerics(tmp_path):
     cfg = tiny_cfg(tmp_path / "run", episodes=4)
     Trainer(cfg).train()
@@ -1048,3 +1066,28 @@ def test_bench_pairs_summary_counts_wins_and_quartiles(tmp_path):
     (tmp_path / "c" / "perfbench" / "run.py").touch()
     assert pairs_mod.path_problem(tmp_path / "a", tmp_path / "c") is None
     assert pairs_mod.path_problem(tmp_path / "a", tmp_path / "d") is not None
+
+
+@pytest.mark.parametrize("argv, seeds", [([], [1, 2, 3]), (["--first-seed", "11"], [11, 12, 13])])
+def test_bench_pairs_runs_seeds_from_the_first_seed(argv, seeds, tmp_path, monkeypatch, capsys):
+    # run_once is stubbed: no benchmark runs, the calls are recorded
+    pairs_mod = _repo_module("bench_pairs", "scripts", "bench_pairs.py")
+    for name in ("a", "b"):
+        (tmp_path / name / "perfbench").mkdir(parents=True)
+        (tmp_path / name / "perfbench" / "run.py").touch()
+    (tmp_path / "b" / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 7, "end_to_end": [{"name": "setup_s", "better": "lower"}]}))
+    calls = []
+
+    def run_once(tree, workload, seed, seconds):
+        calls.append((tree.name, workload, seed, seconds))
+        return {"correct": True, "metrics": {"setup_s": {"value": 1.0}}}
+
+    monkeypatch.setattr(pairs_mod, "run_once", run_once)
+    assert pairs_mod.main([str(tmp_path / "a"), str(tmp_path / "b"), "--workload", "bootstrap",
+                           "--pairs", "3"] + argv) == 0
+    order = [("a", "b"), ("b", "a"), ("a", "b")]  # the parent first in odd pairs
+    assert calls == [(tree, "bootstrap", seed, 7)
+                     for pair, seed in zip(order, seeds) for tree in pair]
+    out = capsys.readouterr().out
+    assert all(f"pair {k} (seed {seed})" in out for k, seed in enumerate(seeds, 1))

@@ -442,7 +442,7 @@ def test_stacked_passes_refuse_another_dtype():
         backward_stacked(cache, dy, np.zeros((1, 2, 4)))
     grads, _, _ = backward_stacked(cache, dy)
     assert grads["Wg"].dtype == np.float32
-    assert grads_to_flat(shape, grads, 0).dtype == np.float64
+    assert grads_to_flat(cache.grad_flat, 0).dtype == np.float64
 
 
 def test_stacked_weights_start_on_cache_lines():
@@ -476,8 +476,8 @@ def test_stacked_param_grads_match_allocating_oracle(S, out_dim, T):
     backward_stacked(cache, dy, need_param_grads=False)
     assert cache.grads is None
     grads, _, _ = backward_stacked(cache, dy)
-    flat = grads["W_in"].base
-    assert flat is not None and flat.shape == (S, GruNet(shape).size)
+    flat = cache.grad_flat
+    assert flat.shape == (S, GruNet(shape).size) and flat.dtype == np.float32
     assert all(g.base is flat for g in grads.values())
 
     f_x = x.reshape(1, T * B, -1)
@@ -505,10 +505,15 @@ def test_stacked_param_grads_match_allocating_oracle(S, out_dim, T):
     for name, want in ref.items():
         assert grads[name].dtype == np.float32
         assert np.array_equal(grads[name], want), name
+    # a row of the flat, cast, is each gradient of that slot in layout order
     out = np.full(GruNet(shape).size, np.nan)
     for s in range(S):
-        assert grads_to_flat(shape, grads, s, out) is out
-        assert np.array_equal(out, grads_to_flat(shape, grads, s))
+        assert grads_to_flat(flat, s, out) is out
+        assert np.array_equal(out, grads_to_flat(flat, s))
+        want = GruNet(shape)
+        for name, view in want.v.items():
+            view[:] = grads[name][s]
+        assert out.dtype == np.float64 and out.tobytes() == want.flat.tobytes()
 
 
 def _pass_bytes(y, hT, out):

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -447,6 +448,21 @@ def test_batched_step_map_equals_the_per_row_build_bit_for_bit(preset, multiplie
     for bad in (drawn[:, :m - 1], drawn[0], drawn[:0]):
         with pytest.raises(ValueError):
             StepMap(nominal, 0.01, 50, bad)
+
+
+def test_step_map_build_peaks_under_twice_its_stack():
+    # a 100-row build, as in one call of the demonstration phase, keeps two
+    # substep powers in flight, not all 50 of them
+    nominal = wrist_config()
+    table = sample_muscle_set(nominal.muscles, RandomizationSpec(),
+                              SeededRng(43).split("plant-peak"), 100)
+    tracemalloc.start()
+    try:
+        sm = StepMap(nominal, 0.01, 50, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * sm.stack.nbytes, (peak, sm.stack.nbytes)
 
 
 def test_nan_torque_takes_the_substep_fallback_like_the_oracle():
