@@ -86,11 +86,17 @@ def grid_targets(spec: FieldTestSpec) -> tuple[tuple[float, float], ...]:
     return tuple((t1, t2) for t1 in axis for t2 in axis)
 
 
-def steady_state_error(angles: np.ndarray, target, settle_steps: int) -> float:
-    """Mean Euclidean angle error over the last settle_steps samples."""
-    tail = np.asarray(angles, dtype=np.float64)[-settle_steps:]
-    d = tail - np.asarray(target, dtype=np.float64)
-    return float(np.mean(np.hypot(d[:, 0], d[:, 1])))
+def steady_state_error(angles: np.ndarray, targets, settle_steps: int) -> float | np.ndarray:
+    """Mean Euclidean angle error over the last settle_steps samples of each episode.
+
+    angles is (..., steps, 2) and targets (..., 2). One episode's error
+    is a float, a batch's an array of shape (...); each row of a batch is
+    bitwise its episode's error alone.
+    """
+    tail = np.asarray(angles, dtype=np.float64)[..., -settle_steps:, :]
+    d = tail - np.asarray(targets, dtype=np.float64)[..., None, :]
+    e = np.mean(np.hypot(d[..., 0], d[..., 1]), axis=-1)
+    return float(e) if e.ndim == 0 else e
 
 
 class PolicyController:
@@ -140,13 +146,14 @@ def run_field_test(preset: str, controller, spec: FieldTestSpec | None = None,
     plant is the nominal plant, the preset's if None. The targets' episodes
     run in lockstep as the rows of one evaluation env (nominal muscles, no
     noise), one row per target: the rows share one plant StepMap, built
-    once, and the controller acts once per step for all of them.
+    once, the controller acts once per step for all of them, and one
+    steady_state_error call scores every row.
     """
     spec = spec or field_spec_for(preset)
     targets = grid_targets(spec)
     _, outputs, _, _ = run_episode(make_eval_env(preset, spec, plant), controller, targets)
-    return [(t1, t2, steady_state_error(out[1:, ::2], (t1, t2), spec.settle_steps))
-            for (t1, t2), out in zip(targets, outputs)]
+    errors = steady_state_error(outputs[:, 1:, ::2], targets, spec.settle_steps)
+    return [(t1, t2, e) for (t1, t2), e in zip(targets, errors.tolist())]
 
 
 def summarize(rows) -> dict:

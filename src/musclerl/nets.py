@@ -27,6 +27,13 @@ operand: the gates and the candidate, which only the loops read, are
 stored by step, (T, S, B, H), and the loops copy one step of any other
 sequence array to or from contiguous (S, B, dim) scratch (see
 StackCache). Strided slices appear only in copies and as matmul operands.
+For the same reason the loops index no sequence array in a step: each
+storage builds its step views (each step's block of every sequence array a
+loop reads or writes) once, and the loops walk those lists; every numpy
+call in them passes its output positionally, and its constants 0.5 and 1.0
+as 0-d arrays of the stack's dtype. These change which Python objects
+the loops touch, not one operation or operand, so the bytes are those of
+indexing the blocks step by step.
 
 The gate equations are written once, as three step functions:
 input_projection (x W_in + b_in, the ReLU, a Wg + bg over a whole
@@ -62,6 +69,7 @@ keeps private storage.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -218,6 +226,13 @@ class StackCache:
     its step loop, so dgx, the gate gradients it writes, is the same array
     as gx.
 
+    The storage also holds the step views the loops walk, built with it:
+    _fwd_steps holds, per step t, the two halves of gx[:, t] (the [z | r]
+    and candidate input projections), z[t], r[t], c[t], rh[:, t] and
+    h_states[:, t + 1]; _bwd_steps holds, from the last step to the first,
+    z[t], r[t], c[t], pre[:, t] (the output gradient dh_out), h_states[:, t]
+    and dgx[:, t]'s candidate and [z | r] blocks.
+
     A cache built with share=other, a cache of the same signature, has no
     storage of its own: it takes other's sequence arrays and step scratch
     (every array in STORAGE), so passes whose lifetimes do not overlap hold
@@ -230,7 +245,7 @@ class StackCache:
 
     STORAGE = ("pre", "relu_mask", "a", "z", "r", "c", "rh", "h_states", "h_out", "gx", "dgx",
                "y", "_gzr", "_gc", "_zr", "_rh", "_h", "_h2", "_t1", "_t2", "_t3", "_t4",
-               "_t5", "_forwards")
+               "_t5", "_fwd_steps", "_bwd_steps", "_forwards")
 
     def __init__(self, sp: StackedNets, T: int, B: int, share: "StackCache | None" = None):
         S, H = sp.S, sp.shape.gru_hidden
@@ -269,6 +284,13 @@ class StackCache:
         self._gzr, self._zr = empty(S, B, 2 * H), empty(S, B, 2 * H)
         self._gc, self._rh, self._h, self._h2 = (empty(S, B, H) for _ in range(4))
         self._t1, self._t2, self._t3, self._t4, self._t5 = (empty(S, B, H) for _ in range(5))
+        # each step's blocks, in the order the loops walk them (see above)
+        gx_zr, gx_c = self.gx[..., : 2 * H], self.gx[..., 2 * H :]
+        self._fwd_steps = [(gx_zr[:, t], gx_c[:, t], self.z[t], self.r[t], self.c[t],
+                            self.rh[:, t], self.h_states[:, t + 1]) for t in range(T)]
+        self._bwd_steps = [(self.z[t], self.r[t], self.c[t], self.pre[:, t],
+                            self.h_states[:, t], gx_c[:, t], gx_zr[:, t])
+                           for t in range(T - 1, -1, -1)]
 
 
 def make_cache(sp: StackedNets, T: int, B: int, old: "StackCache | None" = None,
@@ -279,6 +301,20 @@ def make_cache(sp: StackedNets, T: int, B: int, old: "StackCache | None" = None,
         old.nets = sp
         return old
     return StackCache(sp, T, B, share)
+
+
+@functools.cache
+def _half_one(dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
+    """0.5 and 1.0 as read-only 0-d arrays of dtype, for the step loops.
+
+    A ufunc takes a 0-d operand of its loop's dtype in about half the time
+    it takes to convert a Python float, and the value it computes with is
+    the same.
+    """
+    consts = np.array(0.5, dtype=dtype), np.array(1.0, dtype=dtype)
+    for c in consts:
+        c.flags.writeable = False
+    return consts
 
 
 def input_projection(sp: StackedNets, x, pre, relu_mask, a, gx) -> None:
@@ -304,23 +340,25 @@ def gru_step(sp: StackedNets, h, gzr, gc, zr, z, r, rh, c, hn) -> None:
     backward reads; zr is scratch for the joint [z | r] block.
     """
     H = sp.shape.gru_hidden
-    np.matmul(h, sp.Ug_zr, out=zr)
-    zr += gzr
+    matmul, add, multiply, tanh = np.matmul, np.add, np.multiply, np.tanh
+    half, one = _half_one(sp.dtype)
+    matmul(h, sp.Ug_zr, zr)
+    add(zr, gzr, zr)
     # sigmoid(v) = (tanh(v/2) + 1) / 2, one fused block for both gates
-    zr *= 0.5
-    np.tanh(zr, out=zr)
-    zr += 1.0
-    zr *= 0.5
-    z[:] = zr[:, :, :H]
-    r[:] = zr[:, :, H:]
-    np.multiply(r, h, out=rh)
-    np.matmul(rh, sp.Ug_c, out=c)
-    c += gc
-    np.tanh(c, out=c)
+    multiply(zr, half, zr)
+    tanh(zr, zr)
+    add(zr, one, zr)
+    multiply(zr, half, zr)
+    z[...] = zr[:, :, :H]
+    r[...] = zr[:, :, H:]
+    multiply(r, h, rh)
+    matmul(rh, sp.Ug_c, c)
+    add(c, gc, c)
+    tanh(c, c)
     # h <- h + z * (c - h)
-    np.subtract(c, h, out=hn)
-    hn *= z
-    hn += h
+    np.subtract(c, h, hn)
+    multiply(hn, z, hn)
+    add(hn, h, hn)
 
 
 def output_projection(sp: StackedNets, h, y) -> None:
@@ -364,14 +402,13 @@ def forward_stacked(sp: StackedNets, x: np.ndarray, h0: np.ndarray | None = None
     else:
         h[:] = h0.reshape(S, B, H)
     ws.h_states[:, 0] = h
-    gx_zr, gx_c = ws.gx[..., : 2 * H], ws.gx[..., 2 * H :]
     gzr, gc, zr, rh, hn = ws._gzr, ws._gc, ws._zr, ws._rh, ws._h2
-    for t in range(T):
-        gzr[:] = gx_zr[:, t]
-        gc[:] = gx_c[:, t]
-        gru_step(sp, h, gzr, gc, zr, ws.z[t], ws.r[t], rh, ws.c[t], hn)
-        ws.rh[:, t] = rh
-        ws.h_states[:, t + 1] = hn
+    for gx_zr, gx_c, z, r, c, rh_t, h_t in ws._fwd_steps:
+        gzr[...] = gx_zr
+        gc[...] = gx_c
+        gru_step(sp, h, gzr, gc, zr, z, r, rh, c, hn)
+        rh_t[...] = rh
+        h_t[...] = hn
         h, hn = hn, h
     output_projection(sp, ws.h_out.reshape(S, N, H), ws.y.reshape(S, N, sp.shape.output_dim))
     return ws.y, h.copy(), ws
@@ -404,6 +441,7 @@ class ActCell:
 
         self._pre, self._mask, self._a = empty(H), empty(H, bool), empty(H)
         self._gx, self._gzr, self._gc = empty(3 * H), empty(2 * H), empty(H)
+        self._gx_zr, self._gx_c = self._gx[:, :, : 2 * H], self._gx[:, :, 2 * H :]
         self._zr, self._z, self._r, self._rh, self._c = (
             empty(2 * H), empty(H), empty(H), empty(H), empty(H))
         self._y = empty(sp.shape.output_dim)
@@ -418,10 +456,9 @@ class ActCell:
         if x.shape[0] != self._rows:
             self._build(x.shape[0])
         sp = self.nets
-        H = sp.shape.gru_hidden
         input_projection(sp, x, self._pre, self._mask, self._a, self._gx)
-        self._gzr[:] = self._gx[:, :, : 2 * H]
-        self._gc[:] = self._gx[:, :, 2 * H :]
+        self._gzr[...] = self._gx_zr
+        self._gc[...] = self._gx_c
         h_next = np.empty_like(self._c)
         gru_step(sp, h, self._gzr, self._gc, self._zr, self._z, self._r, self._rh, self._c,
                  h_next)
@@ -438,10 +475,15 @@ def backward_stacked(cache: StackCache, dy: np.ndarray, dh_final: np.ndarray | N
     dx (S, T, B, input_dim), dh0 (S, B, H)), all in that dtype. The
     parameter gradients are views into the cache's own (S, P) flat,
     cache.grad_flat, which the next backward through this cache overwrites.
+    A cache whose nets were released (set to None) after its pass is
+    refused until a forward sets them again.
     """
     sp = cache.nets
     if cache.x is None:
         raise ValueError("cache has not been through a forward pass")
+    if sp is None:
+        raise ValueError("cache's stack was released after its pass (SacAgent.update does "
+                         "so); run a forward through the cache first")
     if cache._filled_at != cache._forwards[0]:
         raise ValueError("cache's activations were overwritten by a forward through "
                          "a cache that shares its storage")
@@ -463,37 +505,40 @@ def backward_stacked(cache: StackCache, dy: np.ndarray, dh_final: np.ndarray | N
     dh_prev = cache._h2
     buf_zr, dh_t, h_prev, drh = cache._zr, cache._gc, cache._t1, cache._rh
     tmp, dsc, dz, dr = cache._t2, cache._t3, cache._t4, cache._t5
-    for t in range(T - 1, -1, -1):
-        z, r, c = cache.z[t], cache.r[t], cache.c[t]
-        dh_t[:] = dh_out[:, t]
-        h_prev[:] = cache.h_states[:, t]
-        dh += dh_t
-        np.subtract(c, h_prev, out=dz)
-        dz *= dh
+    buf_z, buf_r = buf_zr[:, :, :H], buf_zr[:, :, H:]
+    matmul, add, subtract, multiply = np.matmul, np.add, np.subtract, np.multiply
+    UcT, UzrT = sp.UcT, sp.UzrT
+    one = _half_one(sp.dtype)[1]
+    for z, r, c, dh_out_t, h_prev_t, dgx_c, dgx_zr in cache._bwd_steps:
+        dh_t[...] = dh_out_t
+        h_prev[...] = h_prev_t
+        add(dh, dh_t, dh)
+        subtract(c, h_prev, dz)
+        multiply(dz, dh, dz)
         # dsc = dh * z * (1 - c^2) into the candidate block of dgx
-        np.multiply(c, c, out=tmp)
-        np.subtract(1.0, tmp, out=tmp)
-        np.multiply(dh, z, out=dsc)
-        dsc *= tmp
-        dgx[:, t, :, 2 * H :] = dsc
-        np.matmul(dsc, sp.UcT, out=drh)
-        np.multiply(drh, h_prev, out=dr)
+        multiply(c, c, tmp)
+        subtract(one, tmp, tmp)
+        multiply(dh, z, dsc)
+        multiply(dsc, tmp, dsc)
+        dgx_c[...] = dsc
+        matmul(dsc, UcT, drh)
+        multiply(drh, h_prev, dr)
         # dh_prev = dh*(1-z) + drh*r, and each gate's sigmoid derivative
         # upstream * (1 - g) * g
-        np.subtract(1.0, z, out=tmp)
-        np.multiply(dh, tmp, out=dh_prev)
-        tmp *= z
-        dz *= tmp
-        np.multiply(drh, r, out=tmp)
-        dh_prev += tmp
-        np.subtract(1.0, r, out=tmp)
-        tmp *= r
-        dr *= tmp
-        buf_zr[:, :, :H] = dz
-        buf_zr[:, :, H:] = dr
-        dgx[:, t, :, : 2 * H] = buf_zr
-        np.matmul(buf_zr, sp.UzrT, out=tmp)
-        dh_prev += tmp
+        subtract(one, z, tmp)
+        multiply(dh, tmp, dh_prev)
+        multiply(tmp, z, tmp)
+        multiply(dz, tmp, dz)
+        multiply(drh, r, tmp)
+        add(dh_prev, tmp, dh_prev)
+        subtract(one, r, tmp)
+        multiply(tmp, r, tmp)
+        multiply(dr, tmp, dr)
+        buf_z[...] = dz
+        buf_r[...] = dr
+        dgx_zr[...] = buf_zr
+        matmul(buf_zr, UzrT, tmp)
+        add(dh_prev, tmp, dh_prev)
         dh, dh_prev = dh_prev, dh
     dh0 = dh.copy()
 

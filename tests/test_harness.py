@@ -4,6 +4,7 @@ import importlib.util
 import json
 import math
 import os
+import shutil
 import struct
 import tracemalloc
 
@@ -278,6 +279,20 @@ def test_steady_state_error_uses_final_window_only():
     angles = np.zeros((50, 2))
     angles[:40] = 100.0  # junk outside the settle window
     assert steady_state_error(angles, (0.0, 0.0), 10) == 0.0
+
+
+def test_steady_state_error_of_a_batch_is_each_episode_s():
+    # a batch of (..., steps, 2) angles against (..., 2) targets gives, row
+    # by row, the bytes of the one-episode call, which returns a float
+    rng = np.random.default_rng(5)
+    angles = rng.normal(scale=3.0, size=(3, 4, 30, 2))
+    targets = rng.uniform(-10.0, 10.0, size=(3, 4, 2))
+    errors = steady_state_error(angles, targets, 10)
+    assert errors.shape == (3, 4) and errors.dtype == np.float64
+    for i in range(3):
+        for j in range(4):
+            one = steady_state_error(angles[i, j], tuple(targets[i, j]), 10)
+            assert type(one) is float and struct.pack("d", one) == errors[i, j].tobytes()
 
 
 def test_summary_statistics():
@@ -1066,6 +1081,32 @@ def test_bench_pairs_summary_counts_wins_and_quartiles(tmp_path):
     (tmp_path / "c" / "perfbench" / "run.py").touch()
     assert pairs_mod.path_problem(tmp_path / "a", tmp_path / "c") is None
     assert pairs_mod.path_problem(tmp_path / "a", tmp_path / "d") is not None
+
+
+def test_update_pairs_times_both_trees_and_checks_their_states(tmp_path, capsys):
+    # one tree against a copy of itself agrees byte for byte; against a
+    # copy whose Adam takes another epsilon, the states differ and the
+    # script says so in its exit status
+    pairs_mod = _repo_module("update_pairs", "scripts", "update_pairs.py")
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    for name in ("same", "other"):
+        shutil.copytree(os.path.join(repo, "src", "musclerl"),
+                        tmp_path / name / "src" / "musclerl",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    nets = tmp_path / "other" / "src" / "musclerl" / "nets.py"
+    text = nets.read_text()
+    assert text.count("eps: float = 1e-8") == 1
+    nets.write_text(text.replace("eps: float = 1e-8", "eps: float = 1e-6"))
+    argv = ["--width", "4", "--rounds", "2", "--updates", "1", "--prefill", "2",
+            "--batches", "2"]
+    assert pairs_mod.main([repo, str(tmp_path / "same")] + argv) == 0
+    out = capsys.readouterr().out
+    assert "2 rounds of 1 updates" in out and "of 2 rounds" in out
+    assert "after 3 updates: byte-identical" in out
+    assert pairs_mod.main([repo, str(tmp_path / "other")] + argv) == 1
+    assert "DIFFER" in capsys.readouterr().out
+    assert pairs_mod.main([repo, repo] + argv) == 2
+    assert pairs_mod.main([repo, str(tmp_path / "none")] + argv) == 2
 
 
 @pytest.mark.parametrize("argv, seeds", [([], [1, 2, 3]), (["--first-seed", "11"], [11, 12, 13])])

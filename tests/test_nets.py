@@ -605,3 +605,56 @@ def test_act_cell_rows_give_the_reference_t1_bytes(B):
             y_ref, h_ref, _ = stacked_forward(sp, x[b][None, None], h[b][None])
             assert y[b].tobytes() == y_ref.tobytes() and h_next[b].tobytes() == h_ref.tobytes()
         h = h_next
+
+
+def _is_block(view, block):
+    """Whether view is block itself: the same memory, start, shape and strides."""
+    return (np.shares_memory(view, block) and view.ctypes.data == block.ctypes.data
+            and view.shape == block.shape and view.strides == block.strides)
+
+
+def test_step_views_are_their_storage_blocks():
+    # the loops walk per-step views built once per storage: each is its
+    # block of the storage, caches sharing the storage hold its lists, a
+    # cache re-made for another (T, B) gets its own, and a reused cache's
+    # later passes still give the reference loops' bytes
+    T, B, H = 5, 3, 8
+    shape = NetworkShape(5, H, 2)
+    stacks = [StackedNets([init_params(shape, SeededRng(70 + 2 * k + s)) for s in range(2)],
+                          dtype=np.float32) for k in range(2)]
+    rng = np.random.default_rng(71)
+    x = rng.normal(size=(1, T, B, 5)).astype(np.float32)
+    _, _, owner = forward_stacked(stacks[0], x)
+    assert len(owner._fwd_steps) == len(owner._bwd_steps) == T
+    for t in range(T):
+        gx = owner.gx
+        fwd = (gx[:, t, :, : 2 * H], gx[:, t, :, 2 * H :], owner.z[t], owner.r[t], owner.c[t],
+               owner.rh[:, t], owner.h_states[:, t + 1])
+        bwd = (owner.z[t], owner.r[t], owner.c[t], owner.pre[:, t], owner.h_states[:, t],
+               owner.dgx[:, t, :, 2 * H :], owner.dgx[:, t, :, : 2 * H])
+        assert all(map(_is_block, owner._fwd_steps[t], fwd))
+        assert all(map(_is_block, owner._bwd_steps[T - 1 - t], bwd))  # reverse step order
+
+    _, _, shared = forward_stacked(stacks[1], x, share=owner)
+    assert shared._fwd_steps is owner._fwd_steps and shared._bwd_steps is owner._bwd_steps
+    _, _, other = forward_stacked(stacks[0], x[:, :3], cache=owner)
+    assert other is not owner and len(other._fwd_steps) == len(other._bwd_steps) == 3
+    assert _is_block(other._fwd_steps[0][2], other.z[0])
+    assert not np.shares_memory(other._fwd_steps[0][2], owner.z)
+
+    dy = rng.normal(size=(2, T, B, 2)).astype(np.float32)
+    for _ in range(3):  # each pass after the first runs on the owner's built lists
+        x = rng.normal(size=(1, T, B, 5)).astype(np.float32)
+        h0, dhf = (rng.normal(size=(2, B, H)).astype(np.float32) for _ in range(2))
+        y_ref, hT_ref, acts = stacked_forward(stacks[0], x, h0)
+        want = _pass_bytes(y_ref, hT_ref, stacked_backward(stacks[0], acts, dy, dhf))
+        y, hT, cache = forward_stacked(stacks[0], x, h0, cache=owner)
+        assert cache is owner
+        assert _pass_bytes(y, hT, backward_stacked(cache, dy, dhf)) == want
+
+    # the acting cell's input-projection halves are views built with its scratch
+    cell = ActCell(init_params(NetworkShape(6, H, 4), SeededRng(72)))
+    for rows in (4, 1):
+        cell.step(np.zeros((rows, 1, 6)), np.zeros((rows, 1, H)))
+        assert _is_block(cell._gx_zr, cell._gx[:, :, : 2 * H])
+        assert _is_block(cell._gx_c, cell._gx[:, :, 2 * H :])

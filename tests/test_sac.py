@@ -10,6 +10,7 @@ from musclerl.nets import (
     LOG_SD_MAX,
     LOG_SD_MIN,
     StackedNets,
+    backward_stacked,
     forward_stacked,
     split_head,
     squash_mean,
@@ -123,6 +124,18 @@ def test_update_leaves_no_stacked_nets_in_its_caches():
         fresh = make_agent(hidden=6, seed=99)
         fresh.load_state(*agent.state())
         assert _acts(agent, obs) == _acts(fresh, obs)
+
+
+def test_backward_through_a_released_cache_names_the_cause():
+    # the update lets go of each cache's stack; a backward through such a
+    # cache is refused with that reason, not an AttributeError from inside
+    agent = make_agent(hidden=6, seed=7)
+    agent.update([make_traj(T=4, seed=i) for i in range(20)], gamma=0.9)
+    for name, out_dim in (("actor", 4), ("critic_pi", 1)):
+        cache = agent._ws[name]
+        dy = np.zeros((cache.S, cache.T, cache.B, out_dim), dtype=agent.dtype)
+        with pytest.raises(ValueError, match="stack was released"):
+            backward_stacked(cache, dy)
 
 
 def test_width64_update_holds_one_critic_storage():
