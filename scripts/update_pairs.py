@@ -6,8 +6,8 @@
 Each checkout's src/musclerl is loaded under its own package name, and
 each builds the agent a stock wrist Trainer of that width and seed holds.
 The batches come from one PID demonstration pre-fill (the change's code,
---prefill episodes) sampled once, so both agents update on the same
-batches in the same order. Round k times one block of --updates updates
+PREFILL episodes) sampled once into BATCHES batches, so both agents
+update on the same batches in the same order. Round k times one block of --updates updates
 on each side, the parent first in odd rounds and the change first in even
 ones, after one untimed block a side. A block's time is its median update
 in process CPU time. The script prints each side's median and quartiles
@@ -32,6 +32,10 @@ import time
 from pathlib import Path
 
 import numpy as np
+
+PREFILL = 20  # PID demonstration episodes the batches are sampled from
+BATCHES = 40  # distinct batches, used in turn
+SEED = 11     # both Trainers' seed
 
 
 def load_package(tree: Path, name: str):
@@ -81,9 +85,6 @@ def main(argv=None) -> int:
     ap.add_argument("--width", type=int, default=64, help="GRU width of every network")
     ap.add_argument("--rounds", type=int, default=12)
     ap.add_argument("--updates", type=int, default=30, help="updates per timed block")
-    ap.add_argument("--prefill", type=int, default=20, help="PID episodes sampled from")
-    ap.add_argument("--batches", type=int, default=40, help="distinct batches, used in turn")
-    ap.add_argument("--seed", type=int, default=11)
     args = ap.parse_args(argv)
     parent, change = args.parent.resolve(), args.change.resolve()
     if parent == change:
@@ -96,13 +97,13 @@ def main(argv=None) -> int:
         print(exc, file=sys.stderr)
         return 2
 
-    sides = {name: trainer_for(name + "_musclerl", args.width, args.seed)
+    sides = {name: trainer_for(name + "_musclerl", args.width, SEED)
              for name in ("parent", "change")}
     source = sides["change"]
-    source.bootstrap_phase(stop=args.prefill)
+    source.bootstrap_phase(stop=PREFILL)
     cfg = source.cfg
     batches = [source.buffer.sample(cfg.batch_size, source.sample_rng)
-               for _ in range(args.batches)]
+               for _ in range(BATCHES)]
     agents = {name: tr.agent for name, tr in sides.items()}
 
     done = {name: 0 for name in agents}

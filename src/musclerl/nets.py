@@ -69,7 +69,6 @@ keeps private storage.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -199,6 +198,12 @@ class StackedNets:
         self.W_out = stack("W_out")
         self.W_outT = transposed(self.W_out)
         self.b_out = stack("b_out")[:, None, :]
+        # 0.5 and 1.0 for the step loops, as read-only 0-d arrays of the
+        # stack's dtype: a ufunc takes one in about half the time it takes to
+        # convert a Python float, and computes with the same value
+        self.half_one = np.array(0.5, self.dtype), np.array(1.0, self.dtype)
+        for c in self.half_one:
+            c.flags.writeable = False
 
 
 def _check_dtype(sp: StackedNets, **arrays) -> None:
@@ -227,11 +232,11 @@ class StackCache:
     as gx.
 
     The storage also holds the step views the loops walk, built with it:
-    _fwd_steps holds, per step t, the two halves of gx[:, t] (the [z | r]
-    and candidate input projections), z[t], r[t], c[t], rh[:, t] and
-    h_states[:, t + 1]; _bwd_steps holds, from the last step to the first,
-    z[t], r[t], c[t], pre[:, t] (the output gradient dh_out), h_states[:, t]
-    and dgx[:, t]'s candidate and [z | r] blocks.
+    _steps holds, per step t, the [z | r] and candidate halves of gx[:, t]
+    (the input projections the forward reads, and the blocks of dgx the
+    backward writes), z[t], r[t], c[t], rh[:, t], h_states[:, t + 1],
+    pre[:, t] (the backward's output gradient dh_out) and h_states[:, t].
+    The forward walks it in order, the backward in reverse.
 
     A cache built with share=other, a cache of the same signature, has no
     storage of its own: it takes other's sequence arrays and step scratch
@@ -245,7 +250,7 @@ class StackCache:
 
     STORAGE = ("pre", "relu_mask", "a", "z", "r", "c", "rh", "h_states", "h_out", "gx", "dgx",
                "y", "_gzr", "_gc", "_zr", "_rh", "_h", "_h2", "_t1", "_t2", "_t3", "_t4",
-               "_t5", "_fwd_steps", "_bwd_steps", "_forwards")
+               "_t5", "_steps", "_forwards")
 
     def __init__(self, sp: StackedNets, T: int, B: int, share: "StackCache | None" = None):
         S, H = sp.S, sp.shape.gru_hidden
@@ -284,13 +289,11 @@ class StackCache:
         self._gzr, self._zr = empty(S, B, 2 * H), empty(S, B, 2 * H)
         self._gc, self._rh, self._h, self._h2 = (empty(S, B, H) for _ in range(4))
         self._t1, self._t2, self._t3, self._t4, self._t5 = (empty(S, B, H) for _ in range(5))
-        # each step's blocks, in the order the loops walk them (see above)
+        # each step's blocks, which the forward walks in order, the backward in reverse
         gx_zr, gx_c = self.gx[..., : 2 * H], self.gx[..., 2 * H :]
-        self._fwd_steps = [(gx_zr[:, t], gx_c[:, t], self.z[t], self.r[t], self.c[t],
-                            self.rh[:, t], self.h_states[:, t + 1]) for t in range(T)]
-        self._bwd_steps = [(self.z[t], self.r[t], self.c[t], self.pre[:, t],
-                            self.h_states[:, t], gx_c[:, t], gx_zr[:, t])
-                           for t in range(T - 1, -1, -1)]
+        self._steps = [(gx_zr[:, t], gx_c[:, t], self.z[t], self.r[t], self.c[t],
+                        self.rh[:, t], self.h_states[:, t + 1], self.pre[:, t],
+                        self.h_states[:, t]) for t in range(T)]
 
 
 def make_cache(sp: StackedNets, T: int, B: int, old: "StackCache | None" = None,
@@ -301,20 +304,6 @@ def make_cache(sp: StackedNets, T: int, B: int, old: "StackCache | None" = None,
         old.nets = sp
         return old
     return StackCache(sp, T, B, share)
-
-
-@functools.cache
-def _half_one(dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
-    """0.5 and 1.0 as read-only 0-d arrays of dtype, for the step loops.
-
-    A ufunc takes a 0-d operand of its loop's dtype in about half the time
-    it takes to convert a Python float, and the value it computes with is
-    the same.
-    """
-    consts = np.array(0.5, dtype=dtype), np.array(1.0, dtype=dtype)
-    for c in consts:
-        c.flags.writeable = False
-    return consts
 
 
 def input_projection(sp: StackedNets, x, pre, relu_mask, a, gx) -> None:
@@ -341,7 +330,7 @@ def gru_step(sp: StackedNets, h, gzr, gc, zr, z, r, rh, c, hn) -> None:
     """
     H = sp.shape.gru_hidden
     matmul, add, multiply, tanh = np.matmul, np.add, np.multiply, np.tanh
-    half, one = _half_one(sp.dtype)
+    half, one = sp.half_one
     matmul(h, sp.Ug_zr, zr)
     add(zr, gzr, zr)
     # sigmoid(v) = (tanh(v/2) + 1) / 2, one fused block for both gates
@@ -403,7 +392,7 @@ def forward_stacked(sp: StackedNets, x: np.ndarray, h0: np.ndarray | None = None
         h[:] = h0.reshape(S, B, H)
     ws.h_states[:, 0] = h
     gzr, gc, zr, rh, hn = ws._gzr, ws._gc, ws._zr, ws._rh, ws._h2
-    for gx_zr, gx_c, z, r, c, rh_t, h_t in ws._fwd_steps:
+    for gx_zr, gx_c, z, r, c, rh_t, h_t, _, _ in ws._steps:
         gzr[...] = gx_zr
         gc[...] = gx_c
         gru_step(sp, h, gzr, gc, zr, z, r, rh, c, hn)
@@ -508,8 +497,8 @@ def backward_stacked(cache: StackCache, dy: np.ndarray, dh_final: np.ndarray | N
     buf_z, buf_r = buf_zr[:, :, :H], buf_zr[:, :, H:]
     matmul, add, subtract, multiply = np.matmul, np.add, np.subtract, np.multiply
     UcT, UzrT = sp.UcT, sp.UzrT
-    one = _half_one(sp.dtype)[1]
-    for z, r, c, dh_out_t, h_prev_t, dgx_c, dgx_zr in cache._bwd_steps:
+    one = sp.half_one[1]
+    for dgx_zr, dgx_c, z, r, c, _, _, dh_out_t, h_prev_t in reversed(cache._steps):
         dh_t[...] = dh_out_t
         h_prev[...] = h_prev_t
         add(dh, dh_t, dh)

@@ -1097,8 +1097,7 @@ def test_update_pairs_times_both_trees_and_checks_their_states(tmp_path, capsys)
     text = nets.read_text()
     assert text.count("eps: float = 1e-8") == 1
     nets.write_text(text.replace("eps: float = 1e-8", "eps: float = 1e-6"))
-    argv = ["--width", "4", "--rounds", "2", "--updates", "1", "--prefill", "2",
-            "--batches", "2"]
+    argv = ["--width", "4", "--rounds", "2", "--updates", "1"]
     assert pairs_mod.main([repo, str(tmp_path / "same")] + argv) == 0
     out = capsys.readouterr().out
     assert "2 rounds of 1 updates" in out and "of 2 rounds" in out

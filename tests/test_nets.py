@@ -625,22 +625,25 @@ def test_step_views_are_their_storage_blocks():
     rng = np.random.default_rng(71)
     x = rng.normal(size=(1, T, B, 5)).astype(np.float32)
     _, _, owner = forward_stacked(stacks[0], x)
-    assert len(owner._fwd_steps) == len(owner._bwd_steps) == T
+    assert len(owner._steps) == T
     for t in range(T):
         gx = owner.gx
-        fwd = (gx[:, t, :, : 2 * H], gx[:, t, :, 2 * H :], owner.z[t], owner.r[t], owner.c[t],
-               owner.rh[:, t], owner.h_states[:, t + 1])
-        bwd = (owner.z[t], owner.r[t], owner.c[t], owner.pre[:, t], owner.h_states[:, t],
-               owner.dgx[:, t, :, 2 * H :], owner.dgx[:, t, :, : 2 * H])
-        assert all(map(_is_block, owner._fwd_steps[t], fwd))
-        assert all(map(_is_block, owner._bwd_steps[T - 1 - t], bwd))  # reverse step order
+        blocks = (gx[:, t, :, : 2 * H], gx[:, t, :, 2 * H :], owner.z[t], owner.r[t],
+                  owner.c[t], owner.rh[:, t], owner.h_states[:, t + 1], owner.pre[:, t],
+                  owner.h_states[:, t])
+        assert all(map(_is_block, owner._steps[t], blocks))
+    assert owner.dgx is owner.gx  # the backward writes its gate gradients into gx's blocks
 
     _, _, shared = forward_stacked(stacks[1], x, share=owner)
-    assert shared._fwd_steps is owner._fwd_steps and shared._bwd_steps is owner._bwd_steps
+    assert shared._steps is owner._steps
     _, _, other = forward_stacked(stacks[0], x[:, :3], cache=owner)
-    assert other is not owner and len(other._fwd_steps) == len(other._bwd_steps) == 3
-    assert _is_block(other._fwd_steps[0][2], other.z[0])
-    assert not np.shares_memory(other._fwd_steps[0][2], owner.z)
+    assert other is not owner and len(other._steps) == 3
+    assert _is_block(other._steps[0][2], other.z[0])
+    assert not np.shares_memory(other._steps[0][2], owner.z)
+    # the loops' constants are read-only 0-d arrays of the stack's dtype
+    for const, value in zip(stacks[0].half_one, (0.5, 1.0)):
+        assert const.shape == () and const.dtype == np.float32 and const == value
+        assert not const.flags.writeable
 
     dy = rng.normal(size=(2, T, B, 2)).astype(np.float32)
     for _ in range(3):  # each pass after the first runs on the owner's built lists
