@@ -29,7 +29,7 @@ sequence array to or from contiguous (S, B, dim) scratch (see
 StackCache). Strided slices appear only in copies and as matmul operands.
 For the same reason the loops index no sequence array in a step: each
 storage builds its step views (each step's block of every sequence array a
-loop reads or writes) once, and the loops walk those lists; every numpy
+loop reads or writes) once, and the loops walk them; every numpy
 call in them passes its output positionally, and its constants 0.5 and 1.0
 as 0-d arrays of the stack's dtype. These change which Python objects
 the loops touch, not one operation or operand, so the bytes are those of
