@@ -15,6 +15,15 @@ how many pairs the change did better. Only pairs in which both runs
 reported themselves correct count; the last lines say how many pairs were
 left out and how many runs were correct.
 
+Then it prints a verdict for each metric, against the metric's bound in
+that BENCHMARK.json (a fraction of the parent's median; 0 if it has none):
+"gain" if the change did better in at least 9 of 10 kept pairs and its
+median beats the parent's by more than the parent's interquartile range;
+"worse beyond bound" if its median is worse than the parent's by more
+than the bound; "unresolved" if the parent's interquartile range exceeds
+the bound, unless every change run did better than every parent run;
+"no regression" otherwise.
+
 The two checkouts must lie at absolute paths of equal length, such as
 sibling clones a/ and b/: a run's temporary directories live under its
 checkout, and the path's length alone moves fieldtest's rate by a few
@@ -64,7 +73,8 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: list[tuple[str, str]]) ->
     still reports every metric, some of them as 0.0. A row holds each
     side's (q1, median, q3) over the kept pairs in which both runs measured
     the metric, n, the number of those pairs, wins, those in which the
-    change did strictly better ("higher" or "lower"), and left_out, the
+    change did strictly better ("higher" or "lower"), separated, whether
+    every change run did better than every parent run, and left_out, the
     number of pairs left out.
     """
     kept = [(p, c) for p, c in pairs if p["correct"] and c["correct"]]
@@ -75,12 +85,29 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: list[tuple[str, str]]) ->
         sign = 1.0 if better == "higher" else -1.0
         row = {"name": name, "better": better, "n": len(both),
                "wins": sum(sign * (c - p) > 0 for p, c in both),
+               "separated": bool(both) and (min(sign * c for _, c in both)
+                                            > max(sign * p for p, _ in both)),
                "left_out": len(pairs) - len(kept)}
         for side, k in (("parent", 0), ("change", 1)):
             values = [pair[k] for pair in both]
             row[side] = tuple(np.percentile(values, [25, 50, 75]).tolist()) if values else None
         rows.append(row)
     return rows
+
+
+def verdict(row: dict, bound: float) -> str:
+    """The verdict on one summarize() row for a metric of this bound (see the module docstring)."""
+    if row["n"] == 0:
+        return "not measured"
+    (pq1, pm, pq3), cm = row["parent"], row["change"][1]
+    gap = (cm - pm) if row["better"] == "higher" else (pm - cm)  # > 0: the change is better
+    if 10 * row["wins"] >= 9 * row["n"] and gap > pq3 - pq1:
+        return "gain"
+    if -gap > bound * abs(pm):
+        return "worse beyond bound"
+    if pq3 - pq1 > bound * abs(pm) and not row["separated"]:
+        return "unresolved"
+    return "no regression"
 
 
 def format_rows(rows: list[dict]) -> list[str]:
@@ -118,6 +145,7 @@ def main(argv=None) -> int:
         return 2
     bench = json.loads((change / "BENCHMARK.json").read_text())
     metrics = [(m["name"], m["better"]) for m in bench["end_to_end"]]
+    bounds = {m["name"]: m.get("bound", 0.0) for m in bench["end_to_end"]}
     pairs = []
     for k in range(1, args.pairs + 1):
         seed = args.first_seed + k - 1
@@ -129,6 +157,9 @@ def main(argv=None) -> int:
     rows = summarize(pairs, metrics)
     for line in format_rows(rows):
         print(line)
+    for r in rows:
+        print(f"verdict {r['name']} (bound {bounds[r['name']]:g}): "
+              f"{verdict(r, bounds[r['name']])}")
     print(f"pairs left out, a run not correct: {rows[0]['left_out']} of {len(pairs)}")
     correct = sum(side["correct"] for pair in pairs for side in pair)
     print(f"correct runs: {correct} of {2 * len(pairs)}")

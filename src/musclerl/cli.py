@@ -74,7 +74,16 @@ def _opened(load, path):
 
 
 def _controller(args):
-    """(preset, controller, checkpoint cfg or None) from the flags, or None after printing why."""
+    """(preset, controller, checkpoint cfg or None) from the flags, or None after printing why.
+
+    A checkpoint's policy acts on its own config's preset, so --checkpoint
+    is refused next to --pid or --preset.
+    """
+    clash = [flag for flag, given in (("--pid", args.pid), ("--preset", args.preset)) if given]
+    if args.checkpoint and clash:
+        print(f"{args.command} takes --checkpoint without {' or '.join(clash)}: the "
+              "checkpoint's policy acts on the preset it was trained on", file=sys.stderr)
+        return None
     if args.pid:
         preset = args.preset or RunConfig.preset
         return preset, pid_controller_for(preset), None

@@ -19,12 +19,13 @@ plant product; it returns the next observations and the outputs and
 clipped actions that reward() scores, but no reward. run_episode() is the
 one closed loop every driver of the plant runs: one env's rows in
 lockstep, with one controller call and one step per action for all of
-them (training and the episode command run one row; the PID
-demonstrations run many episodes of the training env, the field test one
-row per target), and it scores the episodes in one reward() call after
-its loop. Episodes end at the time limit of `steps` actions, never by
-failure. PRESETS holds each number that differs between the eye and the
-wrist, from the plant and reward to the training schedule.
+them (the policy's training episodes and the episode command run one
+row; the demonstrations, PID or uniform, run many episodes of the
+training env, the field test one row per target), and it scores the
+episodes in one reward() call after its loop. Episodes end at the time
+limit of `steps` actions, never by failure. PRESETS holds each number
+that differs between the eye and the wrist, from the plant and reward to
+the training schedule.
 
 step() clamps the actions to the box as np.clip with array bounds does:
 np.minimum(np.maximum(a, low), high) against the env's read-only bound
@@ -294,14 +295,15 @@ def run_episode(env: TrackingEnv, controller, targets=None, rows: int = 1):
     given, one episode per target, which replaces the row's drawn one. At
     each step the controller makes one call for all rows, then one
     env.step advances them all. The controller needs reset(n) and
-    act(obs (n, 6), dt) -> (n, A) actions. Returns (obs (B, T+1, 6),
-    outputs (B, T+1, 4), actions (B, T, A), rewards (B, T)), T = env.steps:
-    the observations and noiseless outputs at every step boundary (each
-    step's, and the plant's after the last), and the clipped actions
-    applied with their rewards, which one reward() call computes from
-    outputs[:, :T], the targets and the actions once the loop is done. Each
-    row is bitwise the episode it would be alone: the rows share no
-    arithmetic.
+    act(obs (n, 6)) -> (n, A) actions, called once per step; one that
+    keeps time, as the PID does, takes ACTION_PERIOD as its step. Returns
+    (obs (B, T+1, 6), outputs (B, T+1, 4), actions (B, T, A), rewards
+    (B, T)), T = env.steps: the observations and noiseless outputs at
+    every step boundary (each step's, and the plant's after the last), and
+    the clipped actions applied with their rewards, which one reward()
+    call computes from outputs[:, :T], the targets and the actions once
+    the loop is done. Each row is bitwise the episode it would be alone:
+    the rows share no arithmetic.
     """
     T, A = env.steps, env.action_dim
     obs0 = env.reset(rows, targets)
@@ -312,7 +314,7 @@ def run_episode(env: TrackingEnv, controller, targets=None, rows: int = 1):
     obs_rows[:, 0] = obs0
     controller.reset(B)
     for t in range(T):
-        actions = controller.act(obs_rows[:, t], dt=ACTION_PERIOD)
+        actions = controller.act(obs_rows[:, t])
         obs_rows[:, t + 1], out_rows[:, t], act_rows[:, t] = env.step(actions)
     out_rows[:, T] = env.plant.outputs()
     rewards = reward(env.reward_spec, out_rows[:, :T], env.target[:, None, :], act_rows)

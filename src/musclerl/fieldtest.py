@@ -114,7 +114,7 @@ class PolicyController:
     def reset(self, n: int = 1) -> None:
         self._hidden = self.agent.initial_hidden(n)
 
-    def act(self, obs, dt: float = 0.5):
+    def act(self, obs):
         a, self._hidden = self.agent.act(obs, self._hidden, deterministic=self.rng is None,
                                          rng=self.rng)
         return a

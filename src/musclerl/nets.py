@@ -231,12 +231,13 @@ class StackCache:
     its step loop, so dgx, the gate gradients it writes, is the same array
     as gx.
 
-    The storage also holds the step views the loops walk, built with it:
-    _steps holds, per step t, the [z | r] and candidate halves of gx[:, t]
-    (the input projections the forward reads, and the blocks of dgx the
+    The storage also holds the views the loops walk, built with it: the
+    halves _zr_z and _zr_r of the [z | r] scratch _zr, and _steps, which
+    holds, per step t, the [z | r] and candidate halves of gx[:, t] (the
+    input projections the forward reads, and the blocks of dgx the
     backward writes), z[t], r[t], c[t], rh[:, t], h_states[:, t + 1],
     pre[:, t] (the backward's output gradient dh_out) and h_states[:, t].
-    The forward walks it in order, the backward in reverse.
+    The forward walks _steps in order, the backward in reverse.
 
     A cache built with share=other, a cache of the same signature, has no
     storage of its own: it takes other's sequence arrays and step scratch
@@ -249,8 +250,8 @@ class StackCache:
     """
 
     STORAGE = ("pre", "relu_mask", "a", "z", "r", "c", "rh", "h_states", "h_out", "gx", "dgx",
-               "y", "_gzr", "_gc", "_zr", "_rh", "_h", "_h2", "_t1", "_t2", "_t3", "_t4",
-               "_t5", "_steps", "_forwards")
+               "y", "_gzr", "_gc", "_zr", "_zr_z", "_zr_r", "_rh", "_h", "_h2", "_t1", "_t2",
+               "_t3", "_t4", "_t5", "_steps", "_forwards")
 
     def __init__(self, sp: StackedNets, T: int, B: int, share: "StackCache | None" = None):
         S, H = sp.S, sp.shape.gru_hidden
@@ -287,6 +288,7 @@ class StackCache:
         self.y = empty(S, T, B, sp.shape.output_dim)
         # step-loop scratch
         self._gzr, self._zr = empty(S, B, 2 * H), empty(S, B, 2 * H)
+        self._zr_z, self._zr_r = self._zr[:, :, :H], self._zr[:, :, H:]
         self._gc, self._rh, self._h, self._h2 = (empty(S, B, H) for _ in range(4))
         self._t1, self._t2, self._t3, self._t4, self._t5 = (empty(S, B, H) for _ in range(5))
         # each step's blocks, which the forward walks in order, the backward in reverse
@@ -321,14 +323,14 @@ def input_projection(sp: StackedNets, x, pre, relu_mask, a, gx) -> None:
     gx += sp.bg
 
 
-def gru_step(sp: StackedNets, h, gzr, gc, zr, z, r, rh, c, hn) -> None:
+def gru_step(sp: StackedNets, h, gzr, gc, zr, zr_z, zr_r, z, r, rh, c, hn) -> None:
     """One GRU step from h (S, B, H) with input projections gzr (S, B, 2H), gc (S, B, H).
 
-    Every argument is a contiguous array. Writes h_t into hn, and leaves
-    the gates in z and r, r * h in rh and the candidate in c, which the
-    backward reads; zr is scratch for the joint [z | r] block.
+    Every argument but zr_z and zr_r is a contiguous array. Writes h_t into
+    hn, and leaves the gates in z and r, r * h in rh and the candidate in
+    c, which the backward reads; zr is scratch for the joint [z | r]
+    block, and zr_z and zr_r are its halves, zr[:, :, :H] and zr[:, :, H:].
     """
-    H = sp.shape.gru_hidden
     matmul, add, multiply, tanh = np.matmul, np.add, np.multiply, np.tanh
     half, one = sp.half_one
     matmul(h, sp.Ug_zr, zr)
@@ -338,8 +340,8 @@ def gru_step(sp: StackedNets, h, gzr, gc, zr, z, r, rh, c, hn) -> None:
     tanh(zr, zr)
     add(zr, one, zr)
     multiply(zr, half, zr)
-    z[...] = zr[:, :, :H]
-    r[...] = zr[:, :, H:]
+    z[...] = zr_z
+    r[...] = zr_r
     multiply(r, h, rh)
     matmul(rh, sp.Ug_c, c)
     add(c, gc, c)
@@ -392,10 +394,11 @@ def forward_stacked(sp: StackedNets, x: np.ndarray, h0: np.ndarray | None = None
         h[:] = h0.reshape(S, B, H)
     ws.h_states[:, 0] = h
     gzr, gc, zr, rh, hn = ws._gzr, ws._gc, ws._zr, ws._rh, ws._h2
+    zr_z, zr_r = ws._zr_z, ws._zr_r
     for gx_zr, gx_c, z, r, c, rh_t, h_t, _, _ in ws._steps:
         gzr[...] = gx_zr
         gc[...] = gx_c
-        gru_step(sp, h, gzr, gc, zr, z, r, rh, c, hn)
+        gru_step(sp, h, gzr, gc, zr, zr_z, zr_r, z, r, rh, c, hn)
         rh_t[...] = rh
         h_t[...] = hn
         h, hn = hn, h
@@ -411,10 +414,10 @@ class ActCell:
     weights, and numpy's matmul makes for each row the call that
     forward_stacked over S = T = B = 1 makes: each row's outputs are
     bitwise those of that pass. The cell keeps no activations for a
-    backward: its scratch holds one step of B rows and is rebuilt when B
-    changes. It reads x and h where they are and copies only the two
-    halves of the input projection into contiguous scratch, as
-    forward_stacked's loop does.
+    backward: its scratch holds one step of B rows and is rebuilt, with
+    the halves of it the step reads, when B changes. It reads x and h where
+    they are and copies only the two halves of the input projection into
+    contiguous scratch, as forward_stacked's loop does.
     """
 
     def __init__(self, net: GruNet):
@@ -433,6 +436,7 @@ class ActCell:
         self._gx_zr, self._gx_c = self._gx[:, :, : 2 * H], self._gx[:, :, 2 * H :]
         self._zr, self._z, self._r, self._rh, self._c = (
             empty(2 * H), empty(H), empty(H), empty(H), empty(H))
+        self._zr_z, self._zr_r = self._zr[:, :, :H], self._zr[:, :, H:]
         self._y = empty(sp.shape.output_dim)
         self._rows = B
 
@@ -449,8 +453,8 @@ class ActCell:
         self._gzr[...] = self._gx_zr
         self._gc[...] = self._gx_c
         h_next = np.empty_like(self._c)
-        gru_step(sp, h, self._gzr, self._gc, self._zr, self._z, self._r, self._rh, self._c,
-                 h_next)
+        gru_step(sp, h, self._gzr, self._gc, self._zr, self._zr_z, self._zr_r, self._z, self._r,
+                 self._rh, self._c, h_next)
         output_projection(sp, h_next, self._y)
         return self._y, h_next
 
@@ -494,7 +498,7 @@ def backward_stacked(cache: StackCache, dy: np.ndarray, dh_final: np.ndarray | N
     dh_prev = cache._h2
     buf_zr, dh_t, h_prev, drh = cache._zr, cache._gc, cache._t1, cache._rh
     tmp, dsc, dz, dr = cache._t2, cache._t3, cache._t4, cache._t5
-    buf_z, buf_r = buf_zr[:, :, :H], buf_zr[:, :, H:]
+    buf_z, buf_r = cache._zr_z, cache._zr_r
     matmul, add, subtract, multiply = np.matmul, np.add, np.subtract, np.multiply
     UcT, UzrT = sp.UcT, sp.UzrT
     one = sp.half_one[1]

@@ -1,6 +1,7 @@
 """Discrete PID setpoint controller used to seed the replay buffer.
 
-Per controlled axis, with error e in degrees and step dt in seconds:
+Per controlled axis, with error e in degrees and step dt in seconds (the
+env's action period, env.ACTION_PERIOD, for PidActionPolicy):
 
     I <- clamp(I + e dt, +-output_limit / Ki)   (+-0 when Ki = 0)
     u  = Kp e + Ki I + Kd (e - e_prev) / dt
@@ -29,6 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .env import ACTION_PERIOD
 from .plant import PlantConfig
 
 
@@ -118,11 +120,11 @@ class PidActionPolicy:
     def reset(self, n: int = 1) -> None:
         self.pid = PidController(self.gains, rows=n)
 
-    def act(self, obs, dt: float = 0.5) -> np.ndarray:
+    def act(self, obs) -> np.ndarray:
         obs = np.asarray(obs, dtype=np.float64)
         if len(obs) != len(self.pid.integral):
             raise ValueError(f"{len(obs)} observations for {len(self.pid.integral)} PID rows")
-        u = self.pid.commands(obs[:, 4:6] - obs[:, [0, 2]], dt)
+        u = self.pid.commands(obs[:, 4:6] - obs[:, [0, 2]], ACTION_PERIOD)
         if self._axis_to_volts is None:
             v, lo = u, -10.0
         else:  # per row the gemv of axis_to_volts @ u; BLAS may fuse multiply-adds

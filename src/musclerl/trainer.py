@@ -2,16 +2,15 @@
 
 Phase one rolls out the PID controller (or uniform-random actions when the
 bootstrap is disabled) for the first M episodes, storing each trajectory
-with its target relabels; no gradient steps happen here. The PID episodes
-run in lockstep, up to DEMONSTRATION_ROWS at a time as the rows of the
-training env, whose reset makes one draw per stream for all of them; their
-relabels are drawn and scored in one pass per call, and the episodes are
-then stored and logged in episode order, which gives every random stream,
-buffer slot and log row that one episode at a time gives. The uniform
-warm-up and the policy run one episode per call, since their per-step
-draws would interleave across rows. Phase two rolls out the current
-policy, augments, stores, and runs k gradient updates per episode. Muscle
-dynamics resample every reset.
+with its target relabels; no gradient steps happen here. Either way the
+episodes run in lockstep, up to DEMONSTRATION_ROWS at a time as the rows
+of the training env, whose reset makes one draw per stream for all of
+them, as does the uniform controller's; their relabels are drawn and
+scored in one pass per call, and the episodes are then stored and logged
+in episode order, which gives every random stream, buffer slot and log
+row that one episode at a time gives. Phase two rolls out the current
+policy one episode at a time, augments, stores, and runs k gradient
+updates per episode. Muscle dynamics resample every reset.
 
 Artifacts (under the run directory): rewards.csv with one row per episode,
 losses.csv with per-episode mean losses, a rolling full checkpoint for
@@ -38,16 +37,20 @@ from .pid import PidActionPolicy, gains_for
 from .randomize import NO_RANDOMIZATION, RandomizationSpec, SeededRng
 from .sac import ReplayBuffer, SacAgent, Trajectory
 
-# PID demonstration episodes per lockstep call. A call's reset builds one
+# Demonstration episodes per lockstep call. A call's reset builds one
 # plant StepMap for all its rows, whose stack (10.75 kB a row) the rows
 # step on; the build holds two substep powers besides, so it peaks at
-# 1.7x the stack. For the stock wrist phase (500 episodes, width 64) the
-# phase took a median 0.10-0.12 s of CPU at 25 rows, 0.07 s at 50,
+# 1.7x the stack. For the stock wrist PID phase (500 episodes, width 64)
+# the phase took a median 0.10-0.12 s of CPU at 25 rows, 0.07 s at 50,
 # 0.06-0.07 s at 100, 0.057 s at 250 and 1.2-1.7 s one row at a time (15
 # phases each, 3 at one row), and its peak RSS rose by 0.4 MB at 25 rows,
 # 1.3 MB at 50, 3.2 MB at 100 and 7.9 MB at 250 over one row at a time
 # (one BLAS thread, shared 2-vCPU VM). Past 100 rows memory keeps growing
-# and time hardly falls.
+# and time hardly falls. The stock uniform warm-up (width 64, median of 5)
+# took 0.046 s of CPU at 100 rows against 0.78 s one row at a time on the
+# wrist (500 episodes) and 0.025 s against 0.37 s on the eye (250), and it
+# raised the built trainer's peak RSS by 8.5 MB against 5.5 MB on the wrist
+# and 4.5 MB against 1.9 MB on the eye.
 DEMONSTRATION_ROWS = 100
 
 
@@ -94,17 +97,23 @@ class CsvLog:
 
 
 class UniformController:
-    """Uniform-random actions over the action box (the no-bootstrap warm-up)."""
+    """Uniform-random actions over the action box (the no-bootstrap warm-up).
 
-    def __init__(self, rng: SeededRng, low: np.ndarray, high: np.ndarray):
-        self.rng, self.low, self.high = rng, low, high
+    reset(n) draws the n rows' whole (n, steps, A) action block in one
+    call, row after row, and act returns the next step's (n, A) rows: the
+    values and the stream state of n one-row episodes drawing (1, A) per
+    step. The observations go unread.
+    """
+
+    def __init__(self, rng: SeededRng, low: np.ndarray, high: np.ndarray, steps: int):
+        self.rng, self.low, self.high, self.steps = rng, low, high, steps
 
     def reset(self, n: int = 1) -> None:
-        pass
+        block = self.rng.uniform(self.low, self.high, size=(n, self.steps, self.low.size))
+        self._by_step = iter(block.swapaxes(0, 1))
 
-    def act(self, obs, dt: float = 0.5) -> np.ndarray:
-        """(n, A) actions for the (n, 6) observations, drawn in row order."""
-        return self.rng.uniform(self.low, self.high, size=(len(obs), self.low.size))
+    def act(self, obs) -> np.ndarray:
+        return next(self._by_step)
 
 
 class Trainer:
@@ -156,7 +165,7 @@ class Trainer:
         self.controllers = {
             "pid": PidActionPolicy(cfg.preset, nominal,
                                    gains_for(cfg.preset, nominal, scale=cfg.pid_gain_scale)),
-            "random": UniformController(self.warmup_rng, low, high),
+            "random": UniformController(self.warmup_rng, low, high, self.env.steps),
             "policy": PolicyController(self.agent, rng=self.rollout_rng),
         }
         self.episode_idx = 0  # completed episodes
@@ -187,16 +196,15 @@ class Trainer:
     def bootstrap_phase(self, log: "CsvLog | None" = None, stop: int | None = None) -> None:
         """Demonstration episodes 1..M (or up to stop); fills the buffer, no gradient steps.
 
-        PID episodes run DEMONSTRATION_ROWS at a time in lockstep, the
-        uniform warm-up one at a time; either way each episode is stored
-        with its relabels and logged in episode order.
+        The PID episodes, or the uniform warm-up's, run DEMONSTRATION_ROWS
+        at a time in lockstep; each episode is stored with its relabels
+        and logged in episode order.
         """
         cfg = self.cfg
         stop = cfg.bootstrap_episodes if stop is None else min(stop, cfg.bootstrap_episodes)
         controller = "random" if cfg.no_bootstrap else "pid"
-        rows = 1 if cfg.no_bootstrap else DEMONSTRATION_ROWS
         while self.episode_idx < stop:
-            trajs = self.rollout(controller, min(rows, stop - self.episode_idx))
+            trajs = self.rollout(controller, min(DEMONSTRATION_ROWS, stop - self.episode_idx))
             self.store_with_augmentation(*trajs)
             for traj in trajs:
                 self.episode_idx += 1

@@ -146,7 +146,7 @@ def test_pid_clamps_match_clip_oracle_bit_for_bit(preset):
             obs[4], obs[5] = rng.choice(values, size=2)
             if rng.uniform() < 0.3:
                 obs[0], obs[2] = -obs[4], -obs[5]
-            a = policy.act(obs[None], dt=0.5)[0]
+            a = policy.act(obs[None])[0]
             expected = oracle.act(obs, dt=0.5)
             assert a.tobytes() == expected.tobytes()
             assert policy.pid.integral[0].tobytes() == oracle.integral.tobytes()

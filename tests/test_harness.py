@@ -250,6 +250,21 @@ def test_cli_refuses_a_field_duration_without_an_action_step(verb, duration, cap
     assert err.count("\n") == 1 and "at least one 0.5 s action step" in err
 
 
+@pytest.mark.parametrize("verb", ["eval-field", "episode"])
+@pytest.mark.parametrize("flags, named", [
+    (["--pid"], ["--pid"]), (["--preset", "eye"], ["--preset"]),
+    (["--pid", "--preset", "wrist"], ["--pid", "--preset"])])
+def test_cli_refuses_a_checkpoint_next_to_pid_or_preset(verb, flags, named, tmp_path, capsys):
+    # --pid with --checkpoint once evaluated the stock PID and exited 0, and
+    # --preset with --checkpoint was ignored for the checkpoint's own preset
+    ckpt = str(tmp_path / "missing.ckpt")
+    assert cli_main([verb, "--checkpoint", ckpt] + flags) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and "--checkpoint" in err
+    assert all(flag in err for flag in named) and ("--pid" in err) == ("--pid" in named)
+
+
 @pytest.mark.parametrize("flag, value", [("--target1", "nan"), ("--target2", "inf"),
                                          ("--target1", "-inf")])
 def test_cli_episode_refuses_a_non_finite_target(flag, value, capsys):
@@ -426,9 +441,24 @@ def test_buffer_counting_during_bootstrap(tmp_path):
     assert len(tr.buffer) == 3 * 5
 
 
+class PerStepUniform:
+    """The uniform warm-up as one row drew it: (1, A) actions per step, one episode at a time."""
+
+    def __init__(self, rng, low, high):
+        self.rng, self.low, self.high = rng, low, high
+
+    def reset(self, n=1):
+        assert n == 1
+
+    def act(self, obs):
+        return self.rng.uniform(self.low, self.high, size=(len(obs), self.low.size))
+
+
 def _serial_demonstrations(tr: Trainer, log: CsvLog) -> None:
     """The demonstration phase one episode at a time: the reference for the lockstep one."""
     kind = "random" if tr.cfg.no_bootstrap else "pid"
+    tr.controllers["random"] = PerStepUniform(tr.warmup_rng, tr.env.action_low,
+                                              tr.env.action_high)
     while tr.episode_idx < tr.cfg.bootstrap_episodes:
         (traj,) = tr.rollout(kind)
         tr.store_with_augmentation(traj)
@@ -442,22 +472,26 @@ def _streams(tr: Trainer) -> str:
                  for name, s in tr.rng_streams().items()})
 
 
-@pytest.mark.parametrize("preset, angle_limit, randomization", [
+@pytest.mark.parametrize("preset, angle_limit, overrides", [
     ("wrist", None, {}), ("eye", None, {}), ("wrist", 3.0, {}),
-    ("wrist", None, {"shared_muscle_scaling": True}), ("eye", None, {"no_randomize": True})],
-    ids=["wrist-None", "eye-None", "wrist-3.0", "wrist-shared", "eye-no_randomize"])
-def test_lockstep_demonstrations_equal_serial_episodes(preset, angle_limit, randomization,
+    ("wrist", None, {"shared_muscle_scaling": True}), ("eye", None, {"no_randomize": True}),
+    ("wrist", None, {"no_bootstrap": True}), ("eye", None, {"no_bootstrap": True})],
+    ids=["wrist-None", "eye-None", "wrist-3.0", "wrist-shared", "eye-no_randomize",
+         "wrist-no_bootstrap", "eye-no_bootstrap"])
+def test_lockstep_demonstrations_equal_serial_episodes(preset, angle_limit, overrides,
                                                         tmp_path, monkeypatch):
-    # 7 PID episodes in lockstep calls of 3, 3 and 1 rows against one episode
-    # at a time: the same buffer bytes, log rows and stream states, with
-    # each call's resets and relabels drawn in one pass. At a 3 deg travel
-    # limit, with targets within 4 deg, some rows take the substep fallback
-    # and others do not, in the same lockstep call.
+    # 7 PID (or, without the bootstrap, uniform-random) episodes in lockstep
+    # calls of 3, 3 and 1 rows against one episode at a time: the same
+    # buffer bytes, log rows and stream states, with each call's resets,
+    # uniform actions and relabels drawn in one pass; the serial warm-up
+    # draws its actions step by step. At a 3 deg travel limit, with targets
+    # within 4 deg, some rows take the substep fallback and others do not,
+    # in the same lockstep call.
     monkeypatch.setattr(musclerl.trainer, "DEMONSTRATION_ROWS", 3)
     cfg = RunConfig(preset=preset, seed=5, episodes=7, bootstrap_episodes=7, gru_hidden=8,
                     augment_copies=2, plant_angle_limit=angle_limit,
                     target_range=10.0 if angle_limit is None else 4.0, out_dir=str(tmp_path),
-                    **randomization)
+                    **overrides)
     columns = ["episode", "controller", "steps", "episode_return", "avg_reward"]
     results = []
     for name, phase in (("serial", _serial_demonstrations),
@@ -471,21 +505,23 @@ def test_lockstep_demonstrations_equal_serial_episodes(preset, angle_limit, rand
                         (tmp_path / f"{name}.csv").read_bytes()))
     assert results[0] == results[1]
     assert results[0][3].count(b"\n") == 2 + 7
+    kind = b",random," if cfg.no_bootstrap else b",pid,"
+    assert results[0][3].count(kind) == 7
     if angle_limit is not None:
         outputs = tr.buffer.state()[1]["buf_outputs"]
         on_limit = np.any(np.abs(outputs[..., [0, 2]]) == angle_limit, axis=(1, 2))
         assert on_limit.tolist() == [True, False, True, True, False, False, True]
 
 
-def test_stop_inside_the_lockstep_demonstrations_then_resume(tmp_path, monkeypatch):
+def _stop_inside_the_lockstep_demonstrations_then_resume(tmp_path, monkeypatch, **overrides):
     # stop_after=4 falls inside the straight run's second lockstep call
     # (episodes 4-5): the stopped run takes episode 4 alone, the resumed run
     # episode 5, and every row and update matches the run that never stopped
     monkeypatch.setattr(musclerl.trainer, "DEMONSTRATION_ROWS", 3)
-    ref = tiny_cfg(tmp_path / "straight", bootstrap_episodes=5, batch_size=4)
+    ref = tiny_cfg(tmp_path / "straight", bootstrap_episodes=5, batch_size=4, **overrides)
     straight = Trainer(ref)
     straight.train()
-    part = tiny_cfg(tmp_path / "resumed", bootstrap_episodes=5, batch_size=4)
+    part = tiny_cfg(tmp_path / "resumed", bootstrap_episodes=5, batch_size=4, **overrides)
     Trainer(part).train(stop_after=4)
     tr = Trainer.restore(str(tmp_path / "resumed" / "checkpoint.ckpt"), resume=True)
     assert tr.episode_idx == 4 and len(tr.buffer) == 4 * 2
@@ -497,6 +533,17 @@ def test_stop_inside_the_lockstep_demonstrations_then_resume(tmp_path, monkeypat
     assert _streams(tr) == _streams(straight)
     assert ([a.tobytes() for a in tr.buffer.state()[1].values()]
             == [a.tobytes() for a in straight.buffer.state()[1].values()])
+
+
+def test_stop_inside_the_lockstep_demonstrations_then_resume(tmp_path, monkeypatch):
+    _stop_inside_the_lockstep_demonstrations_then_resume(tmp_path, monkeypatch)
+
+
+def test_stop_inside_the_lockstep_warmup_then_resume(tmp_path, monkeypatch):
+    # the same with uniform-random actions: the stopped run's call draws
+    # episode 4's actions alone, the resumed run's episode 5's
+    _stop_inside_the_lockstep_demonstrations_then_resume(tmp_path, monkeypatch,
+                                                         no_bootstrap=True)
 
 
 def test_run_determinism_bytes(tmp_path):
@@ -1081,6 +1128,44 @@ def test_bench_pairs_summary_counts_wins_and_quartiles(tmp_path):
     (tmp_path / "c" / "perfbench" / "run.py").touch()
     assert pairs_mod.path_problem(tmp_path / "a", tmp_path / "c") is None
     assert pairs_mod.path_problem(tmp_path / "a", tmp_path / "d") is not None
+
+
+def test_bench_pairs_gives_each_metric_a_verdict(tmp_path, monkeypatch, capsys):
+    # run_once is stubbed with ten pairs whose metrics land on each verdict
+    pairs_mod = _repo_module("bench_pairs", "scripts", "bench_pairs.py")
+    for name in ("a", "b"):
+        (tmp_path / name / "perfbench").mkdir(parents=True)
+        (tmp_path / name / "perfbench" / "run.py").touch()
+    bounds = {"rate_gain": ("higher", 0.25), "rate_8_of_10": ("higher", 0.25),
+              "rss_worse": ("lower", 0.1), "rate_spread": ("higher", 0.1),
+              "rate_clear": ("higher", 0.1), "setup_level": ("lower", 0.25)}
+    (tmp_path / "b" / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 1, "end_to_end": [{"name": k, "better": b, "bound": v}
+                                         for k, (b, v) in bounds.items()]}))
+
+    def run_once(tree, workload, seed, seconds):
+        k, change = seed, tree.name == "b"  # pair k runs seed k
+        wide = 150.0 if k % 4 < 2 else 50.0  # the parent's spread is half its median
+        values = {"rate_gain": 100.0 + k % 3 + (10.0 if k < 10 else -5.0) * change,
+                  "rate_8_of_10": 100.0 + (20.0 if k < 9 else -10.0) * change,
+                  "rss_worse": 12.0 if change else 10.0 + 0.1 * (k % 2),  # +20 % > 10 %
+                  "rate_spread": wide + change,  # 10 of 10, but inside the IQR
+                  "rate_clear": 200.0 if change else wide,  # every run above every run
+                  "setup_level": 5.01 if change else 5.0}  # 0.2 % worse, bound 25 %
+        return {"correct": True, "metrics": {k: {"value": v} for k, v in values.items()}}
+
+    monkeypatch.setattr(pairs_mod, "run_once", run_once)
+    assert pairs_mod.main([str(tmp_path / "a"), str(tmp_path / "b"),
+                           "--workload", "bootstrap"]) == 0
+    out = capsys.readouterr().out
+    # a gain needs 9 of 10 pairs (rate_gain wins 9, by a median gap of 10
+    # against a parent IQR under 2), and a gap beyond the IQR in 8 is none
+    want = {"rate_gain": "gain", "rate_8_of_10": "no regression",
+            "rss_worse": "worse beyond bound", "rate_spread": "unresolved",
+            "rate_clear": "no regression", "setup_level": "no regression"}
+    for name, word in want.items():
+        assert f"verdict {name} (bound {bounds[name][1]:g}): {word}\n" in out
+    assert pairs_mod.verdict({"n": 0}, 0.1) == "not measured"
 
 
 def test_update_pairs_times_both_trees_and_checks_their_states(tmp_path, capsys):

@@ -633,9 +633,13 @@ def test_step_views_are_their_storage_blocks():
                   owner.h_states[:, t])
         assert all(map(_is_block, owner._steps[t], blocks))
     assert owner.dgx is owner.gx  # the backward writes its gate gradients into gx's blocks
+    # the [z | r] scratch's halves, which both loops read or write
+    assert _is_block(owner._zr_z, owner._zr[:, :, :H])
+    assert _is_block(owner._zr_r, owner._zr[:, :, H:])
 
     _, _, shared = forward_stacked(stacks[1], x, share=owner)
     assert shared._steps is owner._steps
+    assert shared._zr_z is owner._zr_z and shared._zr_r is owner._zr_r
     _, _, other = forward_stacked(stacks[0], x[:, :3], cache=owner)
     assert other is not owner and len(other._steps) == 3
     assert _is_block(other._steps[0][2], other.z[0])
@@ -655,9 +659,11 @@ def test_step_views_are_their_storage_blocks():
         assert cache is owner
         assert _pass_bytes(y, hT, backward_stacked(cache, dy, dhf)) == want
 
-    # the acting cell's input-projection halves are views built with its scratch
+    # the acting cell's input-projection and [z | r] halves are views built with its scratch
     cell = ActCell(init_params(NetworkShape(6, H, 4), SeededRng(72)))
     for rows in (4, 1):
         cell.step(np.zeros((rows, 1, 6)), np.zeros((rows, 1, H)))
         assert _is_block(cell._gx_zr, cell._gx[:, :, : 2 * H])
         assert _is_block(cell._gx_c, cell._gx[:, :, 2 * H :])
+        assert _is_block(cell._zr_z, cell._zr[:, :, :H])
+        assert _is_block(cell._zr_r, cell._zr[:, :, H:])
